@@ -126,23 +126,17 @@ def gauss_rule(table: RecurrenceTable, n: int) -> QuadratureRule:
     weights = 1.0 / np.einsum("ji,ji->i", V, V)
 
     degree = 2 * n - 1
-    rule = QuadratureRule(
+    residual_norm = 0.0
+    if table.capacity >= degree:
+        residual_norm = float(np.linalg.norm(
+            moment_residuals(nodes, weights, table, degree)))
+    return QuadratureRule(
         family=table.family,
         nodes=nodes,
         weights=weights,
         exactness_degree=degree,
-        residual_norm=0.0,
+        residual_norm=residual_norm,
     )
-    if table.capacity >= degree:
-        report = verify_rule(rule, table, degree)
-        rule = QuadratureRule(
-            family=table.family,
-            nodes=nodes,
-            weights=weights,
-            exactness_degree=degree,
-            residual_norm=report.norm,
-        )
-    return rule
 
 
 def moment_residuals(nodes, weights, table: RecurrenceTable,

@@ -10,6 +10,7 @@ directory can always be trusted or rejected file by file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -115,13 +116,23 @@ class RuleRecord:
 
     @property
     def key(self) -> tuple:
-        """Catalog key (family kind, params, n1, n2, mode)."""
+        """Catalog key (family kind, params, n1, n2, mode).
+
+        Custom families have no params; their slot holds a digest of the
+        recurrence coefficients and domain instead.
+        """
+        params = self.family.params
+        if self.family.kind == "custom":
+            family = self.family
+            # adding 0.0 turns -0.0 into 0.0, which the family treats as equal
+            values = np.array(family.custom_a + family.custom_b
+                              + family.custom_domain) + 0.0
+            params = (hashlib.sha256(values.tobytes()).hexdigest()[:16],)
         if self.kind == "pair":
             pair = self.payload
-            return (self.family.kind, self.family.params,
+            return (self.family.kind, params,
                     pair.coarse.n, pair.fine.n, self.mode)
-        return (self.family.kind, self.family.params,
-                None, self.payload.n, self.mode)
+        return (self.family.kind, params, None, self.payload.n, self.mode)
 
 
 def _provenance_now(iterations: int) -> Provenance:
@@ -171,12 +182,6 @@ def _encode_bound(x: float):
     return float(x)
 
 
-def _decode_bound(v) -> float:
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
-
-
 def _family_to_json(family: WeightFamily) -> dict:
     doc = {"kind": family.kind, "params": [float(p) for p in family.params]}
     if family.kind == "custom":
@@ -195,8 +200,8 @@ def _family_from_json(doc: dict) -> WeightFamily:
             kind, params,
             custom_a=tuple(float(v) for v in doc["a"]),
             custom_b=tuple(float(v) for v in doc["b"]),
-            custom_domain=(_decode_bound(doc["domain"][0]),
-                           _decode_bound(doc["domain"][1])))
+            custom_domain=(float(doc["domain"][0]),
+                           float(doc["domain"][1])))
     return WeightFamily(kind, params)
 
 

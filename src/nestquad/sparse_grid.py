@@ -10,6 +10,16 @@ with r running over max(0, k-d) .. k-1.  Coincident nodes across blocks are
 merged by summing weights, which is where nested level families pay off:
 their shared nodes coincide bit-exactly, so the union grows far slower than
 with independent Gauss rules per level.
+
+The merge works on integers (after Gerstner & Griebel, Numer. Algorithms 18,
+1998).  Each coordinate of a node is an index into the sorted union of the
+levels' nodes, and the node's key packs its d indices in mixed radix, first
+coordinate most significant, into as many int64 words as needed.  Sorting
+keys then sorts nodes lexicographically.  Blocks are expanded in batches of
+about ``_MERGE_BATCH`` points, and each batch is merged into the running
+grid with np.unique and np.bincount.  Each node's weight is summed in block
+order, starting from 0.0, so the weights do not depend on the batch size,
+and memory stays bounded by the grid plus one batch.
 """
 
 from __future__ import annotations
@@ -46,6 +56,9 @@ _TENSOR_CAP = 1e8
 _MERGE_TOL = 1e-14
 # Merged weights below this magnitude are candidates for removal.
 _DROP_TOL = 1e-15
+# Tensor-block points are merged into the grid in batches of about this
+# many, which bounds the working memory of the merge.
+_MERGE_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,24 +167,115 @@ def tensor_rule(rules):
     if total > _TENSOR_CAP:
         raise CapacityError(
             f"tensor product would hold {total:.3g} points")
-    axes = [rule.nodes for rule in rules]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    weights = rules[0].weights
-    for rule in rules[1:]:
-        weights = np.multiply.outer(weights, rule.weights)
-    return nodes, weights.ravel()
+    union = np.unique(np.concatenate([rule.nodes for rule in rules]))
+    axes = _stack_axes([np.searchsorted(union, rule.nodes) for rule in rules],
+                       [rule.weights for rule in rules])
+    d = len(rules)
+    per_word = _digits_per_word(union.size, d)
+    keys, weights = _tensor_blocks(np.arange(d)[None, :], axes, union.size,
+                                   per_word)
+    return _decode_keys(keys, union, d, per_word), weights
 
 
-def _compositions(total: int, d: int):
-    """All d-tuples of positive integers summing to total, colexicographic
-    (last coordinate varies slowest)."""
-    if d == 1:
-        yield (total,)
-        return
-    for last in range(1, total - d + 2):
-        for head in _compositions(total - last, d - 1):
-            yield head + (last,)
+def _compositions(total: int, d: int) -> dict:
+    """All d-tuples of positive integers summing to t, for t = d..total.
+
+    Maps t to an int array with one tuple per row, in colexicographic order
+    (last coordinate varies slowest).
+    """
+    # table[t]: the compositions of t into `parts` parts
+    table = {t: np.array([[t]]) for t in range(1, total - d + 2)}
+    for parts in range(2, d + 1):
+        table = {t: np.concatenate([
+            np.column_stack([table[t - last],
+                             np.full(len(table[t - last]), last)])
+            for last in range(1, t - parts + 2)])
+            for t in range(parts, total - d + parts + 1)}
+    return table
+
+
+def _digits_per_word(radix: int, d: int) -> int:
+    """Base-``radix`` digits of a d-digit node key held by one int64 word.
+
+    A node's key is its d axis indices written in base ``radix``, first
+    coordinate most significant, split into words of this many digits (the
+    last word may hold fewer).  Every word stays below 2^63, so a key takes
+    one word unless radix^d exceeds 2^63.
+    """
+    per_word = 1
+    while per_word < d and radix ** (per_word + 1) <= 2 ** 63:
+        per_word += 1
+    return per_word
+
+
+def _stack_axes(indices, weights):
+    """Pack univariate rules, given as node-index and weight arrays, into
+    (start, size, index, weight): rule j is the slice
+    ``start[j]:start[j] + size[j]`` of ``index`` and of ``weight``."""
+    size = np.array([ix.size for ix in indices])
+    return (np.cumsum(size) - size, size,
+            np.concatenate(indices), np.concatenate(weights))
+
+
+def _tensor_blocks(blocks, axes, radix: int, per_word: int):
+    """Node keys and weights of a batch of tensor blocks.
+
+    Row b of ``blocks`` names the rule of ``axes`` (see ``_stack_axes``) on
+    each coordinate of block b.  Points come block by block, each block in
+    lexicographic order (first coordinate slowest), as np.meshgrid(...,
+    indexing="ij") lists them.  A point's weight is the left-to-right
+    product of its axis weights, bit for bit what chained np.multiply.outer
+    gives.  Keys come as one row per word (see ``_digits_per_word``).
+    """
+    start, size, index, weight = axes
+    block = np.arange(blocks.shape[0])
+    words, w = [], None
+    for j in range(blocks.shape[1]):
+        # expand every partial point by the nodes of its block's rule j
+        rule = blocks[block, j]
+        count = size[rule]
+        first = np.cumsum(count) - count
+        pos = (np.arange(first[-1] + count[-1])
+               + np.repeat(start[rule] - first, count))
+        block = np.repeat(block, count)
+        words = [np.repeat(word, count) for word in words]
+        if j % per_word == 0:
+            words.append(index[pos])
+        else:
+            words[-1] = words[-1] * radix + index[pos]
+        w = weight[pos] if w is None else np.repeat(w, count) * weight[pos]
+    return np.stack(words), w
+
+
+def _merge(keys, weights):
+    """Distinct keys (one row per word) in increasing lexicographic order,
+    with the weights of equal keys summed.
+
+    np.bincount adds the weights of each key one at a time in input order,
+    starting from 0.0, so each sum rounds exactly as a running
+    ``total += w`` over the inputs does.
+    """
+    key = keys[0]
+    for word in keys[1:]:
+        # fold in the next word through dense ranks, which keep the order
+        _, high = np.unique(key, return_inverse=True)
+        values, low = np.unique(word, return_inverse=True)
+        key = high * values.size + low
+    unique, inverse = np.unique(key, return_inverse=True)
+    first = np.empty(unique.size, dtype=np.intp)
+    first[inverse] = np.arange(inverse.size)
+    return keys[:, first], np.bincount(inverse, weights=weights,
+                                       minlength=unique.size)
+
+
+def _decode_keys(keys, union, d: int, per_word: int):
+    """(N, d) node coordinates of the keys, read back from the union."""
+    digits = np.empty((keys.shape[1], d), dtype=np.intp)
+    for word, key in enumerate(keys):
+        lo = word * per_word
+        for j in range(min(lo + per_word, d) - 1, lo - 1, -1):
+            key, digits[:, j] = np.divmod(key, union.size)
+    return union[digits]
 
 
 def _canonical_levels(family: UnivariateLevelFamily, k: int):
@@ -230,10 +334,14 @@ class SparseGrid:
 def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
     """Build the level-k sparse grid over d dimensions.
 
-    Tensor blocks are accumulated shell by shell (|i| = d + r, indices
-    colexicographic) into a node-keyed weight table; coincident nodes merge
-    by summation.  Merged nodes with |weight| < 1e-15 are dropped only when
-    the removal provably cannot disturb degree-(2k-1) exactness.
+    Tensor blocks are taken shell by shell (|i| = d + r, indices
+    colexicographic), each block's points in lexicographic order, and
+    coincident nodes merge by summation.  Nodes are keyed by integers (see
+    the module docstring) and merged in batches of about ``_MERGE_BATCH``
+    points; each node's weight is the sum of its block weights in that
+    order, starting from 0.0, so it does not depend on the batch size.
+    Merged nodes with |weight| < 1e-15 are dropped only when the removal
+    provably cannot disturb degree-(2k-1) exactness.
     """
     if d < 1 or k < 1:
         raise ParameterError("need d >= 1 and k >= 1")
@@ -241,29 +349,32 @@ def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
         raise ParameterError(
             f"family supplies {family.depth} levels, level {k} requested")
 
-    axes = _canonical_levels(family, k)
-    level_weights = [family.rule(i).weights for i in range(1, k + 1)]
-    table = {}
+    levels = _canonical_levels(family, k)
+    union = np.unique(np.concatenate(levels))
+    axes = _stack_axes([np.searchsorted(union, nodes) for nodes in levels],
+                       [family.rule(i).weights for i in range(1, k + 1)])
+    sizes = axes[1]
+    per_word = _digits_per_word(union.size, d)
+    keys = np.empty((-(-d // per_word), 0), dtype=np.int64)
+    weights = np.empty(0)
+    shells = _compositions(d + k - 1, d)
     for r in range(max(0, k - d), k):
         coeff = (-1.0) ** (k - 1 - r) * math.comb(d - 1, k - 1 - r)
-        for ivec in _compositions(d + r, d):
-            block_axes = [axes[i - 1] for i in ivec]
-            size = math.prod(ax.size for ax in block_axes)
-            if size > _TENSOR_CAP:
-                raise CapacityError(
-                    f"tensor block {ivec} would hold {size:.3g} points")
-            mesh = np.meshgrid(*block_axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            w = level_weights[ivec[0] - 1]
-            for i in ivec[1:]:
-                w = np.multiply.outer(w, level_weights[i - 1])
-            w = coeff * w.ravel()
-            for point, wq in zip(map(tuple, pts.tolist()), w.tolist()):
-                table[point] = table.get(point, 0.0) + wq
-
-    points = sorted(table.keys())
-    weights = np.array([table[p] for p in points])
-    nodes = np.array(points, dtype=float).reshape(len(points), d)
+        blocks = shells[d + r] - 1
+        points = np.prod(sizes[blocks], axis=1, dtype=float)
+        too_big = np.flatnonzero(points > _TENSOR_CAP)
+        if too_big.size:
+            ivec = tuple(int(i) + 1 for i in blocks[too_big[0]])
+            raise CapacityError(f"tensor block {ivec} would hold "
+                                f"{points[too_big[0]]:.3g} points")
+        batch = np.cumsum(points) // _MERGE_BATCH
+        for chunk in np.split(blocks, np.flatnonzero(np.diff(batch)) + 1):
+            new_keys, new_weights = _tensor_blocks(chunk, axes, union.size,
+                                                   per_word)
+            keys, weights = _merge(
+                np.concatenate([keys, new_keys], axis=1),
+                np.concatenate([weights, coeff * new_weights]))
+    nodes = _decode_keys(keys, union, d, per_word)
 
     small = np.abs(weights) < _DROP_TOL
     if np.any(small):
@@ -283,8 +394,14 @@ def integrate(grid: SparseGrid, f) -> float:
     ``f`` receives one d-vector per call.  A non-finite value aborts with
     an evaluation error carrying the offending node.
     """
+    return _weighted_sum(grid.nodes, grid.weights, f)
+
+
+def _weighted_sum(nodes, weights, f) -> float:
+    """math.fsum of w_q f(x_q), calling ``f`` once per row of ``nodes`` in
+    order; a non-finite value raises EvaluationError naming the node."""
     terms = []
-    for point, weight in zip(grid.nodes, grid.weights):
+    for point, weight in zip(nodes, weights):
         value = float(f(point))
         if not math.isfinite(value):
             raise EvaluationError(

@@ -3,13 +3,18 @@
 Everything here is built from first principles with mpmath: exact moment
 sequences per weight family, a Stieltjes/Gram-Schmidt recurrence builder
 working on polynomial coefficient lists, and coefficient-based polynomial
-evaluation.  No imports from the package under test, so agreement between
-the two is meaningful.
+evaluation.  The Smolyak reference merge is the plain dict-of-tuples
+merge, kept as the bitwise reference for the package's integer-key merge.
+No imports from the package under test, so agreement between the two is
+meaningful.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 DPS = 60
 
@@ -184,3 +189,49 @@ def oracle_gauss(kind: str, params, n: int, dps: int = DPS):
         nodes = [float(p[0]) for p in pairs]
         weights = [float(p[1]) for p in pairs]
         return nodes, weights
+
+
+def _compositions(total: int, d: int):
+    """All d-tuples of positive integers summing to total, colexicographic
+    (last coordinate varies slowest)."""
+    if d == 1:
+        yield (total,)
+        return
+    for last in range(1, total - d + 2):
+        for head in _compositions(total - last, d - 1):
+            yield head + (last,)
+
+
+def reference_smolyak(levels, level_weights, d: int, k: int):
+    """Level-k Smolyak grid by summing tensor-block points into a dict.
+
+    ``levels`` holds the node arrays of levels 1..k, with nodes that should
+    merge already equal, and ``level_weights`` their weights.  Blocks go
+    shell by shell in colexicographic order, points within a block in
+    lexicographic order; each node's weight is summed in that order from
+    0.0, the nodes are sorted, and weights below 1e-15 are dropped when the
+    drop provably keeps degree-(2k-1) exactness.  Returns (nodes, weights).
+    """
+    table = {}
+    for r in range(max(0, k - d), k):
+        coeff = (-1.0) ** (k - 1 - r) * math.comb(d - 1, k - 1 - r)
+        for ivec in _compositions(d + r, d):
+            mesh = np.meshgrid(*[levels[i - 1] for i in ivec], indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=1)
+            w = level_weights[ivec[0] - 1]
+            for i in ivec[1:]:
+                w = np.multiply.outer(w, level_weights[i - 1])
+            w = coeff * w.ravel()
+            for point, wq in zip(map(tuple, pts.tolist()), w.tolist()):
+                table[point] = table.get(point, 0.0) + wq
+
+    points = sorted(table.keys())
+    weights = np.array([table[p] for p in points])
+    nodes = np.array(points, dtype=float).reshape(len(points), d)
+    small = np.abs(weights) < 1e-15
+    if np.any(small):
+        mags = np.prod(np.maximum(1.0, np.abs(nodes)), axis=1) ** (2 * k - 1)
+        if float(np.sum(np.abs(weights[small]) * mags[small])) <= 1e-12:
+            nodes = nodes[~small]
+            weights = weights[~small]
+    return nodes, weights

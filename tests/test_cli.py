@@ -343,6 +343,32 @@ class TestIntegrate:
         assert code == 1
         assert "3" in stderr
 
+    def test_weight_count_mismatch_is_io_error(self, grid_path, capsys):
+        doc = json.loads(grid_path.read_text())
+        doc["weights"].pop()
+        grid_path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "integrate", "--grid",
+                                   str(grid_path), "--function", "constant")
+        assert code == 3
+        assert stdout == ""
+        assert "malformed grid" in stderr
+
+    def test_overflowing_integrand_names_node(self, grid_path, capsys):
+        coeffs = np.array([1000.0, 0.0, 0.0])
+        nodes = np.array(json.loads(grid_path.read_text())["nodes"])
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.exp(nodes @ coeffs))
+        assert not finite.all()
+        bad = nodes[np.flatnonzero(~finite)[0]]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, stdout, stderr = run(
+                capsys, "integrate", "--grid", str(grid_path),
+                "--function", "product-exponential",
+                "--params", "1000,0,0")
+        assert code == 1
+        assert stdout == ""
+        assert f"integrand returned inf at {bad.tolist()}" in stderr
+
 
 class TestExport:
     def test_pair_parts(self, pair_record, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,34 @@ class TestCatalog:
         assert set(first.keys()) == set(second.keys())
         for key in first.keys():
             assert first.get(key).path == second.get(key).path
+
+    def test_distinct_custom_families_keep_distinct_keys(self, tmp_path):
+        # same size, same (empty) params, different recurrences
+        rules = []
+        for rho in (0.0, 1.0):
+            base = recurrence_coefficients(generalized_laguerre(rho), 12)
+            fam = custom_family(base.a.tolist(), base.b.tolist(),
+                                (0.0, math.inf))
+            rules.append(gauss_rule(recurrence_coefficients(fam, 9), 4))
+        save(make_rule_record(rules[0]), tmp_path / "one.json")
+        save(make_rule_record(rules[1]), tmp_path / "two.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            catalog = catalog_scan(tmp_path, verify=True)
+        assert len(catalog) == 2
+        kept = sorted(e.record.payload.nodes[0] for e in
+                      catalog.entries.values())
+        assert kept == sorted(r.nodes[0] for r in rules)
+
+    def test_custom_family_key_is_stable(self, tmp_path):
+        base = recurrence_coefficients(generalized_laguerre(0.0), 12)
+        fam = custom_family(base.a.tolist(), base.b.tolist(),
+                            (0.0, math.inf))
+        record = make_rule_record(
+            gauss_rule(recurrence_coefficients(fam, 9), 4))
+        save(record, tmp_path / "c.json")
+        assert load(tmp_path / "c.json").key == record.key
+        assert record.key[0] == "custom" and record.key[1] != ()
 
     def test_non_json_files_ignored(self, leg_table, tmp_path):
         save(make_rule_record(gauss_rule(leg_table, 3)),

@@ -3,10 +3,13 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nestquad import sparse_grid
 from nestquad.errors import CapacityError, EvaluationError, ParameterError
 from nestquad.gauss import QuadratureRule, gauss_rule, moment_residuals
 from nestquad.nested_optimizer import extend_patterson, generate_nested
@@ -17,6 +20,8 @@ from nestquad.orthopoly import (
     recurrence_coefficients,
 )
 from nestquad.sparse_grid import (
+    _canonical_levels,
+    _digits_per_word,
     SparseGrid,
     TensorErrorBound,
     UnivariateLevelFamily,
@@ -29,6 +34,7 @@ from nestquad.sparse_grid import (
     tensor_rule,
     write_grid_csv,
 )
+from oracles import reference_smolyak
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +48,20 @@ def gauss_family(leg_table):
 
 
 @pytest.fixture(scope="module")
-def nested_family(leg_table):
+def leg_chain(leg_table):
+    """Legendre chain with 1, 3, 7 and 15 nodes."""
     pair, _ = generate_nested(1, leg_table)
     chain = [pair.coarse, pair.fine]
     r7, _ = extend_patterson(pair.fine, leg_table)
     chain.append(r7)
     r15, _ = extend_patterson(r7, leg_table)
     chain.append(r15)
-    return nested_levels(chain, 6)
+    return chain
+
+
+@pytest.fixture(scope="module")
+def nested_family(leg_chain):
+    return nested_levels(leg_chain, 6)
 
 
 def legendre_moment(j):
@@ -347,25 +359,79 @@ class TestMergeCorrectness:
         # level 2 places weight exactly 1/2 at the shared center, so the
         # combination annihilates the (0, 0) node; degree-3 exactness must
         # survive the drop
-        a = math.sqrt(2.0 / 3.0)
-        g1 = gauss_rule(leg_table, 1)
-        lvl2 = QuadratureRule(
-            family=legendre(),
-            nodes=np.array([-a, 0.0, a]),
-            weights=np.array([0.25, 0.5, 0.25]),
-            exactness_degree=3,
-            residual_norm=float(np.linalg.norm(moment_residuals(
-                np.array([-a, 0.0, a]), np.array([0.25, 0.5, 0.25]),
-                leg_table, 3))),
-        )
-        family = UnivariateLevelFamily((g1, lvl2), nested=True)
-        grid = smolyak_grid(family, 2, 2)
+        grid = smolyak_grid(_cancelling_family(leg_table), 2, 2)
         assert grid.node_count == 4
         assert not any(p == (0.0, 0.0) for p in map(tuple, grid.nodes))
         for powers in monomials_up_to(2, 3):
             values = np.prod(grid.nodes ** np.array(powers), axis=1)
             got = float(np.dot(grid.weights, values))
             assert got == pytest.approx(tensor_moment(powers), abs=1e-9)
+
+
+def _cancelling_family(leg_table):
+    """Nested levels whose d=2, k=2 grid cancels the center node exactly."""
+    a = math.sqrt(2.0 / 3.0)
+    nodes = np.array([-a, 0.0, a])
+    weights = np.array([0.25, 0.5, 0.25])
+    lvl2 = QuadratureRule(
+        family=legendre(), nodes=nodes, weights=weights, exactness_degree=3,
+        residual_norm=float(np.linalg.norm(moment_residuals(
+            nodes, weights, leg_table, 3))))
+    return UnivariateLevelFamily((gauss_rule(leg_table, 1), lvl2),
+                                 nested=True)
+
+
+def _assert_matches_reference(family, d, k):
+    levels = _canonical_levels(family, k)
+    ref_nodes, ref_weights = reference_smolyak(
+        levels, [family.rule(i).weights for i in range(1, k + 1)], d, k)
+    grid = smolyak_grid(family, d, k)
+    assert np.array_equal(grid.nodes, ref_nodes)
+    assert np.array_equal(grid.weights, ref_weights)
+    return grid
+
+
+class TestBitwiseMerge:
+    """The integer-key merge reproduces the dict merge bit for bit."""
+
+    def test_nested_d8_k7(self, leg_chain):
+        grid = _assert_matches_reference(nested_levels(leg_chain, 7), 8, 7)
+        assert grid.node_count == 17921
+
+    def test_gauss_d8_k5(self, gauss_family):
+        grid = _assert_matches_reference(gauss_family, 8, 5)
+        assert grid.node_count == 3905
+
+    def test_cancelled_node(self, leg_table):
+        grid = _assert_matches_reference(_cancelling_family(leg_table), 2, 2)
+        assert grid.node_count == 4
+
+    def test_two_key_words_d23_k4(self, leg_chain):
+        family = nested_levels(leg_chain, 4)
+        # 7 distinct nodes per axis: 7^23 > 2^63 needs a second word
+        assert _digits_per_word(7, 23) < 23
+        grid = _assert_matches_reference(family, 23, 4)
+        assert grid.node_count == 15319
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(d=st.integers(1, 6), k=st.integers(1, 4), nested=st.booleans(),
+           batch=st.sampled_from([1, 3, 100, 1 << 16]))
+    def test_random_grids(self, nested_family, gauss_family, d, k, nested,
+                          batch):
+        # the batch size decides how often the running grid is re-merged
+        family = nested_family if nested else gauss_family
+        with mock.patch.object(sparse_grid, "_MERGE_BATCH", batch):
+            _assert_matches_reference(family, d, k)
+
+    def test_tensor_rule_matches_meshgrid(self, leg_table):
+        rules = [gauss_rule(leg_table, n) for n in (3, 1, 4, 2)]
+        nodes, weights = tensor_rule(rules)
+        mesh = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
+        want = rules[0].weights
+        for rule in rules[1:]:
+            want = np.multiply.outer(want, rule.weights)
+        assert np.array_equal(nodes, np.stack([m.ravel() for m in mesh], 1))
+        assert np.array_equal(weights, want.ravel())
 
 
 def _compositions_ref(total, d):
