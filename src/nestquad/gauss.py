@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import NumericalError, ParameterError, UnsupportedFamilyError
 from .orthopoly import (
@@ -110,15 +109,12 @@ def gauss_rule(table: RecurrenceTable, n: int) -> QuadratureRule:
         from .errors import CapacityError
         raise CapacityError(
             f"table capacity {table.capacity} too small for {n}-point rule")
-    diag = table.a[:n]
     off = np.sqrt(table.b[1:n])
+    jacobi_matrix = np.diag(table.a[:n]) + np.diag(off, 1) + np.diag(off, -1)
     try:
-        if n == 1:
-            nodes = diag.copy()
-        else:
-            nodes = np.sort(eigvalsh_tridiagonal(diag, off))
+        nodes = np.linalg.eigvalsh(jacobi_matrix)  # ascending
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+        raise NumericalError(f"Jacobi-matrix eigensolver failed: {exc}") from exc
     # Squared first eigenvector components via the Christoffel identity
     # 1 / sum_j p_j(x_i)^2; unlike the raw eigenvectors this keeps tiny
     # tail weights (Laguerre, Hermite) at full relative precision.

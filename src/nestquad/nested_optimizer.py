@@ -1,31 +1,42 @@
 """Nested quadrature pairs by penalized Gauss-Newton moment matching.
 
-A nested pair is a coarse rule (x_1, w_1) embedded in a fine rule
-(x_2, w_2): every coarse node is literally one of the fine nodes, selected
-by ``subset_map``, so one set of integrand evaluations yields two estimates
-and an embedded error indicator.  Both rules must reproduce the orthonormal
-moments of the weight through their target degrees alpha_1 < alpha_2, which
-gives the stacked residual
+One moment-matching kernel serves both constructions.  Its unknowns are a
+node vector x shared by a list of rule blocks: block b selects the nodes
+x[idx_b], carries its own weights w_b and must reproduce the orthonormal
+moments of the weight through its degree alpha_b, which gives the stacked
+residual
 
-    R(d) = [ V_a1(x_1) w_1 - sqrt(b_0) e_1 ]
-           [ V_a2(x_2) w_2 - sqrt(b_0) e_1 ],   x_1 = x_2[subset_map],
+    R(d) = [ V_a1(x[idx_1]) w_1 - sqrt(b_0) e_1 ]
+           [           ...                      ]
+           [ V_aB(x[idx_B]) w_B - sqrt(b_0) e_1 ]
 
-over the decision vector d = (x_2, w_1, w_2).  Node bounds and a small
-positive weight floor are enforced by quadratic penalties scaled with a
-coefficient c_k that grows as the residual shrinks; the augmented system
-[R; c_k P] is driven to zero by undamped Gauss-Newton steps regularized
-through a truncated-SVD Tikhonov filter whose parameter is re-selected
-periodically from the singular spectrum.  The fine degree alpha_2 is
-searched from an optimistic start downward: a stalled iteration first
-restarts from the interlaced initial guess and then concedes one degree.
-After the first converged degree, one degree higher is probed once and the
-largest certified value is returned.
+over the decision vector d = (x, w_1, ..., w_B).  Both V and its node
+derivatives come from one recurrence pass per iteration at the largest
+block degree.  The trailing entries of x may be frozen: they enter the
+residual and the penalties like any node, but never move.
+
+- A nested (Kronrod-type) pair is two blocks over n_2 = 2 n_1 + 1 nodes:
+  the coarse rule (``subset_map``, alpha_1) and the fine rule (all nodes,
+  alpha_2).  Every coarse node is literally a fine node, so one set of
+  integrand evaluations yields two estimates and an error indicator.
+- A Patterson extension is one block over all 2 n + 1 nodes whose trailing
+  n nodes are the frozen base rule (T.N.L. Patterson, Math. Comp. 22, 1968).
+
+Node bounds and a small positive weight floor are enforced by quadratic
+penalties scaled with a coefficient c_k that grows as the residual shrinks;
+the augmented system [R; c_k P] is driven to zero by undamped Gauss-Newton
+steps regularized through a truncated-SVD Tikhonov filter whose parameter is
+re-selected periodically from the singular spectrum.  The last block's
+degree is searched from an optimistic start downward: a stalled iteration
+first restarts from the interlaced initial guess and then concedes one
+degree.  After the first converged degree, one degree higher is probed once
+and the largest certified value is returned.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,9 +235,180 @@ class NestedRulePair:
         return self.fine.n
 
 
-def _split(d: np.ndarray, dims: ProblemDims):
-    n1, n2 = dims.n1, dims.n2
-    return d[:n2], d[n2:n2 + n1], d[n2 + n1:]
+def _bounds(domain: Domain, config: OptimizerConfig):
+    lo = domain.lo + config.node_margin if domain.bounded_below else -math.inf
+    hi = domain.hi - config.node_margin if domain.bounded_above else math.inf
+    return lo, hi
+
+
+class _MomentProblem:
+    """Rule blocks sharing one node vector, with trailing frozen nodes.
+
+    ``blocks`` lists (node indices, degree) per rule; the decision vector
+    is d = (x, w_1, ..., w_B) with one weight block per rule, and the
+    degree search varies the last block's degree.  The trailing
+    ``frozen.size`` nodes of x are held at ``frozen``: their Jacobian
+    columns are dropped and their step entries are zero.  Moment rows come
+    in block order; penalty rows are the nodes, then the weights from the
+    last block to the first.
+    """
+
+    def __init__(self, n: int, blocks, domain: Domain,
+                 config: OptimizerConfig | None = None,
+                 table: RecurrenceTable | None = None, frozen=()):
+        self.n = n
+        self.idx = [np.asarray(idx, dtype=int) for idx, _ in blocks]
+        self.degrees = [int(alpha) for _, alpha in blocks]
+        self.domain = domain
+        self.config = config
+        self.table = table
+        self.frozen = np.asarray(frozen, dtype=float)
+        ends = np.cumsum([n] + [idx.size for idx in self.idx])
+        self.weights = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        self.n_unknowns = int(ends[-1])
+        # column of each penalty row's variable
+        self.penalty_cols = np.concatenate(
+            [np.arange(n)] + [np.arange(s.start, s.stop)
+                              for s in reversed(self.weights)])
+        self.free = np.concatenate([np.arange(n - self.frozen.size),
+                                    np.arange(n, self.n_unknowns)])
+
+    def set_degree(self, alpha: int):
+        self.table.require(alpha)
+        self.degrees[-1] = alpha
+
+    def fresh_start(self) -> np.ndarray:
+        """Interlaced Gauss nodes and uniform weights per block.
+
+        With frozen nodes, the movable ones take every second seed node.
+        """
+        x = _interlaced_fine_nodes(self.table, self.n, self.degrees[-1])
+        if self.frozen.size:
+            x = np.concatenate([x[0::2], self.frozen])
+        mass = float(self.table.b[0])
+        return np.concatenate(
+            [x] + [np.full(idx.size, mass / idx.size) for idx in self.idx])
+
+    def evaluate(self, d, derivatives: bool = True):
+        """One recurrence pass over all nodes at the largest block degree."""
+        return eval_orthonormal(self.table, max(self.degrees), d[:self.n],
+                                derivatives=derivatives)
+
+    def _block_rows(self, matrix):
+        # np.take keeps the C order of a values-only evaluation at the
+        # block's own nodes, so the products below round identically
+        return [np.take(matrix[:alpha + 1], idx, axis=1)
+                for idx, alpha in zip(self.idx, self.degrees)]
+
+    def residual(self, d, ev) -> np.ndarray:
+        target = math.sqrt(self.table.b[0])
+        parts = []
+        for V, w in zip(self._block_rows(ev.values), self.weights):
+            r = V @ d[w]
+            r[0] -= target
+            parts.append(r)
+        return np.concatenate(parts)
+
+    def violations(self, d):
+        """(node excess, weight shortfall) in penalty-row order."""
+        x = d[:self.n]
+        lo, hi = _bounds(self.domain, self.config)
+        node = np.zeros_like(x)
+        if self.domain.bounded_above:
+            node = np.maximum(node, x - hi)
+        if self.domain.bounded_below:
+            node = np.maximum(node, lo - x)
+        w = d[self.penalty_cols[self.n:]]
+        if self.config.allow_negative_weights:
+            return node, np.zeros_like(w)
+        return node, np.maximum(0.0, self.config.weight_floor - w)
+
+    def penalties(self, d) -> np.ndarray:
+        node, weight = self.violations(d)
+        return np.concatenate([node * node, weight * weight])
+
+    def jacobian(self, d, ev, c_k: float) -> np.ndarray:
+        """Jacobian of [R; c_k P] over the movable unknowns.
+
+        Residual rows use d p_m(x_i) w_i / d x_i = p'_m(x_i) w_i; a node
+        shared by several blocks gets one entry per block's rows.
+        """
+        n_moments = sum(alpha + 1 for alpha in self.degrees)
+        J = np.zeros((n_moments + self.penalty_cols.size, self.n_unknowns))
+        row = 0
+        for idx, w, V, dV in zip(self.idx, self.weights,
+                                 self._block_rows(ev.values),
+                                 self._block_rows(ev.derivatives)):
+            rows = slice(row, row + V.shape[0])
+            J[rows, idx] = dV * d[w]
+            J[rows, w] = V
+            row = rows.stop
+
+        node, weight = self.violations(d)
+        # d/dx (x - hi)^2 = 2(x - hi) above, d/dx (lo - x)^2 = -2(lo - x) below
+        lo, _ = _bounds(self.domain, self.config)
+        grad = np.where(d[:self.n] < lo, -2.0 * node, 2.0 * node)
+        J[row + np.arange(self.penalty_cols.size), self.penalty_cols] = \
+            np.concatenate([c_k * grad, -2.0 * c_k * weight])
+        if self.frozen.size:
+            J = J[:, self.free]
+        return J
+
+    def expand_step(self, step) -> np.ndarray:
+        full = np.zeros(self.n_unknowns)
+        full[self.free] = step
+        return full
+
+    def certify(self, d) -> list:
+        """Check, snap, sort and certify: one (rule, subset map) per block.
+
+        Penalty violations above ``_SNAP_TOL`` are a FeasibilityError;
+        smaller node excursions are clipped into the domain, except on
+        frozen nodes, which never move.
+        """
+        node, weight = self.violations(d)
+        excess = float(np.max(node, initial=0.0))
+        if excess > _SNAP_TOL:
+            raise FeasibilityError(
+                f"converged nodes violate the domain by {excess:.3e}")
+        shortfall = float(np.max(weight, initial=0.0))
+        if shortfall > _SNAP_TOL:
+            raise FeasibilityError(
+                f"converged weights fall {shortfall:.3e} below the floor")
+
+        n_free = self.n - self.frozen.size
+        x = np.concatenate([np.clip(d[:n_free], self.domain.lo, self.domain.hi),
+                            self.frozen])
+        order = np.argsort(x)
+        xs = x[order]
+        if np.any(np.diff(xs) <= 0.0):
+            raise FeasibilityError("nodes collided during optimization")
+        pos = np.empty(self.n, dtype=int)
+        pos[order] = np.arange(self.n)
+
+        out = []
+        for idx, w, alpha in zip(self.idx, self.weights, self.degrees):
+            rank = pos[idx]
+            perm = np.argsort(rank)
+            subset = rank[perm]
+            nodes, weights = xs[subset], d[w][perm]
+            r = moment_residuals(nodes, weights, self.table, alpha)
+            rule = QuadratureRule(
+                self.table.family, nodes, weights, alpha,
+                float(np.linalg.norm(r)),
+                weight_floor_relaxed=self.config.allow_negative_weights)
+            out.append((rule, tuple(subset.tolist())))
+        return out
+
+
+def _pair_problem(dims: ProblemDims, domain: Domain,
+                  config: OptimizerConfig | None = None,
+                  table: RecurrenceTable | None = None) -> _MomentProblem:
+    """The nested-pair layout: coarse block over ``subset_map``, fine
+    block over all n_2 nodes, nothing frozen."""
+    blocks = [(dims.subset_map, dims.alpha1),
+              (range(dims.n2), dims.alpha2)]
+    return _MomentProblem(dims.n2, blocks, domain, config, table)
 
 
 def assemble_residual(d: np.ndarray, table: RecurrenceTable,
@@ -240,37 +422,8 @@ def assemble_residual(d: np.ndarray, table: RecurrenceTable,
     if d.shape != (dims.n_unknowns,):
         raise ParameterError(
             f"decision vector must have length {dims.n_unknowns}")
-    x2, w1, w2 = _split(d, dims)
-    x1 = x2[list(dims.subset_map)]
-    target = math.sqrt(table.b[0])
-    r1 = eval_orthonormal(table, dims.alpha1, x1).values @ w1
-    r1[0] -= target
-    r2 = eval_orthonormal(table, dims.alpha2, x2).values @ w2
-    r2[0] -= target
-    return np.concatenate([r1, r2])
-
-
-def _bounds(domain: Domain, config: OptimizerConfig):
-    lo = domain.lo + config.node_margin if domain.bounded_below else -math.inf
-    hi = domain.hi - config.node_margin if domain.bounded_above else math.inf
-    return lo, hi
-
-
-def _violations(x2, w1, w2, domain: Domain, config: OptimizerConfig):
-    """Signed penalty violations: (node excess, w2 shortfall, w1 shortfall)."""
-    lo, hi = _bounds(domain, config)
-    node = np.zeros_like(x2)
-    if domain.bounded_above:
-        node = np.maximum(node, x2 - hi)
-    if domain.bounded_below:
-        node = np.maximum(node, lo - x2)
-    if config.allow_negative_weights:
-        v2 = np.zeros_like(w2)
-        v1 = np.zeros_like(w1)
-    else:
-        v2 = np.maximum(0.0, config.weight_floor - w2)
-        v1 = np.maximum(0.0, config.weight_floor - w1)
-    return node, v2, v1
+    problem = _pair_problem(dims, table.family.domain, table=table)
+    return problem.residual(d, problem.evaluate(d, derivatives=False))
 
 
 def penalty_terms(d: np.ndarray, dims: ProblemDims, domain: Domain,
@@ -281,9 +434,8 @@ def penalty_terms(d: np.ndarray, dims: ProblemDims, domain: Domain,
     contributing nothing; weight entries are (max[0, floor - w])^2, or zero
     when negative weights are allowed.  Length 2 n_2 + n_1.
     """
-    x2, w1, w2 = _split(np.asarray(d, dtype=float), dims)
-    node, v2, v1 = _violations(x2, w1, w2, domain, config)
-    return np.concatenate([node * node, v2 * v2, v1 * v1])
+    d = np.asarray(d, dtype=float)
+    return _pair_problem(dims, domain, config).penalties(d)
 
 
 def penalty_coefficient(residual_norm: float, config: OptimizerConfig) -> float:
@@ -305,36 +457,8 @@ def assemble_jacobian(d: np.ndarray, table: RecurrenceTable, dims: ProblemDims,
     ``subset_map``.  Shape (alpha1 + alpha2 + 2 + 2 n_2 + n_1, n_1 + 2 n_2).
     """
     d = np.asarray(d, dtype=float)
-    x2, w1, w2 = _split(d, dims)
-    sub = list(dims.subset_map)
-    x1 = x2[sub]
-    n1, n2 = dims.n1, dims.n2
-    a1, a2 = dims.alpha1, dims.alpha2
-
-    ev1 = eval_orthonormal(table, a1, x1, derivatives=True)
-    ev2 = eval_orthonormal(table, a2, x2, derivatives=True)
-
-    J = np.zeros((dims.n_moments + dims.n_penalties, dims.n_unknowns))
-    J[:a1 + 1, sub] = ev1.derivatives * w1
-    J[:a1 + 1, n2:n2 + n1] = ev1.values
-    J[a1 + 1:dims.n_moments, :n2] = ev2.derivatives * w2
-    J[a1 + 1:dims.n_moments, n2 + n1:] = ev2.values
-
-    node, v2, v1 = _violations(x2, w1, w2, table.family.domain, config)
-    lo, hi = _bounds(table.family.domain, config)
-    base = dims.n_moments
-    rows = np.arange(n2)
-    # d/dx (x - hi)^2 = 2(x - hi) above, d/dx (lo - x)^2 = -2(lo - x) below
-    grad = np.zeros(n2)
-    above = x2 > hi
-    below = x2 < lo
-    grad[above] = 2.0 * (x2[above] - hi)
-    grad[below] = -2.0 * (lo - x2[below])
-    J[base + rows, rows] = c_k * grad
-    J[base + n2 + rows, n2 + n1 + rows] = -2.0 * c_k * v2
-    rows1 = np.arange(n1)
-    J[base + 2 * n2 + rows1, n2 + rows1] = -2.0 * c_k * v1
-    return J
+    problem = _pair_problem(dims, table.family.domain, config, table)
+    return problem.jacobian(d, problem.evaluate(d), c_k)
 
 
 def select_lambda(singular_values) -> float:
@@ -425,6 +549,14 @@ def _interlaced_fine_nodes(table: RecurrenceTable, n2: int,
     return nodes
 
 
+def _pair_dims(n1: int, table: RecurrenceTable, alpha2: int) -> ProblemDims:
+    if n1 < 1:
+        raise ParameterError("n1 must be at least 1")
+    n2 = 2 * n1 + 1
+    table.require(max(alpha2, 2 * n2 - 1))
+    return ProblemDims(n1, n2, 2 * n1 - 1, alpha2, tuple(range(1, 2 * n1, 2)))
+
+
 def initialize(n1: int, table: RecurrenceTable, alpha2: int | None = None):
     """Interlaced initial guess (d_0, dims) for the nested-pair search.
 
@@ -432,127 +564,11 @@ def initialize(n1: int, table: RecurrenceTable, alpha2: int | None = None):
     shrunk for unbounded weights); the coarse rule takes every second fine
     node, so coarse and fine interlace.  All weights start uniform.
     """
-    if n1 < 1:
-        raise ParameterError("n1 must be at least 1")
-    n2 = 2 * n1 + 1
-    alpha1 = 2 * n1 - 1
     if alpha2 is None:
         alpha2 = _default_alpha2(n1)
-    table.require(max(alpha2, 2 * n2 - 1))
-    x2 = _interlaced_fine_nodes(table, n2, alpha2)
-    subset = tuple(range(1, 2 * n1, 2))
-    mass = float(table.b[0])
-    d0 = np.concatenate([x2, np.full(n1, mass / n1), np.full(n2, mass / n2)])
-    dims = ProblemDims(n1, n2, alpha1, alpha2, subset)
+    dims = _pair_dims(n1, table, alpha2)
+    d0 = _pair_problem(dims, table.family.domain, table=table).fresh_start()
     return d0, dims
-
-
-class _PairProblem:
-    """Workspace wiring the pair residual/Jacobian into the search driver."""
-
-    def __init__(self, n1: int, table: RecurrenceTable,
-                 config: OptimizerConfig, alpha2: int):
-        self.table = table
-        self.config = config
-        self.n1 = n1
-        _, self.dims = initialize(n1, table, alpha2)
-        self.min_alpha2 = self.dims.alpha1 + 1
-
-    def set_alpha2(self, alpha2: int):
-        self.table.require(alpha2)
-        self.dims = replace(self.dims, alpha2=alpha2)
-
-    def fresh_start(self) -> np.ndarray:
-        d0, _ = initialize(self.n1, self.table, self.dims.alpha2)
-        return d0
-
-    def moment_residual(self, d) -> np.ndarray:
-        return assemble_residual(d, self.table, self.dims)
-
-    def penalties(self, d) -> np.ndarray:
-        return penalty_terms(d, self.dims, self.table.family.domain,
-                             self.config)
-
-    def jacobian(self, d, c_k) -> np.ndarray:
-        return assemble_jacobian(d, self.table, self.dims, c_k, self.config)
-
-    def expand_step(self, step) -> np.ndarray:
-        return step
-
-
-class _ExtensionProblem:
-    """Workspace for extending a frozen base rule by n_base + 1 new nodes.
-
-    The decision vector stays (x_2, w_2) of length 2 n_2 with the base
-    nodes parked in the trailing x_2 slots; their columns are excluded
-    from the Jacobian and their step entries forced to zero, which is the
-    zero-padded update of the sequential (Patterson-style) mode.
-    """
-
-    def __init__(self, base: QuadratureRule, table: RecurrenceTable,
-                 config: OptimizerConfig, alpha2: int):
-        self.table = table
-        self.config = config
-        self.base = base
-        nb = base.n
-        self.n_new = nb + 1
-        self.n2 = 2 * nb + 1
-        self.min_alpha2 = base.exactness_degree
-        # free columns: the new nodes and every weight
-        self.free = np.concatenate([
-            np.arange(self.n_new),
-            self.n2 + np.arange(self.n2),
-        ])
-        self.alpha2 = alpha2
-
-    def set_alpha2(self, alpha2: int):
-        self.table.require(alpha2)
-        self.alpha2 = alpha2
-
-    def fresh_start(self) -> np.ndarray:
-        seed = _interlaced_fine_nodes(self.table, self.n2, self.alpha2)
-        new = seed[0::2]
-        x2 = np.concatenate([new, self.base.nodes])
-        mass = float(self.table.b[0])
-        return np.concatenate([x2, np.full(self.n2, mass / self.n2)])
-
-    def moment_residual(self, d) -> np.ndarray:
-        x2, w2 = d[:self.n2], d[self.n2:]
-        r = eval_orthonormal(self.table, self.alpha2, x2).values @ w2
-        r[0] -= math.sqrt(self.table.b[0])
-        return r
-
-    def penalties(self, d) -> np.ndarray:
-        x2, w2 = d[:self.n2], d[self.n2:]
-        node, v2, _ = _violations(x2, np.empty(0), w2,
-                                  self.table.family.domain, self.config)
-        return np.concatenate([node * node, v2 * v2])
-
-    def jacobian(self, d, c_k) -> np.ndarray:
-        x2, w2 = d[:self.n2], d[self.n2:]
-        ev = eval_orthonormal(self.table, self.alpha2, x2, derivatives=True)
-        n2 = self.n2
-        J = np.zeros((self.alpha2 + 1 + 2 * n2, 2 * n2))
-        J[:self.alpha2 + 1, :n2] = ev.derivatives * w2
-        J[:self.alpha2 + 1, n2:] = ev.values
-        node, v2, _ = _violations(x2, np.empty(0), w2,
-                                  self.table.family.domain, self.config)
-        lo, hi = _bounds(self.table.family.domain, self.config)
-        base = self.alpha2 + 1
-        rows = np.arange(n2)
-        grad = np.zeros(n2)
-        above = x2 > hi
-        below = x2 < lo
-        grad[above] = 2.0 * (x2[above] - hi)
-        grad[below] = -2.0 * (lo - x2[below])
-        J[base + rows, rows] = c_k * grad
-        J[base + n2 + rows, n2 + rows] = -2.0 * c_k * v2
-        return J[:, self.free]
-
-    def expand_step(self, step) -> np.ndarray:
-        full = np.zeros(2 * self.n2)
-        full[self.free] = step
-        return full
 
 
 class _DiagnosticsLog:
@@ -572,14 +588,17 @@ class _DiagnosticsLog:
                 fh.write("\n".join(self.lines) + "\n")
 
 
-def _drive(problem, config: OptimizerConfig, alpha2_start: int, log=None):
+def _drive(problem: _MomentProblem, config: OptimizerConfig,
+           alpha2_start: int, min_alpha2: int, log=None):
     """Degree search around the Gauss-Newton inner loop.
 
-    Returns (certified d, certified alpha2, state).  Implements restart-
-    then-decrement on stall and the one-higher probe after certification.
+    Returns (certified d, state) and leaves the problem at the certified
+    degree; degrees at or below ``min_alpha2`` are never tried.  Implements
+    restart-then-decrement on stall and the one-higher probe after
+    certification.
     """
     alpha2 = alpha2_start
-    problem.set_alpha2(alpha2)
+    problem.set_degree(alpha2)
     d = problem.fresh_start()
     state = OptimizerState(d=d, alpha2_current=alpha2)
 
@@ -610,7 +629,8 @@ def _drive(problem, config: OptimizerConfig, alpha2_start: int, log=None):
                 f"iteration budget exhausted at alpha2={alpha2}",
                 best_residual=best_overall)
 
-        r = problem.moment_residual(d)
+        ev = problem.evaluate(d)
+        r = problem.residual(d, ev)
         diverged = not np.all(np.isfinite(r))
         if diverged:
             rnorm = math.inf
@@ -627,19 +647,19 @@ def _drive(problem, config: OptimizerConfig, alpha2_start: int, log=None):
             if alpha2_star == alpha2:
                 state.d = d
                 state.alpha2_current = alpha2
-                return d, alpha2, state
+                return d, state
             alpha2_star = alpha2
             snapshot = (alpha2, d.copy())
             if problem.table.capacity >= alpha2 + 1:
                 alpha2 += 1
-                problem.set_alpha2(alpha2)
+                problem.set_degree(alpha2)
                 probing = True
                 started_fresh = False
                 reset_level_counters()
                 continue
             state.d = d
             state.alpha2_current = alpha2
-            return d, alpha2, state
+            return d, state
 
         if not diverged:
             if rnorm < best_level - 1e-16:
@@ -660,7 +680,7 @@ def _drive(problem, config: OptimizerConfig, alpha2_start: int, log=None):
             if probing:
                 # concede the probe: fall back to the certified solution
                 alpha2 = snapshot[0]
-                problem.set_alpha2(alpha2)
+                problem.set_degree(alpha2)
                 d = snapshot[1].copy()
                 probing = False
                 started_fresh = False
@@ -672,12 +692,12 @@ def _drive(problem, config: OptimizerConfig, alpha2_start: int, log=None):
                 state.restarts += 1
             else:
                 alpha2 -= 1
-                if alpha2 <= problem.min_alpha2:
+                if alpha2 <= min_alpha2:
                     raise ConvergenceError(
                         f"search fell below the minimal degree "
-                        f"{problem.min_alpha2 + 1} without converging",
+                        f"{min_alpha2 + 1} without converging",
                         best_residual=best_overall)
-                problem.set_alpha2(alpha2)
+                problem.set_degree(alpha2)
                 restart_used = False
                 started_fresh = False
                 if diverged:
@@ -687,7 +707,7 @@ def _drive(problem, config: OptimizerConfig, alpha2_start: int, log=None):
             reset_level_counters()
             continue
 
-        J = problem.jacobian(d, c)
+        J = problem.jacobian(d, ev, c)
         try:
             u, s, vt = np.linalg.svd(J, full_matrices=False)
         except np.linalg.LinAlgError as exc:
@@ -710,60 +730,16 @@ def _drive(problem, config: OptimizerConfig, alpha2_start: int, log=None):
             log.record(state.iteration, rnorm, eta, c, lam_eff, alpha2)
 
 
-def _snap_into_domain(x: np.ndarray, domain: Domain) -> np.ndarray:
-    return np.clip(x, domain.lo, domain.hi)
-
-
-def _check_feasible(x2, weights, domain: Domain, config: OptimizerConfig):
-    lo, hi = _bounds(domain, config)
-    node_viol = 0.0
-    if domain.bounded_above:
-        node_viol = max(node_viol, float(np.max(x2 - hi, initial=0.0)))
-    if domain.bounded_below:
-        node_viol = max(node_viol, float(np.max(lo - x2, initial=0.0)))
-    if node_viol > _SNAP_TOL:
-        raise FeasibilityError(
-            f"converged nodes violate the domain by {node_viol:.3e}")
-    if not config.allow_negative_weights:
-        shortfall = float(np.max(config.weight_floor - weights, initial=0.0))
-        if shortfall > _SNAP_TOL:
-            raise FeasibilityError(
-                f"converged weights fall {shortfall:.3e} below the floor")
-
-
-def _extract_pair(d, dims: ProblemDims, table: RecurrenceTable,
-                  config: OptimizerConfig) -> NestedRulePair:
-    x2, w1, w2 = _split(np.asarray(d, dtype=float), dims)
-    _check_feasible(x2, np.concatenate([w1, w2]), table.family.domain, config)
-    x2 = _snap_into_domain(x2, table.family.domain)
-
-    order = np.argsort(x2)
-    x2s = x2[order]
-    w2s = w2[order]
-    pos = np.empty(dims.n2, dtype=int)
-    pos[order] = np.arange(dims.n2)
-    subset_sorted = np.sort(pos[list(dims.subset_map)])
-    if np.any(np.diff(x2s) <= 0.0):
-        raise FeasibilityError("fine nodes collided during optimization")
-
-    coarse_idx = subset_sorted.tolist()
-    x1s = x2s[coarse_idx]
-    # coarse weights follow their nodes through the same reordering
-    coarse_nodes_orig = x2[list(dims.subset_map)]
-    w1s = w1[np.argsort(coarse_nodes_orig)]
-
-    relaxed = config.allow_negative_weights
-    r1 = moment_residuals(x1s, w1s, table, dims.alpha1)
-    r2 = moment_residuals(x2s, w2s, table, dims.alpha2)
-    fine = QuadratureRule(table.family, x2s, w2s, dims.alpha2,
-                          float(np.linalg.norm(r2)),
-                          weight_floor_relaxed=relaxed)
-    coarse = QuadratureRule(table.family, x1s, w1s, dims.alpha1,
-                            float(np.linalg.norm(r1)),
-                            weight_floor_relaxed=relaxed)
-    stacked = float(math.hypot(coarse.residual_norm, fine.residual_norm))
-    return NestedRulePair(table.family, coarse, fine, tuple(coarse_idx),
-                          stacked)
+def _search(problem: _MomentProblem, config: OptimizerConfig,
+            alpha2: int, min_alpha2: int, log_path):
+    """Run the degree search and certify its result, one rule per block."""
+    log = _DiagnosticsLog(log_path) if log_path is not None else None
+    try:
+        d, state = _drive(problem, config, alpha2, min_alpha2, log)
+    finally:
+        if log:
+            log.flush()
+    return problem.certify(d), state
 
 
 def generate_nested(n1: int, table: RecurrenceTable,
@@ -784,17 +760,14 @@ def generate_nested(n1: int, table: RecurrenceTable,
         alpha2 = _default_alpha2(n1)
     if alpha2 <= 2 * n1 - 1:
         raise ParameterError("alpha2_initial must exceed alpha1 = 2 n1 - 1")
-    problem = _PairProblem(n1, table, config, alpha2)
-    log = _DiagnosticsLog(log_path) if log_path is not None else None
-    try:
-        d, alpha2_final, state = _drive(problem, config, alpha2, log)
-    finally:
-        if log:
-            log.flush()
-    dims = replace(problem.dims, alpha2=alpha2_final)
-    pair = _extract_pair(d, dims, table, config)
+    dims = _pair_dims(n1, table, alpha2)
+    problem = _pair_problem(dims, table.family.domain, config, table)
+    ((coarse, subset), (fine, _)), state = _search(
+        problem, config, alpha2, dims.alpha1 + 1, log_path)
+    pair = NestedRulePair(table.family, coarse, fine, subset,
+                          float(math.hypot(coarse.residual_norm,
+                                           fine.residual_norm)))
     state.residual_norm = pair.residual_norm
-    state.d = d
     return pair, state
 
 
@@ -820,30 +793,11 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
     alpha2 = config.alpha2_initial
     if alpha2 is None:
         alpha2 = _default_alpha2(base.n)
-    problem = _ExtensionProblem(base, table, config, alpha2)
-    log = _DiagnosticsLog(log_path) if log_path is not None else None
-    try:
-        d, alpha2_final, state = _drive(problem, config, alpha2, log)
-    finally:
-        if log:
-            log.flush()
-
-    x2, w2 = d[:problem.n2], d[problem.n2:]
-    _check_feasible(x2, w2, table.family.domain, config)
-    # never move the frozen base nodes, even by a boundary snap
-    x2 = np.concatenate([
-        _snap_into_domain(x2[:problem.n_new], table.family.domain),
-        base.nodes,
-    ])
-    order = np.argsort(x2)
-    x2s = x2[order]
-    w2s = w2[order]
-    if np.any(np.diff(x2s) <= 0.0):
-        raise FeasibilityError("extension nodes collided with the base rule")
-    r2 = moment_residuals(x2s, w2s, table, alpha2_final)
-    rule = QuadratureRule(table.family, x2s, w2s, alpha2_final,
-                          float(np.linalg.norm(r2)),
-                          weight_floor_relaxed=config.allow_negative_weights)
+    n2 = 2 * base.n + 1
+    problem = _MomentProblem(n2, [(range(n2), alpha2)], table.family.domain,
+                             config, table, frozen=base.nodes)
+    ((rule, _),), state = _search(problem, config, alpha2,
+                                  base.exactness_degree, log_path)
     state.residual_norm = rule.residual_norm
     return rule, state
 

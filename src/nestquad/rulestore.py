@@ -3,9 +3,10 @@
 Records are single JSON files carrying the family descriptor, the node and
 weight data at full binary64 precision, the certification (exactness degree,
 residual norm, and the tolerance configuration it was produced under), and
-provenance.  Writes are atomic (temp file plus rename) and loads re-verify
-the stored certificate against freshly built recurrence tables, so a catalog
-directory can always be trusted or rejected file by file.
+provenance.  Writes are atomic and durable (temp file, fsync, rename, then
+a directory fsync) and loads re-verify the stored certificate against
+freshly built recurrence tables, so a catalog directory can always be
+trusted or rejected file by file.
 """
 
 from __future__ import annotations
@@ -268,7 +269,8 @@ def _record_to_json(record: RuleRecord) -> dict:
 
 
 def save(record: RuleRecord, path) -> None:
-    """Atomically write a record as JSON (UTF-8, newline-terminated)."""
+    """Atomically and durably write a record as JSON (UTF-8,
+    newline-terminated)."""
     doc = _record_to_json(record)
     text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     path = os.fspath(path)
@@ -283,6 +285,12 @@ def save(record: RuleRecord, path) -> None:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         tmp = None
+        # make the rename itself durable
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         raise OSError(
             f"saving rule record to {path!r} failed: {exc}") from exc
@@ -291,7 +299,13 @@ def save(record: RuleRecord, path) -> None:
             os.unlink(tmp)
 
 
-def _parse_payload(doc: dict, family: WeightFamily):
+def _rule_parts(doc: dict):
+    """Decode a record's data without checking it.
+
+    Returns one (nodes, weights, degree, stored residual norm) tuple per
+    rule, coarse before fine, and the subset map of a pair (None for a
+    single rule).
+    """
     data = doc["data"]
     nodes = np.array(data["nodes"], dtype=float)
     weights = np.array(data["weights"], dtype=float)
@@ -302,32 +316,27 @@ def _parse_payload(doc: dict, family: WeightFamily):
             raise SchemaError("pair data sizes are inconsistent")
         subset = tuple(int(i) for i in data["subset_map"])
         stacked = float(data["residual_norm"])
-        coarse = QuadratureRule(
-            family=family,
-            nodes=nodes[list(subset)],
-            weights=weights[:n1],
-            exactness_degree=int(data["alpha1"]),
-            residual_norm=float(data.get("residual_norm_coarse", stacked)),
-        )
-        fine = QuadratureRule(
-            family=family,
-            nodes=nodes,
-            weights=weights[n1:],
-            exactness_degree=int(data["alpha2"]),
-            residual_norm=float(data.get("residual_norm_fine", stacked)),
-        )
-        return NestedRulePair(family=family, coarse=coarse, fine=fine,
-                              subset_map=subset, residual_norm=stacked)
+        coarse = (nodes[list(subset)], weights[:n1], int(data["alpha1"]),
+                  float(data.get("residual_norm_coarse", stacked)))
+        fine = (nodes, weights[n1:], int(data["alpha2"]),
+                float(data.get("residual_norm_fine", stacked)))
+        return [coarse, fine], subset
     if nodes.size != int(data["n2"]) or weights.size != nodes.size:
         raise SchemaError("rule data sizes are inconsistent")
-    return QuadratureRule(
-        family=family,
-        nodes=nodes,
-        weights=weights,
-        exactness_degree=int(data["alpha2"]),
-        residual_norm=float(data["residual_norm"]),
-        weight_floor_relaxed=bool(data.get("weight_floor_relaxed", False)),
-    )
+    return [(nodes, weights, int(data["alpha2"]),
+             float(data["residual_norm"]))], None
+
+
+def _parse_payload(doc: dict, family: WeightFamily):
+    parts, subset = _rule_parts(doc)
+    relaxed = bool(doc["data"].get("weight_floor_relaxed", False))
+    rules = [QuadratureRule(family, nodes, weights, alpha, norm,
+                            weight_floor_relaxed=relaxed)
+             for nodes, weights, alpha, norm in parts]
+    if subset is None:
+        return rules[0]
+    return NestedRulePair(family, *rules, subset,
+                          float(doc["data"]["residual_norm"]))
 
 
 def _reverify(record: RuleRecord) -> None:
@@ -348,11 +357,10 @@ def _reverify(record: RuleRecord) -> None:
                 f"verification gives {fresh:.3e} (allowed {allowed:.3e})")
 
 
-def load(path, verify: bool = True) -> RuleRecord:
-    """Parse a record file, rebuilding and (by default) re-verifying it.
+def _read_document(path):
+    """Read a record file; check its schema version, kind and mode.
 
-    Verification recomputes the moment residuals from scratch and rejects
-    the file when they exceed ten times the stored norm.
+    Returns the parsed JSON document and its weight family.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -372,7 +380,19 @@ def load(path, verify: bool = True) -> RuleRecord:
         if mode not in allowed:
             raise SchemaError(
                 f"{path}: mode {mode!r} invalid for kind {kind!r}")
-        family = _family_from_json(doc["family"])
+        return doc, _family_from_json(doc["family"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed record ({exc})") from exc
+
+
+def load(path, verify: bool = True) -> RuleRecord:
+    """Parse a record file, rebuilding and (by default) re-verifying it.
+
+    Verification recomputes the moment residuals from scratch and rejects
+    the file when they exceed ten times the stored norm.
+    """
+    doc, family = _read_document(path)
+    try:
         cert_doc = doc["certification"]
         cert = Certification(
             alpha=int(cert_doc["alpha"]),
@@ -397,8 +417,8 @@ def load(path, verify: bool = True) -> RuleRecord:
     except (NestQuadError, KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"{path}: stored data is inconsistent "
                              f"({exc})") from exc
-    record = RuleRecord(kind, family, mode, payload, cert, prov,
-                        schema_version=version)
+    record = RuleRecord(doc["kind"], family, doc["data"]["mode"], payload,
+                        cert, prov, schema_version=doc["schema_version"])
     if verify:
         try:
             _reverify(record)

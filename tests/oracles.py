@@ -5,8 +5,12 @@ sequences per weight family, a Stieltjes/Gram-Schmidt recurrence builder
 working on polynomial coefficient lists, and coefficient-based polynomial
 evaluation.  The Smolyak reference merge is the plain dict-of-tuples
 merge, kept as the bitwise reference for the package's integer-key merge.
-No imports from the package under test, so agreement between the two is
-meaningful.
+The moment-matching references are the former separate assemblies of the
+nested-pair and the frozen-node extension problems, kept as the bitwise
+reference for the package's shared kernel; they take the package's
+recurrence evaluation as an argument, since only the assembly around it
+is under test.  No imports from the package under test, so agreement
+between the two is meaningful.
 """
 
 from __future__ import annotations
@@ -235,3 +239,102 @@ def reference_smolyak(levels, level_weights, d: int, k: int):
             nodes = nodes[~small]
             weights = weights[~small]
     return nodes, weights
+
+
+def _bounds(domain, config):
+    lo = domain.lo + config.node_margin if domain.bounded_below else -math.inf
+    hi = domain.hi - config.node_margin if domain.bounded_above else math.inf
+    return lo, hi
+
+
+def _violations(x2, w1, w2, domain, config):
+    """Signed penalty violations: (node excess, w2 shortfall, w1 shortfall)."""
+    lo, hi = _bounds(domain, config)
+    node = np.zeros_like(x2)
+    if domain.bounded_above:
+        node = np.maximum(node, x2 - hi)
+    if domain.bounded_below:
+        node = np.maximum(node, lo - x2)
+    if config.allow_negative_weights:
+        v2 = np.zeros_like(w2)
+        v1 = np.zeros_like(w1)
+    else:
+        v2 = np.maximum(0.0, config.weight_floor - w2)
+        v1 = np.maximum(0.0, config.weight_floor - w1)
+    return node, v2, v1
+
+
+def _node_penalty_gradient(x2, domain, config):
+    lo, hi = _bounds(domain, config)
+    grad = np.zeros(x2.size)
+    above = x2 > hi
+    below = x2 < lo
+    grad[above] = 2.0 * (x2[above] - hi)
+    grad[below] = -2.0 * (lo - x2[below])
+    return grad
+
+
+def reference_pair(evaluate, d, table, dims, c_k, config):
+    """(moment residual, penalties, Jacobian) of the nested-pair problem.
+
+    d = (x_2, w_1, w_2); the coarse rule reads its nodes through
+    ``dims.subset_map``.  Each rule gets its own recurrence evaluation.
+    """
+    n1, n2 = dims.n1, dims.n2
+    a1, a2 = dims.alpha1, dims.alpha2
+    x2, w1, w2 = d[:n2], d[n2:n2 + n1], d[n2 + n1:]
+    sub = list(dims.subset_map)
+    x1 = x2[sub]
+    target = math.sqrt(table.b[0])
+    r1 = evaluate(table, a1, x1).values @ w1
+    r1[0] -= target
+    r2 = evaluate(table, a2, x2).values @ w2
+    r2[0] -= target
+    residual = np.concatenate([r1, r2])
+
+    domain = table.family.domain
+    node, v2, v1 = _violations(x2, w1, w2, domain, config)
+    penalties = np.concatenate([node * node, v2 * v2, v1 * v1])
+
+    ev1 = evaluate(table, a1, x1, derivatives=True)
+    ev2 = evaluate(table, a2, x2, derivatives=True)
+    n_moments = a1 + a2 + 2
+    J = np.zeros((n_moments + 2 * n2 + n1, n1 + 2 * n2))
+    J[:a1 + 1, sub] = ev1.derivatives * w1
+    J[:a1 + 1, n2:n2 + n1] = ev1.values
+    J[a1 + 1:n_moments, :n2] = ev2.derivatives * w2
+    J[a1 + 1:n_moments, n2 + n1:] = ev2.values
+    rows = np.arange(n2)
+    J[n_moments + rows, rows] = c_k * _node_penalty_gradient(x2, domain,
+                                                              config)
+    J[n_moments + n2 + rows, n2 + n1 + rows] = -2.0 * c_k * v2
+    rows1 = np.arange(n1)
+    J[n_moments + 2 * n2 + rows1, n2 + rows1] = -2.0 * c_k * v1
+    return residual, penalties, J
+
+
+def reference_extension(evaluate, d, table, alpha2, n_frozen, c_k, config):
+    """(moment residual, penalties, Jacobian) of the frozen-node extension.
+
+    d = (x_2, w_2) with the frozen nodes in the trailing ``n_frozen`` slots
+    of x_2; the Jacobian omits their columns.
+    """
+    n2 = d.size // 2
+    x2, w2 = d[:n2], d[n2:]
+    r = evaluate(table, alpha2, x2).values @ w2
+    r[0] -= math.sqrt(table.b[0])
+
+    domain = table.family.domain
+    node, v2, _ = _violations(x2, np.empty(0), w2, domain, config)
+    penalties = np.concatenate([node * node, v2 * v2])
+
+    ev = evaluate(table, alpha2, x2, derivatives=True)
+    J = np.zeros((alpha2 + 1 + 2 * n2, 2 * n2))
+    J[:alpha2 + 1, :n2] = ev.derivatives * w2
+    J[:alpha2 + 1, n2:] = ev.values
+    base = alpha2 + 1
+    rows = np.arange(n2)
+    J[base + rows, rows] = c_k * _node_penalty_gradient(x2, domain, config)
+    J[base + n2 + rows, n2 + rows] = -2.0 * c_k * v2
+    free = np.concatenate([np.arange(n2 - n_frozen), n2 + np.arange(n2)])
+    return r, penalties, J[:, free]

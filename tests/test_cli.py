@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -360,11 +361,14 @@ class TestIntegrate:
             finite = np.isfinite(np.exp(nodes @ coeffs))
         assert not finite.all()
         bad = nodes[np.flatnonzero(~finite)[0]]
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, stdout, stderr = run(
                 capsys, "integrate", "--grid", str(grid_path),
                 "--function", "product-exponential",
                 "--params", "1000,0,0")
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
         assert code == 1
         assert stdout == ""
         assert f"integrand returned inf at {bad.tolist()}" in stderr

@@ -1,5 +1,9 @@
 """Gauss rule construction, moment verification, circle-theorem diagnostic."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from nestquad.errors import (
     ParameterError,
     UnsupportedFamilyError,
 )
+import nestquad
 from nestquad import orthopoly as op
 from nestquad.gauss import (
     QuadratureRule,
@@ -198,3 +203,15 @@ class TestCircleTheorem:
         rule = gauss_rule(table, 10)
         with pytest.raises(UnsupportedFamilyError):
             circle_theorem_deviation(rule)
+
+
+def test_import_does_not_load_scipy():
+    # the Jacobi-matrix eigenvalues come from numpy; scipy is no dependency
+    src = os.path.dirname(os.path.dirname(nestquad.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, nestquad; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nestquad.errors import ConvergenceError, ParameterError, UnsupportedFamilyError
+from nestquad.errors import (
+    ConvergenceError,
+    NestQuadError,
+    ParameterError,
+    UnsupportedFamilyError,
+)
 from nestquad.gauss import QuadratureRule, gauss_rule, verify_rule
 from nestquad.nested_optimizer import (
     OptimizerConfig,
@@ -114,6 +120,26 @@ class TestGenerateNested:
         with pytest.raises(ParameterError):
             generate_nested(2, table, OptimizerConfig(alpha2_initial=3))
 
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(alpha=st.floats(-0.9, 3.0, exclude_min=True, exclude_max=True),
+           beta=st.floats(-0.9, 3.0, exclude_min=True, exclude_max=True),
+           n1=st.integers(1, 3))
+    def test_jacobi_pairs_certify_or_fail_by_name(self, alpha, beta, n1):
+        family = jacobi(alpha, beta)
+        table = recurrence_coefficients(family, 4 * n1 + 10)
+        try:
+            pair, _ = generate_nested(n1, table)
+        except NestQuadError:
+            return
+        np.testing.assert_array_equal(
+            pair.fine.nodes[list(pair.subset_map)], pair.coarse.nodes)
+        fresh = recurrence_coefficients(family, pair.fine.exactness_degree)
+        for rule in (pair.coarse, pair.fine):
+            assert np.all(rule.weights > 0.0)
+            assert rule.residual_norm <= 1e-11
+            assert verify_rule(rule, fresh).norm <= 10.0 * (
+                rule.residual_norm + 1e-16)
+
 
 class TestExtendPatterson:
     def test_first_legendre_extension_is_gauss3(self):
@@ -146,12 +172,25 @@ class TestExtendPatterson:
             atol=1e-9)
 
     def test_base_nodes_survive_bitwise(self):
+        def assert_frozen(rule, base):
+            positions = np.searchsorted(rule.nodes, base.nodes)
+            assert rule.nodes[positions].tobytes() == base.nodes.tobytes()
+
         table = table_for(legendre(), 16)
         base = gauss_rule(table, 3)
         rule, _ = extend_patterson(base, table)
         assert rule.n == 7
-        positions = np.searchsorted(rule.nodes, base.nodes)
-        np.testing.assert_array_equal(rule.nodes[positions], base.nodes)
+        assert_frozen(rule, base)
+        # chains from one node, where the second base is itself an extension
+        for family in (chebyshev1(), jacobi(0.0, 0.3),
+                       generalized_hermite(1.0)):
+            table = table_for(family, 40)
+            rule = gauss_rule(table, 1)
+            for n in (3, 7):
+                base = rule
+                rule, _ = extend_patterson(base, table)
+                assert rule.n == n
+                assert_frozen(rule, base)
 
     def test_deterministic(self):
         table = table_for(legendre(), 16)

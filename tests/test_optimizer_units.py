@@ -7,6 +7,7 @@ import pytest
 
 from nestquad.errors import (
     ConvergenceError,
+    FeasibilityError,
     NumericalError,
     ParameterError,
     UnsupportedFamilyError,
@@ -26,8 +27,10 @@ from nestquad.nested_optimizer import (
     select_lambda,
     tikhonov_step,
 )
+from nestquad.nested_optimizer import _MomentProblem, _pair_problem
 from nestquad.orthopoly import (
     chebyshev1,
+    eval_orthonormal,
     generalized_hermite,
     generalized_laguerre,
     jacobi,
@@ -36,6 +39,7 @@ from nestquad.orthopoly import (
 )
 
 from oracles import eval_orthonormal_oracle, oracle_recurrence, stieltjes_recurrence, family_moments
+from oracles import reference_extension, reference_pair
 from refdata import gauss_kronrod_15
 
 
@@ -303,6 +307,110 @@ class TestAssembleJacobian:
         assert np.any(coarse_rows[:, 1] != 0.0)  # x2[1] shared
         # fine weight columns never feed coarse rows
         assert np.all(coarse_rows[:, dims.n2 + dims.n1:] == 0.0)
+
+
+KERNEL_FAMILIES = [legendre(), jacobi(0.0, 0.3), generalized_hermite(1.0),
+                   generalized_laguerre(0.5)]
+
+
+def _kernel_points(d0, n, n_movable, domain, rng):
+    """A feasible point near d0 and one with active node and weight
+    penalties in every block that can have them."""
+    feasible = d0.copy()
+    spread = np.min(np.diff(np.sort(d0[:n])))
+    feasible[:n_movable] += rng.uniform(-0.1, 0.1, n_movable) * spread
+    feasible[n:] *= rng.uniform(0.5, 1.5, d0.size - n)
+    active = feasible.copy()
+    if domain.bounded_below:
+        active[0] = domain.lo - 0.05
+    if domain.bounded_above:
+        active[n_movable - 1] = domain.hi + 0.05
+    active[n] = -0.01
+    active[-1] = -0.02
+    return feasible, active
+
+
+class TestMomentKernel:
+    """The shared kernel reproduces the former per-layout assemblies bit
+    for bit, including the memory order that later products depend on."""
+
+    @staticmethod
+    def _same(got, want):
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=lambda f: f.kind)
+    def test_pair_layout_matches_reference(self, family):
+        rng = np.random.default_rng(5)
+        table = table_for(family, 30)
+        config = OptimizerConfig.defaults_for(family)
+        d0, dims = initialize(3, table)
+        feasible, active = _kernel_points(d0, dims.n2, dims.n2,
+                                          family.domain, rng)
+        for d in (d0, feasible, active):
+            c_k = 10.0 ** rng.uniform(0, 8)
+            r, p, J = reference_pair(eval_orthonormal, d, table, dims, c_k,
+                                     config)
+            assert np.any(p != 0.0) == (d is active)
+            self._same(assemble_residual(d, table, dims), r)
+            self._same(penalty_terms(d, dims, family.domain, config), p)
+            self._same(assemble_jacobian(d, table, dims, c_k, config), J)
+            # the search's path: one evaluation with derivatives feeds both
+            problem = _pair_problem(dims, family.domain, config, table)
+            ev = problem.evaluate(d)
+            self._same(problem.residual(d, ev), r)
+            self._same(problem.jacobian(d, ev, c_k), J)
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=lambda f: f.kind)
+    def test_extension_layout_matches_reference(self, family):
+        rng = np.random.default_rng(6)
+        table = table_for(family, 30)
+        config = OptimizerConfig.defaults_for(family)
+        base = gauss_rule(table, 3)
+        problem = _MomentProblem(7, [(range(7), 11)], family.domain, config,
+                                 table, frozen=base.nodes)
+        d0 = problem.fresh_start()
+        np.testing.assert_array_equal(d0[4:7], base.nodes)
+        feasible, active = _kernel_points(d0, 7, 4, family.domain, rng)
+        for d in (d0, feasible, active):
+            c_k = 10.0 ** rng.uniform(0, 8)
+            r, p, J = reference_extension(eval_orthonormal, d, table, 11,
+                                          base.n, c_k, config)
+            assert np.any(p != 0.0) == (d is active)
+            ev = problem.evaluate(d)
+            self._same(problem.residual(d, ev), r)
+            self._same(problem.penalties(d), p)
+            self._same(problem.jacobian(d, ev, c_k), J)
+
+    def test_certify_snaps_only_movable_nodes(self):
+        table = table_for(legendre(), 30)
+        # a frozen node just past the bound, within the snap tolerance
+        frozen = np.array([-0.5, 0.0, 1.0 + 5e-10])
+        problem = _MomentProblem(7, [(range(7), 5)], legendre().domain,
+                                 OptimizerConfig(), table, frozen=frozen)
+        d = problem.fresh_start()
+        d[0] = -1.0 - 4e-10
+        ((rule, subset),) = problem.certify(d)
+        assert rule.nodes[0] == -1.0
+        assert rule.nodes[-1] == 1.0 + 5e-10
+        positions = np.searchsorted(rule.nodes, frozen)
+        np.testing.assert_array_equal(rule.nodes[positions], frozen)
+        assert subset == tuple(range(7))
+
+    def test_certify_rejects_large_violation(self):
+        table = table_for(legendre(), 30)
+        dims = ProblemDims(1, 3, 1, 5, (1,))
+        problem = _pair_problem(dims, legendre().domain, OptimizerConfig(),
+                                table)
+        d = np.array([-0.5, 0.0, 0.5, 1.0, 0.3, -1e-3, 0.7])
+        with pytest.raises(FeasibilityError, match="below the floor"):
+            problem.certify(d)
+        d = np.array([-0.5, 0.0, 1.0 + 1e-6, 1.0, 0.3, 0.4, 0.3])
+        with pytest.raises(FeasibilityError, match="violate the domain"):
+            problem.certify(d)
+        d = np.array([-0.5, 0.0, 0.0, 1.0, 0.3, 0.4, 0.3])
+        with pytest.raises(FeasibilityError, match="collided"):
+            problem.certify(d)
 
 
 class TestSelectLambda:
