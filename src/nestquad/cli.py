@@ -150,17 +150,13 @@ def _parse_n1_list(text: str) -> list:
     return values
 
 
-def _table_for(family: WeightFamily, capacity: int):
-    return recurrence_coefficients(family, capacity)
-
-
 # ---------------------------------------------------------------- generate
 
 def _run_generation(task):
     """Worker for one n1; returns (n1, pair, iterations, error, seconds)."""
     family, n1, overrides, log_path = task
     config = OptimizerConfig.defaults_for(family, **overrides)
-    table = _table_for(family, 4 * n1 + 10)
+    table = recurrence_coefficients(family, 4 * n1 + 10)
     start = time.perf_counter()
     try:
         pair, state = generate_nested(n1, table, config, log_path=log_path)
@@ -239,7 +235,7 @@ def cmd_extend(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
     for _ in range(args.steps):
         n_new = 2 * rule.n + 1
-        table = _table_for(family, 4 * n_new + 8)
+        table = recurrence_coefficients(family, 4 * n_new + 8)
         extended, state = extend_patterson(rule, table, config)
         pruned_from = None
         if args.prune:
@@ -266,7 +262,7 @@ def cmd_gauss(args) -> int:
     family = _parse_family(args.family, args.params)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    table = _table_for(family, 2 * args.n + 1)
+    table = recurrence_coefficients(family, 2 * args.n + 1)
     rule = gauss_rule(table, args.n)
     if args.out is not None:
         save(make_rule_record(rule), args.out)
@@ -278,7 +274,7 @@ def cmd_gauss(args) -> int:
 # ------------------------------------------------------------------ verify
 
 def _verify_part(label, family, nodes, weights, alpha, stored) -> bool:
-    table = _table_for(family, alpha)
+    table = recurrence_coefficients(family, alpha)
     residuals = moment_residuals(nodes, weights, table, alpha)
     norm = float(np.linalg.norm(residuals))
     allowed = 10.0 * (stored + 1e-16)
@@ -354,11 +350,11 @@ def _chain_entries_needed(k: int) -> int:
 
 def _autogen_chain(family, entries_needed, catalog_dir):
     config = OptimizerConfig.defaults_for(family)
-    table = _table_for(family, 16)
+    table = recurrence_coefficients(family, 16)
     chain = [gauss_rule(table, 1)]
     while len(chain) < entries_needed:
         n_new = 2 * chain[-1].n + 1
-        table = _table_for(family, 4 * n_new + 8)
+        table = recurrence_coefficients(family, 4 * n_new + 8)
         extended, _ = extend_patterson(chain[-1], table, config)
         chain.append(extended)
     if catalog_dir:
@@ -377,7 +373,7 @@ def cmd_sparse_grid(args) -> int:
     if args.d < 1 or args.k < 1:
         raise UsageError("--d and --k must be at least 1")
     if args.schedule == "gauss":
-        table = _table_for(family, 2 * args.k + 1)
+        table = recurrence_coefficients(family, 2 * args.k + 1)
         levels = gauss_levels(table, args.k)
     else:
         needed = _chain_entries_needed(args.k)

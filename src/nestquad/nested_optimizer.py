@@ -27,16 +27,21 @@ penalties scaled with a coefficient c_k that grows as the residual shrinks;
 the augmented system [R; c_k P] is driven to zero by undamped Gauss-Newton
 steps regularized through a truncated-SVD Tikhonov filter whose parameter is
 re-selected periodically from the singular spectrum.  The last block's
-degree is searched from an optimistic start downward: a stalled iteration
-first restarts from the interlaced initial guess and then concedes one
-degree.  After the first converged degree, one degree higher is probed once
-and the largest certified value is returned.
+degree is searched from an optimistic start downward.  A degree started
+warm, from the iterate the degree above it left behind, that fails gets one
+restart from the interlaced initial guess; a degree that fails from that
+fresh start is conceded.  A diverged iterate is useless one degree lower
+too, so the next degree starts fresh.  After the first certified degree,
+the search probes upward one degree at a time, warm from the last
+certified iterate, until a probe fails, and returns the highest certified
+degree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,6 +97,12 @@ _PLATEAU_RUN = 200
 # feasible set; anything larger is a genuine feasibility failure.
 _SNAP_TOL = 1e-9
 _C_CAP = 1e16
+# Gauss-Newton steps between two selections of the Tikhonov parameter.
+_LAMBDA_PERIOD = 40
+# The whole search may spend this many times the per-degree budget.
+_BUDGET_DEGREES = 40
+# prune_negligible drops nodes whose |weight| is below this.
+_PRUNE_THRESHOLD = 1e-13
 
 
 @dataclass(frozen=True)
@@ -107,11 +118,7 @@ class OptimizerConfig:
     epsilon: float = 1e-12
     A: float = 1e3
     weight_floor: float = 1e-6
-    node_margin: float = 0.0
     max_iterations: int = 5000
-    lambda_update_period: int = 40
-    decrement_stall_tol: float | None = None
-    prune_threshold: float = 1e-13
     allow_negative_weights: bool = False
     alpha2_initial: int | None = None
 
@@ -122,13 +129,8 @@ class OptimizerConfig:
             raise ParameterError("penalty floor A must be at least 1")
         if not self.allow_negative_weights and not (0.0 < self.weight_floor < 1.0):
             raise ParameterError("weight_floor must lie in (0, 1)")
-        if self.max_iterations < 1 or self.lambda_update_period < 1:
-            raise ParameterError("iteration controls must be positive")
-
-    @property
-    def stall_tol(self) -> float:
-        return self.epsilon if self.decrement_stall_tol is None \
-            else self.decrement_stall_tol
+        if self.max_iterations < 1:
+            raise ParameterError("max_iterations must be positive")
 
     @classmethod
     def defaults_for(cls, family: WeightFamily, **overrides) -> "OptimizerConfig":
@@ -180,21 +182,18 @@ class ProblemDims:
 
 @dataclass
 class OptimizerState:
-    """Mutable iteration record returned as diagnostics.
+    """Counters of one search, returned as diagnostics.
 
-    ``history`` holds one (iteration, augmented residual norm, Newton
-    decrement) triple per Gauss-Newton step across all attempted degrees.
+    ``iteration`` counts Gauss-Newton steps over all attempted degrees and
+    ``restarts`` the fresh restarts of degrees first tried warm;
+    ``residual_norm`` is the certificate of the returned rule and
+    ``best_residual`` the smallest augmented residual norm seen.
     """
 
-    d: np.ndarray
-    c_k: float = 0.0
     iteration: int = 0
-    residual_norm: float = math.inf
-    newton_decrement: float = math.inf
-    lam: float = 0.0
-    alpha2_current: int = 0
     restarts: int = 0
-    history: list = field(default_factory=list)
+    residual_norm: float = math.inf
+    best_residual: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -218,6 +217,8 @@ class NestedRulePair:
             raise ParameterError("pair members disagree on the weight family")
         if len(sm) != self.coarse.n:
             raise ParameterError("subset_map length must equal the coarse size")
+        if any(not 0 <= i < self.fine.n for i in sm):
+            raise ParameterError("subset_map must index the fine nodes")
         if any(b <= a for a, b in zip(sm, sm[1:])):
             raise ParameterError("subset_map must be strictly increasing")
         embedded = self.fine.nodes[list(sm)]
@@ -233,12 +234,6 @@ class NestedRulePair:
     @property
     def n2(self) -> int:
         return self.fine.n
-
-
-def _bounds(domain: Domain, config: OptimizerConfig):
-    lo = domain.lo + config.node_margin if domain.bounded_below else -math.inf
-    hi = domain.hi - config.node_margin if domain.bounded_above else math.inf
-    return lo, hi
 
 
 class _MomentProblem:
@@ -312,12 +307,11 @@ class _MomentProblem:
     def violations(self, d):
         """(node excess, weight shortfall) in penalty-row order."""
         x = d[:self.n]
-        lo, hi = _bounds(self.domain, self.config)
         node = np.zeros_like(x)
         if self.domain.bounded_above:
-            node = np.maximum(node, x - hi)
+            node = np.maximum(node, x - self.domain.hi)
         if self.domain.bounded_below:
-            node = np.maximum(node, lo - x)
+            node = np.maximum(node, self.domain.lo - x)
         w = d[self.penalty_cols[self.n:]]
         if self.config.allow_negative_weights:
             return node, np.zeros_like(w)
@@ -346,8 +340,7 @@ class _MomentProblem:
 
         node, weight = self.violations(d)
         # d/dx (x - hi)^2 = 2(x - hi) above, d/dx (lo - x)^2 = -2(lo - x) below
-        lo, _ = _bounds(self.domain, self.config)
-        grad = np.where(d[:self.n] < lo, -2.0 * node, 2.0 * node)
+        grad = np.where(d[:self.n] < self.domain.lo, -2.0 * node, 2.0 * node)
         J[row + np.arange(self.penalty_cols.size), self.penalty_cols] = \
             np.concatenate([c_k * grad, -2.0 * c_k * weight])
         if self.frozen.size:
@@ -588,131 +581,57 @@ class _DiagnosticsLog:
                 fh.write("\n".join(self.lines) + "\n")
 
 
-def _drive(problem: _MomentProblem, config: OptimizerConfig,
-           alpha2_start: int, min_alpha2: int, log=None):
-    """Degree search around the Gauss-Newton inner loop.
+def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
+                  state: OptimizerState, log=None):
+    """Gauss-Newton at the problem's current degree, starting from ``d``.
 
-    Returns (certified d, state) and leaves the problem at the certified
-    degree; degrees at or below ``min_alpha2`` are never tried.  Implements
-    restart-then-decrement on stall and the one-higher probe after
-    certification.
+    Returns (last iterate, outcome).  The outcome is "certified" once the
+    augmented residual is within epsilon, "diverged" when the moment
+    residual is not finite, and "stall" when the Newton decrement has
+    collapsed for ``_STALL_RUN`` steps, the residual has not improved for
+    ``_PLATEAU_RUN`` steps, or the degree has used ``max_iterations``
+    steps.  Raises ConvergenceError when the whole search's budget is spent.
     """
-    alpha2 = alpha2_start
-    problem.set_degree(alpha2)
-    d = problem.fresh_start()
-    state = OptimizerState(d=d, alpha2_current=alpha2)
-
-    started_fresh = True
-    restart_used = False
-    probing = False
-    alpha2_star = None
-    snapshot = None
-    best_overall = math.inf
-    best_level = math.inf
-    stall_run = 0
-    plateau_run = 0
-    level_iter = 0
-    prev_eta = None
-    lam = None
-    total_cap = config.max_iterations * 40
-
-    def reset_level_counters():
-        nonlocal stall_run, plateau_run, level_iter, prev_eta, lam, best_level
-        stall_run = plateau_run = level_iter = 0
-        prev_eta = None
-        lam = None
-        best_level = math.inf
-
-    while True:
-        if state.iteration >= total_cap:
+    alpha2 = problem.degrees[-1]
+    best = math.inf
+    stall_run = plateau_run = 0
+    eta = math.inf
+    for level_iter in itertools.count():
+        if state.iteration >= config.max_iterations * _BUDGET_DEGREES:
             raise ConvergenceError(
                 f"iteration budget exhausted at alpha2={alpha2}",
-                best_residual=best_overall)
+                best_residual=state.best_residual)
 
         ev = problem.evaluate(d)
         r = problem.residual(d, ev)
-        diverged = not np.all(np.isfinite(r))
-        if diverged:
-            rnorm = math.inf
+        if not np.all(np.isfinite(r)):
+            return d, "diverged"
+        c = penalty_coefficient(float(np.linalg.norm(r)), config)
+        rt = np.concatenate([r, c * problem.penalties(d)])
+        rnorm = float(np.linalg.norm(rt))
+        state.best_residual = min(state.best_residual, rnorm)
+        if rnorm <= config.epsilon:
+            return d, "certified"
+
+        if rnorm < best - 1e-16:
+            best = rnorm
+            plateau_run = 0
         else:
-            p = problem.penalties(d)
-            c = penalty_coefficient(float(np.linalg.norm(r)), config)
-            rt = np.concatenate([r, c * p])
-            rnorm = float(np.linalg.norm(rt))
-            best_overall = min(best_overall, rnorm)
-            state.c_k = c
-            state.residual_norm = rnorm
-
-        if not diverged and rnorm <= config.epsilon:
-            if alpha2_star == alpha2:
-                state.d = d
-                state.alpha2_current = alpha2
-                return d, state
-            alpha2_star = alpha2
-            snapshot = (alpha2, d.copy())
-            if problem.table.capacity >= alpha2 + 1:
-                alpha2 += 1
-                problem.set_degree(alpha2)
-                probing = True
-                started_fresh = False
-                reset_level_counters()
-                continue
-            state.d = d
-            state.alpha2_current = alpha2
-            return d, state
-
-        if not diverged:
-            if rnorm < best_level - 1e-16:
-                best_level = rnorm
-                plateau_run = 0
-            else:
-                plateau_run += 1
-            if (prev_eta is not None and prev_eta < config.stall_tol
-                    and rnorm > 100.0 * config.epsilon):
-                stall_run += 1
-            else:
-                stall_run = 0
-
-        stalled = (diverged or stall_run >= _STALL_RUN
-                   or plateau_run >= _PLATEAU_RUN
-                   or level_iter >= config.max_iterations)
-        if stalled:
-            if probing:
-                # concede the probe: fall back to the certified solution
-                alpha2 = snapshot[0]
-                problem.set_degree(alpha2)
-                d = snapshot[1].copy()
-                probing = False
-                started_fresh = False
-                restart_used = True
-            elif not restart_used and not started_fresh:
-                d = problem.fresh_start()
-                restart_used = True
-                started_fresh = True
-                state.restarts += 1
-            else:
-                alpha2 -= 1
-                if alpha2 <= min_alpha2:
-                    raise ConvergenceError(
-                        f"search fell below the minimal degree "
-                        f"{min_alpha2 + 1} without converging",
-                        best_residual=best_overall)
-                problem.set_degree(alpha2)
-                restart_used = False
-                started_fresh = False
-                if diverged:
-                    # a blown-up iterate is useless at the lower degree too
-                    d = problem.fresh_start()
-                    started_fresh = True
-            reset_level_counters()
-            continue
+            plateau_run += 1
+        if eta < config.epsilon and rnorm > 100.0 * config.epsilon:
+            stall_run += 1
+        else:
+            stall_run = 0
+        if (stall_run >= _STALL_RUN or plateau_run >= _PLATEAU_RUN
+                or level_iter >= config.max_iterations):
+            return d, "stall"
 
         J = problem.jacobian(d, ev, c)
         try:
             u, s, vt = np.linalg.svd(J, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD failed during iteration: {exc}") from exc
-        if lam is None or level_iter % config.lambda_update_period == 0:
+        if level_iter % _LAMBDA_PERIOD == 0:
             lam = select_lambda(s)
         lam_eff = max(lam, _LM_FLOOR * rnorm)
         step = _step_from_svd(u, s, vt, rt, lam_eff, near_root=rnorm < _NEAR_ROOT)
@@ -720,14 +639,52 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
         d = d - problem.expand_step(step)
 
         state.iteration += 1
-        level_iter += 1
-        prev_eta = eta
-        state.newton_decrement = eta
-        state.lam = lam_eff
-        state.alpha2_current = alpha2
-        state.history.append((state.iteration, rnorm, eta))
         if log:
             log.record(state.iteration, rnorm, eta, c, lam_eff, alpha2)
+
+
+def _drive(problem: _MomentProblem, config: OptimizerConfig,
+           alpha2_start: int, min_alpha2: int, log=None):
+    """Degree search around ``_solve_degree``.
+
+    Returns (certified d, state) and leaves the problem at the certified
+    degree; degrees at or below ``min_alpha2`` are never tried.  A degree
+    that fails from a warm start gets one fresh restart, and one that
+    fails from a fresh start is conceded; after the first certified degree
+    the search probes upward until a probe fails.
+    """
+    alpha2 = alpha2_start
+    problem.set_degree(alpha2)
+    state = OptimizerState()
+    d, warm = problem.fresh_start(), False
+    while True:
+        d, outcome = _solve_degree(problem, d, config, state, log)
+        if outcome == "certified":
+            break
+        if warm:
+            d, warm = problem.fresh_start(), False
+            state.restarts += 1
+            continue
+        alpha2 -= 1
+        if alpha2 <= min_alpha2:
+            raise ConvergenceError(
+                f"search fell below the minimal degree {min_alpha2 + 1} "
+                f"without converging", best_residual=state.best_residual)
+        problem.set_degree(alpha2)
+        # a blown-up iterate is useless at the lower degree too
+        warm = outcome != "diverged"
+        if not warm:
+            d = problem.fresh_start()
+
+    while problem.table.capacity >= alpha2 + 1:
+        problem.set_degree(alpha2 + 1)
+        probe, outcome = _solve_degree(problem, d, config, state, log)
+        if outcome != "certified":
+            problem.set_degree(alpha2)
+            break
+        alpha2 += 1
+        d = probe
+    return d, state
 
 
 def _search(problem: _MomentProblem, config: OptimizerConfig,
@@ -749,9 +706,10 @@ def generate_nested(n1: int, table: RecurrenceTable,
 
     The coarse rule targets degree 2 n_1 - 1 (which forces it onto the
     Gauss rule); the fine degree is searched downward from
-    ``config.alpha2_initial`` (default 3 n_1 + 2).  Returns the pair and
-    the iteration diagnostics.  Raises ConvergenceError when no degree
-    certifies, FeasibilityError when a converged iterate is infeasible.
+    ``config.alpha2_initial`` (default 3 n_1 + 2) to 2 n_1 at the lowest.
+    Returns the pair and the iteration diagnostics.  Raises
+    ConvergenceError when no degree certifies, FeasibilityError when a
+    converged iterate is infeasible.
     """
     if config is None:
         config = OptimizerConfig.defaults_for(table.family)
@@ -763,7 +721,7 @@ def generate_nested(n1: int, table: RecurrenceTable,
     dims = _pair_dims(n1, table, alpha2)
     problem = _pair_problem(dims, table.family.domain, config, table)
     ((coarse, subset), (fine, _)), state = _search(
-        problem, config, alpha2, dims.alpha1 + 1, log_path)
+        problem, config, alpha2, dims.alpha1, log_path)
     pair = NestedRulePair(table.family, coarse, fine, subset,
                           float(math.hypot(coarse.residual_norm,
                                            fine.residual_norm)))
@@ -804,7 +762,7 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
 
 def prune_negligible(rule: QuadratureRule, table: RecurrenceTable,
                      config: OptimizerConfig | None = None) -> QuadratureRule:
-    """Drop nodes whose |weight| falls below ``config.prune_threshold``.
+    """Drop nodes whose |weight| falls below 1e-13.
 
     The pruned rule is re-verified at the original exactness degree and
     returned with its updated certificate; if the re-verified residual
@@ -813,7 +771,7 @@ def prune_negligible(rule: QuadratureRule, table: RecurrenceTable,
     """
     if config is None:
         config = OptimizerConfig.defaults_for(rule.family)
-    keep = np.abs(rule.weights) >= config.prune_threshold
+    keep = np.abs(rule.weights) >= _PRUNE_THRESHOLD
     if np.all(keep):
         return rule
     if not np.any(keep):

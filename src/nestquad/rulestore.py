@@ -315,6 +315,9 @@ def _rule_parts(doc: dict):
         if nodes.size != n2 or weights.size != n1 + n2:
             raise SchemaError("pair data sizes are inconsistent")
         subset = tuple(int(i) for i in data["subset_map"])
+        if len(subset) != n1 or any(not 0 <= i < n2 for i in subset):
+            raise SchemaError(
+                f"subset_map must hold {n1} indices of the {n2} fine nodes")
         stacked = float(data["residual_norm"])
         coarse = (nodes[list(subset)], weights[:n1], int(data["alpha1"]),
                   float(data.get("residual_norm_coarse", stacked)))

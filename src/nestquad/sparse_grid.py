@@ -24,7 +24,6 @@ and memory stays bounded by the grid plus one batch.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ from .orthopoly import RecurrenceTable, WeightFamily
 __all__ = [
     "UnivariateLevelFamily",
     "SparseGrid",
-    "TensorErrorBound",
     "gauss_levels",
     "nested_levels",
     "tensor_rule",
@@ -411,41 +409,25 @@ def _weighted_sum(nodes, weights, f) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class TensorErrorBound:
+def tensor_error_bound(epsilon: float, alphas, d: int,
+                       p_norm: float) -> float:
     """Worst-case integration error of one tensor block.
 
     For univariate rules whose moment residuals are bounded by epsilon and
     a polynomial p within the block's joint exactness span, the integration
     error is at most eps * |p| * d * (1+eps)^(d-1) * prod sqrt(alpha_q + 1).
     """
-
-    epsilon: float
-    alphas: tuple
-    d: int
-    p_norm: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        if self.epsilon < 0.0 or self.p_norm < 0.0:
-            raise ParameterError("epsilon and p_norm must be nonnegative")
-        if self.d < 1 or len(self.alphas) != self.d:
-            raise ParameterError("need one alpha per dimension")
-        if any(a < 0 for a in self.alphas):
-            raise ParameterError("degrees must be nonnegative")
-
-    @property
-    def value(self) -> float:
-        prod = 1.0
-        for a in self.alphas:
-            prod *= math.sqrt(a + 1.0)
-        return (self.epsilon * self.p_norm * self.d
-                * (1.0 + self.epsilon) ** (self.d - 1) * prod)
-
-
-def tensor_error_bound(epsilon: float, alphas, d: int,
-                       p_norm: float) -> float:
-    return TensorErrorBound(epsilon, tuple(alphas), d, p_norm).value
+    alphas = tuple(alphas)
+    if epsilon < 0.0 or p_norm < 0.0:
+        raise ParameterError("epsilon and p_norm must be nonnegative")
+    if d < 1 or len(alphas) != d:
+        raise ParameterError("need one alpha per dimension")
+    if any(a < 0 for a in alphas):
+        raise ParameterError("degrees must be nonnegative")
+    prod = 1.0
+    for a in alphas:
+        prod *= math.sqrt(a + 1.0)
+    return epsilon * p_norm * d * (1.0 + epsilon) ** (d - 1) * prod
 
 
 def write_grid_csv(grid: SparseGrid, path):
@@ -467,7 +449,3 @@ def grid_to_json_dict(grid: SparseGrid, family_ref: str) -> dict:
         "nodes": [[float(c) for c in point] for point in grid.nodes],
         "weights": [float(w) for w in grid.weights],
     }
-
-
-def grid_to_json(grid: SparseGrid, family_ref: str) -> str:
-    return json.dumps(grid_to_json_dict(grid, family_ref), indent=2)

@@ -241,15 +241,15 @@ def reference_smolyak(levels, level_weights, d: int, k: int):
     return nodes, weights
 
 
-def _bounds(domain, config):
-    lo = domain.lo + config.node_margin if domain.bounded_below else -math.inf
-    hi = domain.hi - config.node_margin if domain.bounded_above else math.inf
+def _bounds(domain):
+    lo = domain.lo if domain.bounded_below else -math.inf
+    hi = domain.hi if domain.bounded_above else math.inf
     return lo, hi
 
 
 def _violations(x2, w1, w2, domain, config):
     """Signed penalty violations: (node excess, w2 shortfall, w1 shortfall)."""
-    lo, hi = _bounds(domain, config)
+    lo, hi = _bounds(domain)
     node = np.zeros_like(x2)
     if domain.bounded_above:
         node = np.maximum(node, x2 - hi)
@@ -264,8 +264,8 @@ def _violations(x2, w1, w2, domain, config):
     return node, v2, v1
 
 
-def _node_penalty_gradient(x2, domain, config):
-    lo, hi = _bounds(domain, config)
+def _node_penalty_gradient(x2, domain):
+    lo, hi = _bounds(domain)
     grad = np.zeros(x2.size)
     above = x2 > hi
     below = x2 < lo
@@ -305,8 +305,7 @@ def reference_pair(evaluate, d, table, dims, c_k, config):
     J[a1 + 1:n_moments, :n2] = ev2.derivatives * w2
     J[a1 + 1:n_moments, n2 + n1:] = ev2.values
     rows = np.arange(n2)
-    J[n_moments + rows, rows] = c_k * _node_penalty_gradient(x2, domain,
-                                                              config)
+    J[n_moments + rows, rows] = c_k * _node_penalty_gradient(x2, domain)
     J[n_moments + n2 + rows, n2 + n1 + rows] = -2.0 * c_k * v2
     rows1 = np.arange(n1)
     J[n_moments + 2 * n2 + rows1, n2 + rows1] = -2.0 * c_k * v1
@@ -334,7 +333,7 @@ def reference_extension(evaluate, d, table, alpha2, n_frozen, c_k, config):
     J[:alpha2 + 1, n2:] = ev.values
     base = alpha2 + 1
     rows = np.arange(n2)
-    J[base + rows, rows] = c_k * _node_penalty_gradient(x2, domain, config)
+    J[base + rows, rows] = c_k * _node_penalty_gradient(x2, domain)
     J[base + n2 + rows, n2 + rows] = -2.0 * c_k * v2
     free = np.concatenate([np.arange(n2 - n_frozen), n2 + np.arange(n2)])
     return r, penalties, J[:, free]

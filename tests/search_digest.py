@@ -1,0 +1,103 @@
+"""Bitwise digest of the degree search, for before/after comparisons.
+
+Runs every op of the benchmark's ``optimizer`` workload, the Legendre and
+generalized-Hermite (rho = 1) Patterson chains 1 -> 3 -> 7 -> 15 and two
+searches that end in ConvergenceError, and prints one line per op: a
+sha256 of the node and weight bytes, the subset map, the certified
+degrees, the iteration and restart counts, and a sha256 of the ``--log``
+CSV (for an error, its message and best residual instead of the rule).
+Two trees run the same search exactly when their outputs are equal:
+
+    PYTHONPATH=src python tests/search_digest.py > after.txt
+
+BLAS is pinned to one thread, because threaded reductions may round
+differently from run to run.  The full run takes about a minute.  pytest
+does not collect this file.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import itertools  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+import nestquad as nq  # noqa: E402
+from nestquad.errors import ConvergenceError  # noqa: E402
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _csv_digest(path) -> str:
+    with open(path, "rb") as fh:
+        return _sha(fh.read())
+
+
+def _line(name, rules, subset, state, log_path) -> str:
+    arrays = b"".join(r.nodes.tobytes() + r.weights.tobytes() for r in rules)
+    degrees = tuple(r.exactness_degree for r in rules)
+    return (f"{name}: nodes {_sha(arrays)} subset {subset} degrees {degrees} "
+            f"iterations {state.iteration} restarts {state.restarts} "
+            f"csv {_csv_digest(log_path)}")
+
+
+def _chain(family, steps, log):
+    table = nq.recurrence_coefficients(family, 4 * (2 ** (steps + 1) - 1) + 8)
+    rule = nq.gauss_rule(table, 1)
+    for _ in range(steps):
+        name = f"extend {family.label()} {rule.n}->{2 * rule.n + 1}"
+        rule, state = nq.extend_patterson(rule, table, log_path=log)
+        yield _line(name, [rule], None, state, log)
+
+
+def _pair(family, n1, log):
+    table = nq.recurrence_coefficients(family, 4 * n1 + 10)
+    pair, state = nq.generate_nested(n1, table, log_path=log)
+    yield _line(f"pair {family.label()} n1={n1}", [pair.coarse, pair.fine],
+                pair.subset_map, state, log)
+
+
+def _failure(name, config, log):
+    """An extension of the Legendre Gauss-3 rule that must fail."""
+    table = nq.recurrence_coefficients(nq.legendre(), 70)
+    try:
+        nq.extend_patterson(nq.gauss_rule(table, 3), table, config,
+                            log_path=log)
+    except ConvergenceError as exc:
+        yield (f"{name}: ConvergenceError {exc} "
+               f"best_residual {exc.best_residual!r} csv {_csv_digest(log)}")
+    else:
+        yield f"{name}: no error"
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as log_dir:
+        log = os.path.join(log_dir, "search.csv")
+        lines = itertools.chain(
+            _chain(nq.chebyshev1(), 3, log),
+            _chain(nq.jacobi(0.0, 0.3), 3, log),
+            _pair(nq.generalized_hermite(1.0), 8, log),
+            _pair(nq.chebyshev1(), 7, log),
+            _pair(nq.legendre(), 100, log),
+            _pair(nq.jacobi(0.0, 0.3), 60, log),
+            _chain(nq.legendre(), 3, log),
+            _chain(nq.generalized_hermite(1.0), 3, log),
+            _failure("extend legendre 3->7 budget",
+                     nq.OptimizerConfig(max_iterations=1, alpha2_initial=60),
+                     log),
+            _failure("extend legendre 3->7 floor",
+                     nq.OptimizerConfig(max_iterations=1), log),
+        )
+        for line in lines:
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

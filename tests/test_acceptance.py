@@ -38,7 +38,7 @@ from nestquad.orthopoly import (
 from nestquad.rulestore import load, make_pair_record, make_rule_record, save
 from nestquad.sparse_grid import (
     gauss_levels,
-    grid_to_json,
+    grid_to_json_dict,
     nested_levels,
     smolyak_grid,
     tensor_error_bound,
@@ -422,7 +422,8 @@ def test_13_property_sweep_over_artifacts(capsys, tmp_path):
             count += 1
     for label, grid in grids.items():
         ok &= abs(math.fsum(grid.weights) - 1.0) <= 1e-12
-        doc = json.loads(grid_to_json(grid, "legendre"))
+        doc = json.loads(json.dumps(grid_to_json_dict(grid, "legendre"),
+                                    indent=2))
         ok &= np.array_equal(np.array(doc["nodes"]), grid.nodes)
         ok &= np.array_equal(np.array(doc["weights"]), grid.weights)
         count += 1

@@ -148,6 +148,18 @@ class TestVerify:
         assert "FAIL" in stdout
         assert "<- worst" in stdout
 
+    @pytest.mark.parametrize("subset", [[7], [-2]])
+    def test_subset_map_outside_fine_nodes(self, tmp_path, capsys, subset):
+        path = tmp_path / "pair.json"
+        run(capsys, "generate", "--family", "legendre", "--n1", "1",
+            "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["data"]["subset_map"] = subset
+        path.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "verify", "--in", str(path))
+        assert code == 3
+        assert "subset_map" in stderr
+
     def test_circle_theorem_legendre(self, tmp_path, capsys):
         path = tmp_path / "g12.json"
         run(capsys, "gauss", "--family", "legendre", "--n", "12",

@@ -1,5 +1,7 @@
 """Integration tests for nested-pair generation, extension, and folding."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +36,13 @@ def table_for(family, capacity):
     return recurrence_coefficients(family, capacity + 1)
 
 
+def alpha2_runs(log_path):
+    """The degrees a search tried, in order, from its --log CSV."""
+    rows = log_path.read_text().splitlines()[1:]
+    return [int(alpha2) for alpha2, _ in
+            itertools.groupby(row.rsplit(",", 1)[1] for row in rows)]
+
+
 class TestGenerateNested:
     def test_smallest_pair_recovers_gauss3(self):
         table = table_for(legendre(), 12)
@@ -65,6 +74,12 @@ class TestGenerateNested:
         pair, _ = generate_nested(3, table)
         np.testing.assert_array_equal(
             pair.fine.nodes[list(pair.subset_map)], pair.coarse.nodes)
+
+    @pytest.mark.parametrize("subset", [(7,), (-2,)])
+    def test_pair_rejects_subset_outside_fine_nodes(self, subset):
+        pair, _ = generate_nested(1, table_for(legendre(), 12))
+        with pytest.raises(ParameterError, match="index the fine nodes"):
+            dataclasses.replace(pair, subset_map=subset)
 
     def test_certificates_and_mass(self):
         table = table_for(jacobi(0.0, 0.3), 20)
@@ -115,6 +130,13 @@ class TestGenerateNested:
             generate_nested(2, table, config)
         assert math.isfinite(info.value.best_residual)
 
+    def test_search_reaches_alpha1_plus_one(self, tmp_path):
+        table = recurrence_coefficients(jacobi(1.24, -0.79), 22)
+        path = tmp_path / "search.csv"
+        with pytest.raises(ConvergenceError, match="minimal degree 6"):
+            generate_nested(3, table, log_path=path)
+        assert alpha2_runs(path)[-1] == 6
+
     def test_rejects_alpha2_at_or_below_alpha1(self):
         table = table_for(legendre(), 12)
         with pytest.raises(ParameterError):
@@ -139,6 +161,35 @@ class TestGenerateNested:
             assert rule.residual_norm <= 1e-11
             assert verify_rule(rule, fresh).norm <= 10.0 * (
                 rule.residual_norm + 1e-16)
+
+
+class TestDegreeSearch:
+    """The order in which degrees are tried; iteration counts are left
+    out, because they depend on the BLAS."""
+
+    def test_concede_restart_and_failed_probe(self, tmp_path):
+        table = table_for(generalized_hermite(1.0), 40)
+        base, _ = extend_patterson(gauss_rule(table, 1), table)
+        path = tmp_path / "search.csv"
+        rule, state = extend_patterson(base, table, log_path=path)
+        # 11 fails from the fresh start and is conceded; 10 fails warm,
+        # restarts fresh, fails again and is conceded; 9 certifies warm;
+        # the probe at 10 fails
+        assert alpha2_runs(path) == [11, 10, 9, 10]
+        assert state.restarts == 1
+        assert rule.exactness_degree == 9
+
+    def test_probe_climbs_past_the_start(self, tmp_path):
+        table = recurrence_coefficients(chebyshev1(), 4 * 7 + 10)
+        path = tmp_path / "search.csv"
+        pair, state = generate_nested(7, table, log_path=path)
+        # 23 is conceded, 22 and 21 fail warm and restart fresh, and 21
+        # then certifies; the probe at 22 certifies after some steps, those
+        # at 23 to 27 without a step (so they leave no rows), and the
+        # probe at 28 fails
+        assert alpha2_runs(path) == [23, 22, 21, 22, 28]
+        assert state.restarts == 2
+        assert pair.fine.exactness_degree == 27
 
 
 class TestExtendPatterson:

@@ -14,8 +14,8 @@ from nestquad.errors import (
 )
 from nestquad.gauss import QuadratureRule, gauss_rule, verify_rule
 from nestquad.nested_optimizer import (
-    NestedRulePair,
     OptimizerConfig,
+    OptimizerState,
     ProblemDims,
     assemble_jacobian,
     assemble_residual,
@@ -27,7 +27,8 @@ from nestquad.nested_optimizer import (
     select_lambda,
     tikhonov_step,
 )
-from nestquad.nested_optimizer import _MomentProblem, _pair_problem
+from nestquad.nested_optimizer import _MomentProblem, _pair_problem, \
+    _solve_degree
 from nestquad.orthopoly import (
     chebyshev1,
     eval_orthonormal,
@@ -76,8 +77,6 @@ class TestOptimizerConfig:
         assert config.A == 1e3
         assert config.weight_floor == 1e-6
         assert config.max_iterations == 5000
-        assert config.lambda_update_period == 40
-        assert config.stall_tol == config.epsilon
 
     def test_family_defaults_relax_floor_on_unbounded(self):
         assert OptimizerConfig.defaults_for(legendre()).weight_floor == 1e-6
@@ -411,6 +410,51 @@ class TestMomentKernel:
         d = np.array([-0.5, 0.0, 0.0, 1.0, 0.3, 0.4, 0.3])
         with pytest.raises(FeasibilityError, match="collided"):
             problem.certify(d)
+
+
+class TestSolveDegree:
+    """One Gauss-Newton run at a fixed degree and its three outcomes."""
+
+    @staticmethod
+    def _problem(n1, alpha2, config):
+        table = table_for(legendre(), 2 * alpha2)
+        d0, dims = initialize(n1, table, alpha2)
+        return _pair_problem(dims, legendre().domain, config, table), d0
+
+    def test_certified_at_published_kronrod_root(self):
+        problem, _ = self._problem(7, 23, OptimizerConfig())
+        nodes, weights, coarse_weights, subset = gauss_kronrod_15()
+        assert tuple(subset) == tuple(problem.idx[0])
+        d = np.concatenate([nodes, coarse_weights, weights])
+        state = OptimizerState()
+        _, outcome = _solve_degree(problem, d, OptimizerConfig(), state)
+        assert outcome == "certified"
+        assert state.best_residual <= 1e-12
+
+    def test_diverged_from_non_finite_iterate(self):
+        problem, d0 = self._problem(1, 5, OptimizerConfig())
+        d0[0] = np.nan
+        state = OptimizerState()
+        _, outcome = _solve_degree(problem, d0, OptimizerConfig(), state)
+        assert outcome == "diverged"
+        assert state.iteration == 0
+
+    def test_stall_at_unreachable_degree(self):
+        # no 3-node rule integrates degree 6 exactly
+        config = OptimizerConfig(max_iterations=300)
+        problem, d0 = self._problem(1, 6, config)
+        state = OptimizerState()
+        _, outcome = _solve_degree(problem, d0, config, state)
+        assert outcome == "stall"
+        assert 0 < state.iteration <= 300
+        assert state.best_residual > config.epsilon
+
+    def test_spent_budget_raises(self):
+        config = OptimizerConfig(max_iterations=1)
+        problem, d0 = self._problem(1, 5, config)
+        state = OptimizerState(iteration=40)
+        with pytest.raises(ConvergenceError, match="budget exhausted"):
+            _solve_degree(problem, d0, config, state)
 
 
 class TestSelectLambda:

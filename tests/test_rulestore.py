@@ -244,6 +244,17 @@ class TestLoadValidation:
         with pytest.raises(SchemaError, match="inconsistent"):
             load(path)
 
+    @pytest.mark.parametrize("subset", [[7], [-2]])
+    def test_subset_map_outside_fine_nodes(self, leg_table, tmp_path, subset):
+        pair, _ = generate_nested(1, leg_table)
+        path = tmp_path / "pair.json"
+        save(make_pair_record(pair), path)
+        self._rewrite(path, lambda doc: doc["data"].update(subset_map=subset))
+        with pytest.raises(SchemaError, match="subset_map"):
+            load(path)
+        with pytest.warns(UserWarning, match="skipping"):
+            assert len(catalog_scan(tmp_path)) == 0
+
 
 class TestCatalog:
     def test_empty_directory(self, tmp_path):

@@ -23,7 +23,6 @@ from nestquad.sparse_grid import (
     _canonical_levels,
     _digits_per_word,
     SparseGrid,
-    TensorErrorBound,
     UnivariateLevelFamily,
     gauss_levels,
     grid_to_json_dict,
@@ -466,10 +465,8 @@ class TestTensorErrorBound:
         assert value == pytest.approx(
             1e-12 * 4.0 * (1.0 + 1e-12) ** 3 * 36.0, rel=1e-14)
         assert value == pytest.approx(1.44e-10, rel=1e-6)
-
-    def test_dataclass_value(self):
-        bound = TensorErrorBound(1e-6, (1, 3), 2, 2.0)
-        assert bound.value == pytest.approx(
+        value = tensor_error_bound(1e-6, [1, 3], 2, 2.0)
+        assert value == pytest.approx(
             1e-6 * 2.0 * 2.0 * (1.0 + 1e-6) * math.sqrt(2.0) * 2.0,
             rel=1e-14)
 
