@@ -465,6 +465,8 @@ class TestTensorErrorBound:
         assert value == pytest.approx(
             1e-12 * 4.0 * (1.0 + 1e-12) ** 3 * 36.0, rel=1e-14)
         assert value == pytest.approx(1.44e-10, rel=1e-6)
+
+    def test_dataclass_value(self):
         value = tensor_error_bound(1e-6, [1, 3], 2, 2.0)
         assert value == pytest.approx(
             1e-6 * 2.0 * 2.0 * (1.0 + 1e-6) * math.sqrt(2.0) * 2.0,
