@@ -18,11 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, UnsupportedFamilyError
+from .errors import (
+    CapacityError,
+    NumericalError,
+    ParameterError,
+    UnsupportedFamilyError,
+)
 from .orthopoly import (
     RecurrenceTable,
     WeightFamily,
     eval_orthonormal,
+    recurrence_coefficients,
     weight_density,
 )
 
@@ -97,35 +103,42 @@ class MomentReport:
         return self.residuals.size - 1
 
 
-def gauss_rule(table: RecurrenceTable, n: int) -> QuadratureRule:
-    """Build the n-point Gauss rule of the table's family.
-
-    Needs coefficients a_0..a_{n-1}, b_1..b_{n-1}; the table must also
-    reach degree 2n - 1 so the returned certificate can be computed.
-    """
+def _gauss_nodes(table: RecurrenceTable, n: int) -> np.ndarray:
+    """Ascending nodes of the n-point Gauss rule: the eigenvalues of the
+    Jacobi matrix, built from a_0..a_{n-1}, b_1..b_{n-1}."""
     if n < 1:
         raise ParameterError("rule size must be at least 1")
     if table.capacity < n - 1:
-        from .errors import CapacityError
         raise CapacityError(
             f"table capacity {table.capacity} too small for {n}-point rule")
     off = np.sqrt(table.b[1:n])
     jacobi_matrix = np.diag(table.a[:n]) + np.diag(off, 1) + np.diag(off, -1)
     try:
-        nodes = np.linalg.eigvalsh(jacobi_matrix)  # ascending
+        return np.linalg.eigvalsh(jacobi_matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"Jacobi-matrix eigensolver failed: {exc}") from exc
+
+
+def gauss_rule(table: RecurrenceTable, n: int) -> QuadratureRule:
+    """Build the n-point Gauss rule of the table's family.
+
+    The nodes need the table through degree n - 1 and the certificate
+    through degree 2n - 1; a table that holds the nodes but not the
+    certificate is rebuilt from its family, which raises CapacityError for
+    a custom family with too few coefficients.
+    """
+    nodes = _gauss_nodes(table, n)
+    degree = 2 * n - 1
+    if table.capacity < degree:
+        table = recurrence_coefficients(table.family, degree)
     # Squared first eigenvector components via the Christoffel identity
     # 1 / sum_j p_j(x_i)^2; unlike the raw eigenvectors this keeps tiny
     # tail weights (Laguerre, Hermite) at full relative precision.
     V = eval_orthonormal(table, n - 1, nodes).values
     weights = 1.0 / np.einsum("ji,ji->i", V, V)
 
-    degree = 2 * n - 1
-    residual_norm = 0.0
-    if table.capacity >= degree:
-        residual_norm = float(np.linalg.norm(
-            moment_residuals(nodes, weights, table, degree)))
+    residual_norm = float(np.linalg.norm(
+        moment_residuals(nodes, weights, table, degree)))
     return QuadratureRule(
         family=table.family,
         nodes=nodes,

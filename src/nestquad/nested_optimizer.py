@@ -52,9 +52,8 @@ from .errors import (
     ParameterError,
     UnsupportedFamilyError,
 )
-from .gauss import QuadratureRule, gauss_rule, moment_residuals, verify_rule
+from .gauss import QuadratureRule, _gauss_nodes, moment_residuals, verify_rule
 from .orthopoly import (
-    Domain,
     RecurrenceTable,
     WeightFamily,
     eval_orthonormal,
@@ -64,17 +63,11 @@ from .orthopoly import (
 
 __all__ = [
     "OptimizerConfig",
-    "ProblemDims",
     "OptimizerState",
     "NestedRulePair",
-    "assemble_residual",
-    "penalty_terms",
     "penalty_coefficient",
-    "assemble_jacobian",
     "select_lambda",
-    "tikhonov_step",
     "newton_decrement",
-    "initialize",
     "generate_nested",
     "extend_patterson",
     "prune_negligible",
@@ -145,41 +138,6 @@ class OptimizerConfig:
         return cls(**overrides)
 
 
-@dataclass(frozen=True)
-class ProblemDims:
-    """Sizes of one nested-pair problem and the coarse-in-fine index map."""
-
-    n1: int
-    n2: int
-    alpha1: int
-    alpha2: int
-    subset_map: tuple
-
-    def __post_init__(self):
-        if self.n1 < 1 or self.n2 <= self.n1:
-            raise ParameterError("need n2 > n1 >= 1")
-        if not (0 <= self.alpha1 < self.alpha2):
-            raise ParameterError("need 0 <= alpha1 < alpha2")
-        sm = tuple(int(i) for i in self.subset_map)
-        if len(sm) != self.n1 or any(not 0 <= i < self.n2 for i in sm):
-            raise ParameterError("subset_map must hold n1 fine-node indices")
-        if any(b <= a for a, b in zip(sm, sm[1:])):
-            raise ParameterError("subset_map must be strictly increasing")
-        object.__setattr__(self, "subset_map", sm)
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.n1 + 2 * self.n2
-
-    @property
-    def n_moments(self) -> int:
-        return self.alpha1 + self.alpha2 + 2
-
-    @property
-    def n_penalties(self) -> int:
-        return 2 * self.n2 + self.n1
-
-
 @dataclass
 class OptimizerState:
     """Counters of one search, returned as diagnostics.
@@ -248,13 +206,12 @@ class _MomentProblem:
     last block to the first.
     """
 
-    def __init__(self, n: int, blocks, domain: Domain,
-                 config: OptimizerConfig | None = None,
-                 table: RecurrenceTable | None = None, frozen=()):
+    def __init__(self, n: int, blocks, config: OptimizerConfig,
+                 table: RecurrenceTable, frozen=()):
         self.n = n
         self.idx = [np.asarray(idx, dtype=int) for idx, _ in blocks]
         self.degrees = [int(alpha) for _, alpha in blocks]
-        self.domain = domain
+        self.domain = table.family.domain
         self.config = config
         self.table = table
         self.frozen = np.asarray(frozen, dtype=float)
@@ -284,10 +241,11 @@ class _MomentProblem:
         return np.concatenate(
             [x] + [np.full(idx.size, mass / idx.size) for idx in self.idx])
 
-    def evaluate(self, d, derivatives: bool = True):
-        """One recurrence pass over all nodes at the largest block degree."""
+    def evaluate(self, d):
+        """One recurrence pass, values and derivatives, over all nodes at
+        the largest block degree."""
         return eval_orthonormal(self.table, max(self.degrees), d[:self.n],
-                                derivatives=derivatives)
+                                derivatives=True)
 
     def _block_rows(self, matrix):
         # np.take keeps the C order of a values-only evaluation at the
@@ -394,41 +352,17 @@ class _MomentProblem:
         return out
 
 
-def _pair_problem(dims: ProblemDims, domain: Domain,
-                  config: OptimizerConfig | None = None,
-                  table: RecurrenceTable | None = None) -> _MomentProblem:
-    """The nested-pair layout: coarse block over ``subset_map``, fine
-    block over all n_2 nodes, nothing frozen."""
-    blocks = [(dims.subset_map, dims.alpha1),
-              (range(dims.n2), dims.alpha2)]
-    return _MomentProblem(dims.n2, blocks, domain, config, table)
-
-
-def assemble_residual(d: np.ndarray, table: RecurrenceTable,
-                      dims: ProblemDims) -> np.ndarray:
-    """Stacked moment residual [R_1; R_2] of a decision vector.
-
-    Coarse nodes are read out of the fine block through ``subset_map``, so
-    the coarse conditions see exactly the shared node values.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (dims.n_unknowns,):
-        raise ParameterError(
-            f"decision vector must have length {dims.n_unknowns}")
-    problem = _pair_problem(dims, table.family.domain, table=table)
-    return problem.residual(d, problem.evaluate(d, derivatives=False))
-
-
-def penalty_terms(d: np.ndarray, dims: ProblemDims, domain: Domain,
-                  config: OptimizerConfig) -> np.ndarray:
-    """Quadratic constraint penalties, ordered [nodes; w_2; w_1].
-
-    Node entries are (max[0, x - hi, lo - x])^2 with unbounded directions
-    contributing nothing; weight entries are (max[0, floor - w])^2, or zero
-    when negative weights are allowed.  Length 2 n_2 + n_1.
-    """
-    d = np.asarray(d, dtype=float)
-    return _pair_problem(dims, domain, config).penalties(d)
+def _pair_problem(n1: int, table: RecurrenceTable, alpha2: int,
+                  config: OptimizerConfig) -> _MomentProblem:
+    """The nested-pair layout over n_2 = 2 n_1 + 1 nodes: the coarse block
+    (every second node, degree 2 n_1 - 1) and the fine block (all nodes,
+    ``alpha2``), nothing frozen."""
+    if n1 < 1:
+        raise ParameterError("n1 must be at least 1")
+    n2 = 2 * n1 + 1
+    table.require(max(alpha2, 2 * n2 - 1))
+    blocks = [(range(1, 2 * n1, 2), 2 * n1 - 1), (range(n2), alpha2)]
+    return _MomentProblem(n2, blocks, config, table)
 
 
 def penalty_coefficient(residual_norm: float, config: OptimizerConfig) -> float:
@@ -438,20 +372,6 @@ def penalty_coefficient(residual_norm: float, config: OptimizerConfig) -> float:
     if residual_norm == 0.0:
         return _C_CAP
     return float(min(max(config.A, 1.0 / residual_norm), _C_CAP))
-
-
-def assemble_jacobian(d: np.ndarray, table: RecurrenceTable, dims: ProblemDims,
-                      c_k: float, config: OptimizerConfig) -> np.ndarray:
-    """Jacobian of the augmented residual [R; c_k P] w.r.t. d.
-
-    Rows follow the residual stacking; columns follow d = (x_2, w_1, w_2).
-    Residual rows use d p_m(x_i) w_i / d x_i = p'_m(x_i) w_i, with the
-    coarse block accumulated into the shared fine-node columns through
-    ``subset_map``.  Shape (alpha1 + alpha2 + 2 + 2 n_2 + n_1, n_1 + 2 n_2).
-    """
-    d = np.asarray(d, dtype=float)
-    problem = _pair_problem(dims, table.family.domain, config, table)
-    return problem.jacobian(d, problem.evaluate(d), c_k)
 
 
 def select_lambda(singular_values) -> float:
@@ -498,26 +418,6 @@ def _step_from_svd(u, s, vt, residual, lam: float, near_root: bool):
     return vt.T @ coef
 
 
-def tikhonov_step(jacobian: np.ndarray, residual: np.ndarray, lam: float,
-                  near_root: bool = False) -> np.ndarray:
-    """Regularized Gauss-Newton step Delta d for J Delta d ~= R.
-
-    The default form filters each SVD direction by sigma^2/(sigma^2 +
-    lambda^2); with ``near_root`` the shift 1/(sigma + lambda) is used
-    instead, which keeps full steps along well-conditioned directions when
-    the residual is already tiny.
-    """
-    if lam < 0.0:
-        raise ParameterError("lambda must be nonnegative")
-    try:
-        u, s, vt = np.linalg.svd(np.asarray(jacobian, dtype=float),
-                                 full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    return _step_from_svd(u, s, vt, np.asarray(residual, dtype=float),
-                          lam, near_root)
-
-
 def newton_decrement(step: np.ndarray, jacobian: np.ndarray,
                      residual: np.ndarray) -> float:
     """eta = |step . (J^T R)|^(1/2), the progress measure of one step."""
@@ -532,36 +432,14 @@ def _interlaced_fine_nodes(table: RecurrenceTable, n2: int,
                            alpha2: int) -> np.ndarray:
     """Gauss-n2 nodes, shrunk on unbounded domains to the span a rule of
     degree alpha2 actually needs (ratio of extreme Gauss nodes)."""
-    nodes = gauss_rule(table, n2).nodes.copy()
+    nodes = _gauss_nodes(table, n2)
     if not table.family.domain.bounded:
         m = (alpha2 + 1) // 2
         if m < n2:
-            small = gauss_rule(table, m).nodes
+            small = _gauss_nodes(table, m)
             ratio = np.max(np.abs(small)) / np.max(np.abs(nodes))
             nodes = nodes * ratio
     return nodes
-
-
-def _pair_dims(n1: int, table: RecurrenceTable, alpha2: int) -> ProblemDims:
-    if n1 < 1:
-        raise ParameterError("n1 must be at least 1")
-    n2 = 2 * n1 + 1
-    table.require(max(alpha2, 2 * n2 - 1))
-    return ProblemDims(n1, n2, 2 * n1 - 1, alpha2, tuple(range(1, 2 * n1, 2)))
-
-
-def initialize(n1: int, table: RecurrenceTable, alpha2: int | None = None):
-    """Interlaced initial guess (d_0, dims) for the nested-pair search.
-
-    Fine nodes start at the Gauss rule of size n_2 = 2 n_1 + 1 (range-
-    shrunk for unbounded weights); the coarse rule takes every second fine
-    node, so coarse and fine interlace.  All weights start uniform.
-    """
-    if alpha2 is None:
-        alpha2 = _default_alpha2(n1)
-    dims = _pair_dims(n1, table, alpha2)
-    d0 = _pair_problem(dims, table.family.domain, table=table).fresh_start()
-    return d0, dims
 
 
 class _DiagnosticsLog:
@@ -718,10 +596,9 @@ def generate_nested(n1: int, table: RecurrenceTable,
         alpha2 = _default_alpha2(n1)
     if alpha2 <= 2 * n1 - 1:
         raise ParameterError("alpha2_initial must exceed alpha1 = 2 n1 - 1")
-    dims = _pair_dims(n1, table, alpha2)
-    problem = _pair_problem(dims, table.family.domain, config, table)
+    problem = _pair_problem(n1, table, alpha2, config)
     ((coarse, subset), (fine, _)), state = _search(
-        problem, config, alpha2, dims.alpha1, log_path)
+        problem, config, alpha2, 2 * n1 - 1, log_path)
     pair = NestedRulePair(table.family, coarse, fine, subset,
                           float(math.hypot(coarse.residual_norm,
                                            fine.residual_norm)))
@@ -752,8 +629,8 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
     if alpha2 is None:
         alpha2 = _default_alpha2(base.n)
     n2 = 2 * base.n + 1
-    problem = _MomentProblem(n2, [(range(n2), alpha2)], table.family.domain,
-                             config, table, frozen=base.nodes)
+    problem = _MomentProblem(n2, [(range(n2), alpha2)], config, table,
+                             frozen=base.nodes)
     ((rule, _),), state = _search(problem, config, alpha2,
                                   base.exactness_degree, log_path)
     state.residual_norm = rule.residual_norm

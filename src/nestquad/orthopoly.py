@@ -41,7 +41,6 @@ __all__ = [
     "custom_family",
     "recurrence_coefficients",
     "eval_orthonormal",
-    "vandermonde",
     "weight_density",
 ]
 
@@ -338,11 +337,6 @@ def eval_orthonormal(table: RecurrenceTable, degree: int, x,
     for m in range(1, degree):
         q[m + 1] = ((x - a[m]) * q[m] - sqrt_b[m] * q[m - 1] + p[m]) / sqrt_b[m + 1]
     return PolynomialEvaluation(values=p, derivatives=q)
-
-
-def vandermonde(table: RecurrenceTable, degree: int, nodes) -> np.ndarray:
-    """Matrix V with V[j, i] = p_j(x_i), j = 0..degree over the given nodes."""
-    return eval_orthonormal(table, degree, nodes).values
 
 
 def weight_density(family: WeightFamily):

@@ -18,14 +18,11 @@ from nestquad.gauss import QuadratureRule, gauss_rule, moment_residuals
 from nestquad.nested_optimizer import (
     NestedRulePair,
     OptimizerConfig,
-    ProblemDims,
-    assemble_jacobian,
-    assemble_residual,
     extend_patterson,
     generate_nested,
-    penalty_terms,
     prune_negligible,
 )
+from nestquad.nested_optimizer import _pair_problem
 from nestquad.orthopoly import (
     chebyshev1,
     eval_orthonormal,
@@ -315,11 +312,10 @@ def test_10_tensor_error_bound(capsys):
             f"lemma holds through k=12")
 
 
-def _fd_jacobian(d, table, dims, c_k, config, h=1e-7):
+def _fd_jacobian(problem, d, c_k, h=1e-7):
     def augmented(v):
-        r = assemble_residual(v, table, dims)
-        p = penalty_terms(v, dims, table.family.domain, config)
-        return np.concatenate([r, c_k * p])
+        r = problem.residual(v, problem.evaluate(v))
+        return np.concatenate([r, c_k * problem.penalties(v)])
 
     cols = []
     for j in range(d.size):
@@ -333,11 +329,11 @@ def test_11_jacobian_matches_finite_differences(capsys):
     families = (legendre(), chebyshev1(), jacobi(0.0, 0.3),
                 generalized_hermite(0.0), generalized_laguerre(0.5))
     rng = np.random.default_rng(2026)
-    dims = ProblemDims(2, 5, 3, 7, (1, 3))
     worst = 0.0
     for family in families:
         table = recurrence_coefficients(family, 13)
-        config = OptimizerConfig.defaults_for(family)
+        problem = _pair_problem(2, table, 7,
+                                OptimizerConfig.defaults_for(family))
         dom = family.domain
         lo = dom.lo if dom.bounded_below else -3.0
         hi = dom.hi if dom.bounded_above else 3.0
@@ -347,8 +343,8 @@ def test_11_jacobian_matches_finite_differences(capsys):
             w2 = rng.uniform(1e-3, 0.8, size=5)
             d = np.concatenate([x2, w1, w2])
             c_k = 10.0 ** rng.uniform(0, 4)
-            J = assemble_jacobian(d, table, dims, c_k, config)
-            J_fd = _fd_jacobian(d, table, dims, c_k, config)
+            J = problem.jacobian(d, problem.evaluate(d), c_k)
+            J_fd = _fd_jacobian(problem, d, c_k)
             err = np.max(np.abs(J - J_fd)) / max(1.0, np.max(np.abs(J)))
             worst = max(worst, float(err))
     ok = worst <= 1e-6

@@ -14,6 +14,7 @@ from nestquad.errors import (
     ParameterError,
     UnsupportedFamilyError,
 )
+from nestquad import nested_optimizer
 from nestquad.gauss import QuadratureRule, gauss_rule, verify_rule
 from nestquad.nested_optimizer import (
     OptimizerConfig,
@@ -23,6 +24,7 @@ from nestquad.nested_optimizer import (
 )
 from nestquad.orthopoly import (
     chebyshev1,
+    custom_family,
     generalized_hermite,
     jacobi,
     legendre,
@@ -124,9 +126,11 @@ class TestGenerateNested:
         assert len(lines) == state.iteration + 1
 
     def test_budget_exhaustion_raises(self):
-        table = table_for(legendre(), 12)
-        config = OptimizerConfig(max_iterations=1)
-        with pytest.raises(ConvergenceError) as info:
+        # one step per degree and 40 in all: the budget runs out long
+        # before the search falls below alpha1 = 3
+        table = recurrence_coefficients(legendre(), 45)
+        config = OptimizerConfig(max_iterations=1, alpha2_initial=40)
+        with pytest.raises(ConvergenceError, match="budget exhausted") as info:
             generate_nested(2, table, config)
         assert math.isfinite(info.value.best_residual)
 
@@ -191,6 +195,27 @@ class TestDegreeSearch:
         assert state.restarts == 2
         assert pair.fine.exactness_degree == 27
 
+    def test_degree_after_divergence_starts_fresh(self, monkeypatch):
+        table = table_for(legendre(), 12)
+        config = OptimizerConfig()
+        problem = nested_optimizer._pair_problem(2, table, 8, config)
+        calls = []
+
+        def solve(problem, d, config, state, log=None):
+            calls.append((problem.degrees[-1], d))
+            if len(calls) == 1:
+                return np.full_like(d, np.nan), "diverged"
+            return d, "certified" if len(calls) == 2 else "stall"
+
+        monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
+        _, state = nested_optimizer._drive(problem, config, 8, 3)
+        # 8 diverges and is conceded; 7 starts from its own fresh start,
+        # not from the blown-up iterate, and certifies; the probe at 8 fails
+        assert [alpha2 for alpha2, _ in calls] == [8, 7, 8]
+        fresh = nested_optimizer._pair_problem(2, table, 7, config)
+        np.testing.assert_array_equal(calls[1][1], fresh.fresh_start())
+        assert state.restarts == 0
+
 
 class TestExtendPatterson:
     def test_first_legendre_extension_is_gauss3(self):
@@ -250,6 +275,15 @@ class TestExtendPatterson:
         b, _ = extend_patterson(base, table)
         np.testing.assert_array_equal(a.nodes, b.nodes)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+    def test_custom_table_needs_only_the_target_degree(self):
+        # 13 coefficients reach the start degree 11 but not degree 13, the
+        # certificate degree of the 7-point Gauss rule the seed comes from
+        coeffs = recurrence_coefficients(legendre(), 12)
+        family = custom_family(coeffs.a, coeffs.b, (-1.0, 1.0))
+        table = recurrence_coefficients(family, 12)
+        rule, _ = extend_patterson(gauss_rule(table, 3), table)
+        assert rule.n == 7 and rule.exactness_degree == 11
 
     def test_rejects_family_mismatch(self):
         table = table_for(legendre(), 12)

@@ -1,6 +1,7 @@
 """Unit tests for the building blocks of the nested-rule optimizer."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,25 +11,19 @@ from nestquad.errors import (
     FeasibilityError,
     NumericalError,
     ParameterError,
-    UnsupportedFamilyError,
 )
 from nestquad.gauss import QuadratureRule, gauss_rule, verify_rule
 from nestquad.nested_optimizer import (
     OptimizerConfig,
     OptimizerState,
-    ProblemDims,
-    assemble_jacobian,
-    assemble_residual,
-    initialize,
     newton_decrement,
     penalty_coefficient,
-    penalty_terms,
     prune_negligible,
     select_lambda,
-    tikhonov_step,
 )
-from nestquad.nested_optimizer import _MomentProblem, _pair_problem, \
-    _solve_degree
+from nestquad.nested_optimizer import _PLATEAU_RUN, _STALL_RUN, \
+    _DiagnosticsLog, _MomentProblem, _pair_problem, _solve_degree, \
+    _step_from_svd
 from nestquad.orthopoly import (
     chebyshev1,
     eval_orthonormal,
@@ -39,7 +34,7 @@ from nestquad.orthopoly import (
     recurrence_coefficients,
 )
 
-from oracles import eval_orthonormal_oracle, oracle_recurrence, stieltjes_recurrence, family_moments
+from oracles import eval_orthonormal_oracle, stieltjes_recurrence, family_moments
 from oracles import reference_extension, reference_pair
 from refdata import gauss_kronrod_15
 
@@ -48,26 +43,8 @@ def table_for(family, capacity):
     return recurrence_coefficients(family, capacity + 1)
 
 
-class TestProblemDims:
-    def test_counts(self):
-        dims = ProblemDims(3, 7, 5, 11, (1, 3, 5))
-        assert dims.n_unknowns == 3 + 14
-        assert dims.n_moments == 5 + 11 + 2
-        assert dims.n_penalties == 14 + 3
-
-    def test_subset_must_be_increasing(self):
-        with pytest.raises(ParameterError):
-            ProblemDims(2, 5, 3, 7, (3, 1))
-
-    def test_subset_length_and_range(self):
-        with pytest.raises(ParameterError):
-            ProblemDims(2, 5, 3, 7, (1,))
-        with pytest.raises(ParameterError):
-            ProblemDims(2, 5, 3, 7, (1, 5))
-
-    def test_degrees_must_order(self):
-        with pytest.raises(ParameterError):
-            ProblemDims(2, 5, 7, 7, (1, 3))
+def residual(problem, d):
+    return problem.residual(d, problem.evaluate(d))
 
 
 class TestOptimizerConfig:
@@ -104,107 +81,101 @@ class TestOptimizerConfig:
 class TestAssembleResidual:
     def test_uniform_weights_zero_mass_rows(self):
         table = table_for(legendre(), 12)
-        d, dims = initialize(2, table)
-        r = assemble_residual(d, table, dims)
-        assert r.shape == (dims.n_moments,)
+        problem = _pair_problem(2, table, 8, OptimizerConfig())
+        r = residual(problem, problem.fresh_start())
+        assert r.shape == (3 + 8 + 2,)
         # both mass rows vanish for uniform weights
         assert abs(r[0]) < 1e-15
-        assert abs(r[dims.alpha1 + 1]) < 1e-15
+        assert abs(r[3 + 1]) < 1e-15
         assert np.max(np.abs(r)) > 1e-3
 
     def test_matches_high_precision_evaluation(self):
         fam = legendre()
         table = table_for(fam, 12)
-        d, dims = initialize(2, table)
-        r = assemble_residual(d, table, dims)
-        x2 = d[:dims.n2]
-        w1 = d[dims.n2:dims.n2 + dims.n1]
-        w2 = d[dims.n2 + dims.n1:]
-        x1 = x2[list(dims.subset_map)]
-        moments = family_moments(fam.kind, fam.params, 2 * dims.alpha2 + 4)
-        _, _, polys, norms2 = stieltjes_recurrence(moments, dims.alpha2 + 1)
-        cols1 = [eval_orthonormal_oracle(polys, norms2, dims.alpha1, x)
+        problem = _pair_problem(2, table, 8, OptimizerConfig())
+        d = problem.fresh_start()
+        r = residual(problem, d)
+        # d = (x_2, w_1, w_2); the coarse rule sits on fine nodes 1 and 3
+        alpha1, alpha2 = 3, 8
+        x2, w1, w2 = d[:5], d[5:7], d[7:]
+        x1 = x2[[1, 3]]
+        moments = family_moments(fam.kind, fam.params, 2 * alpha2 + 4)
+        _, _, polys, norms2 = stieltjes_recurrence(moments, alpha2 + 1)
+        cols1 = [eval_orthonormal_oracle(polys, norms2, alpha1, x)
                  for x in x1]
-        cols2 = [eval_orthonormal_oracle(polys, norms2, dims.alpha2, x)
+        cols2 = [eval_orthonormal_oracle(polys, norms2, alpha2, x)
                  for x in x2]
         expected = []
-        for j in range(dims.alpha1 + 1):
+        for j in range(alpha1 + 1):
             acc = sum(float(c[j]) * w for c, w in zip(cols1, w1))
             expected.append(acc - (1.0 if j == 0 else 0.0))
-        for j in range(dims.alpha2 + 1):
+        for j in range(alpha2 + 1):
             acc = sum(float(c[j]) * w for c, w in zip(cols2, w2))
             expected.append(acc - (1.0 if j == 0 else 0.0))
         np.testing.assert_allclose(r, expected, atol=1e-12)
 
     def test_published_kronrod_pair_is_a_root(self):
         nodes, weights, coarse_w, subset = gauss_kronrod_15()
-        table = table_for(legendre(), 23)
-        dims = ProblemDims(7, 15, 13, 23, tuple(subset))
+        table = table_for(legendre(), 29)
+        problem = _pair_problem(7, table, 23, OptimizerConfig())
+        np.testing.assert_array_equal(problem.idx[0], subset)
         d = np.concatenate([nodes, coarse_w, weights])
-        r = assemble_residual(d, table, dims)
-        assert np.linalg.norm(r) <= 1e-12
+        assert np.linalg.norm(residual(problem, d)) <= 1e-12
 
     def test_wrong_subset_spikes_coarse_rows(self):
         nodes, weights, coarse_w, _ = gauss_kronrod_15()
         table = table_for(legendre(), 23)
-        dims = ProblemDims(7, 15, 13, 23, tuple(range(7)))
+        problem = _MomentProblem(15, [(range(7), 13), (range(15), 23)],
+                                 OptimizerConfig(), table)
         d = np.concatenate([nodes, coarse_w, weights])
-        r = assemble_residual(d, table, dims)
-        assert np.linalg.norm(r[:14]) > 1e-2
-
-    def test_rejects_wrong_length(self):
-        table = table_for(legendre(), 12)
-        _, dims = initialize(2, table)
-        with pytest.raises(ParameterError):
-            assemble_residual(np.zeros(3), table, dims)
+        assert np.linalg.norm(residual(problem, d)[:14]) > 1e-2
 
 
 class TestPenaltyTerms:
-    def setup_method(self):
-        self.config = OptimizerConfig()
-        self.dims = ProblemDims(1, 3, 1, 5, (1,))
+    """Penalties of the pair layout with n_1 = 1: d = (x_2, w_1, w_2),
+    rows ordered [nodes; w_2; w_1]."""
+
+    @staticmethod
+    def _penalties(d, family=legendre(), config=None):
+        problem = _pair_problem(1, table_for(family, 5), 5,
+                                config or OptimizerConfig())
+        return problem.penalties(np.array(d))
 
     def test_node_violation_squared(self):
-        d = np.array([-0.5, 0.0, 1.1, 0.5, 0.2, 0.2, 0.2])
-        p = penalty_terms(d, self.dims, legendre().domain, self.config)
+        p = self._penalties([-0.5, 0.0, 1.1, 0.5, 0.2, 0.2, 0.2])
         assert p.shape == (2 * 3 + 1,)
         assert p[0] == 0.0 and p[1] == 0.0
         assert p[2] == (1.1 - 1.0) ** 2
 
     def test_weight_floor_violation_squared(self):
-        d = np.array([-0.5, 0.0, 0.5, 0.5, 0.2, -0.02, 0.2])
-        p = penalty_terms(d, self.dims, legendre().domain, self.config)
+        p = self._penalties([-0.5, 0.0, 0.5, 0.5, 0.2, -0.02, 0.2])
         # w2 block follows the n2 node entries
         assert p[3 + 1] == (0.02 + 1e-6) ** 2
         assert p[3 + 0] == 0.0 and p[3 + 2] == 0.0
 
     def test_coarse_weight_block_is_last(self):
-        d = np.array([-0.5, 0.0, 0.5, -1.0, 0.2, 0.2, 0.2])
-        p = penalty_terms(d, self.dims, legendre().domain, self.config)
+        p = self._penalties([-0.5, 0.0, 0.5, -1.0, 0.2, 0.2, 0.2])
         assert p[6] == (1.0 + 1e-6) ** 2
         assert np.all(p[:6] == 0.0)
 
     def test_feasible_point_is_all_zero(self):
-        d = np.array([-0.5, 0.0, 0.5, 0.5, 0.2, 0.2, 0.2])
-        p = penalty_terms(d, self.dims, legendre().domain, self.config)
+        p = self._penalties([-0.5, 0.0, 0.5, 0.5, 0.2, 0.2, 0.2])
         assert np.all(p == 0.0)
 
     def test_unbounded_domain_has_no_node_penalty(self):
-        d = np.array([-50.0, 0.0, 50.0, 0.5, 0.2, 0.2, 0.2])
-        p = penalty_terms(d, self.dims, generalized_hermite(0.0).domain,
-                          self.config)
+        p = self._penalties([-50.0, 0.0, 50.0, 0.5, 0.2, 0.2, 0.2],
+                            generalized_hermite(0.0))
         assert np.all(p[:3] == 0.0)
 
     def test_half_line_penalizes_below_only(self):
-        d = np.array([-0.5, 1.0, 1e9, 0.5, 0.2, 0.2, 0.2])
-        p = penalty_terms(d, self.dims, generalized_laguerre(0.0).domain,
-                          self.config)
+        p = self._penalties([-0.5, 1.0, 1e9, 0.5, 0.2, 0.2, 0.2],
+                            generalized_laguerre(0.0))
         assert p[0] == 0.25 and p[1] == 0.0 and p[2] == 0.0
 
     def test_allow_negative_disables_weight_floor(self):
         config = OptimizerConfig(allow_negative_weights=True)
-        d = np.array([-0.5, 0.0, 0.5, -1.0, 0.2, -0.5, 0.2])
-        p = penalty_terms(d, self.dims, legendre().domain, config)
+        p = self._penalties([-0.5, 0.0, 0.5, -1.0, 0.2, -0.5, 0.2],
+                            config=config)
         assert np.all(p == 0.0)
 
 
@@ -227,11 +198,9 @@ class TestPenaltyCoefficient:
             penalty_coefficient(math.nan, OptimizerConfig())
 
 
-def _fd_jacobian(d, table, dims, c_k, config, h=1e-7):
+def _fd_jacobian(problem, d, c_k, h=1e-7):
     def augmented(v):
-        r = assemble_residual(v, table, dims)
-        p = penalty_terms(v, dims, table.family.domain, config)
-        return np.concatenate([r, c_k * p])
+        return np.concatenate([residual(problem, v), c_k * problem.penalties(v)])
 
     cols = []
     for j in range(d.size):
@@ -241,13 +210,18 @@ def _fd_jacobian(d, table, dims, c_k, config, h=1e-7):
     return np.stack(cols, axis=1)
 
 
+def jacobian(problem, d, c_k):
+    return problem.jacobian(d, problem.evaluate(d), c_k)
+
+
 class TestAssembleJacobian:
     def test_shape(self):
-        table = table_for(legendre(), 8)
-        dims = ProblemDims(1, 3, 1, 3, (1,))
+        problem = _pair_problem(1, table_for(legendre(), 8), 3,
+                                OptimizerConfig())
         d = np.array([-0.5, 0.1, 0.5, 1.0, 0.4, 0.3, 0.3])
-        J = assemble_jacobian(d, table, dims, 1e3, OptimizerConfig())
-        assert J.shape == (dims.n_moments + dims.n_penalties, dims.n_unknowns)
+        J = jacobian(problem, d, 1e3)
+        # (1 + 3 + 2 moments + 2 n_2 + n_1 penalties, n_1 + 2 n_2 unknowns)
+        assert J.shape == (6 + 7, 7)
 
     @pytest.mark.parametrize("family", [
         legendre(),
@@ -258,9 +232,8 @@ class TestAssembleJacobian:
     ], ids=lambda f: f.kind)
     def test_matches_finite_differences(self, family):
         rng = np.random.default_rng(42)
-        table = table_for(family, 12)
-        config = OptimizerConfig.defaults_for(family)
-        dims = ProblemDims(2, 5, 3, 7, (1, 3))
+        problem = _pair_problem(2, table_for(family, 12), 7,
+                                OptimizerConfig.defaults_for(family))
         dom = family.domain
         lo = dom.lo if dom.bounded_below else -3.0
         hi = dom.hi if dom.bounded_above else 3.0
@@ -271,16 +244,14 @@ class TestAssembleJacobian:
             w2 = rng.uniform(1e-3, 0.8, size=5)
             d = np.concatenate([x2, w1, w2])
             c_k = 10.0 ** rng.uniform(0, 4)
-            J = assemble_jacobian(d, table, dims, c_k, config)
-            J_fd = _fd_jacobian(d, table, dims, c_k, config)
+            J = jacobian(problem, d, c_k)
+            J_fd = _fd_jacobian(problem, d, c_k)
             err = np.max(np.abs(J - J_fd)) / max(1.0, np.max(np.abs(J)))
             assert err <= 1e-6
 
     def test_finite_differences_with_active_penalties(self):
-        family = legendre()
-        table = table_for(family, 12)
-        config = OptimizerConfig()
-        dims = ProblemDims(2, 5, 3, 7, (1, 3))
+        problem = _pair_problem(2, table_for(legendre(), 12), 7,
+                                OptimizerConfig())
         rng = np.random.default_rng(7)
         for _ in range(10):
             x2 = np.sort(rng.uniform(-0.9, 0.9, size=5))
@@ -290,22 +261,22 @@ class TestAssembleJacobian:
             w2[0] = -rng.uniform(0.01, 0.2)  # below the floor
             d = np.concatenate([x2, w1, w2])
             c_k = 1e3
-            J = assemble_jacobian(d, table, dims, c_k, config)
-            J_fd = _fd_jacobian(d, table, dims, c_k, config)
+            J = jacobian(problem, d, c_k)
+            J_fd = _fd_jacobian(problem, d, c_k)
             err = np.max(np.abs(J - J_fd)) / max(1.0, np.max(np.abs(J)))
             assert err <= 1e-6
 
     def test_coarse_rows_accumulate_through_subset(self):
         # moving a non-shared fine node must not touch coarse rows
-        table = table_for(legendre(), 8)
-        dims = ProblemDims(1, 3, 1, 3, (1,))
+        problem = _pair_problem(1, table_for(legendre(), 8), 3,
+                                OptimizerConfig())
         d = np.array([-0.5, 0.1, 0.5, 1.0, 0.4, 0.3, 0.3])
-        J = assemble_jacobian(d, table, dims, 1e3, OptimizerConfig())
-        coarse_rows = J[:dims.alpha1 + 1]
+        J = jacobian(problem, d, 1e3)
+        coarse_rows = J[:1 + 1]  # alpha1 = 1
         assert np.all(coarse_rows[:, 0] == 0.0)  # x2[0] not in subset
         assert np.any(coarse_rows[:, 1] != 0.0)  # x2[1] shared
-        # fine weight columns never feed coarse rows
-        assert np.all(coarse_rows[:, dims.n2 + dims.n1:] == 0.0)
+        # fine weight columns (after x_2 and w_1) never feed coarse rows
+        assert np.all(coarse_rows[:, 3 + 1:] == 0.0)
 
 
 KERNEL_FAMILIES = [legendre(), jacobi(0.0, 0.3), generalized_hermite(1.0),
@@ -343,21 +314,20 @@ class TestMomentKernel:
         rng = np.random.default_rng(5)
         table = table_for(family, 30)
         config = OptimizerConfig.defaults_for(family)
-        d0, dims = initialize(3, table)
-        feasible, active = _kernel_points(d0, dims.n2, dims.n2,
-                                          family.domain, rng)
+        problem = _pair_problem(3, table, 11, config)
+        dims = types.SimpleNamespace(n1=3, n2=7, alpha1=5, alpha2=11,
+                                     subset_map=(1, 3, 5))
+        d0 = problem.fresh_start()
+        feasible, active = _kernel_points(d0, 7, 7, family.domain, rng)
         for d in (d0, feasible, active):
             c_k = 10.0 ** rng.uniform(0, 8)
             r, p, J = reference_pair(eval_orthonormal, d, table, dims, c_k,
                                      config)
             assert np.any(p != 0.0) == (d is active)
-            self._same(assemble_residual(d, table, dims), r)
-            self._same(penalty_terms(d, dims, family.domain, config), p)
-            self._same(assemble_jacobian(d, table, dims, c_k, config), J)
-            # the search's path: one evaluation with derivatives feeds both
-            problem = _pair_problem(dims, family.domain, config, table)
+            # one evaluation with derivatives feeds residual and Jacobian
             ev = problem.evaluate(d)
             self._same(problem.residual(d, ev), r)
+            self._same(problem.penalties(d), p)
             self._same(problem.jacobian(d, ev, c_k), J)
 
     @pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=lambda f: f.kind)
@@ -366,8 +336,8 @@ class TestMomentKernel:
         table = table_for(family, 30)
         config = OptimizerConfig.defaults_for(family)
         base = gauss_rule(table, 3)
-        problem = _MomentProblem(7, [(range(7), 11)], family.domain, config,
-                                 table, frozen=base.nodes)
+        problem = _MomentProblem(7, [(range(7), 11)], config, table,
+                                 frozen=base.nodes)
         d0 = problem.fresh_start()
         np.testing.assert_array_equal(d0[4:7], base.nodes)
         feasible, active = _kernel_points(d0, 7, 4, family.domain, rng)
@@ -385,8 +355,8 @@ class TestMomentKernel:
         table = table_for(legendre(), 30)
         # a frozen node just past the bound, within the snap tolerance
         frozen = np.array([-0.5, 0.0, 1.0 + 5e-10])
-        problem = _MomentProblem(7, [(range(7), 5)], legendre().domain,
-                                 OptimizerConfig(), table, frozen=frozen)
+        problem = _MomentProblem(7, [(range(7), 5)], OptimizerConfig(), table,
+                                 frozen=frozen)
         d = problem.fresh_start()
         d[0] = -1.0 - 4e-10
         ((rule, subset),) = problem.certify(d)
@@ -398,9 +368,7 @@ class TestMomentKernel:
 
     def test_certify_rejects_large_violation(self):
         table = table_for(legendre(), 30)
-        dims = ProblemDims(1, 3, 1, 5, (1,))
-        problem = _pair_problem(dims, legendre().domain, OptimizerConfig(),
-                                table)
+        problem = _pair_problem(1, table, 5, OptimizerConfig())
         d = np.array([-0.5, 0.0, 0.5, 1.0, 0.3, -1e-3, 0.7])
         with pytest.raises(FeasibilityError, match="below the floor"):
             problem.certify(d)
@@ -418,8 +386,8 @@ class TestSolveDegree:
     @staticmethod
     def _problem(n1, alpha2, config):
         table = table_for(legendre(), 2 * alpha2)
-        d0, dims = initialize(n1, table, alpha2)
-        return _pair_problem(dims, legendre().domain, config, table), d0
+        problem = _pair_problem(n1, table, alpha2, config)
+        return problem, problem.fresh_start()
 
     def test_certified_at_published_kronrod_root(self):
         problem, _ = self._problem(7, 23, OptimizerConfig())
@@ -448,6 +416,21 @@ class TestSolveDegree:
         assert outcome == "stall"
         assert 0 < state.iteration <= 300
         assert state.best_residual > config.epsilon
+
+    def test_decrement_stall_ends_the_degree(self):
+        # the Newton decrement collapses while the residual stays large;
+        # the degree ends after _STALL_RUN such steps, long before the
+        # plateau test or the per-degree budget could end it
+        config = OptimizerConfig(max_iterations=1000)
+        problem, d0 = self._problem(1, 6, config)
+        state = OptimizerState()
+        log = _DiagnosticsLog(None)
+        _, outcome = _solve_degree(problem, d0, config, state, log)
+        assert outcome == "stall"
+        assert _STALL_RUN <= state.iteration < _PLATEAU_RUN
+        decrements = [float(row.split(",")[2]) for row in log.lines[1:]]
+        assert max(decrements[-_STALL_RUN:]) < config.epsilon
+        assert state.best_residual > 100.0 * config.epsilon
 
     def test_spent_budget_raises(self):
         config = OptimizerConfig(max_iterations=1)
@@ -482,11 +465,16 @@ class TestSelectLambda:
         assert select_lambda([1e-10, 1.0, 0.8, 0.9, 1e-9]) == 1e-9
 
 
+def svd_step(J, r, lam, near_root=False):
+    u, s, vt = np.linalg.svd(J, full_matrices=False)
+    return _step_from_svd(u, s, vt, r, lam, near_root)
+
+
 class TestTikhonovStep:
     def test_diagonal_filter_values(self):
         J = np.diag([1.0, 1e-8])
         r = np.array([1.0, 1.0])
-        step = tikhonov_step(J, r, 1e-4)
+        step = svd_step(J, r, 1e-4)
         # sigma/(sigma^2 + lambda^2) against each component
         expected = np.array([1.0 / (1.0 + 1e-8), 1e-8 / (1e-16 + 1e-8)])
         np.testing.assert_allclose(step, expected, rtol=1e-15)
@@ -494,7 +482,7 @@ class TestTikhonovStep:
     def test_near_root_shifted_form(self):
         J = np.diag([1.0, 1e-8])
         r = np.array([1e-9, 1e-9])
-        step = tikhonov_step(J, r, 1e-4, near_root=True)
+        step = svd_step(J, r, 1e-4, near_root=True)
         expected = np.array([1e-9 / (1.0 + 1e-4), 1e-9 / (1e-8 + 1e-4)])
         np.testing.assert_allclose(step, expected, rtol=1e-15)
 
@@ -502,22 +490,13 @@ class TestTikhonovStep:
         rng = np.random.default_rng(3)
         J = rng.normal(size=(6, 3))
         z = rng.normal(size=3)
-        step = tikhonov_step(J, J @ z, 0.0)
+        step = svd_step(J, J @ z, 0.0)
         np.testing.assert_allclose(step, z, rtol=1e-10)
 
     def test_exact_zero_directions_are_dropped(self):
         J = np.diag([1.0, 0.0])
-        step = tikhonov_step(J, np.array([1.0, 1.0]), 0.0)
+        step = svd_step(J, np.array([1.0, 1.0]), 0.0)
         np.testing.assert_allclose(step, [1.0, 0.0], atol=1e-15)
-
-    def test_rejects_negative_lambda(self):
-        with pytest.raises(ParameterError):
-            tikhonov_step(np.eye(2), np.ones(2), -1.0)
-
-    def test_nan_jacobian_raises(self):
-        J = np.full((2, 2), np.nan)
-        with pytest.raises(NumericalError):
-            tikhonov_step(J, np.ones(2), 1e-4)
 
 
 class TestNewtonDecrement:
@@ -536,22 +515,27 @@ class TestNewtonDecrement:
 
 
 class TestInitialize:
+    """The pair layout's fresh start: interlaced Gauss nodes, uniform
+    weights per block."""
+
     def test_legendre_interlaced(self):
         table = table_for(legendre(), 12)
-        d, dims = initialize(2, table)
-        assert dims == ProblemDims(2, 5, 3, 8, (1, 3))
+        problem = _pair_problem(2, table, 8, OptimizerConfig())
+        assert problem.n == 5 and problem.degrees == [3, 8]
+        np.testing.assert_array_equal(problem.idx[0], [1, 3])
+        d = problem.fresh_start()
         np.testing.assert_array_equal(d[:5], gauss_rule(table, 5).nodes)
         np.testing.assert_array_equal(d[5:7], [0.5, 0.5])
         np.testing.assert_array_equal(d[7:], [0.2] * 5)
 
     def test_single_coarse_node_is_center(self):
-        table = table_for(legendre(), 8)
-        _, dims = initialize(1, table)
-        assert dims.subset_map == (1,)
+        problem = _pair_problem(1, table_for(legendre(), 8), 5,
+                                OptimizerConfig())
+        np.testing.assert_array_equal(problem.idx[0], [1])
 
     def test_unbounded_nodes_are_shrunk(self):
         table = table_for(generalized_hermite(0.0), 16)
-        d, dims = initialize(3, table, 11)
+        d = _pair_problem(3, table, 11, OptimizerConfig()).fresh_start()
         full = gauss_rule(table, 7).nodes
         ratio = np.max(np.abs(gauss_rule(table, 6).nodes)) / np.max(np.abs(full))
         assert ratio < 1.0
@@ -564,13 +548,13 @@ class TestInitialize:
 
     def test_bounded_nodes_are_not_shrunk(self):
         table = table_for(legendre(), 16)
-        d, _ = initialize(3, table, 11)
+        d = _pair_problem(3, table, 11, OptimizerConfig()).fresh_start()
         np.testing.assert_array_equal(d[:7], gauss_rule(table, 7).nodes)
 
     def test_rejects_bad_n1(self):
         table = table_for(legendre(), 8)
         with pytest.raises(ParameterError):
-            initialize(0, table)
+            _pair_problem(0, table, 5, OptimizerConfig())
 
 
 class TestPruneNegligible:

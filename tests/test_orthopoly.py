@@ -124,7 +124,7 @@ class TestEvalOrthonormal:
         for _, _, family in FAMILIES:
             table = op.recurrence_coefficients(family, 60)
             rule = gauss_rule(table, 45)
-            V = op.vandermonde(table, 20, rule.nodes)
+            V = op.eval_orthonormal(table, 20, rule.nodes).values
             G = (V * rule.weights) @ V.T
             assert np.max(np.abs(G - np.eye(21))) < 1e-12
 
@@ -165,9 +165,9 @@ class TestEvalOrthonormal:
         with pytest.raises(CapacityError):
             op.eval_orthonormal(table, 5, [0.0])
 
-    def test_vandermonde_shape_and_finite_at_endpoints(self):
+    def test_values_shape_and_finite_at_endpoints(self):
         table = op.recurrence_coefficients(op.chebyshev1(), 8)
-        V = op.vandermonde(table, 8, [-1.0, 0.0, 1.0])
+        V = op.eval_orthonormal(table, 8, [-1.0, 0.0, 1.0]).values
         assert V.shape == (9, 3)
         assert np.all(np.isfinite(V))
 

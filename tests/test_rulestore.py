@@ -63,6 +63,14 @@ class TestRoundTrip:
         assert back.provenance == record.provenance
         assert back.key == record.key
 
+    def test_gauss_rule_from_short_table(self, tmp_path):
+        # capacity 5 holds the 5-point rule but not its degree-9 certificate
+        rule = gauss_rule(recurrence_coefficients(legendre(), 5), 5)
+        assert rule.residual_norm > 0.0
+        path = tmp_path / "gauss5.json"
+        save(make_rule_record(rule), path)
+        assert load(path).payload.residual_norm == rule.residual_norm
+
     def test_pair_bit_exact(self, leg_pair, tmp_path):
         pair, state = leg_pair
         record = make_pair_record(pair, iterations=state.iteration)
