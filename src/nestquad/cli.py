@@ -59,7 +59,7 @@ from .rulestore import (
     save,
     write_rule_csv,
 )
-from .rulestore import _read_document, _rule_parts  # shared record codec
+from .rulestore import _MALFORMED, _read_document, _rule_parts  # shared codec
 from .sparse_grid import (
     UnivariateLevelFamily,
     gauss_levels,
@@ -297,7 +297,7 @@ def cmd_verify(args) -> int:
     doc, family = _read_document(args.input)
     try:
         parts, _ = _rule_parts(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SchemaError(f"{args.input}: malformed record ({exc})") from exc
 
     ok = True
@@ -494,7 +494,7 @@ def cmd_integrate(args) -> int:
             family_ref = str(doc["family_ref"])
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{args.grid}: not valid JSON ({exc})") from exc
-        except (KeyError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise SchemaError(f"{args.grid}: malformed grid ({exc})") from exc
         f, truth = _resolve_function(fn_name, args.params, d)
         estimate = _weighted_sum(nodes, weights, f)

@@ -26,7 +26,14 @@ Node bounds and a small positive weight floor are enforced by quadratic
 penalties scaled with a coefficient c_k that grows as the residual shrinks;
 the augmented system [R; c_k P] is driven to zero by undamped Gauss-Newton
 steps regularized through a truncated-SVD Tikhonov filter whose parameter is
-re-selected periodically from the singular spectrum.  The last block's
+re-selected periodically from the singular spectrum.  The SVD, the step
+and the Newton decrement see only the moment rows and the penalty rows
+whose violation is nonzero.  A penalty row with zero violation is zero
+in both the Jacobian and the residual, so in exact arithmetic dropping it
+changes neither the nonzero singular values, V and U^T R nor the step;
+only rounding differs.  At a feasible iterate that is about half the
+rows.  The residual norm, c_k and the stopping tests still read the
+whole vector.  The last block's
 degree is searched from an optimistic start downward.  A degree started
 warm, from the iterate the degree above it left behind, that fails gets one
 restart from the interlaced initial guess; a degree that fails from that
@@ -39,6 +46,7 @@ degree.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -275,6 +283,19 @@ class _MomentProblem:
             return node, np.zeros_like(w)
         return node, np.maximum(0.0, self.config.weight_floor - w)
 
+    def active_rows(self, d) -> np.ndarray:
+        """Rows of [R; c_k P] that enter the SVD: every moment row, and each
+        penalty row whose violation is nonzero.
+
+        A penalty row with zero violation is zero in the Jacobian and in
+        the residual, so leaving it out changes neither the step nor the
+        Newton decrement.  Moment rows stay even where their residual is
+        exactly zero, because their Jacobian rows are not.
+        """
+        n_moments = sum(alpha + 1 for alpha in self.degrees)
+        violated = np.flatnonzero(np.concatenate(self.violations(d)))
+        return np.concatenate([np.arange(n_moments), n_moments + violated])
+
     def penalties(self, d) -> np.ndarray:
         node, weight = self.violations(d)
         return np.concatenate([node * node, weight * weight])
@@ -360,7 +381,7 @@ def _pair_problem(n1: int, table: RecurrenceTable, alpha2: int,
     if n1 < 1:
         raise ParameterError("n1 must be at least 1")
     n2 = 2 * n1 + 1
-    table.require(max(alpha2, 2 * n2 - 1))
+    table.require(alpha2)
     blocks = [(range(1, 2 * n1, 2), 2 * n1 - 1), (range(n2), alpha2)]
     return _MomentProblem(n2, blocks, config, table)
 
@@ -392,14 +413,24 @@ def select_lambda(singular_values) -> float:
         raise NumericalError("degenerate singular spectrum")
     logs = np.log(np.maximum(s, s[0] * 1e-250))
     curv = logs[:-2] - 2.0 * logs[1:-1] + logs[2:]
-    spikes = np.maximum(curv, 0.0)
+    spikes = np.maximum(curv, 0.0).tolist()
+    # one backward pass keeps the trailing spikes sorted for their median;
+    # ">=" lets the lowest index win among equal largest spikes
     best = -1
-    for i in range(spikes.size):
-        trailing = spikes[i + 1:]
-        med = float(np.median(trailing)) if trailing.size else 0.0
-        if spikes[i] >= 3.0 and spikes[i] > 5.0 * med:
-            if best < 0 or spikes[i] > spikes[best]:
+    trailing = []
+    for i in range(len(spikes) - 1, -1, -1):
+        k = len(trailing)
+        if k == 0:
+            med = 0.0
+        elif k % 2:
+            med = trailing[k // 2]
+        else:
+            med = (trailing[k // 2 - 1] + trailing[k // 2]) / 2.0
+        spike = spikes[i]
+        if spike >= 3.0 and spike > 5.0 * med:
+            if best < 0 or spike >= spikes[best]:
                 best = i
+        bisect.insort(trailing, spike)
     if best >= 0:
         return float(s[best + 1])
     return float(s[0] * 1e-10)
@@ -504,7 +535,9 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
                 or level_iter >= config.max_iterations):
             return d, "stall"
 
-        J = problem.jacobian(d, ev, c)
+        rows = problem.active_rows(d)
+        J = problem.jacobian(d, ev, c)[rows]
+        r_active = rt[rows]
         try:
             u, s, vt = np.linalg.svd(J, full_matrices=False)
         except np.linalg.LinAlgError as exc:
@@ -512,8 +545,9 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
         if level_iter % _LAMBDA_PERIOD == 0:
             lam = select_lambda(s)
         lam_eff = max(lam, _LM_FLOOR * rnorm)
-        step = _step_from_svd(u, s, vt, rt, lam_eff, near_root=rnorm < _NEAR_ROOT)
-        eta = newton_decrement(step, J, rt)
+        step = _step_from_svd(u, s, vt, r_active, lam_eff,
+                              near_root=rnorm < _NEAR_ROOT)
+        eta = newton_decrement(step, J, r_active)
         d = d - problem.expand_step(step)
 
         state.iteration += 1

@@ -57,6 +57,9 @@ _PAIR_MODES = ("kronrod",)
 # rebuilt recurrence table; reject only a clear order-of-magnitude breach.
 _VERIFY_FACTOR = 10.0
 _VERIFY_FLOOR = 1e-16
+# What decoding a malformed document raises; OverflowError comes from
+# int() of an infinite number, which JSON's "Infinity" token yields.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _package_version() -> str:
@@ -384,7 +387,7 @@ def _read_document(path):
             raise SchemaError(
                 f"{path}: mode {mode!r} invalid for kind {kind!r}")
         return doc, _family_from_json(doc["family"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SchemaError(f"{path}: malformed record ({exc})") from exc
 
 
@@ -411,13 +414,13 @@ def load(path, verify: bool = True) -> RuleRecord:
             timestamp=str(prov_doc["timestamp"]),
             iterations=int(prov_doc["iterations"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SchemaError(f"{path}: malformed record ({exc})") from exc
     try:
         payload = _parse_payload(doc, family)
     except SchemaError:
         raise
-    except (NestQuadError, KeyError, TypeError, ValueError) as exc:
+    except (NestQuadError, *_MALFORMED) as exc:
         raise IntegrityError(f"{path}: stored data is inconsistent "
                              f"({exc})") from exc
     record = RuleRecord(doc["kind"], family, doc["data"]["mode"], payload,

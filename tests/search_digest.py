@@ -6,9 +6,16 @@ searches that end in ConvergenceError, and prints one line per op: a
 sha256 of the node and weight bytes, the subset map, the certified
 degrees, the iteration and restart counts, and a sha256 of the ``--log``
 CSV (for an error, its message and best residual instead of the rule).
-Two trees run the same search exactly when their outputs are equal:
+Each line ends with the op's per-degree runs, read from the CSV: one
+(alpha2, iterations) pair per stretch of consecutive iterations at one
+degree (a warm attempt and its fresh restart form one stretch), so a diff
+shows at which degrees the iterations moved.  Two trees run the same
+search exactly when their outputs are equal:
 
     PYTHONPATH=src python tests/search_digest.py > after.txt
+
+The script puts its own tree's ``src`` first on the path, so to digest an
+older tree, copy this file into that tree's ``tests`` and run it there.
 
 BLAS is pinned to one thread, because threaded reductions may round
 differently from run to run.  The full run takes about a minute.  pytest
@@ -40,12 +47,21 @@ def _csv_digest(path) -> str:
         return _sha(fh.read())
 
 
+def _degree_runs(path) -> list:
+    """(alpha2, iterations) per stretch of consecutive CSV rows at one
+    degree; alpha2 is the last column."""
+    with open(path, encoding="utf-8") as fh:
+        degrees = [int(row.rsplit(",", 1)[1]) for row in fh.read().split()[1:]]
+    return [(alpha2, len(list(group)))
+            for alpha2, group in itertools.groupby(degrees)]
+
+
 def _line(name, rules, subset, state, log_path) -> str:
     arrays = b"".join(r.nodes.tobytes() + r.weights.tobytes() for r in rules)
     degrees = tuple(r.exactness_degree for r in rules)
     return (f"{name}: nodes {_sha(arrays)} subset {subset} degrees {degrees} "
             f"iterations {state.iteration} restarts {state.restarts} "
-            f"csv {_csv_digest(log_path)}")
+            f"csv {_csv_digest(log_path)} runs {_degree_runs(log_path)}")
 
 
 def _chain(family, steps, log):
@@ -72,7 +88,8 @@ def _failure(name, config, log):
                             log_path=log)
     except ConvergenceError as exc:
         yield (f"{name}: ConvergenceError {exc} "
-               f"best_residual {exc.best_residual!r} csv {_csv_digest(log)}")
+               f"best_residual {exc.best_residual!r} csv {_csv_digest(log)} "
+               f"runs {_degree_runs(log)}")
     else:
         yield f"{name}: no error"
 

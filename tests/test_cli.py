@@ -160,6 +160,17 @@ class TestVerify:
         assert code == 3
         assert "subset_map" in stderr
 
+    def test_infinite_degree_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        run(capsys, "generate", "--family", "legendre", "--n1", "1",
+            "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["data"]["alpha1"] = math.inf  # written as JSON Infinity
+        path.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "verify", "--in", str(path))
+        assert code == 3
+        assert "malformed record" in stderr
+
     def test_circle_theorem_legendre(self, tmp_path, capsys):
         path = tmp_path / "g12.json"
         run(capsys, "gauss", "--family", "legendre", "--n", "12",
@@ -359,6 +370,16 @@ class TestIntegrate:
     def test_weight_count_mismatch_is_io_error(self, grid_path, capsys):
         doc = json.loads(grid_path.read_text())
         doc["weights"].pop()
+        grid_path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "integrate", "--grid",
+                                   str(grid_path), "--function", "constant")
+        assert code == 3
+        assert stdout == ""
+        assert "malformed grid" in stderr
+
+    def test_infinite_dimension_is_io_error(self, grid_path, capsys):
+        doc = json.loads(grid_path.read_text())
+        doc["d"] = math.inf
         grid_path.write_text(json.dumps(doc))
         code, stdout, stderr = run(capsys, "integrate", "--grid",
                                    str(grid_path), "--function", "constant")

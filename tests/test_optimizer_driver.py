@@ -71,6 +71,14 @@ class TestGenerateNested:
         np.testing.assert_allclose(pair.coarse.weights, ref_coarse_w,
                                    atol=1e-8)
 
+    def test_table_needs_only_the_start_degree(self):
+        # the search starts at 3 n1 + 2 = 11 and probes up to the table's
+        # capacity; degree 4 n1 + 1 = 13 is never needed
+        table = recurrence_coefficients(legendre(), 12)
+        pair, _ = generate_nested(3, table)
+        assert (pair.coarse.exactness_degree,
+                pair.fine.exactness_degree) == (5, 11)
+
     def test_embedding_is_bit_exact(self):
         table = table_for(legendre(), 16)
         pair, _ = generate_nested(3, table)

@@ -35,7 +35,7 @@ from nestquad.orthopoly import (
 )
 
 from oracles import eval_orthonormal_oracle, stieltjes_recurrence, family_moments
-from oracles import reference_extension, reference_pair
+from oracles import reference_extension, reference_pair, select_lambda_reference
 from refdata import gauss_kronrod_15
 
 
@@ -380,6 +380,87 @@ class TestMomentKernel:
             problem.certify(d)
 
 
+FD_FAMILIES = [legendre(), chebyshev1(), jacobi(0.0, 0.3),
+               generalized_hermite(0.0), generalized_laguerre(0.5)]
+
+
+class TestActiveRows:
+    """Only penalty rows that are zero in both J and the residual leave
+    the SVD; every moment row stays."""
+
+    def test_moment_row_with_exactly_zero_residual_stays(self):
+        # the coarse block's one node sits at 0, where p_1(0) = 0 exactly
+        problem = _pair_problem(1, table_for(legendre(), 8), 4,
+                                OptimizerConfig())
+        d = np.array([-0.5, 0.0, 0.5, 1.0, 0.6, 0.8, 0.6])
+        ev = problem.evaluate(d)
+        r = problem.residual(d, ev)
+        assert r[1] == 0.0
+        assert np.any(problem.jacobian(d, ev, 1e3)[1] != 0.0)
+        np.testing.assert_array_equal(problem.active_rows(d),
+                                      np.arange(2 + 5))
+
+    def test_keeps_exactly_the_violated_penalty_rows(self):
+        problem = _pair_problem(2, table_for(legendre(), 12), 7,
+                                OptimizerConfig())
+        # d = (x, coarse w, fine w): nodes 0 and 4 outside [-1, 1], fine
+        # weight 1 and coarse weight 0 below the floor; penalty rows are
+        # the nodes, then the fine and the coarse weights
+        d = np.array([-1.2, -0.5, 0.0, 0.5, 1.1,
+                      -0.3, 0.7,
+                      0.3, -0.1, 0.2, 0.4, 0.5])
+        n_moments = 4 + 8
+        violated = np.flatnonzero(problem.penalties(d))
+        np.testing.assert_array_equal(violated, [0, 4, 6, 10])
+        np.testing.assert_array_equal(
+            problem.active_rows(d),
+            np.concatenate([np.arange(n_moments), n_moments + violated]))
+
+    def test_dropped_rows_are_zero(self):
+        rng = np.random.default_rng(8)
+        for family in FD_FAMILIES:
+            problem = _pair_problem(2, table_for(family, 12), 7,
+                                    OptimizerConfig.defaults_for(family))
+            for d in _kernel_points(problem.fresh_start(), 5, 5,
+                                    family.domain, rng):
+                J = jacobian(problem, d, 1e3)
+                rt = np.concatenate([residual(problem, d),
+                                     1e3 * problem.penalties(d)])
+                dropped = np.setdiff1d(np.arange(J.shape[0]),
+                                       problem.active_rows(d))
+                assert np.all(J[dropped] == 0.0)
+                assert np.all(rt[dropped] == 0.0)
+
+    @pytest.mark.parametrize("family", FD_FAMILIES, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("near_root", [False, True])
+    # at degree 6 a feasible point keeps 11 rows for 12 unknowns, so the
+    # trimmed SVD has one singular value fewer than the full one
+    @pytest.mark.parametrize("alpha2", [6, 7])
+    def test_trimmed_step_matches_full_step(self, family, near_root, alpha2):
+        rng = np.random.default_rng(9)
+        problem = _pair_problem(2, table_for(family, 12), alpha2,
+                                OptimizerConfig.defaults_for(family))
+        for _ in range(5):
+            points = _kernel_points(problem.fresh_start(), 5, 5,
+                                    family.domain, rng)
+            for d, penalized in zip(points, (False, True)):
+                c_k = 10.0 ** rng.uniform(0, 4)
+                J = jacobian(problem, d, c_k)
+                rt = np.concatenate([residual(problem, d),
+                                     c_k * problem.penalties(d)])
+                rows = problem.active_rows(d)
+                assert (rows.size > 4 + alpha2 + 1) == penalized
+                u, s, vt = np.linalg.svd(J, full_matrices=False)
+                lam = 1e-3 * s[0]
+                full = _step_from_svd(u, s, vt, rt, lam, near_root)
+                trimmed = svd_step(J[rows], rt[rows], lam, near_root)
+                assert (np.linalg.norm(trimmed - full)
+                        <= 1e-10 * np.linalg.norm(full))
+                eta_full = newton_decrement(full, J, rt)
+                eta = newton_decrement(trimmed, J[rows], rt[rows])
+                assert eta == pytest.approx(eta_full, rel=1e-12)
+
+
 class TestSolveDegree:
     """One Gauss-Newton run at a fixed degree and its three outcomes."""
 
@@ -463,6 +544,38 @@ class TestSelectLambda:
 
     def test_accepts_unsorted_input(self):
         assert select_lambda([1e-10, 1.0, 0.8, 0.9, 1e-9]) == 1e-9
+
+    def test_equal_largest_spikes_pick_the_first(self):
+        # two identical three-e-fold drops: the cliff after the first wins
+        s = np.exp(-np.array([0.0, 0.0, 4.0, 4.0, 8.0, 8.0, 8.0]))
+        assert select_lambda(s) == s[2]
+
+    def test_matches_median_per_index_scan(self):
+        # log-spectra on a grid of halves, so that equal drops give
+        # bitwise equal spikes, with cliffs, plateaus and exact zeros
+        rng = np.random.default_rng(2024)
+        ties = 0
+        for trial in range(3000):
+            n = int(rng.integers(3, 40)) if trial % 100 else 502
+            steps = rng.choice([0.0, 0.5, 1.0, 1.5], size=n)
+            cliffs = rng.random(n) < 0.1
+            steps[cliffs] = rng.choice([4.0, 8.0, 20.0], size=cliffs.sum())
+            s = np.exp(-np.cumsum(steps))
+            if trial % 3 == 0:
+                s = (np.exp(-np.cumsum(rng.exponential(1.0, size=n)))
+                     * 10.0 ** rng.uniform(-3, 3))
+            if trial % 7 == 0:
+                s[-int(rng.integers(1, 3)):] = 0.0
+            rng.shuffle(s)
+            if not s.max() > 0.0:
+                continue
+            assert select_lambda(s) == select_lambda_reference(s)
+            ss = np.sort(s)[::-1]
+            logs = np.log(np.maximum(ss, ss[0] * 1e-250))
+            spikes = np.maximum(logs[:-2] - 2.0 * logs[1:-1] + logs[2:], 0.0)
+            ties += int(np.sum(spikes == spikes.max()) > 1
+                        and spikes.max() >= 3.0)
+        assert ties > 50
 
 
 def svd_step(J, r, lam, near_root=False):

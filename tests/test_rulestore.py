@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nestquad.errors import IntegrityError, ParameterError, SchemaError
 from nestquad.gauss import QuadratureRule, gauss_rule
@@ -262,6 +264,89 @@ class TestLoadValidation:
             load(path)
         with pytest.warns(UserWarning, match="skipping"):
             assert len(catalog_scan(tmp_path)) == 0
+
+
+def _key_paths(doc, prefix=()):
+    """Every key path of the nested dicts of a JSON document."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def pair_text(leg_pair, tmp_path_factory):
+    pair, _ = leg_pair
+    path = tmp_path_factory.mktemp("pristine") / "pair.json"
+    save(make_pair_record(pair, iterations=7), path)
+    return path.read_text()
+
+
+# integers stay small: load(verify=True) builds a recurrence table through
+# the stored degree, however large, before it can reject the record
+_WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 64), st.text(max_size=8),
+    st.lists(st.integers(-3, 8), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _garbled(draw, text):
+    """A saved pair record with one defect: a dropped key, a wrong type, a
+    non-finite number or an oversized list in one field, or a cut file."""
+    how = draw(st.sampled_from(["drop", "type", "nan", "oversize",
+                                "truncate"]))
+    if how == "truncate":
+        return text[:draw(st.integers(0, len(text) - 2))]
+    doc = json.loads(text)
+    *parents, key = draw(st.sampled_from(sorted(_key_paths(doc))))
+    holder = doc
+    for parent in parents:
+        holder = holder[parent]
+    if how == "drop":
+        del holder[key]
+    elif how == "type":
+        holder[key] = draw(_WRONG_TYPES)
+    elif how == "nan":
+        value = holder[key]
+        if isinstance(value, list) and value:
+            value[draw(st.integers(0, len(value) - 1))] = draw(_NON_FINITE)
+        else:
+            holder[key] = draw(_NON_FINITE)
+        return json.dumps(doc)
+    else:
+        value = holder[key]
+        extra = draw(st.lists(st.floats(-2.0, 2.0), min_size=1,
+                              max_size=40))
+        holder[key] = (value if isinstance(value, list) else []) + extra
+    return json.dumps(doc, allow_nan=False)
+
+
+class TestLoadFuzz:
+    """A garbled record fails with a documented error class, and a catalog
+    scan skips it with a warning instead of raising."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data(), verify=st.booleans())
+    def test_garbled_pair_record(self, pair_text, data, verify):
+        text = data.draw(_garbled(pair_text), label="record")
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "pair.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                load(path, verify=verify)
+            except (SchemaError, IntegrityError):
+                rejected = True
+            else:
+                rejected = False
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                catalog = catalog_scan(directory, verify=verify)
+        assert len(catalog) == (0 if rejected else 1)
+        skipped = [w for w in caught if "skipping" in str(w.message)]
+        assert len(skipped) == (1 if rejected else 0)
 
 
 class TestCatalog:
