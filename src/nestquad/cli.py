@@ -34,7 +34,6 @@ from .gauss import (
     QuadratureRule,
     circle_theorem_deviation,
     gauss_rule,
-    moment_residuals,
 )
 from .nested_optimizer import (
     OptimizerConfig,
@@ -59,16 +58,16 @@ from .rulestore import (
     save,
     write_rule_csv,
 )
-from .rulestore import _MALFORMED, _read_document, _rule_parts  # shared codec
+# the shared record codec and certificate check
+from .rulestore import _MALFORMED, _fresh_check, _read_document, _rule_parts
 from .sparse_grid import (
-    UnivariateLevelFamily,
     gauss_levels,
     grid_to_json_dict,
     nested_levels,
     smolyak_grid,
     write_grid_csv,
 )
-from .sparse_grid import _weighted_sum  # shared integrate loop
+from .sparse_grid import _chain_schedule, _weighted_sum
 
 __all__ = ["main"]
 
@@ -150,13 +149,26 @@ def _parse_n1_list(text: str) -> list:
     return values
 
 
+def _table(family: WeightFamily, n: int, *, search: bool,
+           alpha2_init: int | None = None):
+    """Recurrence table for building an n-node rule.
+
+    No n-node rule is exact for degree 2n (Gauss optimality).  A Gauss rule
+    needs the table through its degree 2n - 1.  A search also probes degree
+    2n, where it must fail, so its upward probe ends by failing, never by
+    running out of table; a larger start degree extends the table to it.
+    """
+    degree = 2 * n if search else 2 * n - 1
+    return recurrence_coefficients(family, max(degree, alpha2_init or 0))
+
+
 # ---------------------------------------------------------------- generate
 
 def _run_generation(task):
     """Worker for one n1; returns (n1, pair, iterations, error, seconds)."""
-    family, n1, overrides, log_path = task
-    config = OptimizerConfig.defaults_for(family, **overrides)
-    table = recurrence_coefficients(family, 4 * n1 + 10)
+    family, n1, config, log_path = task
+    table = _table(family, 2 * n1 + 1, search=True,
+                   alpha2_init=config.alpha2_initial)
     start = time.perf_counter()
     try:
         pair, state = generate_nested(n1, table, config, log_path=log_path)
@@ -194,8 +206,9 @@ def cmd_generate(args) -> int:
         overrides["alpha2_initial"] = args.alpha2_init
     if args.allow_negative_weights:
         overrides["allow_negative_weights"] = True
+    config = OptimizerConfig.defaults_for(family, **overrides)
     many = len(n1_list) > 1
-    tasks = [(family, n1, overrides, _derive_log_path(args.log, n1, many))
+    tasks = [(family, n1, config, _derive_log_path(args.log, n1, many))
              for n1 in n1_list]
 
     if many:
@@ -211,7 +224,6 @@ def cmd_generate(args) -> int:
             print(f"n1={n1} FAILED {error}", file=sys.stderr)
             failed = True
             continue
-        config = OptimizerConfig.defaults_for(family, **overrides)
         path = _out_path_for_pair(args.out, family, n1, many)
         if path is not None:
             save(make_pair_record(pair, config, iterations), path)
@@ -225,34 +237,45 @@ def cmd_generate(args) -> int:
 
 # ------------------------------------------------------------------ extend
 
+def _patterson_steps(rule, steps: int, config, prune: bool = False):
+    """Extend ``rule`` ``steps`` times, each extension seeding the next.
+
+    Yields (extension, iterations, pruned_from) as each step finishes;
+    ``pruned_from`` is the size before pruning, or None.
+    """
+    for _ in range(steps):
+        table = _table(rule.family, 2 * rule.n + 1, search=True)
+        rule, state = extend_patterson(rule, table, config)
+        pruned_from = None
+        if prune:
+            kept = prune_negligible(rule, table, config)
+            if kept.n != rule.n:
+                pruned_from, rule = rule.n, kept
+        yield rule, state.iteration, pruned_from
+
+
+def _save_extension(rule, config, iterations, directory):
+    save(make_rule_record(rule, mode="patterson", config=config,
+                          iterations=iterations),
+         os.path.join(directory, f"ext-{rule.family.kind}-n{rule.n}.json"))
+
+
 def cmd_extend(args) -> int:
+    if args.steps < 1:
+        raise UsageError("--steps must be at least 1")
     record = load(args.input)
     rule = record.payload.fine if record.kind == "pair" else record.payload
-    family = rule.family
-    config = OptimizerConfig.defaults_for(family)
-    out_dir = args.out
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    for _ in range(args.steps):
-        n_new = 2 * rule.n + 1
-        table = recurrence_coefficients(family, 4 * n_new + 8)
-        extended, state = extend_patterson(rule, table, config)
-        pruned_from = None
-        if args.prune:
-            kept = prune_negligible(extended, table, config)
-            if kept.n != extended.n:
-                pruned_from = extended.n
-                extended = kept
-        line = f"n2={extended.n} alpha2={extended.exactness_degree}"
+    config = OptimizerConfig.defaults_for(rule.family)
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+    for rule, iterations, pruned_from in _patterson_steps(
+            rule, args.steps, config, args.prune):
+        line = f"n2={rule.n} alpha2={rule.exactness_degree}"
         if pruned_from is not None:
             line += f" pruned_from={pruned_from}"
         print(line)
-        if out_dir is not None:
-            save(make_rule_record(extended, mode="patterson", config=config,
-                                  iterations=state.iteration),
-                 os.path.join(out_dir,
-                              f"ext-{family.kind}-n{extended.n}.json"))
-        rule = extended
+        if args.out is not None:
+            _save_extension(rule, config, iterations, args.out)
     return EXIT_OK
 
 
@@ -262,8 +285,7 @@ def cmd_gauss(args) -> int:
     family = _parse_family(args.family, args.params)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    table = recurrence_coefficients(family, 2 * args.n + 1)
-    rule = gauss_rule(table, args.n)
+    rule = gauss_rule(_table(family, args.n, search=False), args.n)
     if args.out is not None:
         save(make_rule_record(rule), args.out)
     print(f"n={rule.n} alpha={rule.exactness_degree} "
@@ -273,39 +295,33 @@ def cmd_gauss(args) -> int:
 
 # ------------------------------------------------------------------ verify
 
-def _verify_part(label, family, nodes, weights, alpha, stored) -> bool:
-    table = recurrence_coefficients(family, alpha)
-    residuals = moment_residuals(nodes, weights, table, alpha)
-    norm = float(np.linalg.norm(residuals))
-    allowed = 10.0 * (stored + 1e-16)
-    worst = int(np.argmax(np.abs(residuals)))
-    if label:
-        print(label)
-    print("  j  residual")
-    for j, r in enumerate(residuals):
-        flag = "  <- worst" if j == worst else ""
-        print(f"  {j:<3d}{r:+.3e}{flag}")
-    ok = norm <= allowed
-    print(f"  norm={norm:.3e} stored={stored:.3e} allowed={allowed:.3e} "
-          f"{'PASS' if ok else 'FAIL'}")
-    return ok
-
-
 def cmd_verify(args) -> int:
     # decode without building rule objects, so that a record whose weights
     # break the mass condition still gets its residual table and FAIL
     doc, family = _read_document(args.input)
     try:
         parts, _ = _rule_parts(doc)
+    except IntegrityError as exc:
+        raise IntegrityError(f"{args.input}: {exc}") from exc
     except _MALFORMED as exc:
         raise SchemaError(f"{args.input}: malformed record ({exc})") from exc
 
     ok = True
     labels = ("coarse", "fine") if len(parts) == 2 else ("",)
-    for label, (nodes, weights, alpha, stored) in zip(labels, parts):
-        if args.alpha is not None:
-            alpha = args.alpha
-        ok &= _verify_part(label, family, nodes, weights, alpha, stored)
+    checks = _fresh_check(family, parts, args.alpha)
+    for label, (*_, stored), (residuals, norm, allowed) in zip(
+            labels, parts, checks):
+        if label:
+            print(label)
+        print("  j  residual")
+        worst = int(np.argmax(np.abs(residuals)))
+        for j, r in enumerate(residuals):
+            flag = "  <- worst" if j == worst else ""
+            print(f"  {j:<3d}{r:+.3e}{flag}")
+        passed = norm <= allowed
+        ok &= passed
+        print(f"  norm={norm:.3e} stored={stored:.3e} allowed={allowed:.3e} "
+              f"{'PASS' if passed else 'FAIL'}")
 
     if args.circle_theorem:
         nodes, weights, alpha, stored = parts[-1]
@@ -321,9 +337,10 @@ def cmd_verify(args) -> int:
 def _nested_chain_from_catalog(catalog, family):
     """Telescoping chain of stored rules, smallest first.
 
-    Rules of the family (gauss seeds and patterson extensions) qualify if
-    each embeds bit-exactly in the next larger one; non-embedding sizes
-    are skipped.
+    A catalog may hold rules of the family that belong to no chain, such
+    as a Gauss rule of another size; this picks, smallest first, each rule
+    that embeds the last one picked bit-exactly and skips the others,
+    which ``nested_levels`` would reject.
     """
     rules = [entry.record.payload for entry in catalog.entries.values()
              if entry.record.kind == "rule"
@@ -339,33 +356,19 @@ def _nested_chain_from_catalog(catalog, family):
     return chain
 
 
-def _chain_entries_needed(k: int) -> int:
-    m = 1
-    covered = 0
-    while covered < k:
-        covered += m
-        m += 1
-    return m - 1
-
-
-def _autogen_chain(family, entries_needed, catalog_dir):
+def _autogen_chain(family, entries, catalog_dir):
+    """A Gauss seed and its extensions, ``entries`` rules in all; they are
+    saved to ``catalog_dir`` only once every step has succeeded."""
     config = OptimizerConfig.defaults_for(family)
-    table = recurrence_coefficients(family, 16)
-    chain = [gauss_rule(table, 1)]
-    while len(chain) < entries_needed:
-        n_new = 2 * chain[-1].n + 1
-        table = recurrence_coefficients(family, 4 * n_new + 8)
-        extended, _ = extend_patterson(chain[-1], table, config)
-        chain.append(extended)
+    seed = gauss_rule(_table(family, 1, search=False), 1)
+    steps = list(_patterson_steps(seed, entries - 1, config))
     if catalog_dir:
         os.makedirs(catalog_dir, exist_ok=True)
-        save(make_rule_record(chain[0]),
+        save(make_rule_record(seed),
              os.path.join(catalog_dir, f"gauss-{family.kind}-n1.json"))
-        for rule in chain[1:]:
-            save(make_rule_record(rule, mode="patterson", config=config),
-                 os.path.join(catalog_dir,
-                              f"ext-{family.kind}-n{rule.n}.json"))
-    return chain
+        for rule, iterations, _ in steps:
+            _save_extension(rule, config, iterations, catalog_dir)
+    return [seed] + [rule for rule, _, _ in steps]
 
 
 def cmd_sparse_grid(args) -> int:
@@ -373,10 +376,9 @@ def cmd_sparse_grid(args) -> int:
     if args.d < 1 or args.k < 1:
         raise UsageError("--d and --k must be at least 1")
     if args.schedule == "gauss":
-        table = recurrence_coefficients(family, 2 * args.k + 1)
-        levels = gauss_levels(table, args.k)
+        levels = gauss_levels(_table(family, args.k, search=False), args.k)
     else:
-        needed = _chain_entries_needed(args.k)
+        needed = _chain_schedule(args.k)[-1]
         if args.autogen:
             chain = _autogen_chain(family, needed, args.catalog)
         else:
@@ -408,20 +410,6 @@ def cmd_sparse_grid(args) -> int:
 
 # --------------------------------------------------------------- integrate
 
-def _legendre_factor(name, exps_or_coeffs):
-    """Per-dimension analytic factors under the uniform density on [-1,1]."""
-    if name == "monomial":
-        return [1.0 / (p + 1) if p % 2 == 0 else 0.0
-                for p in exps_or_coeffs]
-    if name == "product-exponential":
-        return [math.sinh(c) / c if c != 0.0 else 1.0
-                for c in exps_or_coeffs]
-    if name == "genz-oscillatory":
-        return [math.sin(c) / c if c != 0.0 else 1.0
-                for c in exps_or_coeffs]
-    raise AssertionError(name)
-
-
 def _resolve_function(name: str, params: str | None, d: int):
     """Return (f, truth) where truth is the analytic value for the uniform
     weight on [-1,1]^d, or inf when it exceeds the float range."""
@@ -439,16 +427,18 @@ def _resolve_function(name: str, params: str | None, d: int):
         if len(values) != d or any(v != int(v) or v < 0 for v in values):
             raise UsageError(
                 f"monomial needs {d} nonnegative integer exponents")
-        exps = np.array([int(v) for v in values], dtype=float)
-        truth = math.prod(_legendre_factor("monomial",
-                                           [int(v) for v in values]))
+        powers = [int(v) for v in values]
+        exps = np.array(powers, dtype=float)
+        truth = math.prod(1.0 / (p + 1) if p % 2 == 0 else 0.0
+                          for p in powers)
         return (lambda x: float(np.prod(np.asarray(x) ** exps))), truth
     if name == "product-exponential":
         if len(values) != d:
             raise UsageError(f"product-exponential needs {d} coefficients")
         coeffs = np.array(values)
         try:
-            truth = math.prod(_legendre_factor("product-exponential", values))
+            truth = math.prod(math.sinh(c) / c if c != 0.0 else 1.0
+                              for c in values)
         except OverflowError:  # sinh(c) / c beyond the float range
             truth = math.inf
 
@@ -464,9 +454,8 @@ def _resolve_function(name: str, params: str | None, d: int):
             raise UsageError(
                 f"genz-oscillatory needs u plus {d} coefficients")
         u, coeffs = values[0], np.array(values[1:])
-        truth = (math.cos(2.0 * math.pi * u)
-                 * math.prod(_legendre_factor("genz-oscillatory",
-                                              values[1:])))
+        truth = math.cos(2.0 * math.pi * u) * math.prod(
+            math.sin(c) / c if c != 0.0 else 1.0 for c in values[1:])
         return (lambda x: float(
             np.cos(2.0 * math.pi * u + coeffs @ np.asarray(x)))), truth
     raise UsageError(f"unknown function {name!r}")

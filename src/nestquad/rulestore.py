@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .gauss import QuadratureRule, verify_rule
+from .gauss import QuadratureRule, moment_residuals
 from .nested_optimizer import NestedRulePair, OptimizerConfig
 from .orthopoly import WeightFamily, recurrence_coefficients
 
@@ -303,15 +303,18 @@ def save(record: RuleRecord, path) -> None:
 
 
 def _rule_parts(doc: dict):
-    """Decode a record's data without checking it.
+    """Decode a record's data, checking only sizes and degrees.
 
     Returns one (nodes, weights, degree, stored residual norm) tuple per
     rule, coarse before fine, and the subset map of a pair (None for a
-    single rule).
+    single rule).  No n-node rule is exact beyond degree 2n - 1, so a
+    larger stored degree is rejected with IntegrityError before any
+    recurrence table is built for it.
     """
     data = doc["data"]
     nodes = np.array(data["nodes"], dtype=float)
     weights = np.array(data["weights"], dtype=float)
+    subset = None
     if doc["kind"] == "pair":
         n1 = int(data["n1"])
         n2 = int(data["n2"])
@@ -322,45 +325,40 @@ def _rule_parts(doc: dict):
             raise SchemaError(
                 f"subset_map must hold {n1} indices of the {n2} fine nodes")
         stacked = float(data["residual_norm"])
-        coarse = (nodes[list(subset)], weights[:n1], int(data["alpha1"]),
-                  float(data.get("residual_norm_coarse", stacked)))
-        fine = (nodes, weights[n1:], int(data["alpha2"]),
-                float(data.get("residual_norm_fine", stacked)))
-        return [coarse, fine], subset
-    if nodes.size != int(data["n2"]) or weights.size != nodes.size:
-        raise SchemaError("rule data sizes are inconsistent")
-    return [(nodes, weights, int(data["alpha2"]),
-             float(data["residual_norm"]))], None
-
-
-def _parse_payload(doc: dict, family: WeightFamily):
-    parts, subset = _rule_parts(doc)
-    relaxed = bool(doc["data"].get("weight_floor_relaxed", False))
-    rules = [QuadratureRule(family, nodes, weights, alpha, norm,
-                            weight_floor_relaxed=relaxed)
-             for nodes, weights, alpha, norm in parts]
-    if subset is None:
-        return rules[0]
-    return NestedRulePair(family, *rules, subset,
-                          float(doc["data"]["residual_norm"]))
-
-
-def _reverify(record: RuleRecord) -> None:
-    if record.kind == "pair":
-        pair = record.payload
-        parts = [pair.coarse, pair.fine]
-        capacity = pair.fine.exactness_degree
+        parts = [(nodes[list(subset)], weights[:n1], int(data["alpha1"]),
+                  float(data.get("residual_norm_coarse", stacked))),
+                 (nodes, weights[n1:], int(data["alpha2"]),
+                  float(data.get("residual_norm_fine", stacked)))]
     else:
-        parts = [record.payload]
-        capacity = record.payload.exactness_degree
-    table = recurrence_coefficients(record.family, capacity)
-    for rule in parts:
-        fresh = verify_rule(rule, table).norm
-        allowed = _VERIFY_FACTOR * (rule.residual_norm + _VERIFY_FLOOR)
-        if fresh > allowed:
+        if nodes.size != int(data["n2"]) or weights.size != nodes.size:
+            raise SchemaError("rule data sizes are inconsistent")
+        parts = [(nodes, weights, int(data["alpha2"]),
+                  float(data["residual_norm"]))]
+    for part_nodes, _, degree, _ in parts:
+        if not 0 <= degree <= 2 * part_nodes.size - 1:
             raise IntegrityError(
-                f"stored residual {rule.residual_norm:.3e} but fresh "
-                f"verification gives {fresh:.3e} (allowed {allowed:.3e})")
+                f"a {part_nodes.size}-node rule cannot be exact for degree "
+                f"{degree}; the bound is 0..{2 * part_nodes.size - 1}")
+    return parts, subset
+
+
+def _fresh_check(family: WeightFamily, parts, degree: int | None = None):
+    """Recompute the moment residuals of decoded rule parts.
+
+    ``parts`` are the (nodes, weights, degree, stored norm) tuples of
+    ``_rule_parts``; ``degree`` overrides their degrees.  Returns one
+    (residuals, norm, allowed) tuple per part.  A part passes when its
+    fresh norm is at most ``allowed``, its stored norm (plus a floor)
+    times a factor that absorbs rounding in the rebuilt table.
+    """
+    degrees = [part[2] if degree is None else degree for part in parts]
+    table = recurrence_coefficients(family, max(degrees))
+    checks = []
+    for (nodes, weights, _, stored), alpha in zip(parts, degrees):
+        residuals = moment_residuals(nodes, weights, table, alpha)
+        checks.append((residuals, float(np.linalg.norm(residuals)),
+                       _VERIFY_FACTOR * (stored + _VERIFY_FLOOR)))
+    return checks
 
 
 def _read_document(path):
@@ -394,8 +392,9 @@ def _read_document(path):
 def load(path, verify: bool = True) -> RuleRecord:
     """Parse a record file, rebuilding and (by default) re-verifying it.
 
-    Verification recomputes the moment residuals from scratch and rejects
-    the file when they exceed ten times the stored norm.
+    Verification (``_fresh_check``) recomputes the moment residuals from
+    scratch and rejects the file when they exceed ten times the stored
+    norm.
     """
     doc, family = _read_document(path)
     try:
@@ -417,7 +416,13 @@ def load(path, verify: bool = True) -> RuleRecord:
     except _MALFORMED as exc:
         raise SchemaError(f"{path}: malformed record ({exc})") from exc
     try:
-        payload = _parse_payload(doc, family)
+        parts, subset = _rule_parts(doc)
+        relaxed = bool(doc["data"].get("weight_floor_relaxed", False))
+        rules = [QuadratureRule(family, nodes, weights, alpha, norm,
+                                weight_floor_relaxed=relaxed)
+                 for nodes, weights, alpha, norm in parts]
+        payload = rules[0] if subset is None else NestedRulePair(
+            family, *rules, subset, float(doc["data"]["residual_norm"]))
     except SchemaError:
         raise
     except (NestQuadError, *_MALFORMED) as exc:
@@ -425,11 +430,12 @@ def load(path, verify: bool = True) -> RuleRecord:
                              f"({exc})") from exc
     record = RuleRecord(doc["kind"], family, doc["data"]["mode"], payload,
                         cert, prov, schema_version=doc["schema_version"])
-    if verify:
-        try:
-            _reverify(record)
-        except IntegrityError as exc:
-            raise IntegrityError(f"{path}: {exc}") from exc
+    checks = _fresh_check(family, parts) if verify else []
+    for (*_, stored), (_, fresh, allowed) in zip(parts, checks):
+        if fresh > allowed:
+            raise IntegrityError(
+                f"{path}: stored residual {stored:.3e} but fresh "
+                f"verification gives {fresh:.3e} (allowed {allowed:.3e})")
     return record
 
 

@@ -138,16 +138,19 @@ def nested_levels(chain, depth: int) -> UnivariateLevelFamily:
     if depth < 1:
         raise ParameterError("depth must be at least 1")
     chain = sorted(chain, key=lambda r: r.n)
-    levels = []
-    m = 1
-    while len(levels) < depth:
-        if m > len(chain):
-            raise CapacityError(
-                f"chain has {len(chain)} rules, level {len(levels) + 1} "
-                f"needs entry {m}")
-        levels.extend([chain[m - 1]] * m)
-        m += 1
-    return UnivariateLevelFamily(tuple(levels[:depth]), nested=True)
+    schedule = _chain_schedule(depth)
+    if schedule[-1] > len(chain):
+        raise CapacityError(f"chain has {len(chain)} rules, level {depth} "
+                            f"needs entry {schedule[-1]}")
+    return UnivariateLevelFamily(tuple(chain[m - 1] for m in schedule),
+                                 nested=True)
+
+
+def _chain_schedule(depth: int) -> list:
+    """Chain entry (counted from 1) serving each level 1..depth: entry m
+    serves the m levels m(m-1)/2 < i <= m(m+1)/2."""
+    entries = range(1, math.isqrt(2 * depth) + 2)
+    return [m for m in entries for _ in range(m)][:depth]
 
 
 def tensor_rule(rules):

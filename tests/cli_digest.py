@@ -1,0 +1,136 @@
+"""Digest of the command-line front end, for before/after comparisons.
+
+Runs a fixed list of calls through ``nestquad.cli.main`` in a temporary
+directory and prints one line per call: its arguments, its exit code and
+a sha256 of its stdout, with ``time=`` values masked.  Under each call it
+prints one line per file the call wrote or changed: the file's path, a
+sha256 of its bytes with ``provenance.timestamp`` and
+``provenance.iterations`` masked, and, for a record, its provenance
+iteration count in clear text.  Two trees behave the same at the CLI
+exactly when their outputs are equal:
+
+    PYTHONPATH=src python tests/cli_digest.py > after.txt
+
+The script puts its own tree's ``src`` first on the path, so to digest an
+older tree, copy this file into that tree's ``tests`` and run it there.
+
+BLAS is pinned to one thread, because threaded reductions may round
+differently from run to run.  The full run takes a few seconds.
+pytest does not collect this file.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import re  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+from nestquad import cli  # noqa: E402
+
+GRID_FUNCTIONS = [
+    ("constant", None),
+    ("monomial", "2,0,4"),
+    ("product-exponential", "0.3,0.2,0.1"),
+    ("genz-oscillatory", "0.1,0.3,0.2,0.1"),
+]
+
+CALLS = [
+    "generate --family legendre --n1 3 --out pair.json",
+    "generate --family legendre --n1 1,2 --out batch",
+    "generate --family jacobi --params 0,0.3 --n1 2 --log gen.csv",
+    "generate --family legendre --n1 3 --alpha2-init 12 --out pair12.json",
+    "gauss --family legendre --n 1 --out g1.json",
+    "gauss --family legendre --n 3 --out g3.json",
+    "extend --in g1.json --steps 3 --prune --out ext",
+    "verify --in pair.json",
+    "verify --in g3.json",
+    "verify --in g3.json --alpha 7",
+    "verify --in g3.json --circle-theorem",
+    "verify --in g3-perturbed.json",
+    "sparse-grid --family legendre --d 3 --k 4 --autogen --catalog cat "
+    "--out grid",
+    "sparse-grid --family legendre --d 3 --k 4 --catalog cat",
+    "sparse-grid --family legendre --d 4 --k 3 --schedule gauss "
+    "--out gauss-grid",
+    *[f"integrate --grid grid.json --function {name}"
+      + (f" --params {params}" if params else "")
+      for name, params in GRID_FUNCTIONS],
+    "integrate --rule pair.json --function product-exponential "
+    "--params 0.5",
+    "export --in pair.json --part coarse --out coarse.csv",
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _snapshot() -> dict:
+    files = {}
+    for root, _, names in os.walk("."):
+        for name in names:
+            path = os.path.relpath(os.path.join(root, name))
+            with open(path, "rb") as fh:
+                files[path] = fh.read()
+    return files
+
+
+def _file_line(path, data: bytes) -> str:
+    """sha256 with the timestamp and iteration count masked; the count
+    follows in clear text."""
+    text = data.decode("utf-8")
+    masked = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "*"', text)
+    masked = re.sub(r'"iterations": \d+', '"iterations": *', masked)
+    line = f"  {path} sha {_sha(masked.encode('utf-8'))}"
+    if path.endswith(".json") and '"provenance"' in text:
+        iterations = json.loads(text)["provenance"]["iterations"]
+        line += f" iterations {iterations}"
+    return line
+
+
+def _perturb(source, target):
+    """A copy of a rule record with its first weight moved by 1e-6."""
+    with open(source, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["data"]["weights"][0] += 1e-6
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def _run(call: str):
+    before = _snapshot()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(call.split())
+    stdout = re.sub(r"time=\S+", "time=*", out.getvalue())
+    yield f"{call}: exit {code} stdout {_sha(stdout.encode('utf-8'))}"
+    for path, data in sorted(_snapshot().items()):
+        if before.get(path) != data:
+            yield _file_line(path, data)
+
+
+def main() -> None:
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            for call in CALLS:
+                if call == "verify --in g3-perturbed.json":
+                    _perturb("g3.json", "g3-perturbed.json")
+                for line in _run(call):
+                    print(line, flush=True)
+        finally:
+            os.chdir(start)
+
+
+if __name__ == "__main__":
+    main()

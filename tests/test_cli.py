@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from nestquad import cli, rulestore
 from nestquad.cli import main
+from nestquad.errors import ConvergenceError
 from nestquad.rulestore import load
 
 
@@ -78,6 +80,12 @@ class TestGenerate:
         assert (out / "pair-legendre-n1.json").exists()
         assert (out / "pair-legendre-n2.json").exists()
 
+    def test_alpha2_init_sizes_the_table(self, capsys):
+        code, stdout, stderr = run(capsys, "generate", "--family", "legendre",
+                                   "--n1", "2", "--alpha2-init", "19")
+        assert (code, stderr) == (0, "")
+        assert stdout.startswith("n1=2 n2=5 alpha1=3 alpha2=")
+
     def test_diagnostics_log(self, tmp_path, capsys):
         log = tmp_path / "trace.csv"
         code, _, _ = run(capsys, "generate", "--family", "legendre",
@@ -105,6 +113,16 @@ class TestExtend:
                               "--steps", "1", "--prune")
         assert code == 0
         assert stdout.strip() == "n2=3 alpha2=5"
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_one_is_usage_error(self, seed_record, tmp_path,
+                                            capsys, steps):
+        out = tmp_path / "levels"
+        code, stdout, stderr = run(capsys, "extend", "--in", str(seed_record),
+                                   "--steps", steps, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert "--steps" in stderr
+        assert not out.exists()
 
     def test_corrupt_input_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -170,6 +188,37 @@ class TestVerify:
         code, _, stderr = run(capsys, "verify", "--in", str(path))
         assert code == 3
         assert "malformed record" in stderr
+
+    def test_degree_beyond_node_bound_is_io_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        path = tmp_path / "g3.json"
+        run(capsys, "gauss", "--family", "legendre", "--n", "3",
+            "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["data"]["alpha2"] = 200000
+        path.write_text(json.dumps(doc))
+        real = rulestore.recurrence_coefficients
+
+        def bounded(family, n_coeffs):
+            # a 3-node rule is exact through degree 5 at most
+            assert n_coeffs <= 5, f"table built through degree {n_coeffs}"
+            return real(family, n_coeffs)
+
+        for owner in (rulestore, cli):
+            monkeypatch.setattr(owner, "recurrence_coefficients", bounded)
+        code, stdout, stderr = run(capsys, "verify", "--in", str(path))
+        assert (code, stdout) == (3, "")
+        assert len(stderr.splitlines()) == 1
+        assert "200000" in stderr
+
+    def test_alpha_override_is_not_bounded(self, tmp_path, capsys):
+        path = tmp_path / "g3.json"
+        run(capsys, "gauss", "--family", "legendre", "--n", "3",
+            "--out", str(path))
+        code, stdout, _ = run(capsys, "verify", "--in", str(path),
+                              "--alpha", "9")
+        assert code == 5
+        assert re.search(r"^  9 ", stdout, re.MULTILINE)
 
     def test_circle_theorem_legendre(self, tmp_path, capsys):
         path = tmp_path / "g12.json"
@@ -239,6 +288,50 @@ class TestSparseGrid:
                               "--catalog", str(cat))
         assert code == 0
         assert first == second
+
+    def test_catalog_skips_rules_outside_the_chain(self, tmp_path, capsys):
+        cat = tmp_path / "cat"
+        grid = ("sparse-grid", "--family", "legendre", "--d", "3", "--k", "4",
+                "--schedule", "nested", "--catalog", str(cat))
+        code, stdout, _ = run(capsys, *grid, "--autogen")
+        assert (code, stdout.strip()) == (0, "39")
+        # the 2-point Gauss rule does not embed the 1-point one
+        run(capsys, "gauss", "--family", "legendre", "--n", "2",
+            "--out", str(cat / "gauss-legendre-n2.json"))
+        code, stdout, _ = run(capsys, *grid)
+        assert (code, stdout.strip()) == (0, "39")
+
+    def test_autogen_records_carry_iterations(self, tmp_path, capsys):
+        cat = tmp_path / "cat"
+        code, _, _ = run(capsys, "sparse-grid", "--family", "legendre",
+                         "--d", "2", "--k", "4", "--autogen",
+                         "--catalog", str(cat))
+        assert code == 0
+        assert load(cat / "gauss-legendre-n1.json").provenance.iterations == 0
+        for n in (3, 7):
+            record = load(cat / f"ext-legendre-n{n}.json")
+            assert record.mode == "patterson"
+            assert record.provenance.iterations > 0
+
+    def test_autogen_writes_nothing_when_a_step_fails(self, tmp_path, capsys,
+                                                       monkeypatch):
+        real = cli.extend_patterson
+        calls = []
+
+        def second_step_fails(rule, table, config):
+            calls.append(rule.n)
+            if len(calls) == 2:
+                raise ConvergenceError("no degree certified")
+            return real(rule, table, config)
+
+        monkeypatch.setattr(cli, "extend_patterson", second_step_fails)
+        cat = tmp_path / "cat"
+        code, _, stderr = run(capsys, "sparse-grid", "--family", "legendre",
+                              "--d", "2", "--k", "4", "--autogen",
+                              "--catalog", str(cat))
+        assert (code, calls) == (2, [1, 3])
+        assert "no degree certified" in stderr
+        assert not cat.exists()
 
     def test_env_var_default_catalog(self, tmp_path, capsys, monkeypatch):
         cat = tmp_path / "envcat"

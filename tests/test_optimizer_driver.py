@@ -1,5 +1,6 @@
 """Integration tests for nested-pair generation, extension, and folding."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -173,6 +174,49 @@ class TestGenerateNested:
             assert rule.residual_norm <= 1e-11
             assert verify_rule(rule, fresh).norm <= 10.0 * (
                 rule.residual_norm + 1e-16)
+
+    def test_perturbed_custom_pairs_certify_or_fail_by_name(self):
+        """Custom recurrences off the classical ones: b scaled by up to 5%
+        and a shifted by up to 0.01, each coefficient on its own, on the
+        Gershgorin interval of the Jacobi matrix."""
+        outcomes = collections.Counter()
+        bases = [legendre(), jacobi(0.0, 0.3), jacobi(1.0, -0.5),
+                 jacobi(-0.5, -0.5)]
+
+        @settings(max_examples=30, derandomize=True, deadline=None,
+                  database=None)
+        @given(base=st.sampled_from(bases), n1=st.integers(1, 8),
+               seed=st.integers(0, 2 ** 32 - 1))
+        def check(base, n1, seed):
+            rng = np.random.default_rng(seed)
+            capacity = 2 * (2 * n1 + 1)
+            classical = recurrence_coefficients(base, capacity)
+            a = classical.a + rng.uniform(-0.01, 0.01, capacity + 1)
+            b = classical.b * rng.uniform(0.95, 1.05, capacity + 1)
+            off = np.sqrt(b[1:])
+            radius = np.append(off, 0.0) + np.insert(off, 0, 0.0)
+            family = custom_family(a, b, (float(np.min(a - radius)),
+                                          float(np.max(a + radius))))
+            table = recurrence_coefficients(family, capacity)
+            try:
+                pair, _ = generate_nested(
+                    n1, table, OptimizerConfig(max_iterations=500))
+            except NestQuadError as exc:
+                assert type(exc) is not NestQuadError
+                outcomes[type(exc).__name__] += 1
+                return
+            outcomes["certified"] += 1
+            np.testing.assert_array_equal(
+                pair.fine.nodes[list(pair.subset_map)], pair.coarse.nodes)
+            fresh = recurrence_coefficients(family,
+                                            pair.fine.exactness_degree)
+            for rule in (pair.coarse, pair.fine):
+                assert np.all(rule.weights > 0.0)
+                assert verify_rule(rule, fresh).norm <= 10.0 * (
+                    rule.residual_norm + 1e-16)
+
+        check()
+        assert outcomes["certified"] >= 1, outcomes
 
 
 class TestDegreeSearch:

@@ -24,6 +24,7 @@ from nestquad.orthopoly import (
     legendre,
     recurrence_coefficients,
 )
+from nestquad import rulestore
 from nestquad.rulestore import (
     Catalog,
     RuleRecord,
@@ -235,6 +236,25 @@ class TestLoadValidation:
         self._rewrite(saved, mutate)
         with pytest.raises(IntegrityError, match="fresh"):
             load(saved)
+
+    @pytest.mark.parametrize("alpha2", [6, 200000])
+    def test_degree_beyond_node_bound(self, saved, monkeypatch, alpha2):
+        real = rulestore.recurrence_coefficients
+
+        def bounded(family, n_coeffs):
+            # a 3-node rule is exact through degree 5 at most
+            assert n_coeffs <= 5, f"table built through degree {n_coeffs}"
+            return real(family, n_coeffs)
+
+        monkeypatch.setattr(rulestore, "recurrence_coefficients", bounded)
+        self._rewrite(saved, lambda d: d["data"].update(alpha2=alpha2))
+        for verify in (True, False):
+            with pytest.raises(IntegrityError, match=f"degree {alpha2}"):
+                load(saved, verify=verify)
+        with pytest.warns(UserWarning) as caught:
+            assert len(catalog_scan(saved.parent, verify=True)) == 0
+        assert [str(w.message).split(":")[0] for w in caught] == [
+            f"skipping {saved}"]
 
     def test_no_verify_skips_recheck(self, saved):
         def mutate(doc):
