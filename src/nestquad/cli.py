@@ -67,7 +67,7 @@ from .sparse_grid import (
     smolyak_grid,
     write_grid_csv,
 )
-from .sparse_grid import _chain_schedule, _weighted_sum
+from .sparse_grid import _chain_schedule, _embedded, _weighted_sum
 
 __all__ = ["main"]
 
@@ -149,17 +149,15 @@ def _parse_n1_list(text: str) -> list:
     return values
 
 
-def _table(family: WeightFamily, n: int, *, search: bool,
-           alpha2_init: int | None = None):
+def _table(family: WeightFamily, n: int, *, search: bool):
     """Recurrence table for building an n-node rule.
 
     No n-node rule is exact for degree 2n (Gauss optimality).  A Gauss rule
-    needs the table through its degree 2n - 1.  A search also probes degree
-    2n, where it must fail, so its upward probe ends by failing, never by
-    running out of table; a larger start degree extends the table to it.
+    needs the table through its degree 2n - 1.  A search starts at degree
+    2n - 1 at most and also probes degree 2n, where it must fail, so its
+    upward probe ends by failing, never by running out of table.
     """
-    degree = 2 * n if search else 2 * n - 1
-    return recurrence_coefficients(family, max(degree, alpha2_init or 0))
+    return recurrence_coefficients(family, 2 * n if search else 2 * n - 1)
 
 
 # ---------------------------------------------------------------- generate
@@ -167,8 +165,7 @@ def _table(family: WeightFamily, n: int, *, search: bool,
 def _run_generation(task):
     """Worker for one n1; returns (n1, pair, iterations, error, seconds)."""
     family, n1, config, log_path = task
-    table = _table(family, 2 * n1 + 1, search=True,
-                   alpha2_init=config.alpha2_initial)
+    table = _table(family, 2 * n1 + 1, search=True)
     start = time.perf_counter()
     try:
         pair, state = generate_nested(n1, table, config, log_path=log_path)
@@ -206,7 +203,7 @@ def cmd_generate(args) -> int:
         overrides["alpha2_initial"] = args.alpha2_init
     if args.allow_negative_weights:
         overrides["allow_negative_weights"] = True
-    config = OptimizerConfig.defaults_for(family, **overrides)
+    config = OptimizerConfig(**overrides)
     many = len(n1_list) > 1
     tasks = [(family, n1, config, _derive_log_path(args.log, n1, many))
              for n1 in n1_list]
@@ -265,7 +262,7 @@ def cmd_extend(args) -> int:
         raise UsageError("--steps must be at least 1")
     record = load(args.input)
     rule = record.payload.fine if record.kind == "pair" else record.payload
-    config = OptimizerConfig.defaults_for(rule.family)
+    config = OptimizerConfig()
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     for rule, iterations, pruned_from in _patterson_steps(
@@ -348,10 +345,7 @@ def _nested_chain_from_catalog(catalog, family):
     rules.sort(key=lambda r: r.n)
     chain = []
     for rule in rules:
-        if not chain:
-            chain.append(rule)
-            continue
-        if set(chain[-1].nodes.tolist()) <= set(rule.nodes.tolist()):
+        if not chain or _embedded(chain[-1], rule):
             chain.append(rule)
     return chain
 
@@ -359,7 +353,7 @@ def _nested_chain_from_catalog(catalog, family):
 def _autogen_chain(family, entries, catalog_dir):
     """A Gauss seed and its extensions, ``entries`` rules in all; they are
     saved to ``catalog_dir`` only once every step has succeeded."""
-    config = OptimizerConfig.defaults_for(family)
+    config = OptimizerConfig()
     seed = gauss_rule(_table(family, 1, search=False), 1)
     steps = list(_patterson_steps(seed, entries - 1, config))
     if catalog_dir:

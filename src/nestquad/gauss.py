@@ -96,7 +96,10 @@ class MomentReport:
     """Per-degree orthonormal-moment residuals r_0..r_alpha and their norm."""
 
     residuals: np.ndarray
-    norm: float
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.residuals))
 
     @property
     def degree(self) -> int:
@@ -172,8 +175,8 @@ def verify_rule(rule: QuadratureRule, table: RecurrenceTable,
         degree = rule.exactness_degree
     if degree < 0:
         raise ParameterError("degree must be nonnegative")
-    r = moment_residuals(rule.nodes, rule.weights, table, degree)
-    return MomentReport(residuals=r, norm=float(np.linalg.norm(r)))
+    return MomentReport(moment_residuals(rule.nodes, rule.weights, table,
+                                         degree))
 
 
 def circle_theorem_deviation(rule: QuadratureRule, weight_fn=None,

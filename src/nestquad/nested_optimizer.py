@@ -97,6 +97,8 @@ _PLATEAU_RUN = 200
 # Penalty violations up to this size at convergence are snapped into the
 # feasible set; anything larger is a genuine feasibility failure.
 _SNAP_TOL = 1e-9
+# The penalty coefficient c_k = max(_A, 1/|R|) never exceeds _C_CAP.
+_A = 1e3
 _C_CAP = 1e16
 # Gauss-Newton steps between two selections of the Tikhonov parameter.
 _LAMBDA_PERIOD = 40
@@ -110,15 +112,12 @@ _PRUNE_THRESHOLD = 1e-13
 class OptimizerConfig:
     """Tunables of the nested-rule search.
 
-    ``A`` is the floor of the penalty coefficient c_k = max(A, 1/|R|);
-    ``weight_floor`` keeps weights strictly positive with a small safety
-    radius, and ``alpha2_initial`` overrides the default optimistic start
-    3 n_1 + 2 of the fine-degree search.
+    ``alpha2_initial`` overrides the default optimistic start 3 n + 2 of
+    the fine-degree search for a (2 n + 1)-node rule; it may not exceed
+    4 n + 1, the highest degree such a rule can reach.
     """
 
     epsilon: float = 1e-12
-    A: float = 1e3
-    weight_floor: float = 1e-6
     max_iterations: int = 5000
     allow_negative_weights: bool = False
     alpha2_initial: int | None = None
@@ -126,24 +125,15 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ParameterError("epsilon must lie in (0, 1)")
-        if self.A < 1.0:
-            raise ParameterError("penalty floor A must be at least 1")
-        if not self.allow_negative_weights and not (0.0 < self.weight_floor < 1.0):
-            raise ParameterError("weight_floor must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be positive")
 
-    @classmethod
-    def defaults_for(cls, family: WeightFamily, **overrides) -> "OptimizerConfig":
-        """Family-aware defaults.
 
-        Unbounded weights carry genuinely tiny tail weights (far below the
-        1e-6 floor that suits [-1, 1] families), so the floor is relaxed to
-        1e-13 there; positivity is still enforced.
-        """
-        if not family.domain.bounded and "weight_floor" not in overrides:
-            overrides["weight_floor"] = 1e-13
-        return cls(**overrides)
+def _weight_floor(family: WeightFamily) -> float:
+    """The floor the weight penalty keeps every weight above: 1e-6 on a
+    bounded domain, 1e-13 on an unbounded one, whose rules carry genuinely
+    tiny tail weights."""
+    return 1e-6 if family.domain.bounded else 1e-13
 
 
 @dataclass
@@ -170,7 +160,6 @@ class NestedRulePair:
     rules, recomputed at full precision after the search finished.
     """
 
-    family: WeightFamily
     coarse: QuadratureRule
     fine: QuadratureRule
     subset_map: tuple
@@ -179,7 +168,7 @@ class NestedRulePair:
     def __post_init__(self):
         sm = tuple(int(i) for i in self.subset_map)
         object.__setattr__(self, "subset_map", sm)
-        if self.coarse.family != self.family or self.fine.family != self.family:
+        if self.coarse.family != self.fine.family:
             raise ParameterError("pair members disagree on the weight family")
         if len(sm) != self.coarse.n:
             raise ParameterError("subset_map length must equal the coarse size")
@@ -192,6 +181,10 @@ class NestedRulePair:
             raise ParameterError("coarse nodes must be fine nodes bit-exactly")
         if not self.coarse.exactness_degree < self.fine.exactness_degree:
             raise ParameterError("fine degree must exceed coarse degree")
+
+    @property
+    def family(self) -> WeightFamily:
+        return self.coarse.family
 
     @property
     def n1(self) -> int:
@@ -220,6 +213,7 @@ class _MomentProblem:
         self.idx = [np.asarray(idx, dtype=int) for idx, _ in blocks]
         self.degrees = [int(alpha) for _, alpha in blocks]
         self.domain = table.family.domain
+        self.weight_floor = _weight_floor(table.family)
         self.config = config
         self.table = table
         self.frozen = np.asarray(frozen, dtype=float)
@@ -281,7 +275,7 @@ class _MomentProblem:
         w = d[self.penalty_cols[self.n:]]
         if self.config.allow_negative_weights:
             return node, np.zeros_like(w)
-        return node, np.maximum(0.0, self.config.weight_floor - w)
+        return node, np.maximum(0.0, self.weight_floor - w)
 
     def active_rows(self, d) -> np.ndarray:
         """Rows of [R; c_k P] that enter the SVD: every moment row, and each
@@ -386,13 +380,13 @@ def _pair_problem(n1: int, table: RecurrenceTable, alpha2: int,
     return _MomentProblem(n2, blocks, config, table)
 
 
-def penalty_coefficient(residual_norm: float, config: OptimizerConfig) -> float:
-    """c_k = max(A, 1/|R|), capped at 1e16 (the exact-root limit)."""
+def penalty_coefficient(residual_norm: float) -> float:
+    """c_k = max(1e3, 1/|R|), capped at 1e16 (the exact-root limit)."""
     if not residual_norm >= 0.0:
         raise ParameterError("residual norm must be nonnegative")
     if residual_norm == 0.0:
         return _C_CAP
-    return float(min(max(config.A, 1.0 / residual_norm), _C_CAP))
+    return float(min(max(_A, 1.0 / residual_norm), _C_CAP))
 
 
 def select_lambda(singular_values) -> float:
@@ -455,8 +449,16 @@ def newton_decrement(step: np.ndarray, jacobian: np.ndarray,
     return float(math.sqrt(abs(float(np.dot(step, jacobian.T @ residual)))))
 
 
-def _default_alpha2(n1: int) -> int:
-    return 3 * n1 + 2
+def _start_degree(config: OptimizerConfig, n: int) -> int:
+    """Start degree of the search for a (2 n + 1)-node rule, by default
+    3 n + 2; a start beyond 4 n + 1, where no such rule is exact, is
+    refused before any table is asked for it."""
+    alpha2, top = config.alpha2_initial, 4 * n + 1
+    if alpha2 is not None and alpha2 > top:
+        raise ParameterError(
+            f"alpha2_initial={alpha2} exceeds {top}, the highest degree a "
+            f"{2 * n + 1}-node rule can reach")
+    return 3 * n + 2 if alpha2 is None else alpha2
 
 
 def _interlaced_fine_nodes(table: RecurrenceTable, n2: int,
@@ -515,7 +517,7 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
         r = problem.residual(d, ev)
         if not np.all(np.isfinite(r)):
             return d, "diverged"
-        c = penalty_coefficient(float(np.linalg.norm(r)), config)
+        c = penalty_coefficient(float(np.linalg.norm(r)))
         rt = np.concatenate([r, c * problem.penalties(d)])
         rnorm = float(np.linalg.norm(rt))
         state.best_residual = min(state.best_residual, rnorm)
@@ -618,22 +620,19 @@ def generate_nested(n1: int, table: RecurrenceTable,
 
     The coarse rule targets degree 2 n_1 - 1 (which forces it onto the
     Gauss rule); the fine degree is searched downward from
-    ``config.alpha2_initial`` (default 3 n_1 + 2) to 2 n_1 at the lowest.
-    Returns the pair and the iteration diagnostics.  Raises
-    ConvergenceError when no degree certifies, FeasibilityError when a
-    converged iterate is infeasible.
+    ``config.alpha2_initial`` (default 3 n_1 + 2, at most 4 n_1 + 1) to
+    2 n_1 at the lowest.  Returns the pair and the iteration diagnostics.
+    Raises ConvergenceError when no degree certifies, FeasibilityError
+    when a converged iterate is infeasible.
     """
-    if config is None:
-        config = OptimizerConfig.defaults_for(table.family)
-    alpha2 = config.alpha2_initial
-    if alpha2 is None:
-        alpha2 = _default_alpha2(n1)
+    config = config or OptimizerConfig()
+    alpha2 = _start_degree(config, n1)
     if alpha2 <= 2 * n1 - 1:
         raise ParameterError("alpha2_initial must exceed alpha1 = 2 n1 - 1")
     problem = _pair_problem(n1, table, alpha2, config)
     ((coarse, subset), (fine, _)), state = _search(
         problem, config, alpha2, 2 * n1 - 1, log_path)
-    pair = NestedRulePair(table.family, coarse, fine, subset,
+    pair = NestedRulePair(coarse, fine, subset,
                           float(math.hypot(coarse.residual_norm,
                                            fine.residual_norm)))
     state.residual_norm = pair.residual_norm
@@ -650,8 +649,8 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
     conditions.  Returns the extended rule (whose exactness degree is the
     certified alpha_2) and the iteration diagnostics.
     """
-    if config is None:
-        config = OptimizerConfig.defaults_for(table.family)
+    config = config or OptimizerConfig()
+    alpha2 = _start_degree(config, base.n)
     if base.family != table.family:
         raise ParameterError("base rule and table disagree on the family")
     check = verify_rule(base, table, base.exactness_degree)
@@ -659,9 +658,6 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
         raise ParameterError(
             f"base rule fails its own certificate ({check.norm:.3e})")
 
-    alpha2 = config.alpha2_initial
-    if alpha2 is None:
-        alpha2 = _default_alpha2(base.n)
     n2 = 2 * base.n + 1
     problem = _MomentProblem(n2, [(range(n2), alpha2)], config, table,
                              frozen=base.nodes)
@@ -680,8 +676,7 @@ def prune_negligible(rule: QuadratureRule, table: RecurrenceTable,
     exceeds 10 epsilon (or the pruned rule is structurally invalid) the
     prune is refused and the input returned unchanged.
     """
-    if config is None:
-        config = OptimizerConfig.defaults_for(rule.family)
+    config = config or OptimizerConfig()
     keep = np.abs(rule.weights) >= _PRUNE_THRESHOLD
     if np.all(keep):
         return rule
@@ -719,27 +714,22 @@ def _fold_half(rule: QuadratureRule, tol: float):
     return None, x[n // 2:], w[n // 2:]
 
 
-def hermite_to_laguerre(pair: NestedRulePair, rho_g: float | None = None,
+def hermite_to_laguerre(pair: NestedRulePair, *,
                         tol: float = 1e-10) -> NestedRulePair:
     """Map a symmetric generalized-Hermite pair to a generalized-Laguerre one.
 
     The substitution t = x^2 sends a rule for |x|^rho_G exp(-x^2) on the
-    real line to one for t^rho_L exp(-t) on the half line with rho_L =
-    (rho_G - 1)/2; symmetric node pairs fold onto t = x^2 with doubled
-    weight (a center node at 0 keeps its weight) and exactness degrees
-    halve.  Asymmetric input is rejected.
+    real line, rho_G the pair's family parameter, to one for
+    t^rho_L exp(-t) on the half line with rho_L = (rho_G - 1)/2; symmetric
+    node pairs fold onto t = x^2 with doubled weight (a center node at 0
+    keeps its weight) and exactness degrees halve.  Asymmetric input is
+    rejected.
     """
     if pair.family.kind != "generalized_hermite":
         raise UnsupportedFamilyError(
             "only generalized-Hermite pairs can be folded to Laguerre")
-    family_rho = pair.family.params[0]
-    if rho_g is None:
-        rho_g = family_rho
-    elif rho_g != family_rho:
-        raise ParameterError(
-            f"rho_g={rho_g} disagrees with the pair's family ({family_rho})")
 
-    rho_l = (rho_g - 1.0) / 2.0
+    rho_l = (pair.family.params[0] - 1.0) / 2.0
     lag = generalized_laguerre(rho_l)
     alpha1 = pair.coarse.exactness_degree // 2
     alpha2 = pair.fine.exactness_degree // 2
@@ -761,4 +751,4 @@ def hermite_to_laguerre(pair: NestedRulePair, rho_g: float | None = None,
     fine = fold(pair.fine, alpha2)
     subset = [int(np.searchsorted(fine.nodes, t)) for t in coarse.nodes]
     stacked = float(math.hypot(coarse.residual_norm, fine.residual_norm))
-    return NestedRulePair(lag, coarse, fine, tuple(subset), stacked)
+    return NestedRulePair(coarse, fine, tuple(subset), stacked)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .gauss import QuadratureRule, moment_residuals
 from .nested_optimizer import NestedRulePair, OptimizerConfig
+from .nested_optimizer import _A, _weight_floor
 from .orthopoly import WeightFamily, recurrence_coefficients
 
 __all__ = [
@@ -50,9 +51,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _GENERATOR = "nestquad"
-_KINDS = ("rule", "pair")
-_RULE_MODES = ("gauss", "patterson")
-_PAIR_MODES = ("kronrod",)
+_MODES = {"rule": ("gauss", "patterson"), "pair": ("kronrod",)}
 # A fresh verification may differ from the stored norm by rounding in the
 # rebuilt recurrence table; reject only a clear order-of-magnitude breach.
 _VERIFY_FACTOR = 10.0
@@ -72,10 +71,9 @@ def _package_version() -> str:
 
 @dataclass(frozen=True)
 class Certification:
-    """Tolerance snapshot a rule was certified under."""
+    """Tolerance snapshot a rule was certified under.  Its file block also
+    repeats the payload's degree and residual norm, which load checks."""
 
-    alpha: int
-    residual_norm: float
     epsilon: float
     A: float
     weight_floor: float
@@ -93,30 +91,31 @@ class Provenance:
 class RuleRecord:
     """One stored rule or nested pair with its certificate.
 
-    ``payload`` is a QuadratureRule for kind "rule" and a NestedRulePair for
-    kind "pair"; ``mode`` tags how the payload was produced (gauss,
-    patterson, or kronrod).
+    ``payload`` is a QuadratureRule (kind "rule") or a NestedRulePair (kind
+    "pair"); ``mode`` tags how the payload was produced (gauss or
+    patterson for a rule, kronrod for a pair).
     """
 
-    kind: str
-    family: WeightFamily
     mode: str
     payload: object
     certification: Certification
     provenance: Provenance
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown record kind {self.kind!r}")
-        allowed = _PAIR_MODES if self.kind == "pair" else _RULE_MODES
-        if self.mode not in allowed:
+        if not isinstance(self.payload, (QuadratureRule, NestedRulePair)):
+            raise ParameterError(
+                "payload must be a QuadratureRule or a NestedRulePair")
+        if self.mode not in _MODES[self.kind]:
             raise ParameterError(
                 f"mode {self.mode!r} invalid for kind {self.kind!r}")
-        expected = NestedRulePair if self.kind == "pair" else QuadratureRule
-        if not isinstance(self.payload, expected):
-            raise ParameterError(
-                f"kind {self.kind!r} needs a {expected.__name__} payload")
+
+    @property
+    def kind(self) -> str:
+        return "pair" if isinstance(self.payload, NestedRulePair) else "rule"
+
+    @property
+    def family(self) -> WeightFamily:
+        return self.payload.family
 
     @property
     def key(self) -> tuple:
@@ -139,45 +138,31 @@ class RuleRecord:
         return (self.family.kind, params, None, self.payload.n, self.mode)
 
 
-def _provenance_now(iterations: int) -> Provenance:
-    return Provenance(
+def _make_record(mode: str, payload, config, iterations: int) -> RuleRecord:
+    cert = Certification(
+        epsilon=(config or OptimizerConfig()).epsilon,
+        A=_A,
+        weight_floor=_weight_floor(payload.family),
+    )
+    prov = Provenance(
         generator=_GENERATOR,
         version=_package_version(),
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         iterations=int(iterations),
     )
+    return RuleRecord(mode, payload, cert, prov)
 
 
 def make_rule_record(rule: QuadratureRule, mode: str = "gauss",
                      config: OptimizerConfig | None = None,
                      iterations: int = 0) -> RuleRecord:
-    if config is None:
-        config = OptimizerConfig.defaults_for(rule.family)
-    cert = Certification(
-        alpha=rule.exactness_degree,
-        residual_norm=rule.residual_norm,
-        epsilon=config.epsilon,
-        A=config.A,
-        weight_floor=config.weight_floor,
-    )
-    return RuleRecord("rule", rule.family, mode, rule, cert,
-                      _provenance_now(iterations))
+    return _make_record(mode, rule, config, iterations)
 
 
 def make_pair_record(pair: NestedRulePair,
                      config: OptimizerConfig | None = None,
                      iterations: int = 0) -> RuleRecord:
-    if config is None:
-        config = OptimizerConfig.defaults_for(pair.fine.family)
-    cert = Certification(
-        alpha=pair.fine.exactness_degree,
-        residual_norm=pair.residual_norm,
-        epsilon=config.epsilon,
-        A=config.A,
-        weight_floor=config.weight_floor,
-    )
-    return RuleRecord("pair", pair.fine.family, "kronrod", pair, cert,
-                      _provenance_now(iterations))
+    return _make_record("kronrod", pair, config, iterations)
 
 
 def _encode_bound(x: float):
@@ -247,17 +232,17 @@ def _record_to_json(record: RuleRecord) -> dict:
         if rule.weight_floor_relaxed:
             data["weight_floor_relaxed"] = True
     cert = record.certification
-    if not all(math.isfinite(v) for v in
-               (cert.residual_norm, cert.epsilon, cert.A, cert.weight_floor)):
+    if not all(math.isfinite(v) for v in (data["residual_norm"], cert.epsilon,
+                                          cert.A, cert.weight_floor)):
         raise ParameterError("certification contains non-finite values")
     return {
-        "schema_version": record.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "kind": record.kind,
         "family": _family_to_json(record.family),
         "data": data,
         "certification": {
-            "alpha": cert.alpha,
-            "residual_norm": cert.residual_norm,
+            "alpha": data["alpha2"],
+            "residual_norm": data["residual_norm"],
             "epsilon": cert.epsilon,
             "A": cert.A,
             "weight_floor": cert.weight_floor,
@@ -309,7 +294,8 @@ def _rule_parts(doc: dict):
     rule, coarse before fine, and the subset map of a pair (None for a
     single rule).  No n-node rule is exact beyond degree 2n - 1, so a
     larger stored degree is rejected with IntegrityError before any
-    recurrence table is built for it.
+    recurrence table is built for it; so is a certification block whose
+    degree or residual norm differs from the data's.
     """
     data = doc["data"]
     nodes = np.array(data["nodes"], dtype=float)
@@ -339,6 +325,13 @@ def _rule_parts(doc: dict):
             raise IntegrityError(
                 f"a {part_nodes.size}-node rule cannot be exact for degree "
                 f"{degree}; the bound is 0..{2 * part_nodes.size - 1}")
+    cert = doc["certification"]
+    claim = int(cert["alpha"]), float(cert["residual_norm"])
+    stored = parts[-1][2], float(data["residual_norm"])
+    if claim != stored:
+        raise IntegrityError(
+            f"certification claims degree {claim[0]} and residual "
+            f"{claim[1]!r}, the data {stored[0]} and {stored[1]!r}")
     return parts, subset
 
 
@@ -377,14 +370,15 @@ def _read_document(path):
             raise SchemaError(
                 f"{path}: unknown schema_version {version!r}")
         kind = doc["kind"]
-        if kind not in _KINDS:
+        if kind not in _MODES:
             raise SchemaError(f"{path}: unknown kind {kind!r}")
         mode = doc["data"]["mode"]
-        allowed = _PAIR_MODES if kind == "pair" else _RULE_MODES
-        if mode not in allowed:
+        if mode not in _MODES[kind]:
             raise SchemaError(
                 f"{path}: mode {mode!r} invalid for kind {kind!r}")
         return doc, _family_from_json(doc["family"])
+    except SchemaError:
+        raise
     except _MALFORMED as exc:
         raise SchemaError(f"{path}: malformed record ({exc})") from exc
 
@@ -400,8 +394,6 @@ def load(path, verify: bool = True) -> RuleRecord:
     try:
         cert_doc = doc["certification"]
         cert = Certification(
-            alpha=int(cert_doc["alpha"]),
-            residual_norm=float(cert_doc["residual_norm"]),
             epsilon=float(cert_doc["epsilon"]),
             A=float(cert_doc["A"]),
             weight_floor=float(cert_doc["weight_floor"]),
@@ -422,14 +414,13 @@ def load(path, verify: bool = True) -> RuleRecord:
                                 weight_floor_relaxed=relaxed)
                  for nodes, weights, alpha, norm in parts]
         payload = rules[0] if subset is None else NestedRulePair(
-            family, *rules, subset, float(doc["data"]["residual_norm"]))
+            *rules, subset, float(doc["data"]["residual_norm"]))
     except SchemaError:
         raise
     except (NestQuadError, *_MALFORMED) as exc:
         raise IntegrityError(f"{path}: stored data is inconsistent "
                              f"({exc})") from exc
-    record = RuleRecord(doc["kind"], family, doc["data"]["mode"], payload,
-                        cert, prov, schema_version=doc["schema_version"])
+    record = RuleRecord(doc["data"]["mode"], payload, cert, prov)
     checks = _fresh_check(family, parts) if verify else []
     for (*_, stored), (_, fresh, allowed) in zip(parts, checks):
         if fresh > allowed:

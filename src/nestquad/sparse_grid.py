@@ -63,15 +63,14 @@ _MERGE_BATCH = 1 << 16
 class UnivariateLevelFamily:
     """Univariate rules indexed by level i = 1..depth.
 
-    ``nested`` declares that each level's nodes are a bit-exact subset of
-    the next level's, which is validated here.  A level whose certified
-    exactness degree falls short of the 2i - 1 convention is admitted with
-    a warning: the grid is still well defined, it just loses the sparse
-    operator's total-degree exactness guarantee.
+    ``nested`` tells whether each level's nodes are a bit-exact subset of
+    the next level's.  A level whose certified exactness degree falls
+    short of the 2i - 1 convention is admitted with a warning: the grid is
+    still well defined, it just loses the sparse operator's total-degree
+    exactness guarantee.
     """
 
     levels: tuple
-    nested: bool = False
 
     def __post_init__(self):
         levels = tuple(self.levels)
@@ -82,12 +81,6 @@ class UnivariateLevelFamily:
         for rule in levels[1:]:
             if rule.family != family:
                 raise ParameterError("levels must share one weight family")
-        if self.nested:
-            for i, (lo, hi) in enumerate(zip(levels, levels[1:]), start=1):
-                fine = set(hi.nodes.tolist())
-                if not set(lo.nodes.tolist()) <= fine:
-                    raise ParameterError(
-                        f"level {i} nodes are not embedded in level {i + 1}")
         for i, rule in enumerate(levels, start=1):
             if rule.exactness_degree < 2 * i - 1:
                 warnings.warn(
@@ -95,6 +88,10 @@ class UnivariateLevelFamily:
                     f"{rule.exactness_degree}, below the 2i-1 convention "
                     f"({2 * i - 1}); total-degree exactness will degrade",
                     UserWarning, stacklevel=2)
+
+    @property
+    def nested(self) -> bool:
+        return all(map(_embedded, self.levels, self.levels[1:]))
 
     @property
     def family(self) -> WeightFamily:
@@ -115,13 +112,17 @@ class UnivariateLevelFamily:
         return self.levels[level - 1]
 
 
+def _embedded(inner: QuadratureRule, outer: QuadratureRule) -> bool:
+    """Whether every node of ``inner`` is bit-exactly a node of ``outer``."""
+    return set(inner.nodes.tolist()) <= set(outer.nodes.tolist())
+
+
 def gauss_levels(table: RecurrenceTable, depth: int) -> UnivariateLevelFamily:
     """Level i = the i-point Gauss rule (degree 2i - 1, nothing shared)."""
     if depth < 1:
         raise ParameterError("depth must be at least 1")
     return UnivariateLevelFamily(
-        tuple(gauss_rule(table, i) for i in range(1, depth + 1)),
-        nested=False)
+        tuple(gauss_rule(table, i) for i in range(1, depth + 1)))
 
 
 def nested_levels(chain, depth: int) -> UnivariateLevelFamily:
@@ -133,7 +134,7 @@ def nested_levels(chain, depth: int) -> UnivariateLevelFamily:
     Extension chains whose degree roughly doubles per entry (5, 11, 23 for
     the uniform weight) then certify degree 2i - 1 at every level; chains
     that grow slower trip the level family's shortfall warning instead of
-    failing.
+    failing.  A chain whose levels do not nest is rejected.
     """
     if depth < 1:
         raise ParameterError("depth must be at least 1")
@@ -142,8 +143,12 @@ def nested_levels(chain, depth: int) -> UnivariateLevelFamily:
     if schedule[-1] > len(chain):
         raise CapacityError(f"chain has {len(chain)} rules, level {depth} "
                             f"needs entry {schedule[-1]}")
-    return UnivariateLevelFamily(tuple(chain[m - 1] for m in schedule),
-                                 nested=True)
+    levels = tuple(chain[m - 1] for m in schedule)
+    for i, (lo, hi) in enumerate(zip(levels, levels[1:]), start=1):
+        if not _embedded(lo, hi):
+            raise ParameterError(
+                f"level {i} nodes are not embedded in level {i + 1}")
+    return UnivariateLevelFamily(levels)
 
 
 def _chain_schedule(depth: int) -> list:
@@ -307,7 +312,6 @@ class SparseGrid:
     for probability-normalized families.
     """
 
-    d: int
     k: int
     nodes: np.ndarray
     weights: np.ndarray
@@ -316,9 +320,9 @@ class SparseGrid:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 2 or nodes.shape != (weights.size, self.d):
+        if nodes.ndim != 2 or nodes.shape[0] != weights.size:
             raise ParameterError("nodes must be (node_count, d)")
-        mass = float(self.source.family.mass) ** self.d
+        mass = float(self.source.family.mass) ** nodes.shape[1]
         if abs(weights.sum() - mass) > 1e-10:
             raise ParameterError(
                 f"grid weights sum to {weights.sum()!r}, expected {mass!r}")
@@ -326,6 +330,10 @@ class SparseGrid:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def d(self) -> int:
+        return self.nodes.shape[1]
 
     @property
     def node_count(self) -> int:
@@ -386,7 +394,7 @@ def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
             nodes = nodes[~small]
             weights = weights[~small]
 
-    return SparseGrid(d, k, nodes, weights, family)
+    return SparseGrid(k, nodes, weights, family)
 
 
 def integrate(grid: SparseGrid, f) -> float:
@@ -412,18 +420,19 @@ def _weighted_sum(nodes, weights, f) -> float:
     return math.fsum(terms)
 
 
-def tensor_error_bound(epsilon: float, alphas, d: int,
-                       p_norm: float) -> float:
+def tensor_error_bound(epsilon: float, alphas, p_norm: float) -> float:
     """Worst-case integration error of one tensor block.
 
-    For univariate rules whose moment residuals are bounded by epsilon and
-    a polynomial p within the block's joint exactness span, the integration
-    error is at most eps * |p| * d * (1+eps)^(d-1) * prod sqrt(alpha_q + 1).
+    For d univariate rules, one per entry of ``alphas``, whose moment
+    residuals are bounded by epsilon and a polynomial p within the block's
+    joint exactness span, the integration error is at most
+    eps * |p| * d * (1+eps)^(d-1) * prod sqrt(alpha_q + 1).
     """
     alphas = tuple(alphas)
+    d = len(alphas)
     if epsilon < 0.0 or p_norm < 0.0:
         raise ParameterError("epsilon and p_norm must be nonnegative")
-    if d < 1 or len(alphas) != d:
+    if d < 1:
         raise ParameterError("need one alpha per dimension")
     if any(a < 0 for a in alphas):
         raise ParameterError("degrees must be nonnegative")

@@ -251,7 +251,11 @@ def _bounds(domain):
 
 
 def _violations(x2, w1, w2, domain, config):
-    """Signed penalty violations: (node excess, w2 shortfall, w1 shortfall)."""
+    """Signed penalty violations: (node excess, w2 shortfall, w1 shortfall).
+
+    The weight floor is 1e-6 on a bounded domain and 1e-13 otherwise.
+    """
+    floor = 1e-6 if domain.bounded else 1e-13
     lo, hi = _bounds(domain)
     node = np.zeros_like(x2)
     if domain.bounded_above:
@@ -262,8 +266,8 @@ def _violations(x2, w1, w2, domain, config):
         v2 = np.zeros_like(w2)
         v1 = np.zeros_like(w1)
     else:
-        v2 = np.maximum(0.0, config.weight_floor - w2)
-        v1 = np.maximum(0.0, config.weight_floor - w1)
+        v2 = np.maximum(0.0, floor - w2)
+        v1 = np.maximum(0.0, floor - w1)
     return node, v2, v1
 
 

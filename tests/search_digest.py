@@ -80,11 +80,11 @@ def _pair(family, n1, log):
                 pair.subset_map, state, log)
 
 
-def _failure(name, config, log):
-    """An extension of the Legendre Gauss-3 rule that must fail."""
+def _failure(name, n, config, log):
+    """An extension of the Legendre Gauss-n rule that must fail."""
     table = nq.recurrence_coefficients(nq.legendre(), 70)
     try:
-        nq.extend_patterson(nq.gauss_rule(table, 3), table, config,
+        nq.extend_patterson(nq.gauss_rule(table, n), table, config,
                             log_path=log)
     except ConvergenceError as exc:
         yield (f"{name}: ConvergenceError {exc} "
@@ -106,10 +106,10 @@ def main() -> None:
             _pair(nq.jacobi(0.0, 0.3), 60, log),
             _chain(nq.legendre(), 3, log),
             _chain(nq.generalized_hermite(1.0), 3, log),
-            _failure("extend legendre 3->7 budget",
-                     nq.OptimizerConfig(max_iterations=1, alpha2_initial=60),
+            _failure("extend legendre 15->31 budget", 15,
+                     nq.OptimizerConfig(max_iterations=1, alpha2_initial=61),
                      log),
-            _failure("extend legendre 3->7 floor",
+            _failure("extend legendre 3->7 floor", 3,
                      nq.OptimizerConfig(max_iterations=1), log),
         )
         for line in lines:

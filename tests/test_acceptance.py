@@ -281,7 +281,7 @@ def test_10_tensor_error_bound(capsys):
     eps_ok = abs(eps - 1e-6) <= 1e-8
 
     d = 3
-    bound = tensor_error_bound(eps, (alpha,) * d, d, 1.0)
+    bound = tensor_error_bound(eps, (alpha,) * d, 1.0)
     applied_max = 0.0
     tensor_w = np.multiply.outer(
         np.multiply.outer(perturbed_w, perturbed_w), perturbed_w).ravel()
@@ -332,8 +332,7 @@ def test_11_jacobian_matches_finite_differences(capsys):
     worst = 0.0
     for family in families:
         table = recurrence_coefficients(family, 13)
-        problem = _pair_problem(2, table, 7,
-                                OptimizerConfig.defaults_for(family))
+        problem = _pair_problem(2, table, 7, OptimizerConfig())
         dom = family.domain
         lo = dom.lo if dom.bounded_below else -3.0
         hi = dom.hi if dom.bounded_above else 3.0

@@ -81,10 +81,16 @@ class TestGenerate:
         assert (out / "pair-legendre-n2.json").exists()
 
     def test_alpha2_init_sizes_the_table(self, capsys):
+        # a 5-node rule reaches degree 9 at most, which the table covers
         code, stdout, stderr = run(capsys, "generate", "--family", "legendre",
-                                   "--n1", "2", "--alpha2-init", "19")
+                                   "--n1", "2", "--alpha2-init", "9")
         assert (code, stderr) == (0, "")
         assert stdout.startswith("n1=2 n2=5 alpha1=3 alpha2=")
+        code, stdout, stderr = run(capsys, "generate", "--family", "legendre",
+                                   "--n1", "2", "--alpha2-init", "19")
+        assert (code, stdout) == (1, "")
+        assert stderr == ("error: alpha2_initial=19 exceeds 9, the highest "
+                          "degree a 5-node rule can reach\n")
 
     def test_diagnostics_log(self, tmp_path, capsys):
         log = tmp_path / "trace.csv"
@@ -210,6 +216,29 @@ class TestVerify:
         assert (code, stdout) == (3, "")
         assert len(stderr.splitlines()) == 1
         assert "200000" in stderr
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("schema_version", 2, "unknown schema_version 2"),
+        ("kind", "table", "unknown kind 'table'"),
+    ])
+    def test_schema_error_names_the_file_once(self, seed_record, capsys,
+                                              field, value, message):
+        doc = json.loads(seed_record.read_text())
+        doc[field] = value
+        seed_record.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "verify", "--in", str(seed_record))
+        assert (code, stdout) == (3, "")
+        assert stderr == f"error: {seed_record}: {message}\n"
+
+    def test_certification_must_match_the_data(self, seed_record, capsys):
+        doc = json.loads(seed_record.read_text())
+        doc["certification"]["alpha"] = 99
+        seed_record.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "verify", "--in", str(seed_record))
+        assert (code, stdout) == (3, "")
+        assert stderr == (f"error: {seed_record}: certification claims "
+                          f"degree 99 and residual 0.0, the data 1 and "
+                          f"0.0\n")
 
     def test_alpha_override_is_not_bounded(self, tmp_path, capsys):
         path = tmp_path / "g3.json"

@@ -115,9 +115,20 @@ class TestGenerateNested:
     def test_hermite_defaults(self):
         fam = generalized_hermite(0.0)
         table = table_for(fam, 22)
-        pair, _ = generate_nested(3, table, OptimizerConfig.defaults_for(fam))
+        pair, _ = generate_nested(3, table, OptimizerConfig())
         assert pair.fine.exactness_degree == 9
         assert np.all(pair.fine.weights > 0)
+
+    def test_explicit_config_keeps_the_domain_floor(self):
+        # an explicit config on an unbounded weight must search exactly as
+        # the default does, with the 1e-13 floor and not the 1e-6 one
+        table = recurrence_coefficients(generalized_hermite(1.0), 60)
+        default, _ = generate_nested(8, table)
+        explicit, _ = generate_nested(8, table, OptimizerConfig())
+        for got, want in ((explicit.coarse, default.coarse),
+                          (explicit.fine, default.fine)):
+            assert got.nodes.tobytes() == want.nodes.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
 
     def test_alpha2_override(self):
         table = table_for(legendre(), 16)
@@ -135,12 +146,12 @@ class TestGenerateNested:
         assert len(lines) == state.iteration + 1
 
     def test_budget_exhaustion_raises(self):
-        # one step per degree and 40 in all: the budget runs out long
-        # before the search falls below alpha1 = 3
+        # one or two steps per degree and 40 in all: the budget runs out
+        # long before the search falls below alpha1 = 19
         table = recurrence_coefficients(legendre(), 45)
-        config = OptimizerConfig(max_iterations=1, alpha2_initial=40)
+        config = OptimizerConfig(max_iterations=1, alpha2_initial=41)
         with pytest.raises(ConvergenceError, match="budget exhausted") as info:
-            generate_nested(2, table, config)
+            generate_nested(10, table, config)
         assert math.isfinite(info.value.best_residual)
 
     def test_search_reaches_alpha1_plus_one(self, tmp_path):
@@ -154,6 +165,18 @@ class TestGenerateNested:
         table = table_for(legendre(), 12)
         with pytest.raises(ParameterError):
             generate_nested(2, table, OptimizerConfig(alpha2_initial=3))
+
+    def test_start_beyond_the_node_bound_fails_before_the_table(self):
+        # no 5-node rule is exact beyond degree 9; a capacity-10 table
+        # would raise CapacityError for a larger start, so the
+        # ParameterError shows the start is refused before the table
+        # is asked for it
+        table = recurrence_coefficients(legendre(), 10)
+        for start in (10, 10 ** 9):
+            with pytest.raises(ParameterError, match="exceeds 9"):
+                generate_nested(2, table, OptimizerConfig(alpha2_initial=start))
+        pair, _ = generate_nested(2, table, OptimizerConfig(alpha2_initial=9))
+        assert pair.fine.exactness_degree == 7
 
     @settings(max_examples=15, derandomize=True, deadline=None)
     @given(alpha=st.floats(-0.9, 3.0, exclude_min=True, exclude_max=True),
@@ -343,6 +366,15 @@ class TestExtendPatterson:
         with pytest.raises(ParameterError):
             extend_patterson(base, table)
 
+    def test_start_beyond_the_node_bound_fails_before_the_table(self):
+        # no 7-node rule is exact beyond degree 13, and the table stops at 6
+        table = recurrence_coefficients(legendre(), 6)
+        base = gauss_rule(table, 3)
+        for start in (14, 10 ** 9):
+            with pytest.raises(ParameterError, match="exceeds 13"):
+                extend_patterson(base, table,
+                                 OptimizerConfig(alpha2_initial=start))
+
     def test_rejects_uncertified_base(self):
         table = table_for(legendre(), 12)
         # a rule whose claimed degree its weights cannot support
@@ -356,8 +388,7 @@ class TestHermiteToLaguerre:
     def _pair(self, n1=3, rho=0.0):
         fam = generalized_hermite(rho)
         table = table_for(fam, 4 * n1 + 12)
-        pair, _ = generate_nested(n1, table,
-                                  OptimizerConfig.defaults_for(fam))
+        pair, _ = generate_nested(n1, table, OptimizerConfig())
         return pair
 
     def test_fold_halves_degrees_and_sizes(self):
@@ -393,12 +424,6 @@ class TestHermiteToLaguerre:
         assert lag.coarse.n == 1 and lag.fine.n == 3
         assert lag.residual_norm <= 1e-12
 
-    def test_explicit_rho_must_match(self):
-        pair = self._pair(2, rho=1.0)
-        assert hermite_to_laguerre(pair, rho_g=1.0).family.params[0] == 0.0
-        with pytest.raises(ParameterError):
-            hermite_to_laguerre(pair, rho_g=0.0)
-
     def test_rejects_non_hermite(self):
         table = table_for(legendre(), 12)
         pair, _ = generate_nested(1, table)
@@ -413,7 +438,6 @@ class TestHermiteToLaguerre:
         skewed_w[-1] -= 1e-4
         fine2 = QuadratureRule(fine.family, fine.nodes, skewed_w,
                                fine.exactness_degree, 1.0)
-        pair2 = type(pair)(pair.family, pair.coarse, fine2, pair.subset_map,
-                           1.0)
+        pair2 = type(pair)(pair.coarse, fine2, pair.subset_map, 1.0)
         with pytest.raises(ParameterError):
             hermite_to_laguerre(pair2)

@@ -51,29 +51,22 @@ class TestOptimizerConfig:
     def test_defaults(self):
         config = OptimizerConfig()
         assert config.epsilon == 1e-12
-        assert config.A == 1e3
-        assert config.weight_floor == 1e-6
         assert config.max_iterations == 5000
+        assert not config.allow_negative_weights
+        assert config.alpha2_initial is None
 
     def test_family_defaults_relax_floor_on_unbounded(self):
-        assert OptimizerConfig.defaults_for(legendre()).weight_floor == 1e-6
-        assert OptimizerConfig.defaults_for(
-            generalized_hermite(0.0)).weight_floor == 1e-13
-        assert OptimizerConfig.defaults_for(
-            generalized_laguerre(0.0)).weight_floor == 1e-13
-
-    def test_explicit_floor_wins(self):
-        config = OptimizerConfig.defaults_for(generalized_hermite(0.0),
-                                              weight_floor=1e-8)
-        assert config.weight_floor == 1e-8
+        # the weight floor follows the domain, whatever the config
+        for family, floor in ((legendre(), 1e-6),
+                              (generalized_hermite(0.0), 1e-13),
+                              (generalized_laguerre(0.0), 1e-13)):
+            problem = _pair_problem(1, table_for(family, 5), 5,
+                                    OptimizerConfig())
+            assert problem.weight_floor == floor
 
     def test_invalid(self):
         with pytest.raises(ParameterError):
             OptimizerConfig(epsilon=0.0)
-        with pytest.raises(ParameterError):
-            OptimizerConfig(A=0.5)
-        with pytest.raises(ParameterError):
-            OptimizerConfig(weight_floor=-1e-6)
         with pytest.raises(ParameterError):
             OptimizerConfig(max_iterations=0)
 
@@ -181,21 +174,21 @@ class TestPenaltyTerms:
 
 class TestPenaltyCoefficient:
     def test_large_residual_uses_floor(self):
-        assert penalty_coefficient(10.0, OptimizerConfig()) == 1e3
+        assert penalty_coefficient(10.0) == 1e3
 
     def test_small_residual_grows(self):
-        assert penalty_coefficient(1e-9, OptimizerConfig()) == pytest.approx(
+        assert penalty_coefficient(1e-9) == pytest.approx(
             1e9, rel=1e-15)
 
     def test_zero_residual_caps(self):
-        assert penalty_coefficient(0.0, OptimizerConfig()) == 1e16
-        assert penalty_coefficient(1e-20, OptimizerConfig()) == 1e16
+        assert penalty_coefficient(0.0) == 1e16
+        assert penalty_coefficient(1e-20) == 1e16
 
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
-            penalty_coefficient(-1.0, OptimizerConfig())
+            penalty_coefficient(-1.0)
         with pytest.raises(ParameterError):
-            penalty_coefficient(math.nan, OptimizerConfig())
+            penalty_coefficient(math.nan)
 
 
 def _fd_jacobian(problem, d, c_k, h=1e-7):
@@ -233,7 +226,7 @@ class TestAssembleJacobian:
     def test_matches_finite_differences(self, family):
         rng = np.random.default_rng(42)
         problem = _pair_problem(2, table_for(family, 12), 7,
-                                OptimizerConfig.defaults_for(family))
+                                OptimizerConfig())
         dom = family.domain
         lo = dom.lo if dom.bounded_below else -3.0
         hi = dom.hi if dom.bounded_above else 3.0
@@ -313,7 +306,7 @@ class TestMomentKernel:
     def test_pair_layout_matches_reference(self, family):
         rng = np.random.default_rng(5)
         table = table_for(family, 30)
-        config = OptimizerConfig.defaults_for(family)
+        config = OptimizerConfig()
         problem = _pair_problem(3, table, 11, config)
         dims = types.SimpleNamespace(n1=3, n2=7, alpha1=5, alpha2=11,
                                      subset_map=(1, 3, 5))
@@ -334,7 +327,7 @@ class TestMomentKernel:
     def test_extension_layout_matches_reference(self, family):
         rng = np.random.default_rng(6)
         table = table_for(family, 30)
-        config = OptimizerConfig.defaults_for(family)
+        config = OptimizerConfig()
         base = gauss_rule(table, 3)
         problem = _MomentProblem(7, [(range(7), 11)], config, table,
                                  frozen=base.nodes)
@@ -420,7 +413,7 @@ class TestActiveRows:
         rng = np.random.default_rng(8)
         for family in FD_FAMILIES:
             problem = _pair_problem(2, table_for(family, 12), 7,
-                                    OptimizerConfig.defaults_for(family))
+                                    OptimizerConfig())
             for d in _kernel_points(problem.fresh_start(), 5, 5,
                                     family.domain, rng):
                 J = jacobian(problem, d, 1e3)
@@ -439,7 +432,7 @@ class TestActiveRows:
     def test_trimmed_step_matches_full_step(self, family, near_root, alpha2):
         rng = np.random.default_rng(9)
         problem = _pair_problem(2, table_for(family, 12), alpha2,
-                                OptimizerConfig.defaults_for(family))
+                                OptimizerConfig())
         for _ in range(5):
             points = _kernel_points(problem.fresh_start(), 5, 5,
                                     family.domain, rng)

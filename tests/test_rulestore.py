@@ -139,6 +139,20 @@ class TestRoundTrip:
         assert doc["data"]["mode"] == "gauss"
         assert doc["provenance"]["generator"] == "nestquad"
 
+    @pytest.mark.parametrize("family, floor", [
+        (legendre(), 1e-6), (generalized_laguerre(0.0), 1e-13)],
+        ids=["bounded", "unbounded"])
+    def test_certification_block(self, tmp_path, family, floor):
+        # degree and residual come from the payload, epsilon from the
+        # config, the penalty floor and weight floor from the method
+        rule = gauss_rule(recurrence_coefficients(family, 12), 3)
+        path = tmp_path / "g3.json"
+        save(make_rule_record(rule, config=OptimizerConfig(epsilon=1e-10)),
+             path)
+        assert json.loads(path.read_text())["certification"] == {
+            "alpha": 5, "residual_norm": rule.residual_norm,
+            "epsilon": 1e-10, "A": 1e3, "weight_floor": floor}
+
     def test_reverification_matches_within_2x(self, leg_pair, leg_table,
                                               tmp_path):
         from nestquad.gauss import verify_rule
@@ -174,14 +188,14 @@ class TestSaveValidation:
         rule_rec = make_rule_record(gauss_rule(leg_table, 2))
         pair, _ = leg_pair
         with pytest.raises(ParameterError):
-            RuleRecord("pair", legendre(), "kronrod", rule_rec.payload,
+            RuleRecord("kronrod", rule_rec.payload,
                        rule_rec.certification, rule_rec.provenance)
         with pytest.raises(ParameterError):
-            RuleRecord("rule", legendre(), "kronrod", rule_rec.payload,
-                       rule_rec.certification, rule_rec.provenance)
+            RuleRecord("gauss", pair, rule_rec.certification,
+                       rule_rec.provenance)
         with pytest.raises(ParameterError):
-            RuleRecord("table", legendre(), "gauss", rule_rec.payload,
-                       rule_rec.certification, rule_rec.provenance)
+            RuleRecord("gauss", "table", rule_rec.certification,
+                       rule_rec.provenance)
 
 
 class TestLoadValidation:
@@ -201,6 +215,39 @@ class TestLoadValidation:
         self._rewrite(saved, lambda d: d.update(schema_version=99))
         with pytest.raises(SchemaError, match="schema_version"):
             load(saved)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("schema_version", 2, "unknown schema_version 2"),
+        ("kind", "what", "unknown kind 'what'"),
+        ("mode", "kronrod", "mode 'kronrod' invalid for kind 'rule'"),
+    ])
+    def test_schema_errors_are_not_wrapped_twice(self, saved, field, value,
+                                                 message):
+        def mutate(doc):
+            (doc["data"] if field == "mode" else doc)[field] = value
+        self._rewrite(saved, mutate)
+        with pytest.raises(SchemaError) as info:
+            load(saved)
+        assert str(info.value) == f"{saved}: {message}"
+
+    @pytest.mark.parametrize("field, value", [("alpha", 99),
+                                              ("residual_norm", 1e-3)])
+    @pytest.mark.parametrize("kind", ["rule", "pair"])
+    def test_certification_must_match_the_data(self, leg_table, leg_pair,
+                                               tmp_path, field, value, kind):
+        record = (make_rule_record(gauss_rule(leg_table, 3))
+                  if kind == "rule" else make_pair_record(leg_pair[0]))
+        path = tmp_path / "record.json"
+        save(record, path)
+        self._rewrite(path,
+                      lambda doc: doc["certification"].update({field: value}))
+        for verify in (True, False):
+            with pytest.raises(IntegrityError, match="certification claims"):
+                load(path, verify=verify)
+        with pytest.warns(UserWarning) as caught:
+            assert len(catalog_scan(tmp_path)) == 0
+        assert [str(w.message).split(":")[0] for w in caught] == [
+            f"skipping {path}"]
 
     def test_corrupt_json(self, saved):
         saved.write_text("{not json")

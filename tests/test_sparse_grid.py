@@ -104,8 +104,10 @@ class TestUnivariateLevelFamily:
     def test_rejects_broken_nesting(self, leg_table):
         g2 = gauss_rule(leg_table, 2)
         g3 = gauss_rule(leg_table, 3)
-        with pytest.raises(ParameterError):
-            UnivariateLevelFamily((g2, g3), nested=True)
+        assert not UnivariateLevelFamily((g2, g3)).nested
+        with pytest.raises(ParameterError,
+                           match="level 1 nodes are not embedded in level 2"):
+            nested_levels((g2, g3), 2)
 
     def test_rejects_family_mismatch(self, leg_table):
         cheb_table = recurrence_coefficients(chebyshev1(), 10)
@@ -116,7 +118,7 @@ class TestUnivariateLevelFamily:
     def test_warns_on_degree_shortfall(self, leg_table):
         g1 = gauss_rule(leg_table, 1)
         with pytest.warns(UserWarning, match="below the 2i-1 convention"):
-            UnivariateLevelFamily((g1, g1), nested=True)
+            UnivariateLevelFamily((g1, g1))
 
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
@@ -252,11 +254,11 @@ class TestSmolyakWeights:
 
     def test_grid_shape_validation(self, nested_family):
         with pytest.raises(ParameterError):
-            SparseGrid(2, 1, np.zeros((1, 3)), np.array([1.0]),
-                       nested_family)
+            SparseGrid(1, np.zeros((2, 3)), np.array([1.0]), nested_family)
         with pytest.raises(ParameterError):
-            SparseGrid(2, 1, np.zeros((1, 2)), np.array([0.5]),
-                       nested_family)
+            SparseGrid(1, np.zeros((1, 2)), np.array([0.5]), nested_family)
+        assert SparseGrid(1, np.zeros((1, 3)), np.array([1.0]),
+                          nested_family).d == 3
 
     def test_determinism(self, nested_family):
         a = smolyak_grid(nested_family, 3, 4)
@@ -376,8 +378,7 @@ def _cancelling_family(leg_table):
         family=legendre(), nodes=nodes, weights=weights, exactness_degree=3,
         residual_norm=float(np.linalg.norm(moment_residuals(
             nodes, weights, leg_table, 3))))
-    return UnivariateLevelFamily((gauss_rule(leg_table, 1), lvl2),
-                                 nested=True)
+    return UnivariateLevelFamily((gauss_rule(leg_table, 1), lvl2))
 
 
 def _assert_matches_reference(family, d, k):
@@ -458,29 +459,29 @@ class TestDkLemma:
 
 class TestTensorErrorBound:
     def test_zero_epsilon(self):
-        assert tensor_error_bound(0.0, (3, 3), 2, 1.0) == 0.0
+        assert tensor_error_bound(0.0, (3, 3), 1.0) == 0.0
 
     def test_formula_example(self):
-        value = tensor_error_bound(1e-12, (5, 5, 5, 5), 4, 1.0)
+        value = tensor_error_bound(1e-12, (5, 5, 5, 5), 1.0)
         assert value == pytest.approx(
             1e-12 * 4.0 * (1.0 + 1e-12) ** 3 * 36.0, rel=1e-14)
         assert value == pytest.approx(1.44e-10, rel=1e-6)
 
     def test_dataclass_value(self):
-        value = tensor_error_bound(1e-6, [1, 3], 2, 2.0)
+        value = tensor_error_bound(1e-6, [1, 3], 2.0)
         assert value == pytest.approx(
             1e-6 * 2.0 * 2.0 * (1.0 + 1e-6) * math.sqrt(2.0) * 2.0,
             rel=1e-14)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ParameterError):
-            tensor_error_bound(-1e-6, (3,), 1, 1.0)
+            tensor_error_bound(-1e-6, (3,), 1.0)
         with pytest.raises(ParameterError):
-            tensor_error_bound(1e-6, (3, 3), 3, 1.0)
+            tensor_error_bound(1e-6, (), 1.0)
         with pytest.raises(ParameterError):
-            tensor_error_bound(1e-6, (3, -1), 2, 1.0)
+            tensor_error_bound(1e-6, (3, -1), 1.0)
         with pytest.raises(ParameterError):
-            tensor_error_bound(1e-6, (3,), 1, -1.0)
+            tensor_error_bound(1e-6, (3,), -1.0)
 
     def test_empirical_tensor_bound(self, leg_table):
         # perturb a Gauss-3 rule's weights (mass preserved) so its moment
@@ -502,7 +503,7 @@ class TestTensorErrorBound:
             exactness_degree=alpha, residual_norm=measured,
             weight_floor_relaxed=True)
         _, tw = tensor_rule([perturbed] * 3)
-        bound = tensor_error_bound(measured, (alpha,) * 3, 3, 1.0)
+        bound = tensor_error_bound(measured, (alpha,) * 3, 1.0)
         for js in itertools.product(range(alpha + 1), repeat=3):
             vals = np.multiply.outer(
                 np.multiply.outer(basis[js[0]], basis[js[1]]),
