@@ -41,6 +41,7 @@ from .nested_optimizer import (
     generate_nested,
     prune_negligible,
 )
+from .nested_optimizer import _pair_start
 from .orthopoly import (
     WeightFamily,
     chebyshev1,
@@ -204,6 +205,9 @@ def cmd_generate(args) -> int:
     if args.allow_negative_weights:
         overrides["allow_negative_weights"] = True
     config = OptimizerConfig(**overrides)
+    # refuse a start degree out of range before any n1 is searched
+    for n1 in n1_list:
+        _pair_start(config, n1)
     many = len(n1_list) > 1
     tasks = [(family, n1, config, _derive_log_path(args.log, n1, many))
              for n1 in n1_list]

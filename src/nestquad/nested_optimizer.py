@@ -24,29 +24,31 @@ residual and the penalties like any node, but never move.
 
 Node bounds and a small positive weight floor are enforced by quadratic
 penalties scaled with a coefficient c_k that grows as the residual shrinks;
-the augmented system [R; c_k P] is driven to zero by undamped Gauss-Newton
-steps regularized through a truncated-SVD Tikhonov filter whose parameter is
-re-selected periodically from the singular spectrum.  The SVD, the step
-and the Newton decrement see only the moment rows and the penalty rows
-whose violation is nonzero.  A penalty row with zero violation is zero
-in both the Jacobian and the residual, so in exact arithmetic dropping it
-changes neither the nonzero singular values, V and U^T R nor the step;
-only rounding differs.  At a feasible iterate that is about half the
-rows.  The residual norm, c_k and the stopping tests still read the
-whole vector.  The last block's
-degree is searched from an optimistic start downward.  A degree started
-warm, from the iterate the degree above it left behind, that fails gets one
-restart from the interlaced initial guess; a degree that fails from that
-fresh start is conceded.  A diverged iterate is useless one degree lower
-too, so the next degree starts fresh.  After the first certified degree,
-the search probes upward one degree at a time, warm from the last
-certified iterate, until a probe fails, and returns the highest certified
-degree.
+the augmented system [R; c_k P] is driven to zero by Gauss-Newton steps
+through the SVD Tikhonov filter s / (s^2 + lambda^2), with lambda = 0.1
+|[R; c_k P]| at every step: Levenberg-Marquardt damping that vanishes at
+convergence.  The SVD, the step and the Newton decrement see only the
+moment rows and the penalty rows whose violation is nonzero.  A penalty
+row with zero violation is zero in both the Jacobian and the residual, so
+in exact arithmetic dropping it changes neither the nonzero singular
+values, V and U^T R nor the step; only rounding differs.  At a feasible
+iterate that is about half the rows.  The residual norm, c_k and the
+stopping tests still read the whole vector.
+
+The last block's degree is searched from an optimistic start downward.  A
+degree counts as certified only when ``certify`` accepts its converged
+iterate; a collided or out-of-domain iterate fails like a stall.  A
+degree started warm, from the iterate the degree above it left behind,
+that fails gets one restart from the interlaced initial guess; a degree
+that fails from that fresh start is conceded.  A diverged iterate is
+useless one degree lower too, so the next degree starts fresh.  After the
+first certified degree, the search probes upward one degree at a time,
+warm from the last certified iterate, until a probe fails, and returns the
+highest certified degree.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,7 +76,6 @@ __all__ = [
     "OptimizerState",
     "NestedRulePair",
     "penalty_coefficient",
-    "select_lambda",
     "newton_decrement",
     "generate_nested",
     "extend_patterson",
@@ -82,12 +83,12 @@ __all__ = [
     "hermite_to_laguerre",
 ]
 
-# Residual norm below which the shifted (sigma + lambda) step form is used.
-_NEAR_ROOT = 1e-8
-# The driver floors the selected lambda at this multiple of the current
-# augmented residual norm (Levenberg-Marquardt damping).  Far from a root
-# this bounds the step along weak directions; it vanishes at convergence.
-_LM_FLOOR = 0.1
+# The Tikhonov parameter of every step is this multiple of the augmented
+# residual norm: Levenberg-Marquardt damping mu = lambda^2 proportional to
+# |R|^2 (N. Yamashita and M. Fukushima, Computing Suppl. 15, 2001; J. Fan
+# and Y. Yuan, Computing 74, 2005).  Far from a root it bounds the step
+# along weak directions; it vanishes at convergence.
+_DAMPING = 0.1
 # Stall: decrement below tolerance while the residual stays above 100 eps,
 # sustained this many consecutive iterations.
 _STALL_RUN = 25
@@ -100,8 +101,6 @@ _SNAP_TOL = 1e-9
 # The penalty coefficient c_k = max(_A, 1/|R|) never exceeds _C_CAP.
 _A = 1e3
 _C_CAP = 1e16
-# Gauss-Newton steps between two selections of the Tikhonov parameter.
-_LAMBDA_PERIOD = 40
 # The whole search may spend this many times the per-degree budget.
 _BUDGET_DEGREES = 40
 # prune_negligible drops nodes whose |weight| is below this.
@@ -389,57 +388,13 @@ def penalty_coefficient(residual_norm: float) -> float:
     return float(min(max(_A, 1.0 / residual_norm), _C_CAP))
 
 
-def select_lambda(singular_values) -> float:
-    """Pick the Tikhonov parameter from the singular spectrum's sharpest drop.
-
-    Scans the discrete curvature of log sigma_i for convex spikes, meaning
-    the spectrum falls off a cliff there: a spike must be at least three
-    e-folds (so ordinary smooth decay never triggers) and more than five
-    times the median curvature of the trailing spectrum.  Lambda is sigma
-    just past the sharpest such cliff, which separates the directions
-    worth following from the ones that only amplify noise; a spectrum
-    with no cliff gets sigma_max * 1e-10.
-    """
-    s = np.sort(np.asarray(singular_values, dtype=float))[::-1]
-    if s.size < 3:
-        raise ParameterError("need at least 3 singular values")
-    if not (np.all(np.isfinite(s)) and s[0] > 0.0):
-        raise NumericalError("degenerate singular spectrum")
-    logs = np.log(np.maximum(s, s[0] * 1e-250))
-    curv = logs[:-2] - 2.0 * logs[1:-1] + logs[2:]
-    spikes = np.maximum(curv, 0.0).tolist()
-    # one backward pass keeps the trailing spikes sorted for their median;
-    # ">=" lets the lowest index win among equal largest spikes
-    best = -1
-    trailing = []
-    for i in range(len(spikes) - 1, -1, -1):
-        k = len(trailing)
-        if k == 0:
-            med = 0.0
-        elif k % 2:
-            med = trailing[k // 2]
-        else:
-            med = (trailing[k // 2 - 1] + trailing[k // 2]) / 2.0
-        spike = spikes[i]
-        if spike >= 3.0 and spike > 5.0 * med:
-            if best < 0 or spike >= spikes[best]:
-                best = i
-        bisect.insort(trailing, spike)
-    if best >= 0:
-        return float(s[best + 1])
-    return float(s[0] * 1e-10)
-
-
-def _step_from_svd(u, s, vt, residual, lam: float, near_root: bool):
+def _step_from_svd(u, s, vt, residual, lam: float):
+    """Tikhonov-filtered step V diag(s / (s^2 + lam^2)) U^T r; a direction
+    with s = lam = 0 contributes nothing."""
     utr = u.T @ residual
-    if near_root:
-        denom = s + lam
-        coef = np.divide(utr, denom, out=np.zeros_like(utr),
-                         where=denom > 0.0)
-    else:
-        denom = s * s + lam * lam
-        coef = np.divide(s * utr, denom, out=np.zeros_like(utr),
-                         where=denom > 0.0)
+    denom = s * s + lam * lam
+    coef = np.divide(s * utr, denom, out=np.zeros_like(utr),
+                     where=denom > 0.0)
     return vt.T @ coef
 
 
@@ -459,6 +414,14 @@ def _start_degree(config: OptimizerConfig, n: int) -> int:
             f"alpha2_initial={alpha2} exceeds {top}, the highest degree a "
             f"{2 * n + 1}-node rule can reach")
     return 3 * n + 2 if alpha2 is None else alpha2
+
+
+def _pair_start(config: OptimizerConfig, n1: int) -> int:
+    """Start degree of the pair search, which must exceed alpha1 = 2 n1 - 1."""
+    alpha2 = _start_degree(config, n1)
+    if alpha2 <= 2 * n1 - 1:
+        raise ParameterError("alpha2_initial must exceed alpha1 = 2 n1 - 1")
+    return alpha2
 
 
 def _interlaced_fine_nodes(table: RecurrenceTable, n2: int,
@@ -497,11 +460,15 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
     """Gauss-Newton at the problem's current degree, starting from ``d``.
 
     Returns (last iterate, outcome).  The outcome is "certified" once the
-    augmented residual is within epsilon, "diverged" when the moment
-    residual is not finite, and "stall" when the Newton decrement has
-    collapsed for ``_STALL_RUN`` steps, the residual has not improved for
-    ``_PLATEAU_RUN`` steps, or the degree has used ``max_iterations``
-    steps.  Raises ConvergenceError when the whole search's budget is spent.
+    augmented residual is within epsilon and ``problem.certify`` accepts
+    the iterate, "infeasible" when it is within epsilon but ``certify``
+    refuses it (collided or out-of-domain nodes), "diverged" when the
+    moment residual is not finite, and "stall" when the Newton decrement
+    has collapsed for ``_STALL_RUN`` steps, the residual has not improved
+    for ``_PLATEAU_RUN`` steps, or the degree has used ``max_iterations``
+    steps.  Every step is damped with lambda = ``_DAMPING`` times the
+    augmented residual norm.  Raises ConvergenceError when the whole
+    search's budget is spent.
     """
     alpha2 = problem.degrees[-1]
     best = math.inf
@@ -522,6 +489,10 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
         rnorm = float(np.linalg.norm(rt))
         state.best_residual = min(state.best_residual, rnorm)
         if rnorm <= config.epsilon:
+            try:
+                problem.certify(d)
+            except FeasibilityError:
+                return d, "infeasible"
             return d, "certified"
 
         if rnorm < best - 1e-16:
@@ -544,17 +515,14 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
             u, s, vt = np.linalg.svd(J, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD failed during iteration: {exc}") from exc
-        if level_iter % _LAMBDA_PERIOD == 0:
-            lam = select_lambda(s)
-        lam_eff = max(lam, _LM_FLOOR * rnorm)
-        step = _step_from_svd(u, s, vt, r_active, lam_eff,
-                              near_root=rnorm < _NEAR_ROOT)
+        lam = _DAMPING * rnorm
+        step = _step_from_svd(u, s, vt, r_active, lam)
         eta = newton_decrement(step, J, r_active)
         d = d - problem.expand_step(step)
 
         state.iteration += 1
         if log:
-            log.record(state.iteration, rnorm, eta, c, lam_eff, alpha2)
+            log.record(state.iteration, rnorm, eta, c, lam, alpha2)
 
 
 def _drive(problem: _MomentProblem, config: OptimizerConfig,
@@ -564,8 +532,9 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
     Returns (certified d, state) and leaves the problem at the certified
     degree; degrees at or below ``min_alpha2`` are never tried.  A degree
     that fails from a warm start gets one fresh restart, and one that
-    fails from a fresh start is conceded; after the first certified degree
-    the search probes upward until a probe fails.
+    fails from a fresh start is conceded; an infeasible iterate counts as
+    a failure like a stall.  After the first certified degree the search
+    probes upward until a probe fails.
     """
     alpha2 = alpha2_start
     problem.set_degree(alpha2)
@@ -626,9 +595,7 @@ def generate_nested(n1: int, table: RecurrenceTable,
     when a converged iterate is infeasible.
     """
     config = config or OptimizerConfig()
-    alpha2 = _start_degree(config, n1)
-    if alpha2 <= 2 * n1 - 1:
-        raise ParameterError("alpha2_initial must exceed alpha1 = 2 n1 - 1")
+    alpha2 = _pair_start(config, n1)
     problem = _pair_problem(n1, table, alpha2, config)
     ((coarse, subset), (fine, _)), state = _search(
         problem, config, alpha2, 2 * n1 - 1, log_path)

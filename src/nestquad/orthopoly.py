@@ -51,8 +51,10 @@ GENERALIZED_HERMITE = "generalized_hermite"
 GENERALIZED_LAGUERRE = "generalized_laguerre"
 CUSTOM = "custom"
 
-_KINDS = (LEGENDRE, CHEBYSHEV1, JACOBI, GENERALIZED_HERMITE,
-          GENERALIZED_LAGUERRE, CUSTOM)
+# number of shape parameters per kind; every one is an exponent of the
+# weight, finite and greater than -1
+_PARAM_COUNT = {LEGENDRE: 0, CHEBYSHEV1: 0, JACOBI: 2, GENERALIZED_HERMITE: 1,
+                GENERALIZED_LAGUERRE: 1, CUSTOM: 0}
 
 
 @dataclass(frozen=True)
@@ -100,18 +102,17 @@ class WeightFamily:
     custom_domain: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAM_COUNT:
             raise UnsupportedFamilyError(f"unknown family kind {self.kind!r}")
-        if self.kind == JACOBI:
-            alpha, beta = self.params
-            if alpha <= -1 or beta <= -1:
-                raise ParameterError(
-                    f"jacobi exponents must exceed -1, got ({alpha}, {beta})")
-        elif self.kind in (GENERALIZED_HERMITE, GENERALIZED_LAGUERRE):
-            (rho,) = self.params
-            if rho <= -1:
-                raise ParameterError(f"exponent rho must exceed -1, got {rho}")
-        elif self.kind == CUSTOM:
+        count = _PARAM_COUNT[self.kind]
+        if len(self.params) != count:
+            raise ParameterError(
+                f"{self.kind} takes {count} parameters, got {self.params}")
+        if not all(math.isfinite(p) and p > -1 for p in self.params):
+            raise ParameterError(
+                f"{self.kind} exponents must be finite and exceed -1, "
+                f"got {self.params}")
+        if self.kind == CUSTOM:
             if len(self.custom_a) != len(self.custom_b) or not self.custom_b:
                 raise ParameterError(
                     "custom family needs equal-length a and b arrays")

@@ -1,0 +1,92 @@
+"""Certified degrees of pairs and Patterson chains across the weight families.
+
+For each of nine weight families, runs ``generate_nested`` for n1 = 1..10
+(table through degree 4 n1 + 10) and a Patterson chain from the Gauss-1
+rule (table through degree 132): four extensions for legendre, chebyshev1
+and jacobi(0,0.3), three for the others.  A chain stops at its first
+error.  Prints one line per op: its certified degrees, its iteration
+count and its wall time, or the error it raised.  Two trees find the same
+rules at the same cost when their outputs agree up to the seconds column:
+
+    PYTHONPATH=src python tests/family_sweep.py > after.txt
+
+The script puts its own tree's ``src`` first on the path, so to sweep an
+older tree, copy this file into that tree's ``tests`` and run it there.
+
+BLAS is pinned to one thread, because threaded reductions may round
+differently from run to run.  The full run takes several minutes.  pytest
+does not collect this file.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import sys  # noqa: E402
+import time  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+import nestquad as nq  # noqa: E402
+from nestquad.errors import NestQuadError  # noqa: E402
+
+# (family, Patterson steps from Gauss-1)
+FAMILIES = [
+    (nq.legendre(), 4),
+    (nq.chebyshev1(), 4),
+    (nq.jacobi(0.0, 0.3), 4),
+    (nq.jacobi(1.0, -0.5), 3),
+    (nq.jacobi(2.0, 2.0), 3),
+    (nq.generalized_hermite(0.0), 3),
+    (nq.generalized_hermite(1.0), 3),
+    (nq.generalized_laguerre(0.0), 3),
+    (nq.generalized_laguerre(1.5), 3),
+]
+PAIR_N1 = range(1, 11)
+CHAIN_CAPACITY = 132
+
+
+def _timed(name, run):
+    """Print ``name``, then the op's result or error, with its seconds;
+    returns the result, or None after an error."""
+    start = time.perf_counter()
+    try:
+        result, degrees, iterations = run()
+    except NestQuadError as exc:
+        outcome, result = f"{type(exc).__name__}: {exc}", None
+    else:
+        outcome = f"degrees {degrees} iterations {iterations}"
+    print(f"{name}: {outcome} seconds {time.perf_counter() - start:.2f}",
+          flush=True)
+    return result
+
+
+def _pair(family, n1):
+    table = nq.recurrence_coefficients(family, 4 * n1 + 10)
+    pair, state = nq.generate_nested(n1, table)
+    return (pair, (pair.coarse.exactness_degree, pair.fine.exactness_degree),
+            state.iteration)
+
+
+def _extend(rule, table):
+    rule, state = nq.extend_patterson(rule, table)
+    return rule, rule.exactness_degree, state.iteration
+
+
+def main() -> None:
+    for family, steps in FAMILIES:
+        label = family.label()
+        for n1 in PAIR_N1:
+            _timed(f"pair {label} n1={n1}", lambda: _pair(family, n1))
+        table = nq.recurrence_coefficients(family, CHAIN_CAPACITY)
+        rule = nq.gauss_rule(table, 1)
+        for _ in range(steps):
+            name = f"extend {label} {rule.n}->{2 * rule.n + 1}"
+            rule = _timed(name, lambda: _extend(rule, table))
+            if rule is None:
+                break
+
+
+if __name__ == "__main__":
+    main()

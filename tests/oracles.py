@@ -5,10 +5,7 @@ sequences per weight family, a Stieltjes/Gram-Schmidt recurrence builder
 working on polynomial coefficient lists, and coefficient-based polynomial
 evaluation.  The Smolyak reference merge is the plain dict-of-tuples
 merge, kept as the bitwise reference for the package's integer-key merge.
-``select_lambda_reference`` is the former median-per-index loop of the
-Tikhonov-parameter selection, kept as the bitwise reference for the
-package's one-pass version.  The moment-matching references are the
-former separate assemblies of the
+The moment-matching references are the former separate assemblies of the
 nested-pair and the frozen-node extension problems, kept as the bitwise
 reference for the package's shared kernel; they take the package's
 recurrence evaluation as an argument, since only the assembly around it
@@ -345,23 +342,3 @@ def reference_extension(evaluate, d, table, alpha2, n_frozen, c_k, config):
     free = np.concatenate([np.arange(n2 - n_frozen), n2 + np.arange(n2)])
     return r, penalties, J[:, free]
 
-
-def select_lambda_reference(singular_values) -> float:
-    """The Tikhonov parameter by one median of the trailing spikes per index.
-
-    Input checks are left to the package's version; this is its scan only.
-    """
-    s = np.sort(np.asarray(singular_values, dtype=float))[::-1]
-    logs = np.log(np.maximum(s, s[0] * 1e-250))
-    curv = logs[:-2] - 2.0 * logs[1:-1] + logs[2:]
-    spikes = np.maximum(curv, 0.0)
-    best = -1
-    for i in range(spikes.size):
-        trailing = spikes[i + 1:]
-        med = float(np.median(trailing)) if trailing.size else 0.0
-        if spikes[i] >= 3.0 and spikes[i] > 5.0 * med:
-            if best < 0 or spikes[i] > spikes[best]:
-                best = i
-    if best >= 0:
-        return float(s[best + 1])
-    return float(s[0] * 1e-10)

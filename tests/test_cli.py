@@ -92,6 +92,21 @@ class TestGenerate:
         assert stderr == ("error: alpha2_initial=19 exceeds 9, the highest "
                           "degree a 5-node rule can reach\n")
 
+    @pytest.mark.parametrize("start", ["12", "3"])
+    def test_batch_start_out_of_range_searches_nothing(self, capsys,
+                                                       monkeypatch, start):
+        # 12 is above what n1=1 can reach, 3 not above alpha1 of n1=5;
+        # either is refused before the pool searches the other n1
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_run_generation", no_pool)
+        code, stdout, stderr = run(capsys, "generate", "--family", "legendre",
+                                   "--n1", "5,1", "--alpha2-init", start)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: alpha2_initial")
+
     def test_diagnostics_log(self, tmp_path, capsys):
         log = tmp_path / "trace.csv"
         code, _, _ = run(capsys, "generate", "--family", "legendre",
@@ -183,6 +198,17 @@ class TestVerify:
         code, _, stderr = run(capsys, "verify", "--in", str(path))
         assert code == 3
         assert "subset_map" in stderr
+
+    def test_non_finite_family_parameter_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "g3.json"
+        run(capsys, "gauss", "--family", "hermite", "--params", "1",
+            "--n", "3", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["family"]["params"] = [math.nan]  # written as JSON NaN
+        path.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "verify", "--in", str(path))
+        assert code == 3
+        assert "finite" in stderr
 
     def test_infinite_degree_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "pair.json"

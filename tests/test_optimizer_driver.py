@@ -27,6 +27,7 @@ from nestquad.orthopoly import (
     chebyshev1,
     custom_family,
     generalized_hermite,
+    generalized_laguerre,
     jacobi,
     legendre,
     recurrence_coefficients,
@@ -161,6 +162,11 @@ class TestGenerateNested:
             generate_nested(3, table, log_path=path)
         assert alpha2_runs(path)[-1] == 6
 
+    def test_laguerre_pair_reaches_degree_15(self):
+        table = recurrence_coefficients(generalized_laguerre(0.0), 34)
+        pair, _ = generate_nested(6, table)
+        assert pair.fine.exactness_degree >= 15
+
     def test_rejects_alpha2_at_or_below_alpha1(self):
         table = table_for(legendre(), 12)
         with pytest.raises(ParameterError):
@@ -289,6 +295,27 @@ class TestDegreeSearch:
         assert [alpha2 for alpha2, _ in calls] == [8, 7, 8]
         fresh = nested_optimizer._pair_problem(2, table, 7, config)
         np.testing.assert_array_equal(calls[1][1], fresh.fresh_start())
+        assert state.restarts == 0
+
+    def test_infeasible_degree_fails_like_a_stall(self, monkeypatch):
+        table = table_for(legendre(), 12)
+        config = OptimizerConfig()
+        problem = nested_optimizer._pair_problem(2, table, 8, config)
+        calls = []
+
+        def solve(problem, d, config, state, log=None):
+            calls.append((problem.degrees[-1], d))
+            if len(calls) == 1:
+                return d + 1.0, "infeasible"
+            return d, "certified" if len(calls) == 2 else "stall"
+
+        monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
+        _, state = nested_optimizer._drive(problem, config, 8, 3)
+        # 8 ends infeasible from the fresh start and is conceded; 7 starts
+        # warm from the infeasible iterate and certifies; the probe at 8
+        # fails
+        assert [alpha2 for alpha2, _ in calls] == [8, 7, 8]
+        np.testing.assert_array_equal(calls[1][1], calls[0][1] + 1.0)
         assert state.restarts == 0
 
 

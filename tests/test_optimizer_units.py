@@ -9,7 +9,6 @@ import pytest
 from nestquad.errors import (
     ConvergenceError,
     FeasibilityError,
-    NumericalError,
     ParameterError,
 )
 from nestquad.gauss import QuadratureRule, gauss_rule, verify_rule
@@ -19,9 +18,8 @@ from nestquad.nested_optimizer import (
     newton_decrement,
     penalty_coefficient,
     prune_negligible,
-    select_lambda,
 )
-from nestquad.nested_optimizer import _PLATEAU_RUN, _STALL_RUN, \
+from nestquad.nested_optimizer import _DAMPING, _PLATEAU_RUN, _STALL_RUN, \
     _DiagnosticsLog, _MomentProblem, _pair_problem, _solve_degree, \
     _step_from_svd
 from nestquad.orthopoly import (
@@ -35,7 +33,7 @@ from nestquad.orthopoly import (
 )
 
 from oracles import eval_orthonormal_oracle, stieltjes_recurrence, family_moments
-from oracles import reference_extension, reference_pair, select_lambda_reference
+from oracles import reference_extension, reference_pair
 from refdata import gauss_kronrod_15
 
 
@@ -425,11 +423,13 @@ class TestActiveRows:
                 assert np.all(rt[dropped] == 0.0)
 
     @pytest.mark.parametrize("family", FD_FAMILIES, ids=lambda f: f.kind)
-    @pytest.mark.parametrize("near_root", [False, True])
+    # lambda fixed at 1e-3 sigma_max, or the driver's _DAMPING |[R; c_k P]|
+    @pytest.mark.parametrize("driver_lambda", [False, True])
     # at degree 6 a feasible point keeps 11 rows for 12 unknowns, so the
     # trimmed SVD has one singular value fewer than the full one
     @pytest.mark.parametrize("alpha2", [6, 7])
-    def test_trimmed_step_matches_full_step(self, family, near_root, alpha2):
+    def test_trimmed_step_matches_full_step(self, family, driver_lambda,
+                                            alpha2):
         rng = np.random.default_rng(9)
         problem = _pair_problem(2, table_for(family, 12), alpha2,
                                 OptimizerConfig())
@@ -444,9 +444,10 @@ class TestActiveRows:
                 rows = problem.active_rows(d)
                 assert (rows.size > 4 + alpha2 + 1) == penalized
                 u, s, vt = np.linalg.svd(J, full_matrices=False)
-                lam = 1e-3 * s[0]
-                full = _step_from_svd(u, s, vt, rt, lam, near_root)
-                trimmed = svd_step(J[rows], rt[rows], lam, near_root)
+                lam = (_DAMPING * np.linalg.norm(rt) if driver_lambda
+                       else 1e-3 * s[0])
+                full = _step_from_svd(u, s, vt, rt, lam)
+                trimmed = svd_step(J[rows], rt[rows], lam)
                 assert (np.linalg.norm(trimmed - full)
                         <= 1e-10 * np.linalg.norm(full))
                 eta_full = newton_decrement(full, J, rt)
@@ -455,7 +456,7 @@ class TestActiveRows:
 
 
 class TestSolveDegree:
-    """One Gauss-Newton run at a fixed degree and its three outcomes."""
+    """One Gauss-Newton run at a fixed degree and its four outcomes."""
 
     @staticmethod
     def _problem(n1, alpha2, config):
@@ -506,6 +507,22 @@ class TestSolveDegree:
         assert max(decrements[-_STALL_RUN:]) < config.epsilon
         assert state.best_residual > 100.0 * config.epsilon
 
+    def test_infeasible_root_is_not_certified(self):
+        # the Legendre extension of the Gauss-1 rule (node 0 frozen) at
+        # degree 1, from both movable nodes at 0 and all weights 1/3: the
+        # residual is zero at once, but the nodes have collided
+        table = table_for(legendre(), 3)
+        problem = _MomentProblem(3, [(range(3), 1)], OptimizerConfig(),
+                                 table, frozen=[0.0])
+        d = np.array([0.0, 0.0, 0.0, 1 / 3, 1 / 3, 1 / 3])
+        assert np.all(residual(problem, d) == 0.0)
+        state = OptimizerState()
+        _, outcome = _solve_degree(problem, d, OptimizerConfig(), state)
+        assert outcome == "infeasible"
+        assert state.iteration == 0
+        with pytest.raises(FeasibilityError, match="collided"):
+            problem.certify(d)
+
     def test_spent_budget_raises(self):
         config = OptimizerConfig(max_iterations=1)
         problem, d0 = self._problem(1, 5, config)
@@ -514,66 +531,9 @@ class TestSolveDegree:
             _solve_degree(problem, d0, config, state)
 
 
-class TestSelectLambda:
-    def test_cliff_spectrum(self):
-        s = [1.0, 0.9, 0.8, 1e-9, 1e-10]
-        assert select_lambda(s) == 1e-9
-
-    def test_smooth_spectrum_falls_back(self):
-        s = np.logspace(0, -12, 20)
-        assert select_lambda(s) == pytest.approx(1e-10, rel=1e-12)
-
-    def test_late_cliff(self):
-        s = [5.0, 4.0, 3.0, 2.0, 1e-13, 1e-14]
-        assert select_lambda(s) == 1e-13
-
-    def test_needs_three_values(self):
-        with pytest.raises(ParameterError):
-            select_lambda([1.0, 0.5])
-
-    def test_degenerate_spectrum(self):
-        with pytest.raises(NumericalError):
-            select_lambda([0.0, 0.0, 0.0])
-
-    def test_accepts_unsorted_input(self):
-        assert select_lambda([1e-10, 1.0, 0.8, 0.9, 1e-9]) == 1e-9
-
-    def test_equal_largest_spikes_pick_the_first(self):
-        # two identical three-e-fold drops: the cliff after the first wins
-        s = np.exp(-np.array([0.0, 0.0, 4.0, 4.0, 8.0, 8.0, 8.0]))
-        assert select_lambda(s) == s[2]
-
-    def test_matches_median_per_index_scan(self):
-        # log-spectra on a grid of halves, so that equal drops give
-        # bitwise equal spikes, with cliffs, plateaus and exact zeros
-        rng = np.random.default_rng(2024)
-        ties = 0
-        for trial in range(3000):
-            n = int(rng.integers(3, 40)) if trial % 100 else 502
-            steps = rng.choice([0.0, 0.5, 1.0, 1.5], size=n)
-            cliffs = rng.random(n) < 0.1
-            steps[cliffs] = rng.choice([4.0, 8.0, 20.0], size=cliffs.sum())
-            s = np.exp(-np.cumsum(steps))
-            if trial % 3 == 0:
-                s = (np.exp(-np.cumsum(rng.exponential(1.0, size=n)))
-                     * 10.0 ** rng.uniform(-3, 3))
-            if trial % 7 == 0:
-                s[-int(rng.integers(1, 3)):] = 0.0
-            rng.shuffle(s)
-            if not s.max() > 0.0:
-                continue
-            assert select_lambda(s) == select_lambda_reference(s)
-            ss = np.sort(s)[::-1]
-            logs = np.log(np.maximum(ss, ss[0] * 1e-250))
-            spikes = np.maximum(logs[:-2] - 2.0 * logs[1:-1] + logs[2:], 0.0)
-            ties += int(np.sum(spikes == spikes.max()) > 1
-                        and spikes.max() >= 3.0)
-        assert ties > 50
-
-
-def svd_step(J, r, lam, near_root=False):
+def svd_step(J, r, lam):
     u, s, vt = np.linalg.svd(J, full_matrices=False)
-    return _step_from_svd(u, s, vt, r, lam, near_root)
+    return _step_from_svd(u, s, vt, r, lam)
 
 
 class TestTikhonovStep:
@@ -583,13 +543,6 @@ class TestTikhonovStep:
         step = svd_step(J, r, 1e-4)
         # sigma/(sigma^2 + lambda^2) against each component
         expected = np.array([1.0 / (1.0 + 1e-8), 1e-8 / (1e-16 + 1e-8)])
-        np.testing.assert_allclose(step, expected, rtol=1e-15)
-
-    def test_near_root_shifted_form(self):
-        J = np.diag([1.0, 1e-8])
-        r = np.array([1e-9, 1e-9])
-        step = svd_step(J, r, 1e-4, near_root=True)
-        expected = np.array([1e-9 / (1.0 + 1e-4), 1e-9 / (1e-8 + 1e-4)])
         np.testing.assert_allclose(step, expected, rtol=1e-15)
 
     def test_zero_lambda_recovers_least_squares(self):

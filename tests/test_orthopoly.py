@@ -1,5 +1,7 @@
 """Recurrence tables and orthonormal evaluation against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,25 @@ class TestRecurrenceCoefficients:
     def test_invalid_hermite_exponent(self):
         with pytest.raises(ParameterError):
             op.generalized_hermite(-1.5)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("legendre", (2.0,)), ("chebyshev1", (0.0,)), ("jacobi", (0.5,)),
+        ("jacobi", (0.0, 0.0, 0.0)), ("generalized_hermite", ()),
+        ("generalized_laguerre", (1.0, 2.0)), ("custom", (1.0,)),
+    ])
+    def test_parameter_count_per_kind(self, kind, params):
+        with pytest.raises(ParameterError, match="parameters"):
+            op.WeightFamily(kind, params)
+
+    @pytest.mark.parametrize("make, params", [
+        (op.jacobi, (math.nan, 0.0)), (op.jacobi, (0.0, math.inf)),
+        (op.generalized_hermite, (math.inf,)),
+        (op.generalized_hermite, (math.nan,)),
+        (op.generalized_laguerre, (-math.inf,)),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_non_finite_exponents_rejected(self, make, params):
+        with pytest.raises(ParameterError, match="finite"):
+            make(*params)
 
     def test_custom_pass_through_and_capacity(self):
         fam = op.custom_family([0.0, 0.0], [1.0, 0.5], (-1.0, 1.0))

@@ -19,6 +19,7 @@ from nestquad.nested_optimizer import (
 )
 from nestquad.orthopoly import (
     custom_family,
+    generalized_hermite,
     generalized_laguerre,
     jacobi,
     legendre,
@@ -268,6 +269,19 @@ class TestLoadValidation:
         self._rewrite(saved, lambda d: d["data"].update(mode="kronrod"))
         with pytest.raises(SchemaError, match="mode"):
             load(saved)
+
+    @pytest.mark.parametrize("family, params", [
+        (legendre(), [2.0]), (generalized_hermite(1.0), [math.nan]),
+        (generalized_hermite(1.0), [math.inf]), (jacobi(0.0, 0.3), [0.0]),
+    ], ids=lambda v: v.kind if hasattr(v, "kind") else str(v))
+    def test_invalid_family_params(self, tmp_path, family, params):
+        table = recurrence_coefficients(family, 5)
+        path = tmp_path / "g3.json"
+        save(make_rule_record(gauss_rule(table, 3)), path)
+        self._rewrite(path, lambda d: d["family"].update(params=params))
+        for verify in (True, False):
+            with pytest.raises(SchemaError, match="malformed"):
+                load(path, verify=verify)
 
     def test_gross_corruption_breaks_construction(self, saved):
         def mutate(doc):
