@@ -24,14 +24,18 @@ residual and the penalties like any node, but never move.
 
 Node bounds and a small positive weight floor are enforced by quadratic
 penalties scaled with a coefficient c_k that grows as the residual shrinks;
-the augmented system [R; c_k P] is driven to zero by Gauss-Newton steps
-through the SVD Tikhonov filter s / (s^2 + lambda^2), with lambda = 0.1
+the augmented system [R; c_k P] is driven to zero by Tikhonov-damped
+Gauss-Newton steps (J^T J + lambda^2 I)^{-1} J^T R, with lambda = 0.1
 |[R; c_k P]| at every step: Levenberg-Marquardt damping that vanishes at
-convergence.  The SVD, the step and the Newton decrement see only the
-moment rows and the penalty rows whose violation is nonzero.  A penalty
-row with zero violation is zero in both the Jacobian and the residual, so
-in exact arithmetic dropping it changes neither the nonzero singular
-values, V and U^T R nor the step; only rounding differs.  At a feasible
+convergence.  A step over at least 128 unknowns solves these normal
+equations directly when the eigenvalues of J^T J + lambda^2 I show a
+condition number of at most 1e10; every other step, and any step whose
+solve fails, goes through the SVD filter s / (s^2 + lambda^2), which
+gives the same step by a costlier but rank-safe route.  The step and the
+Newton decrement see only the moment rows and the penalty rows whose
+violation is nonzero.  A penalty row with zero violation is zero in both
+the Jacobian and the residual, so in exact arithmetic dropping it changes
+neither J^T J, J^T R nor the step; only rounding differs.  At a feasible
 iterate that is about half the rows.  The residual norm, c_k and the
 stopping tests still read the whole vector.
 
@@ -89,6 +93,17 @@ __all__ = [
 # and Y. Yuan, Computing 74, 2005).  Far from a root it bounds the step
 # along weak directions; it vanishes at convergence.
 _DAMPING = 0.1
+# Steps over at least this many unknowns solve the damped normal equations
+# when they are well conditioned.  Below it the SVD takes under a
+# millisecond, and the small searches are chaotic: an ungated normal-
+# equations step saved no time there but moved chebyshev1 7 -> 15 from
+# 3,686 iterations to 5,312 (or 12,547 with a 1e12 guard) at equal degrees.
+_NORMAL_MIN_COLS = 128
+# The normal-equations step is taken when cond(J^T J + lambda^2 I), read
+# exactly from its eigenvalues, is at most this: the step's relative error
+# is then about cond * eps = 2e-6, which an inexact Newton step tolerates.
+# Every iteration of the Legendre n1 = 100 and Jacobi n1 = 60 pairs passes.
+_NORMAL_MAX_COND = 1e10
 # Stall: decrement below tolerance while the residual stays above 100 eps,
 # sustained this many consecutive iterations.
 _STALL_RUN = 25
@@ -277,8 +292,8 @@ class _MomentProblem:
         return node, np.maximum(0.0, self.weight_floor - w)
 
     def active_rows(self, d) -> np.ndarray:
-        """Rows of [R; c_k P] that enter the SVD: every moment row, and each
-        penalty row whose violation is nonzero.
+        """Rows of [R; c_k P] that enter the step: every moment row, and
+        each penalty row whose violation is nonzero.
 
         A penalty row with zero violation is zero in the Jacobian and in
         the residual, so leaving it out changes neither the step nor the
@@ -327,9 +342,10 @@ class _MomentProblem:
     def certify(self, d) -> list:
         """Check, snap, sort and certify: one (rule, subset map) per block.
 
-        Penalty violations above ``_SNAP_TOL`` are a FeasibilityError;
-        smaller node excursions are clipped into the domain, except on
-        frozen nodes, which never move.
+        Penalty violations above ``_SNAP_TOL`` are a FeasibilityError, and
+        so is any weight at or below zero unless negative weights are
+        allowed; smaller node excursions are clipped into the domain,
+        except on frozen nodes, which never move.
         """
         node, weight = self.violations(d)
         excess = float(np.max(node, initial=0.0))
@@ -340,6 +356,10 @@ class _MomentProblem:
         if shortfall > _SNAP_TOL:
             raise FeasibilityError(
                 f"converged weights fall {shortfall:.3e} below the floor")
+        # a floor below _SNAP_TOL lets a tiny nonpositive weight past
+        if (not self.config.allow_negative_weights
+                and np.any(d[self.n:] <= 0.0)):
+            raise FeasibilityError("converged weights are not all positive")
 
         n_free = self.n - self.frozen.size
         x = np.concatenate([np.clip(d[:n_free], self.domain.lo, self.domain.hi),
@@ -402,6 +422,35 @@ def newton_decrement(step: np.ndarray, jacobian: np.ndarray,
                      residual: np.ndarray) -> float:
     """eta = |step . (J^T R)|^(1/2), the progress measure of one step."""
     return float(math.sqrt(abs(float(np.dot(step, jacobian.T @ residual)))))
+
+
+def _damped_step(J: np.ndarray, r: np.ndarray, lam: float):
+    """The Tikhonov step (J^T J + lam^2 I)^{-1} J^T r and its Newton
+    decrement, as (step, eta).
+
+    With at least ``_NORMAL_MIN_COLS`` columns and a damped normal matrix
+    whose condition number is at most ``_NORMAL_MAX_COND``, the normal
+    equations are solved directly; otherwise the step comes from the SVD
+    filter s / (s^2 + lam^2), which also copes with a singular normal
+    matrix.
+    """
+    if J.shape[1] >= _NORMAL_MIN_COLS:
+        A = J.T @ J
+        A[np.diag_indices_from(A)] += lam * lam
+        g = J.T @ r
+        try:
+            mu = np.linalg.eigvalsh(A)
+            if 0.0 < mu[0] and mu[-1] <= _NORMAL_MAX_COND * mu[0]:
+                step = np.linalg.solve(A, g)
+                return step, float(math.sqrt(abs(float(np.dot(step, g)))))
+        except np.linalg.LinAlgError:
+            pass
+    try:
+        u, s, vt = np.linalg.svd(J, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed during iteration: {exc}") from exc
+    step = _step_from_svd(u, s, vt, r, lam)
+    return step, newton_decrement(step, J, r)
 
 
 def _start_degree(config: OptimizerConfig, n: int) -> int:
@@ -510,14 +559,8 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
 
         rows = problem.active_rows(d)
         J = problem.jacobian(d, ev, c)[rows]
-        r_active = rt[rows]
-        try:
-            u, s, vt = np.linalg.svd(J, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD failed during iteration: {exc}") from exc
         lam = _DAMPING * rnorm
-        step = _step_from_svd(u, s, vt, r_active, lam)
-        eta = newton_decrement(step, J, r_active)
+        step, eta = _damped_step(J, rt[rows], lam)
         d = d - problem.expand_step(step)
 
         state.iteration += 1

@@ -81,6 +81,19 @@ class TestGenerateNested:
         assert (pair.coarse.exactness_degree,
                 pair.fine.exactness_degree) == (5, 11)
 
+    def test_large_pair_takes_the_normal_equations_step(self, monkeypatch):
+        # 53 nodes and 79 weights: 132 unknowns, past the size gate, and
+        # every iterate is well conditioned, so no step needs the SVD
+        def fail(*args, **kwargs):
+            raise AssertionError("SVD called")
+        monkeypatch.setattr(nested_optimizer.np.linalg, "svd", fail)
+        table = recurrence_coefficients(legendre(), 114)
+        pair, state = generate_nested(26, table)
+        assert (pair.coarse.exactness_degree,
+                pair.fine.exactness_degree) == (51, 79)
+        assert pair.residual_norm <= 1e-12
+        assert state.iteration == 61
+
     def test_embedding_is_bit_exact(self):
         table = table_for(legendre(), 16)
         pair, _ = generate_nested(3, table)

@@ -9,19 +9,21 @@ import pytest
 from nestquad.errors import (
     ConvergenceError,
     FeasibilityError,
+    NumericalError,
     ParameterError,
 )
 from nestquad.gauss import QuadratureRule, gauss_rule, verify_rule
 from nestquad.nested_optimizer import (
     OptimizerConfig,
     OptimizerState,
+    generate_nested,
     newton_decrement,
     penalty_coefficient,
     prune_negligible,
 )
-from nestquad.nested_optimizer import _DAMPING, _PLATEAU_RUN, _STALL_RUN, \
-    _DiagnosticsLog, _MomentProblem, _pair_problem, _solve_degree, \
-    _step_from_svd
+from nestquad.nested_optimizer import _DAMPING, _NORMAL_MIN_COLS, \
+    _PLATEAU_RUN, _STALL_RUN, _DiagnosticsLog, _MomentProblem, \
+    _damped_step, _pair_problem, _solve_degree, _step_from_svd
 from nestquad.orthopoly import (
     chebyshev1,
     eval_orthonormal,
@@ -370,6 +372,27 @@ class TestMomentKernel:
         with pytest.raises(FeasibilityError, match="collided"):
             problem.certify(d)
 
+    def test_certify_rejects_small_nonpositive_weight(self):
+        # on an unbounded domain the floor is 1e-13, so a weight of -5e-10
+        # passes the 1e-9 shortfall test and must still be refused
+        table = table_for(generalized_hermite(0.0), 12)
+        pair, _ = generate_nested(2, table)
+        problem = _pair_problem(2, table, pair.fine.exactness_degree,
+                                OptimizerConfig())
+        assert pair.subset_map == tuple(problem.idx[0])
+        d = np.concatenate([pair.fine.nodes, pair.coarse.weights,
+                            pair.fine.weights])
+        fine = problem.weights[1]
+        d[fine.start + 1] += d[fine.start] + 5e-10
+        d[fine.start] = -5e-10
+        assert np.max(problem.violations(d)[1]) < 1e-9
+        with pytest.raises(FeasibilityError, match="not all positive"):
+            problem.certify(d)
+        # allowed negative weights still certify it
+        relaxed = _pair_problem(2, table, pair.fine.exactness_degree,
+                                OptimizerConfig(allow_negative_weights=True))
+        relaxed.certify(d)
+
 
 FD_FAMILIES = [legendre(), chebyshev1(), jacobi(0.0, 0.3),
                generalized_hermite(0.0), generalized_laguerre(0.5)]
@@ -556,6 +579,59 @@ class TestTikhonovStep:
         J = np.diag([1.0, 0.0])
         step = svd_step(J, np.array([1.0, 1.0]), 0.0)
         np.testing.assert_allclose(step, [1.0, 0.0], atol=1e-15)
+
+
+class TestDampedStep:
+    """The normal-equations route against the SVD filter it stands in for."""
+
+    @staticmethod
+    def _system(rng, n, rows_extra=20):
+        J = rng.normal(size=(n + rows_extra, n))
+        r = rng.normal(size=n + rows_extra)
+        return J, r, _DAMPING * float(np.linalg.norm(r))
+
+    @staticmethod
+    def _no_svd(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("SVD called")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+
+    @pytest.mark.parametrize("n", [130, 200, 300])
+    def test_well_conditioned_matches_svd_step(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        J, r, lam = self._system(rng, n)
+        expected = svd_step(J, r, lam)
+        self._no_svd(monkeypatch)
+        step, eta = _damped_step(J, r, lam)
+        assert (np.linalg.norm(step - expected)
+                <= 1e-8 * np.linalg.norm(expected))
+        assert eta == pytest.approx(newton_decrement(step, J, r), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 60, _NORMAL_MIN_COLS - 1])
+    def test_small_system_is_the_svd_step_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        J, r, lam = self._system(rng, n)
+        expected = svd_step(J, r, lam)
+        step, eta = _damped_step(J, r, lam)
+        np.testing.assert_array_equal(step, expected)
+        assert eta == newton_decrement(expected, J, r)
+
+    def test_ill_conditioned_large_system_falls_back_to_svd(self):
+        # a zero column and no damping make J^T J + lam^2 I singular
+        rng = np.random.default_rng(5)
+        J, r, _ = self._system(rng, _NORMAL_MIN_COLS + 2)
+        J[:, 7] = 0.0
+        expected = svd_step(J, r, 0.0)
+        step, eta = _damped_step(J, r, 0.0)
+        np.testing.assert_array_equal(step, expected)
+        assert eta == newton_decrement(expected, J, r)
+
+    def test_non_finite_large_system_is_a_numerical_error(self):
+        rng = np.random.default_rng(6)
+        J, r, lam = self._system(rng, _NORMAL_MIN_COLS)
+        J[3, 4] = np.nan
+        with pytest.raises(NumericalError, match="SVD failed"):
+            _damped_step(J, r, lam)
 
 
 class TestNewtonDecrement:
