@@ -122,6 +122,15 @@ def _gauss_nodes(table: RecurrenceTable, n: int) -> np.ndarray:
         raise NumericalError(f"Jacobi-matrix eigensolver failed: {exc}") from exc
 
 
+def _gauss_weights(table: RecurrenceTable, nodes) -> np.ndarray:
+    """Weights of the Gauss rule with these nodes, by the Christoffel
+    identity 1 / sum_j p_j(x_i)^2; unlike the squared first eigenvector
+    components this keeps tiny tail weights (Laguerre, Hermite) at full
+    relative precision."""
+    V = eval_orthonormal(table, nodes.size - 1, nodes).values
+    return 1.0 / np.einsum("ji,ji->i", V, V)
+
+
 def gauss_rule(table: RecurrenceTable, n: int) -> QuadratureRule:
     """Build the n-point Gauss rule of the table's family.
 
@@ -134,11 +143,7 @@ def gauss_rule(table: RecurrenceTable, n: int) -> QuadratureRule:
     degree = 2 * n - 1
     if table.capacity < degree:
         table = recurrence_coefficients(table.family, degree)
-    # Squared first eigenvector components via the Christoffel identity
-    # 1 / sum_j p_j(x_i)^2; unlike the raw eigenvectors this keeps tiny
-    # tail weights (Laguerre, Hermite) at full relative precision.
-    V = eval_orthonormal(table, n - 1, nodes).values
-    weights = 1.0 / np.einsum("ji,ji->i", V, V)
+    weights = _gauss_weights(table, nodes)
 
     residual_norm = float(np.linalg.norm(
         moment_residuals(nodes, weights, table, degree)))

@@ -39,16 +39,18 @@ neither J^T J, J^T R nor the step; only rounding differs.  At a feasible
 iterate that is about half the rows.  The residual norm, c_k and the
 stopping tests still read the whole vector.
 
-The last block's degree is searched from an optimistic start downward.  A
-degree counts as certified only when ``certify`` accepts its converged
-iterate; a collided or out-of-domain iterate fails like a stall.  A
-degree started warm, from the iterate the degree above it left behind,
-that fails gets one restart from the interlaced initial guess; a degree
-that fails from that fresh start is conceded.  A diverged iterate is
-useless one degree lower too, so the next degree starts fresh.  After the
-first certified degree, the search probes upward one degree at a time,
-warm from the last certified iterate, until a probe fails, and returns the
-highest certified degree.
+The last block's degree is searched downward from 3 n + 1, where n is the
+size of the base rule (the frozen rule, or the coarse Gauss rule of a
+pair).  Each degree tries up to three starting points ("rungs") in order:
+the node-polynomial seed of ``_node_polynomial_seed``, when its roots are
+real and inside the domain; a warm start from the last iterate the degree
+above left behind that did not diverge; and the interlaced Gauss guess of
+``fresh_start``.  A degree counts as certified only when ``certify``
+accepts its converged iterate; a collided or out-of-domain iterate fails
+like a stall.  A degree is conceded only when all its rungs fail.  After
+the first certified degree, the search probes upward one degree at a
+time, warm from the last certified iterate, until a probe fails, and
+returns the highest certified degree.
 """
 
 from __future__ import annotations
@@ -66,7 +68,13 @@ from .errors import (
     ParameterError,
     UnsupportedFamilyError,
 )
-from .gauss import QuadratureRule, _gauss_nodes, moment_residuals, verify_rule
+from .gauss import (
+    QuadratureRule,
+    _gauss_nodes,
+    _gauss_weights,
+    moment_residuals,
+    verify_rule,
+)
 from .orthopoly import (
     RecurrenceTable,
     WeightFamily,
@@ -126,8 +134,9 @@ _PRUNE_THRESHOLD = 1e-13
 class OptimizerConfig:
     """Tunables of the nested-rule search.
 
-    ``alpha2_initial`` overrides the default optimistic start 3 n + 2 of
-    the fine-degree search for a (2 n + 1)-node rule; it may not exceed
+    ``alpha2_initial`` overrides the default start 3 n + 1 of the
+    fine-degree search for a (2 n + 1)-node rule, the degree at which the
+    node polynomial of the n + 1 new nodes is unique; it may not exceed
     4 n + 1, the highest degree such a rule can reach.
     """
 
@@ -155,13 +164,16 @@ class OptimizerState:
     """Counters of one search, returned as diagnostics.
 
     ``iteration`` counts Gauss-Newton steps over all attempted degrees and
-    ``restarts`` the fresh restarts of degrees first tried warm;
-    ``residual_norm`` is the certificate of the returned rule and
-    ``best_residual`` the smallest augmented residual norm seen.
+    ``restarts`` the fallback starts tried after a failed one at the same
+    degree; ``rung`` names the start that certified the first degree
+    ("polynomial", "warm" or "fresh"); ``residual_norm`` is the
+    certificate of the returned rule and ``best_residual`` the smallest
+    augmented residual norm seen.
     """
 
     iteration: int = 0
     restarts: int = 0
+    rung: str | None = None
     residual_norm: float = math.inf
     best_residual: float = math.inf
 
@@ -455,14 +467,14 @@ def _damped_step(J: np.ndarray, r: np.ndarray, lam: float):
 
 def _start_degree(config: OptimizerConfig, n: int) -> int:
     """Start degree of the search for a (2 n + 1)-node rule, by default
-    3 n + 2; a start beyond 4 n + 1, where no such rule is exact, is
+    3 n + 1; a start beyond 4 n + 1, where no such rule is exact, is
     refused before any table is asked for it."""
     alpha2, top = config.alpha2_initial, 4 * n + 1
     if alpha2 is not None and alpha2 > top:
         raise ParameterError(
             f"alpha2_initial={alpha2} exceeds {top}, the highest degree a "
             f"{2 * n + 1}-node rule can reach")
-    return 3 * n + 2 if alpha2 is None else alpha2
+    return 3 * n + 1 if alpha2 is None else alpha2
 
 
 def _pair_start(config: OptimizerConfig, n1: int) -> int:
@@ -485,6 +497,70 @@ def _interlaced_fine_nodes(table: RecurrenceTable, n2: int,
             ratio = np.max(np.abs(small)) / np.max(np.abs(nodes))
             nodes = nodes * ratio
     return nodes
+
+
+def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
+    """Start for degree ``alpha`` at the roots of the new nodes' polynomial,
+    or None when the table is too short or a root is complex or outside
+    the domain.
+
+    With base nodes y_1..y_n (the frozen rule, or the Gauss-n_1 nodes of a
+    pair) and pi = prod (x - y_k), the 2 n + 1 nodes reach degree alpha
+    when the polynomial q_m = p_m + sum_{i<m} c_i p_i of the m = n + 1 new
+    nodes is orthogonal under pi w to p_0..p_{k-1}, k = alpha - 2 n
+    (T.N.L. Patterson, Math. Comp. 22, 1968; G. Monegato, SIAM Rev. 24,
+    1982).  At alpha = 3 n + 1, k = m and q_m is unique; below it c is the
+    minimum-norm solution, and above it the 3 n + 1 polynomial is used.
+    The roots of q_m are the eigenvalues of J_m - sqrt(b_m) e_m c^T.  The
+    weights of the last block solve its moment system through ``alpha`` in
+    the least-squares sense; a pair's coarse block starts at the Gauss
+    weights.  The new nodes take the movable slots of the layout: the even
+    ones of a pair, the leading ones of an extension.
+    """
+    table, domain = problem.table, problem.domain
+    pair = not problem.frozen.size
+    base = _gauss_nodes(table, problem.idx[0].size) if pair else problem.frozen
+    n = base.size
+    m = n + 1
+    # a Gauss rule of g points integrates pi p_i p_j, degree up to
+    # n + 2 m - 1, exactly
+    g = (n + 2 * m) // 2 + 2
+    if table.capacity < g - 1:
+        return None
+    t = _gauss_nodes(table, g)
+    P = eval_orthonormal(table, m, t).values
+    diff = t[:, None] - base[None, :]
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(np.abs(diff)).sum(axis=1)
+    pi = np.prod(np.sign(diff), axis=1) * np.exp(log_pi - log_pi.max())
+    c = np.zeros(m)
+    k = min(alpha - 2 * n, m)
+    if k > 0:
+        gram = (P[:k] * (_gauss_weights(table, t) * pi)) @ P.T
+        c = np.linalg.lstsq(gram[:, :m], -gram[:, m], rcond=None)[0]
+    off = np.sqrt(table.b[1:m])
+    comrade = np.diag(table.a[:m]) + np.diag(off, 1) + np.diag(off, -1)
+    comrade[-1] -= math.sqrt(table.b[m]) * c
+    try:
+        roots = np.linalg.eigvals(comrade)
+    except np.linalg.LinAlgError:
+        return None
+    if (np.any(np.abs(roots.imag) > 1e-10)
+            or not domain.contains(roots.real, tol=_SNAP_TOL)):
+        return None
+    new = np.clip(np.sort(roots.real), domain.lo, domain.hi)
+
+    if pair:
+        x = np.empty(2 * n + 1)
+        x[0::2], x[1::2] = new, base
+        coarse = [_gauss_weights(table, base)]
+    else:
+        x, coarse = np.concatenate([new, base]), []
+    target = np.zeros(alpha + 1)
+    target[0] = math.sqrt(table.b[0])
+    fine = np.linalg.lstsq(eval_orthonormal(table, alpha, x).values, target,
+                           rcond=None)[0]
+    return np.concatenate([x] + coarse + [fine])
 
 
 class _DiagnosticsLog:
@@ -568,39 +644,50 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
             log.record(state.iteration, rnorm, eta, c, lam, alpha2)
 
 
+def _rungs(problem: _MomentProblem, warm):
+    """The starts of the problem's current degree, in order, as (name, d):
+    the node-polynomial seed when it is valid, the warm iterate when there
+    is one, and the interlaced guess.  Each is built only when asked for."""
+    seed = _node_polynomial_seed(problem, problem.degrees[-1])
+    if seed is not None:
+        yield "polynomial", seed
+    if warm is not None:
+        yield "warm", warm
+    yield "fresh", problem.fresh_start()
+
+
 def _drive(problem: _MomentProblem, config: OptimizerConfig,
            alpha2_start: int, min_alpha2: int, log=None):
     """Degree search around ``_solve_degree``.
 
     Returns (certified d, state) and leaves the problem at the certified
-    degree; degrees at or below ``min_alpha2`` are never tried.  A degree
-    that fails from a warm start gets one fresh restart, and one that
-    fails from a fresh start is conceded; an infeasible iterate counts as
-    a failure like a stall.  After the first certified degree the search
+    degree; degrees at or below ``min_alpha2`` are never tried.  Each
+    degree runs its rungs (``_rungs``) until one certifies, and is
+    conceded when all fail; an infeasible iterate counts as a failure like
+    a stall.  The warm rung of the next degree is the last iterate of this
+    one that did not diverge.  After the first certified degree the search
     probes upward until a probe fails.
     """
-    alpha2 = alpha2_start
-    problem.set_degree(alpha2)
+    alpha2, warm = alpha2_start, None
     state = OptimizerState()
-    d, warm = problem.fresh_start(), False
-    while True:
-        d, outcome = _solve_degree(problem, d, config, state, log)
-        if outcome == "certified":
-            break
-        if warm:
-            d, warm = problem.fresh_start(), False
-            state.restarts += 1
-            continue
-        alpha2 -= 1
-        if alpha2 <= min_alpha2:
-            raise ConvergenceError(
-                f"search fell below the minimal degree {min_alpha2 + 1} "
-                f"without converging", best_residual=state.best_residual)
+    while state.rung is None:
         problem.set_degree(alpha2)
-        # a blown-up iterate is useless at the lower degree too
-        warm = outcome != "diverged"
-        if not warm:
-            d = problem.fresh_start()
+        last = None
+        for tries, (rung, d) in enumerate(_rungs(problem, warm)):
+            if tries:
+                state.restarts += 1
+            d, outcome = _solve_degree(problem, d, config, state, log)
+            if outcome == "certified":
+                state.rung = rung
+                break
+            if outcome != "diverged":
+                last = d
+        else:
+            alpha2, warm = alpha2 - 1, last
+            if alpha2 <= min_alpha2:
+                raise ConvergenceError(
+                    f"search fell below the minimal degree {min_alpha2 + 1} "
+                    f"without converging", best_residual=state.best_residual)
 
     while problem.table.capacity >= alpha2 + 1:
         problem.set_degree(alpha2 + 1)
@@ -632,8 +719,10 @@ def generate_nested(n1: int, table: RecurrenceTable,
 
     The coarse rule targets degree 2 n_1 - 1 (which forces it onto the
     Gauss rule); the fine degree is searched downward from
-    ``config.alpha2_initial`` (default 3 n_1 + 2, at most 4 n_1 + 1) to
-    2 n_1 at the lowest.  Returns the pair and the iteration diagnostics.
+    ``config.alpha2_initial`` (default 3 n_1 + 1, at most 4 n_1 + 1) to
+    2 n_1 at the lowest, each degree from the node-polynomial seed on the
+    Gauss nodes first, then warm, then from the interlaced guess, and
+    then probed upward.  Returns the pair and the iteration diagnostics.
     Raises ConvergenceError when no degree certifies, FeasibilityError
     when a converged iterate is infeasible.
     """

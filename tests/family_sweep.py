@@ -5,7 +5,8 @@ For each of nine weight families, runs ``generate_nested`` for n1 = 1..10
 rule (table through degree 132): four extensions for legendre, chebyshev1
 and jacobi(0,0.3), three for the others.  A chain stops at its first
 error.  Prints one line per op: its certified degrees, its iteration
-count and its wall time, or the error it raised.  Two trees find the same
+count, the start ("rung") that certified its first degree and its wall
+time, or the error it raised.  Two trees find the same
 rules at the same cost when their outputs agree up to the seconds column:
 
     PYTHONPATH=src python tests/family_sweep.py > after.txt
@@ -52,11 +53,12 @@ def _timed(name, run):
     returns the result, or None after an error."""
     start = time.perf_counter()
     try:
-        result, degrees, iterations = run()
+        result, degrees, state = run()
     except NestQuadError as exc:
         outcome, result = f"{type(exc).__name__}: {exc}", None
     else:
-        outcome = f"degrees {degrees} iterations {iterations}"
+        outcome = (f"degrees {degrees} iterations {state.iteration} "
+                   f"rung {state.rung}")
     print(f"{name}: {outcome} seconds {time.perf_counter() - start:.2f}",
           flush=True)
     return result
@@ -66,12 +68,12 @@ def _pair(family, n1):
     table = nq.recurrence_coefficients(family, 4 * n1 + 10)
     pair, state = nq.generate_nested(n1, table)
     return (pair, (pair.coarse.exactness_degree, pair.fine.exactness_degree),
-            state.iteration)
+            state)
 
 
 def _extend(rule, table):
     rule, state = nq.extend_patterson(rule, table)
-    return rule, rule.exactness_degree, state.iteration
+    return rule, rule.exactness_degree, state
 
 
 def main() -> None:

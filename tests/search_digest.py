@@ -2,13 +2,15 @@
 
 Runs every op of the benchmark's ``optimizer`` workload, the Legendre and
 generalized-Hermite (rho = 1) Patterson chains 1 -> 3 -> 7 -> 15 and two
-searches that end in ConvergenceError, and prints one line per op: a
-sha256 of the node and weight bytes, the subset map, the certified
-degrees, the iteration and restart counts, and a sha256 of the ``--log``
-CSV (for an error, its message and best residual instead of the rule).
+searches that end in ConvergenceError, one by the iteration budget and
+one below the minimal degree, and prints one line per op: a sha256 of the
+node and weight bytes, the subset map, the certified degrees, the
+iteration and restart counts, the start ("rung") that certified the first
+degree, and a sha256 of the ``--log`` CSV (for an error, its message and
+best residual instead of the rule).
 Each line ends with the op's per-degree runs, read from the CSV: one
 (alpha2, iterations) pair per stretch of consecutive iterations at one
-degree (a warm attempt and its fresh restart form one stretch), so a diff
+degree (all the starts tried at one degree form one stretch), so a diff
 shows at which degrees the iterations moved.  Two trees run the same
 search exactly when their outputs are equal:
 
@@ -61,7 +63,8 @@ def _line(name, rules, subset, state, log_path) -> str:
     degrees = tuple(r.exactness_degree for r in rules)
     return (f"{name}: nodes {_sha(arrays)} subset {subset} degrees {degrees} "
             f"iterations {state.iteration} restarts {state.restarts} "
-            f"csv {_csv_digest(log_path)} runs {_degree_runs(log_path)}")
+            f"rung {state.rung} csv {_csv_digest(log_path)} "
+            f"runs {_degree_runs(log_path)}")
 
 
 def _chain(family, steps, log):
@@ -81,8 +84,9 @@ def _pair(family, n1, log):
 
 
 def _failure(name, n, config, log):
-    """An extension of the Legendre Gauss-n rule that must fail."""
-    table = nq.recurrence_coefficients(nq.legendre(), 70)
+    """An extension of the generalized-Laguerre (rho = 0) Gauss-n rule
+    that must fail: one step per start certifies no degree."""
+    table = nq.recurrence_coefficients(nq.generalized_laguerre(0.0), 70)
     try:
         nq.extend_patterson(nq.gauss_rule(table, n), table, config,
                             log_path=log)
@@ -106,10 +110,10 @@ def main() -> None:
             _pair(nq.jacobi(0.0, 0.3), 60, log),
             _chain(nq.legendre(), 3, log),
             _chain(nq.generalized_hermite(1.0), 3, log),
-            _failure("extend legendre 15->31 budget", 15,
+            _failure("extend generalized_laguerre(0.0) 15->31 budget", 15,
                      nq.OptimizerConfig(max_iterations=1, alpha2_initial=61),
                      log),
-            _failure("extend legendre 3->7 floor", 3,
+            _failure("extend generalized_laguerre(0.0) 7->15 floor", 7,
                      nq.OptimizerConfig(max_iterations=1), log),
         )
         for line in lines:

@@ -74,7 +74,7 @@ class TestGenerateNested:
                                    atol=1e-8)
 
     def test_table_needs_only_the_start_degree(self):
-        # the search starts at 3 n1 + 2 = 11 and probes up to the table's
+        # the search starts at 3 n1 + 1 = 10 and probes up to the table's
         # capacity; degree 4 n1 + 1 = 13 is never needed
         table = recurrence_coefficients(legendre(), 12)
         pair, _ = generate_nested(3, table)
@@ -92,7 +92,7 @@ class TestGenerateNested:
         assert (pair.coarse.exactness_degree,
                 pair.fine.exactness_degree) == (51, 79)
         assert pair.residual_norm <= 1e-12
-        assert state.iteration == 61
+        assert state.iteration == 28
 
     def test_embedding_is_bit_exact(self):
         table = table_for(legendre(), 16)
@@ -160,20 +160,31 @@ class TestGenerateNested:
         assert len(lines) == state.iteration + 1
 
     def test_budget_exhaustion_raises(self):
-        # one or two steps per degree and 40 in all: the budget runs out
-        # long before the search falls below alpha1 = 19
-        table = recurrence_coefficients(legendre(), 45)
-        config = OptimizerConfig(max_iterations=1, alpha2_initial=41)
+        # one step per start and 40 in all: from degree 61 the budget runs
+        # out near 41, long before the search falls below alpha1 = 29
+        table = recurrence_coefficients(generalized_laguerre(0.0), 70)
+        config = OptimizerConfig(max_iterations=1, alpha2_initial=61)
         with pytest.raises(ConvergenceError, match="budget exhausted") as info:
-            generate_nested(10, table, config)
+            generate_nested(15, table, config)
         assert math.isfinite(info.value.best_residual)
 
     def test_search_reaches_alpha1_plus_one(self, tmp_path):
+        # one step per start certifies no degree of this pair
         table = recurrence_coefficients(jacobi(1.24, -0.79), 22)
         path = tmp_path / "search.csv"
         with pytest.raises(ConvergenceError, match="minimal degree 6"):
-            generate_nested(3, table, log_path=path)
+            generate_nested(3, table, OptimizerConfig(max_iterations=1),
+                            log_path=path)
         assert alpha2_runs(path)[-1] == 6
+
+    @pytest.mark.parametrize("n1, degrees", [(4, (7, 13)), (5, (9, 15))])
+    def test_jacobi_1_minus_half_pairs_certify(self, n1, degrees):
+        table = recurrence_coefficients(jacobi(1.0, -0.5), 4 * n1 + 10)
+        pair, _ = generate_nested(n1, table)
+        assert (pair.coarse.exactness_degree,
+                pair.fine.exactness_degree) == degrees
+        assert np.all(pair.fine.weights > 0.0)
+        assert pair.residual_norm <= 1e-12
 
     def test_laguerre_pair_reaches_degree_15(self):
         table = recurrence_coefficients(generalized_laguerre(0.0), 34)
@@ -261,32 +272,50 @@ class TestGenerateNested:
         assert outcomes["certified"] >= 1, outcomes
 
 
-class TestDegreeSearch:
-    """The order in which degrees are tried; iteration counts are left
-    out, because they depend on the BLAS."""
+@pytest.fixture
+def attempts(monkeypatch):
+    """(alpha2, outcome) of every ``_solve_degree`` call, in order,
+    recorded around the real one; unlike the --log CSV it also lists the
+    attempts that certify without a step."""
+    calls = []
+    solve = nested_optimizer._solve_degree
 
-    def test_concede_restart_and_failed_probe(self, tmp_path):
+    def spy(problem, d, config, state, log=None):
+        d, outcome = solve(problem, d, config, state, log)
+        calls.append((problem.degrees[-1], outcome))
+        return d, outcome
+
+    monkeypatch.setattr(nested_optimizer, "_solve_degree", spy)
+    return calls
+
+
+class TestDegreeSearch:
+    """The order in which degrees and starts are tried; iteration counts
+    are left out, because they depend on the BLAS."""
+
+    def test_concede_restart_and_failed_probe(self, attempts):
         table = table_for(generalized_hermite(1.0), 40)
         base, _ = extend_patterson(gauss_rule(table, 1), table)
-        path = tmp_path / "search.csv"
-        rule, state = extend_patterson(base, table, log_path=path)
-        # 11 fails from the fresh start and is conceded; 10 fails warm,
-        # restarts fresh, fails again and is conceded; 9 certifies warm;
-        # the probe at 10 fails
-        assert alpha2_runs(path) == [11, 10, 9, 10]
+        attempts.clear()
+        rule, state = extend_patterson(base, table)
+        # the start 10 fails from its node-polynomial seed and, there
+        # being no warm iterate yet, from the interlaced guess, and is
+        # conceded; 9 certifies from its seed; the probe at 10 fails
+        assert attempts == [(10, "stall"), (10, "stall"), (9, "certified"),
+                            (10, "stall")]
         assert state.restarts == 1
+        assert state.rung == "polynomial"
         assert rule.exactness_degree == 9
 
-    def test_probe_climbs_past_the_start(self, tmp_path):
+    def test_probe_climbs_past_the_start(self, attempts):
         table = recurrence_coefficients(chebyshev1(), 4 * 7 + 10)
-        path = tmp_path / "search.csv"
-        pair, state = generate_nested(7, table, log_path=path)
-        # 23 is conceded, 22 and 21 fail warm and restart fresh, and 21
-        # then certifies; the probe at 22 certifies after some steps, those
-        # at 23 to 27 without a step (so they leave no rows), and the
-        # probe at 28 fails
-        assert alpha2_runs(path) == [23, 22, 21, 22, 28]
-        assert state.restarts == 2
+        pair, state = generate_nested(7, table)
+        # the seed certifies the start 22 = 3 n1 + 1; the probes at 23 to
+        # 27 certify and the probe at 28 fails
+        assert attempts == [(alpha2, "certified") for alpha2 in
+                            range(22, 28)] + [(28, "stall")]
+        assert state.restarts == 0
+        assert state.rung == "polynomial"
         assert pair.fine.exactness_degree == 27
 
     def test_degree_after_divergence_starts_fresh(self, monkeypatch):
@@ -297,18 +326,23 @@ class TestDegreeSearch:
 
         def solve(problem, d, config, state, log=None):
             calls.append((problem.degrees[-1], d))
-            if len(calls) == 1:
+            if len(calls) <= 2:
                 return np.full_like(d, np.nan), "diverged"
-            return d, "certified" if len(calls) == 2 else "stall"
+            return d, "certified" if len(calls) == 4 else "stall"
 
         monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
         _, state = nested_optimizer._drive(problem, config, 8, 3)
-        # 8 diverges and is conceded; 7 starts from its own fresh start,
-        # not from the blown-up iterate, and certifies; the probe at 8 fails
-        assert [alpha2 for alpha2, _ in calls] == [8, 7, 8]
-        fresh = nested_optimizer._pair_problem(2, table, 7, config)
-        np.testing.assert_array_equal(calls[1][1], fresh.fresh_start())
-        assert state.restarts == 0
+        # 8 diverges from its seed and from the interlaced guess and is
+        # conceded; 7 has no warm rung, so after its seed stalls it starts
+        # fresh, not from a blown-up iterate, and certifies; the probe at
+        # 8 fails
+        assert [alpha2 for alpha2, _ in calls] == [8, 8, 7, 7, 8]
+        at7 = nested_optimizer._pair_problem(2, table, 7, config)
+        np.testing.assert_array_equal(
+            calls[2][1], nested_optimizer._node_polynomial_seed(at7, 7))
+        np.testing.assert_array_equal(calls[3][1], at7.fresh_start())
+        assert state.restarts == 2
+        assert state.rung == "fresh"
 
     def test_infeasible_degree_fails_like_a_stall(self, monkeypatch):
         table = table_for(legendre(), 12)
@@ -320,16 +354,42 @@ class TestDegreeSearch:
             calls.append((problem.degrees[-1], d))
             if len(calls) == 1:
                 return d + 1.0, "infeasible"
-            return d, "certified" if len(calls) == 2 else "stall"
+            if len(calls) == 2:
+                return np.full_like(d, np.nan), "diverged"
+            return d, "certified" if len(calls) == 4 else "stall"
 
         monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
         _, state = nested_optimizer._drive(problem, config, 8, 3)
-        # 8 ends infeasible from the fresh start and is conceded; 7 starts
-        # warm from the infeasible iterate and certifies; the probe at 8
-        # fails
-        assert [alpha2 for alpha2, _ in calls] == [8, 7, 8]
-        np.testing.assert_array_equal(calls[1][1], calls[0][1] + 1.0)
-        assert state.restarts == 0
+        # 8 ends infeasible from its seed, diverges from the interlaced
+        # guess and is conceded; 7's seed stalls, and its warm rung starts
+        # from the infeasible iterate, the last one at 8 that did not
+        # diverge, and certifies; the probe at 8 fails
+        assert [alpha2 for alpha2, _ in calls] == [8, 8, 7, 7, 8]
+        np.testing.assert_array_equal(calls[3][1], calls[0][1] + 1.0)
+        assert state.restarts == 2
+        assert state.rung == "warm"
+
+    def test_degree_is_conceded_only_after_every_rung(self, monkeypatch):
+        table = table_for(legendre(), 12)
+        config = OptimizerConfig()
+        problem = nested_optimizer._pair_problem(2, table, 8, config)
+        calls = []
+
+        def solve(problem, d, config, state, log=None):
+            calls.append((problem.degrees[-1], d))
+            return d, "certified" if len(calls) == 5 else "stall"
+
+        monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
+        _, state = nested_optimizer._drive(problem, config, 8, 3)
+        # 8 stalls from its seed and from the interlaced guess; 7 stalls
+        # from its seed and warm from 8's last iterate, and certifies from
+        # the interlaced guess; the probe at 8 fails
+        assert [alpha2 for alpha2, _ in calls] == [8, 8, 7, 7, 7, 8]
+        np.testing.assert_array_equal(calls[3][1], calls[1][1])
+        at7 = nested_optimizer._pair_problem(2, table, 7, config)
+        np.testing.assert_array_equal(calls[4][1], at7.fresh_start())
+        assert state.restarts == 3
+        assert state.rung == "fresh"
 
 
 class TestExtendPatterson:
@@ -399,6 +459,16 @@ class TestExtendPatterson:
         table = recurrence_coefficients(family, 12)
         rule, _ = extend_patterson(gauss_rule(table, 3), table)
         assert rule.n == 7 and rule.exactness_degree == 11
+
+    def test_legendre_chain_reaches_pattersons_degrees(self):
+        # Patterson's 3-, 7-, 15-, 31- and 63-point rules from the
+        # Gauss-1 rule (Math. Comp. 22, 1968)
+        table = recurrence_coefficients(legendre(), 132)
+        rule, degrees = gauss_rule(table, 1), []
+        for _ in range(5):
+            rule, _ = extend_patterson(rule, table)
+            degrees.append(rule.exactness_degree)
+        assert degrees == [5, 11, 23, 47, 95]
 
     def test_rejects_family_mismatch(self):
         table = table_for(legendre(), 12)
