@@ -410,7 +410,11 @@ def cmd_sparse_grid(args) -> int:
 
 def _resolve_function(name: str, params: str | None, d: int):
     """Return (f, truth) where truth is the analytic value for the uniform
-    weight on [-1,1]^d, or inf when it exceeds the float range."""
+    weight on [-1,1]^d, or inf when it exceeds the float range.
+
+    ``f`` maps the last axis of its argument to one value: it takes one
+    d-vector, or an (N, d) node array in a single call.
+    """
     name = name.strip().lower()
     values = []
     if params:
@@ -420,7 +424,7 @@ def _resolve_function(name: str, params: str | None, d: int):
             raise UsageError(f"bad --params {params!r}: {exc}") from exc
 
     if name == "constant":
-        return (lambda x: 1.0), 1.0
+        return (lambda x: np.ones(np.shape(x)[:-1])), 1.0
     if name == "monomial":
         if len(values) != d or any(v != int(v) or v < 0 for v in values):
             raise UsageError(
@@ -429,7 +433,7 @@ def _resolve_function(name: str, params: str | None, d: int):
         exps = np.array(powers, dtype=float)
         truth = math.prod(1.0 / (p + 1) if p % 2 == 0 else 0.0
                           for p in powers)
-        return (lambda x: float(np.prod(np.asarray(x) ** exps))), truth
+        return (lambda x: np.prod(np.asarray(x) ** exps, axis=-1)), truth
     if name == "product-exponential":
         if len(values) != d:
             raise UsageError(f"product-exponential needs {d} coefficients")
@@ -441,10 +445,8 @@ def _resolve_function(name: str, params: str | None, d: int):
             truth = math.inf
 
         def product_exponential(x):
-            try:
-                return math.exp(float(coeffs @ np.asarray(x)))
-            except OverflowError:
-                return math.inf
+            with np.errstate(over="ignore"):  # overflow gives inf
+                return np.exp(np.asarray(x) @ coeffs)
 
         return product_exponential, truth
     if name == "genz-oscillatory":
@@ -454,8 +456,8 @@ def _resolve_function(name: str, params: str | None, d: int):
         u, coeffs = values[0], np.array(values[1:])
         truth = math.cos(2.0 * math.pi * u) * math.prod(
             math.sin(c) / c if c != 0.0 else 1.0 for c in values[1:])
-        return (lambda x: float(
-            np.cos(2.0 * math.pi * u + coeffs @ np.asarray(x)))), truth
+        return (lambda x: np.cos(
+            2.0 * math.pi * u + np.asarray(x) @ coeffs)), truth
     raise UsageError(f"unknown function {name!r}")
 
 

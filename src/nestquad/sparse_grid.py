@@ -400,24 +400,71 @@ def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
 def integrate(grid: SparseGrid, f) -> float:
     """Sum w_q f(x_q) over the grid in node order.
 
-    ``f`` receives one d-vector per call.  A non-finite value aborts with
-    an evaluation error carrying the offending node.
+    ``f`` is called once on the whole (N, d) node array, and its result is
+    used when it holds one real value per node (shape (N,)).  An integrand
+    written for one d-vector with ``axis=-1`` semantics, such as
+    ``lambda x: np.cos(x.sum(axis=-1))``, so costs one call.  Otherwise
+    (the call raised, or returned another shape) ``f`` is called once per
+    node in order, with one d-vector each; a scalar integrand still works,
+    but sees the whole array first, which matters if it keeps state.  When
+    N == d the array is square, a scalar integrand such as ``x[0] * x[1]``
+    would also return N values, and ``f`` gets only the per-node calls.
+
+    The sum is ``math.fsum`` of the products w_q f(x_q).  A non-finite
+    value aborts with an evaluation error carrying the first offending
+    node in node order.
     """
     return _weighted_sum(grid.nodes, grid.weights, f)
 
 
 def _weighted_sum(nodes, weights, f) -> float:
-    """math.fsum of w_q f(x_q), calling ``f`` once per row of ``nodes`` in
-    order; a non-finite value raises EvaluationError naming the node."""
-    terms = []
-    for point, weight in zip(nodes, weights):
-        value = float(f(point))
-        if not math.isfinite(value):
-            raise EvaluationError(
-                f"integrand returned {value} at {point.tolist()}",
-                node=point.copy())
-        terms.append(weight * value)
-    return math.fsum(terms)
+    """math.fsum of w_q f(x_q) over the rows of ``nodes`` (see
+    ``integrate``); the first non-finite value in node order raises
+    EvaluationError naming its node."""
+    values = _batch_values(nodes, f)
+    if values is None:
+        values = np.array([_finite(f(point), point) for point in nodes],
+                          dtype=float)
+    else:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            _finite(values[bad[0]], nodes[bad[0]])  # raises
+    return math.fsum((weights * values).tolist())
+
+
+def _batch_values(nodes, f):
+    """The values of ``f`` on every row of ``nodes`` from one call on the
+    whole array, or None if that call raises or does not give one real
+    value per row.  A square array is not probed (see ``integrate``).
+
+    Any exception from the probe only means "not vectorized": an error
+    that is real shows up again in the per-row calls.  The probe silences
+    floating-point errors and warnings as well, since a scalar integrand
+    handed an array may well overflow or warn, and non-finite values of
+    an integrand that works on arrays are caught afterwards.
+    """
+    n, d = nodes.shape
+    if n == d:
+        return None
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            values = np.asarray(f(nodes))
+        except Exception:
+            return None
+    if values.shape != (n,) or values.dtype.kind not in "biuf":
+        return None
+    return values.astype(float)
+
+
+def _finite(value, point) -> float:
+    """``float(value)``; EvaluationError naming ``point`` if not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise EvaluationError(
+            f"integrand returned {value} at {point.tolist()}",
+            node=point.copy())
+    return value
 
 
 def tensor_error_bound(epsilon: float, alphas, p_norm: float) -> float:
@@ -446,9 +493,8 @@ def write_grid_csv(grid: SparseGrid, path):
     """One row per node: d coordinates then the weight."""
     header = ",".join(f"x{q + 1}" for q in range(grid.d)) + ",weight"
     lines = [header]
-    for point, weight in zip(grid.nodes, grid.weights):
-        coords = ",".join(repr(float(c)) for c in point)
-        lines.append(f"{coords},{float(weight)!r}")
+    for point, weight in zip(grid.nodes.tolist(), grid.weights.tolist()):
+        lines.append(",".join(map(repr, [*point, weight])))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -458,6 +504,6 @@ def grid_to_json_dict(grid: SparseGrid, family_ref: str) -> dict:
         "d": grid.d,
         "k": grid.k,
         "family_ref": family_ref,
-        "nodes": [[float(c) for c in point] for point in grid.nodes],
-        "weights": [float(w) for w in grid.weights],
+        "nodes": grid.nodes.tolist(),
+        "weights": grid.weights.tolist(),
     }

@@ -64,8 +64,12 @@ CALLS = [
     *[f"integrate --grid grid.json --function {name}"
       + (f" --params {params}" if params else "")
       for name, params in GRID_FUNCTIONS],
+    "integrate --grid grid.json --function product-exponential "
+    "--params 1000,0,0",
     "integrate --rule pair.json --function product-exponential "
     "--params 0.5",
+    "integrate --rule pair.json --function genz-oscillatory "
+    "--params 0.1,0.3",
     "export --in pair.json --part coarse --out coarse.csv",
 ]
 

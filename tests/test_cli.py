@@ -554,6 +554,86 @@ class TestIntegrate:
         assert stdout == ""
         assert f"integrand returned inf at {bad.tolist()}" in stderr
 
+    @pytest.mark.parametrize("name, params, rule_params", [
+        ("constant", None, None),
+        ("monomial", "2,1,4", "4"),
+        ("product-exponential", "0.3,-0.2,0.1", "0.5"),
+        ("genz-oscillatory", "0.1,0.3,0.2,-0.1", "0.1,0.3"),
+    ])
+    def test_builtin_batch_matches_per_row(self, grid_path, pair_record,
+                                           capsys, name, params,
+                                           rule_params):
+        doc = json.loads(grid_path.read_text())
+        pair = load(pair_record).payload
+        cases = [("--grid", grid_path, params, 3,
+                  [("estimate", np.array(doc["nodes"]),
+                    np.array(doc["weights"]))]),
+                 ("--rule", pair_record, rule_params, 1,
+                  [(label, rule.nodes[:, None], rule.weights)
+                   for label, rule in (("coarse", pair.coarse),
+                                       ("fine", pair.fine))])]
+        for flag, path, fn_params, d, parts in cases:
+            argv = ["integrate", flag, str(path), "--function", name]
+            if fn_params is not None:
+                argv += ["--params", fn_params]
+            code, stdout, _ = run(capsys, *argv)
+            assert code == 0
+            f, _ = cli._resolve_function(name, fn_params, d)
+            for key, nodes, weights in parts:
+                batch = f(nodes)
+                assert batch.shape == weights.shape
+                rows = np.array([float(f(x)) for x in nodes])
+                np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=0)
+                per_row = math.fsum((weights * rows).tolist())
+                assert cli._weighted_sum(nodes, weights, f) == \
+                    pytest.approx(per_row, rel=1e-14, abs=1e-300)
+                # the CLI prints 13 significant digits
+                assert self._value(stdout, key) == pytest.approx(
+                    per_row, rel=1e-12, abs=1e-300)
+
+    def test_builtin_is_called_once(self, grid_path, capsys, monkeypatch):
+        calls = []
+        resolve = cli._resolve_function
+
+        def counting(*args):
+            f, truth = resolve(*args)
+
+            def counted(x):
+                calls.append(np.shape(x))
+                return f(x)
+
+            return counted, truth
+
+        monkeypatch.setattr(cli, "_resolve_function", counting)
+        code, _, _ = run(capsys, "integrate", "--grid", str(grid_path),
+                         "--function", "genz-oscillatory",
+                         "--params", "0.1,0.3,0.2,0.1")
+        assert code == 0
+        nodes = json.loads(grid_path.read_text())["nodes"]
+        assert calls == [(len(nodes), 3)]
+
+    def test_overflowing_rule_integrand_names_coarse_node(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "pair3.json"
+        code, _, _ = run(capsys, "generate", "--family", "legendre",
+                         "--n1", "3", "--out", str(path))
+        assert code == 0
+        coarse = load(path).payload.coarse.nodes
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.exp(1000.0 * coarse))
+        assert not finite.all()
+        bad = coarse[np.flatnonzero(~finite)[0]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run(
+                capsys, "integrate", "--rule", str(path),
+                "--function", "product-exponential", "--params", "1000")
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert code == 1
+        assert stdout == ""
+        assert f"integrand returned inf at {[float(bad)]}" in stderr
+
 
 class TestExport:
     def test_pair_parts(self, pair_record, tmp_path, capsys):

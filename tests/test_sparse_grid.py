@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -314,6 +315,8 @@ class TestIntegrate:
         assert integrate(grid, poly) == pytest.approx(exact, abs=1e-9)
 
     def test_evaluation_order(self, nested_family):
+        # a scalar integrand is handed the whole node array once, then,
+        # since one float is not one value per node, each node in order
         grid = smolyak_grid(nested_family, 2, 2)
         seen = []
 
@@ -322,7 +325,96 @@ class TestIntegrate:
             return 1.0
 
         integrate(grid, probe)
-        assert np.array_equal(np.array(seen), grid.nodes)
+        assert np.array_equal(seen[0], grid.nodes)
+        assert np.array_equal(np.array(seen[1:]), grid.nodes)
+
+    def test_vectorized_integrand_called_once(self, nested_family):
+        grid = smolyak_grid(nested_family, 3, 3)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.cos(x.sum(axis=-1))
+
+        value = integrate(grid, f)
+        assert len(calls) == 1 and calls[0] is grid.nodes
+        values = np.cos(grid.nodes.sum(axis=1))
+        assert value == math.fsum((grid.weights * values).tolist())
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(d=st.integers(1, 6), k=st.integers(1, 4), nested=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batched_matches_per_row(self, nested_family, gauss_family, d, k,
+                                     nested, seed):
+        grid = smolyak_grid(nested_family if nested else gauss_family, d, k)
+        c = np.random.default_rng(seed).uniform(-0.5, 0.5, size=d)
+        batched = integrate(grid, lambda x: np.exp(x @ c))
+        # math.exp refuses an array, so this one is evaluated per row
+        per_row = integrate(grid, lambda x: math.exp(x @ c))
+        assert per_row == math.fsum(
+            w * math.exp(x @ c) for x, w in zip(grid.nodes, grid.weights))
+        assert batched == pytest.approx(per_row, rel=1e-14, abs=0.0)
+
+    def test_nonfinite_in_batch_names_first_node(self, nested_family):
+        grid = smolyak_grid(nested_family, 3, 3)
+        assert grid.node_count > 9
+
+        def f(x):
+            values = np.ones(len(x))
+            values[[9, 2, 5]] = [-math.inf, math.nan, math.inf]
+            return values
+
+        with pytest.raises(EvaluationError) as err:
+            integrate(grid, f)
+        assert np.array_equal(err.value.node, grid.nodes[2])
+        assert f"returned nan at {grid.nodes[2].tolist()}" in str(err.value)
+
+    def test_square_node_array_is_evaluated_per_row(self):
+        # on a 3 x 3 array x[0] * x[1] also gives 3 values, from the
+        # wrong rows; a square array must never use the batch result
+        nodes = np.arange(9.0).reshape(3, 3)
+        weights = np.array([0.5, 0.25, 0.25])
+        shapes = []
+
+        def f(x):
+            shapes.append(np.shape(x))
+            return x[0] * x[1]
+
+        value = sparse_grid._weighted_sum(nodes, weights, f)
+        assert shapes == [(3,)] * 3
+        assert value == math.fsum(w * x[0] * x[1]
+                                  for x, w in zip(nodes, weights))
+
+    def test_raising_on_array_falls_back(self, nested_family):
+        grid = smolyak_grid(nested_family, 3, 2)
+        shapes = []
+
+        def f(x):
+            shapes.append(np.shape(x))
+            if np.ndim(x) != 1:
+                raise ValueError("one point at a time")
+            return math.cos(x.sum())
+
+        value = integrate(grid, f)
+        assert shapes == [grid.nodes.shape] + [(3,)] * grid.node_count
+        assert value == math.fsum(w * math.cos(x.sum())
+                                  for x, w in zip(grid.nodes, grid.weights))
+
+    def test_probe_leaks_no_warning(self, nested_family):
+        grid = smolyak_grid(nested_family, 2, 3)
+
+        def f(x):
+            if np.ndim(x) == 2:
+                np.log(-x)  # invalid and divide-by-zero
+                warnings.warn("expected one point", UserWarning)
+                return np.zeros((len(x), 1))  # not one value per node
+            return 1.0
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = integrate(grid, f)
+        assert caught == []
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_nonfinite_carries_node(self, nested_family):
         grid = smolyak_grid(nested_family, 2, 2)
