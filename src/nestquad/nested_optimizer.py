@@ -41,15 +41,13 @@ stopping tests still read the whole vector.
 
 The last block's degree is searched downward from 3 n + 1, where n is the
 size of the base rule (the frozen rule, or the coarse Gauss rule of a
-pair).  Each degree tries up to three starting points ("rungs") in order:
-the node-polynomial seed of ``_node_polynomial_seed``, when its roots are
-real and inside the domain; a warm start from the last iterate the degree
-above left behind that did not diverge; and the interlaced Gauss guess of
-``fresh_start``.  A degree counts as certified only when ``certify``
-accepts its converged iterate; a collided or out-of-domain iterate fails
-like a stall.  A degree is conceded only when all its rungs fail.  After
-the first certified degree, the search probes upward one degree at a
-time, warm from the last certified iterate, until a probe fails, and
+pair).  Each degree has one start, the node-polynomial seed of
+``_node_polynomial_seed``; a degree whose seed has a complex or
+out-of-domain root is conceded without a step.  A degree counts as
+certified only when ``certify`` accepts its converged iterate; a
+diverged, collided or out-of-domain iterate is conceded like a stall.
+After the first certified degree, the search probes upward one degree at
+a time, warm from the last certified iterate, until a probe fails, and
 returns the highest certified degree.
 """
 
@@ -164,16 +162,13 @@ class OptimizerState:
     """Counters of one search, returned as diagnostics.
 
     ``iteration`` counts Gauss-Newton steps over all attempted degrees and
-    ``restarts`` the fallback starts tried after a failed one at the same
-    degree; ``rung`` names the start that certified the first degree
-    ("polynomial", "warm" or "fresh"); ``residual_norm`` is the
-    certificate of the returned rule and ``best_residual`` the smallest
-    augmented residual norm seen.
+    ``restarts`` the degrees conceded before the first certified one;
+    ``residual_norm`` is the certificate of the returned rule and
+    ``best_residual`` the smallest augmented residual norm seen.
     """
 
     iteration: int = 0
     restarts: int = 0
-    rung: str | None = None
     residual_norm: float = math.inf
     best_residual: float = math.inf
 
@@ -256,18 +251,6 @@ class _MomentProblem:
     def set_degree(self, alpha: int):
         self.table.require(alpha)
         self.degrees[-1] = alpha
-
-    def fresh_start(self) -> np.ndarray:
-        """Interlaced Gauss nodes and uniform weights per block.
-
-        With frozen nodes, the movable ones take every second seed node.
-        """
-        x = _interlaced_fine_nodes(self.table, self.n, self.degrees[-1])
-        if self.frozen.size:
-            x = np.concatenate([x[0::2], self.frozen])
-        mass = float(self.table.b[0])
-        return np.concatenate(
-            [x] + [np.full(idx.size, mass / idx.size) for idx in self.idx])
 
     def evaluate(self, d):
         """One recurrence pass, values and derivatives, over all nodes at
@@ -485,24 +468,9 @@ def _pair_start(config: OptimizerConfig, n1: int) -> int:
     return alpha2
 
 
-def _interlaced_fine_nodes(table: RecurrenceTable, n2: int,
-                           alpha2: int) -> np.ndarray:
-    """Gauss-n2 nodes, shrunk on unbounded domains to the span a rule of
-    degree alpha2 actually needs (ratio of extreme Gauss nodes)."""
-    nodes = _gauss_nodes(table, n2)
-    if not table.family.domain.bounded:
-        m = (alpha2 + 1) // 2
-        if m < n2:
-            small = _gauss_nodes(table, m)
-            ratio = np.max(np.abs(small)) / np.max(np.abs(nodes))
-            nodes = nodes * ratio
-    return nodes
-
-
 def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     """Start for degree ``alpha`` at the roots of the new nodes' polynomial,
-    or None when the table is too short or a root is complex or outside
-    the domain.
+    or None when a root is complex or outside the domain.
 
     With base nodes y_1..y_n (the frozen rule, or the Gauss-n_1 nodes of a
     pair) and pi = prod (x - y_k), the 2 n + 1 nodes reach degree alpha
@@ -522,11 +490,11 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     base = _gauss_nodes(table, problem.idx[0].size) if pair else problem.frozen
     n = base.size
     m = n + 1
-    # a Gauss rule of g points integrates pi p_i p_j, degree up to
-    # n + 2 m - 1, exactly
-    g = (n + 2 * m) // 2 + 2
-    if table.capacity < g - 1:
-        return None
+    # the Gram entries pi p_i p_j have degree n + k - 1 + m, at most both
+    # n + 2 m - 1 and alpha, so a Gauss rule of g points with 2 g - 1 at
+    # least either bound integrates them exactly; the table, which
+    # reaches alpha, caps g no lower than that
+    g = min((n + 2 * m) // 2 + 2, table.capacity + 1)
     t = _gauss_nodes(table, g)
     P = eval_orthonormal(table, m, t).values
     diff = t[:, None] - base[None, :]
@@ -644,50 +612,33 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
             log.record(state.iteration, rnorm, eta, c, lam, alpha2)
 
 
-def _rungs(problem: _MomentProblem, warm):
-    """The starts of the problem's current degree, in order, as (name, d):
-    the node-polynomial seed when it is valid, the warm iterate when there
-    is one, and the interlaced guess.  Each is built only when asked for."""
-    seed = _node_polynomial_seed(problem, problem.degrees[-1])
-    if seed is not None:
-        yield "polynomial", seed
-    if warm is not None:
-        yield "warm", warm
-    yield "fresh", problem.fresh_start()
-
-
 def _drive(problem: _MomentProblem, config: OptimizerConfig,
            alpha2_start: int, min_alpha2: int, log=None):
     """Degree search around ``_solve_degree``.
 
     Returns (certified d, state) and leaves the problem at the certified
     degree; degrees at or below ``min_alpha2`` are never tried.  Each
-    degree runs its rungs (``_rungs``) until one certifies, and is
-    conceded when all fail; an infeasible iterate counts as a failure like
-    a stall.  The warm rung of the next degree is the last iterate of this
-    one that did not diverge.  After the first certified degree the search
-    probes upward until a probe fails.
+    degree starts once, at its node-polynomial seed, and is conceded when
+    it has no seed or its run ends in anything but "certified"; the next
+    degree starts from its own seed, never from the failed iterate.  After
+    the first certified degree the search probes upward, warm from the
+    last certified iterate, until a probe fails.
     """
-    alpha2, warm = alpha2_start, None
+    alpha2 = alpha2_start
     state = OptimizerState()
-    while state.rung is None:
+    while True:
         problem.set_degree(alpha2)
-        last = None
-        for tries, (rung, d) in enumerate(_rungs(problem, warm)):
-            if tries:
-                state.restarts += 1
+        d = _node_polynomial_seed(problem, alpha2)
+        if d is not None:
             d, outcome = _solve_degree(problem, d, config, state, log)
             if outcome == "certified":
-                state.rung = rung
                 break
-            if outcome != "diverged":
-                last = d
-        else:
-            alpha2, warm = alpha2 - 1, last
-            if alpha2 <= min_alpha2:
-                raise ConvergenceError(
-                    f"search fell below the minimal degree {min_alpha2 + 1} "
-                    f"without converging", best_residual=state.best_residual)
+        state.restarts += 1
+        alpha2 -= 1
+        if alpha2 <= min_alpha2:
+            raise ConvergenceError(
+                f"search fell below the minimal degree {min_alpha2 + 1} "
+                f"without converging", best_residual=state.best_residual)
 
     while problem.table.capacity >= alpha2 + 1:
         problem.set_degree(alpha2 + 1)
@@ -721,8 +672,8 @@ def generate_nested(n1: int, table: RecurrenceTable,
     Gauss rule); the fine degree is searched downward from
     ``config.alpha2_initial`` (default 3 n_1 + 1, at most 4 n_1 + 1) to
     2 n_1 at the lowest, each degree from the node-polynomial seed on the
-    Gauss nodes first, then warm, then from the interlaced guess, and
-    then probed upward.  Returns the pair and the iteration diagnostics.
+    Gauss nodes, and then probed upward.  Returns the pair and the
+    iteration diagnostics.
     Raises ConvergenceError when no degree certifies, FeasibilityError
     when a converged iterate is infeasible.
     """

@@ -2,17 +2,16 @@
 
 Runs every op of the benchmark's ``optimizer`` workload, the Legendre and
 generalized-Hermite (rho = 1) Patterson chains 1 -> 3 -> 7 -> 15 and two
-searches that end in ConvergenceError, one by the iteration budget and
-one below the minimal degree, and prints one line per op: a sha256 of the
-node and weight bytes, the subset map, the certified degrees, the
-iteration and restart counts, the start ("rung") that certified the first
-degree, and a sha256 of the ``--log`` CSV (for an error, its message and
-best residual instead of the rule).
+searches that end in ConvergenceError, one by the iteration budget, cut
+to one degree's worth, and one below the minimal degree, and prints one
+line per op: a sha256 of the node and weight bytes, the subset map, the
+certified degrees, the iteration and restart counts and a sha256 of the
+``--log`` CSV (for an error, its message and best residual instead of
+the rule).
 Each line ends with the op's per-degree runs, read from the CSV: one
 (alpha2, iterations) pair per stretch of consecutive iterations at one
-degree (all the starts tried at one degree form one stretch), so a diff
-shows at which degrees the iterations moved.  Two trees run the same
-search exactly when their outputs are equal:
+degree, so a diff shows at which degrees the iterations moved.  Two
+trees run the same search exactly when their outputs are equal:
 
     PYTHONPATH=src python tests/search_digest.py > after.txt
 
@@ -33,10 +32,12 @@ import hashlib  # noqa: E402
 import itertools  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from unittest import mock  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 import nestquad as nq  # noqa: E402
+from nestquad import nested_optimizer  # noqa: E402
 from nestquad.errors import ConvergenceError  # noqa: E402
 
 
@@ -63,7 +64,7 @@ def _line(name, rules, subset, state, log_path) -> str:
     degrees = tuple(r.exactness_degree for r in rules)
     return (f"{name}: nodes {_sha(arrays)} subset {subset} degrees {degrees} "
             f"iterations {state.iteration} restarts {state.restarts} "
-            f"rung {state.rung} csv {_csv_digest(log_path)} "
+            f"csv {_csv_digest(log_path)} "
             f"runs {_degree_runs(log_path)}")
 
 
@@ -98,6 +99,13 @@ def _failure(name, n, config, log):
         yield f"{name}: no error"
 
 
+def _budget_failure(name, n, config, log):
+    """``_failure`` with the whole-search budget cut to ``max_iterations``
+    steps, which the first degree with a seed spends."""
+    with mock.patch.object(nested_optimizer, "_BUDGET_DEGREES", 1):
+        yield from _failure(name, n, config, log)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as log_dir:
         log = os.path.join(log_dir, "search.csv")
@@ -110,9 +118,9 @@ def main() -> None:
             _pair(nq.jacobi(0.0, 0.3), 60, log),
             _chain(nq.legendre(), 3, log),
             _chain(nq.generalized_hermite(1.0), 3, log),
-            _failure("extend generalized_laguerre(0.0) 15->31 budget", 15,
-                     nq.OptimizerConfig(max_iterations=1, alpha2_initial=61),
-                     log),
+            _budget_failure("extend generalized_laguerre(0.0) 15->31 budget",
+                            15, nq.OptimizerConfig(max_iterations=1,
+                                                   alpha2_initial=61), log),
             _failure("extend generalized_laguerre(0.0) 7->15 floor", 7,
                      nq.OptimizerConfig(max_iterations=1), log),
         )

@@ -159,14 +159,29 @@ class TestGenerateNested:
         assert lines[0] == header
         assert len(lines) == state.iteration + 1
 
-    def test_budget_exhaustion_raises(self):
-        # one step per start and 40 in all: from degree 61 the budget runs
-        # out near 41, long before the search falls below alpha1 = 29
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        # a budget of one step in all, which the first degree with a seed
+        # spends, long before the search falls below alpha1 = 29
+        monkeypatch.setattr(nested_optimizer, "_BUDGET_DEGREES", 1)
         table = recurrence_coefficients(generalized_laguerre(0.0), 70)
         config = OptimizerConfig(max_iterations=1, alpha2_initial=61)
         with pytest.raises(ConvergenceError, match="budget exhausted") as info:
             generate_nested(15, table, config)
         assert math.isfinite(info.value.best_residual)
+
+    @pytest.mark.parametrize("family, n1, degrees", [
+        (legendre(), 1, (1, 2)),
+        (generalized_hermite(0.0), 2, (3, 4)),
+    ], ids=["legendre", "hermite"])
+    def test_table_through_the_start_degree_suffices(self, family, n1,
+                                                     degrees):
+        # the table stops at the start 2 n1, short of the seed's default
+        # Gauss rule of (n + 2 m)//2 + 2 points, which the table then caps
+        table = recurrence_coefficients(family, 2 * n1)
+        pair, _ = generate_nested(n1, table,
+                                  OptimizerConfig(alpha2_initial=2 * n1))
+        assert (pair.coarse.exactness_degree,
+                pair.fine.exactness_degree) == degrees
 
     def test_search_reaches_alpha1_plus_one(self, tmp_path):
         # one step per start certifies no degree of this pair
@@ -298,13 +313,10 @@ class TestDegreeSearch:
         base, _ = extend_patterson(gauss_rule(table, 1), table)
         attempts.clear()
         rule, state = extend_patterson(base, table)
-        # the start 10 fails from its node-polynomial seed and, there
-        # being no warm iterate yet, from the interlaced guess, and is
+        # the start 10 stalls from its node-polynomial seed and is
         # conceded; 9 certifies from its seed; the probe at 10 fails
-        assert attempts == [(10, "stall"), (10, "stall"), (9, "certified"),
-                            (10, "stall")]
+        assert attempts == [(10, "stall"), (9, "certified"), (10, "stall")]
         assert state.restarts == 1
-        assert state.rung == "polynomial"
         assert rule.exactness_degree == 9
 
     def test_probe_climbs_past_the_start(self, attempts):
@@ -315,36 +327,11 @@ class TestDegreeSearch:
         assert attempts == [(alpha2, "certified") for alpha2 in
                             range(22, 28)] + [(28, "stall")]
         assert state.restarts == 0
-        assert state.rung == "polynomial"
         assert pair.fine.exactness_degree == 27
 
-    def test_degree_after_divergence_starts_fresh(self, monkeypatch):
-        table = table_for(legendre(), 12)
-        config = OptimizerConfig()
-        problem = nested_optimizer._pair_problem(2, table, 8, config)
-        calls = []
-
-        def solve(problem, d, config, state, log=None):
-            calls.append((problem.degrees[-1], d))
-            if len(calls) <= 2:
-                return np.full_like(d, np.nan), "diverged"
-            return d, "certified" if len(calls) == 4 else "stall"
-
-        monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
-        _, state = nested_optimizer._drive(problem, config, 8, 3)
-        # 8 diverges from its seed and from the interlaced guess and is
-        # conceded; 7 has no warm rung, so after its seed stalls it starts
-        # fresh, not from a blown-up iterate, and certifies; the probe at
-        # 8 fails
-        assert [alpha2 for alpha2, _ in calls] == [8, 8, 7, 7, 8]
-        at7 = nested_optimizer._pair_problem(2, table, 7, config)
-        np.testing.assert_array_equal(
-            calls[2][1], nested_optimizer._node_polynomial_seed(at7, 7))
-        np.testing.assert_array_equal(calls[3][1], at7.fresh_start())
-        assert state.restarts == 2
-        assert state.rung == "fresh"
-
-    def test_infeasible_degree_fails_like_a_stall(self, monkeypatch):
+    @pytest.mark.parametrize("failure", ["diverged", "infeasible", "stall"])
+    def test_conceded_degree_successor_starts_at_its_seed(self, monkeypatch,
+                                                          failure):
         table = table_for(legendre(), 12)
         config = OptimizerConfig()
         problem = nested_optimizer._pair_problem(2, table, 8, config)
@@ -353,43 +340,40 @@ class TestDegreeSearch:
         def solve(problem, d, config, state, log=None):
             calls.append((problem.degrees[-1], d))
             if len(calls) == 1:
-                return d + 1.0, "infeasible"
-            if len(calls) == 2:
-                return np.full_like(d, np.nan), "diverged"
-            return d, "certified" if len(calls) == 4 else "stall"
+                failed = np.full_like(d, np.nan) if failure == "diverged" \
+                    else d + 1.0
+                return failed, failure
+            return d, "certified" if len(calls) == 2 else "stall"
 
         monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
         _, state = nested_optimizer._drive(problem, config, 8, 3)
-        # 8 ends infeasible from its seed, diverges from the interlaced
-        # guess and is conceded; 7's seed stalls, and its warm rung starts
-        # from the infeasible iterate, the last one at 8 that did not
-        # diverge, and certifies; the probe at 8 fails
-        assert [alpha2 for alpha2, _ in calls] == [8, 8, 7, 7, 8]
-        np.testing.assert_array_equal(calls[3][1], calls[0][1] + 1.0)
-        assert state.restarts == 2
-        assert state.rung == "warm"
-
-    def test_degree_is_conceded_only_after_every_rung(self, monkeypatch):
-        table = table_for(legendre(), 12)
-        config = OptimizerConfig()
-        problem = nested_optimizer._pair_problem(2, table, 8, config)
-        calls = []
-
-        def solve(problem, d, config, state, log=None):
-            calls.append((problem.degrees[-1], d))
-            return d, "certified" if len(calls) == 5 else "stall"
-
-        monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
-        _, state = nested_optimizer._drive(problem, config, 8, 3)
-        # 8 stalls from its seed and from the interlaced guess; 7 stalls
-        # from its seed and warm from 8's last iterate, and certifies from
-        # the interlaced guess; the probe at 8 fails
-        assert [alpha2 for alpha2, _ in calls] == [8, 8, 7, 7, 7, 8]
-        np.testing.assert_array_equal(calls[3][1], calls[1][1])
+        # 8 fails from its seed and is conceded; 7 starts from its own
+        # seed, not from 8's failed iterate, and certifies; the probe at 8
+        # starts warm from 7's certified iterate and fails
+        assert [alpha2 for alpha2, _ in calls] == [8, 7, 8]
         at7 = nested_optimizer._pair_problem(2, table, 7, config)
-        np.testing.assert_array_equal(calls[4][1], at7.fresh_start())
-        assert state.restarts == 3
-        assert state.rung == "fresh"
+        np.testing.assert_array_equal(
+            calls[1][1], nested_optimizer._node_polynomial_seed(at7, 7))
+        assert calls[2][1] is calls[1][1]
+        assert state.restarts == 1
+
+    def test_degree_without_a_seed_is_conceded_without_a_run(
+            self, monkeypatch, attempts):
+        seed = nested_optimizer._node_polynomial_seed
+
+        def no_seed_at_8(problem, alpha):
+            return None if alpha == 8 else seed(problem, alpha)
+
+        monkeypatch.setattr(nested_optimizer, "_node_polynomial_seed",
+                            no_seed_at_8)
+        table = table_for(legendre(), 12)
+        pair, state = generate_nested(2, table,
+                                      OptimizerConfig(alpha2_initial=8))
+        # 8 is conceded before any step; 7 certifies from its seed; the
+        # probe at 8, warm from 7's rule, needs no seed and fails
+        assert attempts == [(7, "certified"), (8, "stall")]
+        assert state.restarts == 1
+        assert pair.fine.exactness_degree == 7
 
 
 class TestExtendPatterson:

@@ -12,7 +12,8 @@ from nestquad.errors import (
     NumericalError,
     ParameterError,
 )
-from nestquad.gauss import QuadratureRule, gauss_rule, verify_rule
+from nestquad.gauss import QuadratureRule, _gauss_nodes, gauss_rule, \
+    verify_rule
 from nestquad.nested_optimizer import (
     OptimizerConfig,
     OptimizerState,
@@ -47,6 +48,23 @@ def residual(problem, d):
     return problem.residual(d, problem.evaluate(d))
 
 
+def interlaced_start(problem):
+    """A test point of the problem's layout: its Gauss nodes, shrunk on an
+    unbounded domain to the span of the Gauss rule of (alpha + 1)//2
+    points, alpha the last block's degree, with uniform weights per block;
+    with frozen nodes, the movable ones take every second Gauss node."""
+    table = problem.table
+    x = _gauss_nodes(table, problem.n)
+    m = (problem.degrees[-1] + 1) // 2
+    if not table.family.domain.bounded and m < problem.n:
+        x = x * (np.max(np.abs(_gauss_nodes(table, m))) / np.max(np.abs(x)))
+    if problem.frozen.size:
+        x = np.concatenate([x[0::2], problem.frozen])
+    mass = float(table.b[0])
+    return np.concatenate(
+        [x] + [np.full(idx.size, mass / idx.size) for idx in problem.idx])
+
+
 class TestOptimizerConfig:
     def test_defaults(self):
         config = OptimizerConfig()
@@ -75,7 +93,7 @@ class TestAssembleResidual:
     def test_uniform_weights_zero_mass_rows(self):
         table = table_for(legendre(), 12)
         problem = _pair_problem(2, table, 8, OptimizerConfig())
-        r = residual(problem, problem.fresh_start())
+        r = residual(problem, interlaced_start(problem))
         assert r.shape == (3 + 8 + 2,)
         # both mass rows vanish for uniform weights
         assert abs(r[0]) < 1e-15
@@ -86,7 +104,7 @@ class TestAssembleResidual:
         fam = legendre()
         table = table_for(fam, 12)
         problem = _pair_problem(2, table, 8, OptimizerConfig())
-        d = problem.fresh_start()
+        d = interlaced_start(problem)
         r = residual(problem, d)
         # d = (x_2, w_1, w_2); the coarse rule sits on fine nodes 1 and 3
         alpha1, alpha2 = 3, 8
@@ -310,7 +328,7 @@ class TestMomentKernel:
         problem = _pair_problem(3, table, 11, config)
         dims = types.SimpleNamespace(n1=3, n2=7, alpha1=5, alpha2=11,
                                      subset_map=(1, 3, 5))
-        d0 = problem.fresh_start()
+        d0 = interlaced_start(problem)
         feasible, active = _kernel_points(d0, 7, 7, family.domain, rng)
         for d in (d0, feasible, active):
             c_k = 10.0 ** rng.uniform(0, 8)
@@ -331,7 +349,7 @@ class TestMomentKernel:
         base = gauss_rule(table, 3)
         problem = _MomentProblem(7, [(range(7), 11)], config, table,
                                  frozen=base.nodes)
-        d0 = problem.fresh_start()
+        d0 = interlaced_start(problem)
         np.testing.assert_array_equal(d0[4:7], base.nodes)
         feasible, active = _kernel_points(d0, 7, 4, family.domain, rng)
         for d in (d0, feasible, active):
@@ -350,7 +368,7 @@ class TestMomentKernel:
         frozen = np.array([-0.5, 0.0, 1.0 + 5e-10])
         problem = _MomentProblem(7, [(range(7), 5)], OptimizerConfig(), table,
                                  frozen=frozen)
-        d = problem.fresh_start()
+        d = interlaced_start(problem)
         d[0] = -1.0 - 4e-10
         ((rule, subset),) = problem.certify(d)
         assert rule.nodes[0] == -1.0
@@ -435,7 +453,7 @@ class TestActiveRows:
         for family in FD_FAMILIES:
             problem = _pair_problem(2, table_for(family, 12), 7,
                                     OptimizerConfig())
-            for d in _kernel_points(problem.fresh_start(), 5, 5,
+            for d in _kernel_points(interlaced_start(problem), 5, 5,
                                     family.domain, rng):
                 J = jacobian(problem, d, 1e3)
                 rt = np.concatenate([residual(problem, d),
@@ -457,7 +475,7 @@ class TestActiveRows:
         problem = _pair_problem(2, table_for(family, 12), alpha2,
                                 OptimizerConfig())
         for _ in range(5):
-            points = _kernel_points(problem.fresh_start(), 5, 5,
+            points = _kernel_points(interlaced_start(problem), 5, 5,
                                     family.domain, rng)
             for d, penalized in zip(points, (False, True)):
                 c_k = 10.0 ** rng.uniform(0, 4)
@@ -485,7 +503,7 @@ class TestSolveDegree:
     def _problem(n1, alpha2, config):
         table = table_for(legendre(), 2 * alpha2)
         problem = _pair_problem(n1, table, alpha2, config)
-        return problem, problem.fresh_start()
+        return problem, interlaced_start(problem)
 
     def test_certified_at_published_kronrod_root(self):
         problem, _ = self._problem(7, 23, OptimizerConfig())
@@ -650,41 +668,12 @@ class TestNewtonDecrement:
 
 
 class TestInitialize:
-    """The pair layout's fresh start: interlaced Gauss nodes, uniform
-    weights per block."""
-
-    def test_legendre_interlaced(self):
-        table = table_for(legendre(), 12)
-        problem = _pair_problem(2, table, 8, OptimizerConfig())
-        assert problem.n == 5 and problem.degrees == [3, 8]
-        np.testing.assert_array_equal(problem.idx[0], [1, 3])
-        d = problem.fresh_start()
-        np.testing.assert_array_equal(d[:5], gauss_rule(table, 5).nodes)
-        np.testing.assert_array_equal(d[5:7], [0.5, 0.5])
-        np.testing.assert_array_equal(d[7:], [0.2] * 5)
+    """The pair layout: the coarse block takes every second node."""
 
     def test_single_coarse_node_is_center(self):
         problem = _pair_problem(1, table_for(legendre(), 8), 5,
                                 OptimizerConfig())
         np.testing.assert_array_equal(problem.idx[0], [1])
-
-    def test_unbounded_nodes_are_shrunk(self):
-        table = table_for(generalized_hermite(0.0), 16)
-        d = _pair_problem(3, table, 11, OptimizerConfig()).fresh_start()
-        full = gauss_rule(table, 7).nodes
-        ratio = np.max(np.abs(gauss_rule(table, 6).nodes)) / np.max(np.abs(full))
-        assert ratio < 1.0
-        np.testing.assert_allclose(d[:7], full * ratio, rtol=1e-15)
-        # physicists' Hermite cross-check of the shrink ratio
-        h6 = np.polynomial.hermite.hermgauss(6)[0]
-        h7 = np.polynomial.hermite.hermgauss(7)[0]
-        assert ratio == pytest.approx(np.max(np.abs(h6)) / np.max(np.abs(h7)),
-                                      abs=1e-12)
-
-    def test_bounded_nodes_are_not_shrunk(self):
-        table = table_for(legendre(), 16)
-        d = _pair_problem(3, table, 11, OptimizerConfig()).fresh_start()
-        np.testing.assert_array_equal(d[:7], gauss_rule(table, 7).nodes)
 
     def test_rejects_bad_n1(self):
         table = table_for(legendre(), 8)
