@@ -48,7 +48,10 @@ certified only when ``certify`` accepts its converged iterate; a
 diverged, collided or out-of-domain iterate is conceded like a stall.
 After the first certified degree, the search probes upward one degree at
 a time, warm from the last certified iterate, until a probe fails, and
-returns the highest certified degree.
+returns the highest certified degree.  Above 3 n + 1, where the unknowns
+and the moment rows are equally many, a probe takes no step and only
+checks its warm start, except for an odd degree on a symmetric weight,
+whose odd moment rounding may leave above epsilon.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CapacityError,
     ConvergenceError,
     FeasibilityError,
     NumericalError,
@@ -549,7 +553,7 @@ class _DiagnosticsLog:
 
 
 def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
-                  state: OptimizerState, log=None):
+                  state: OptimizerState, log=None, *, max_steps=None):
     """Gauss-Newton at the problem's current degree, starting from ``d``.
 
     Returns (last iterate, outcome).  The outcome is "certified" once the
@@ -558,12 +562,15 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
     refuses it (collided or out-of-domain nodes), "diverged" when the
     moment residual is not finite, and "stall" when the Newton decrement
     has collapsed for ``_STALL_RUN`` steps, the residual has not improved
-    for ``_PLATEAU_RUN`` steps, or the degree has used ``max_iterations``
-    steps.  Every step is damped with lambda = ``_DAMPING`` times the
+    for ``_PLATEAU_RUN`` steps, or the degree has used ``max_steps``
+    steps (by default ``max_iterations``; with 0 the call only checks
+    ``d``).  Every step is damped with lambda = ``_DAMPING`` times the
     augmented residual norm.  Raises ConvergenceError when the whole
     search's budget is spent.
     """
     alpha2 = problem.degrees[-1]
+    if max_steps is None:
+        max_steps = config.max_iterations
     best = math.inf
     stall_run = plateau_run = 0
     eta = math.inf
@@ -598,7 +605,7 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
         else:
             stall_run = 0
         if (stall_run >= _STALL_RUN or plateau_run >= _PLATEAU_RUN
-                or level_iter >= config.max_iterations):
+                or level_iter >= max_steps):
             return d, "stall"
 
         rows = problem.active_rows(d)
@@ -623,7 +630,17 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
     degree starts from its own seed, never from the failed iterate.  After
     the first certified degree the search probes upward, warm from the
     last certified iterate, until a probe fails.
+
+    A (2 n + 1)-node problem has as many unknowns as moment rows at the
+    square degree 3 n + 1, and each probe above it adds a row and no
+    unknown.  Such a probe takes no step: it certifies only when its
+    warm start already does, and is conceded otherwise.  On a symmetric
+    weight a probe to an odd degree keeps its steps, because the odd
+    moment that vanishes in exact arithmetic may be left above epsilon
+    by rounding (Legendre 31 -> 63 reaches Patterson's 95 that way).
     """
+    square = 3 * ((problem.n - 1) // 2) + 1
+    symmetric = problem.table.family.symmetric
     alpha2 = alpha2_start
     state = OptimizerState()
     while True:
@@ -642,7 +659,10 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
 
     while problem.table.capacity >= alpha2 + 1:
         problem.set_degree(alpha2 + 1)
-        probe, outcome = _solve_degree(problem, d, config, state, log)
+        overdetermined = (alpha2 + 1 > square
+                          and not (symmetric and (alpha2 + 1) % 2))
+        probe, outcome = _solve_degree(problem, d, config, state, log,
+                                       max_steps=0 if overdetermined else None)
         if outcome != "certified":
             problem.set_degree(alpha2)
             break
@@ -697,12 +717,19 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
     Sequential (Patterson-style) construction: only the new node positions
     and all 2 n + 1 weights are optimized against the fine moment
     conditions.  Returns the extended rule (whose exactness degree is the
-    certified alpha_2) and the iteration diagnostics.
+    certified alpha_2) and the iteration diagnostics.  Raises
+    CapacityError before the search when the table stops short of degree
+    n + 1, the degree of the new nodes' polynomial.
     """
     config = config or OptimizerConfig()
     alpha2 = _start_degree(config, base.n)
     if base.family != table.family:
         raise ParameterError("base rule and table disagree on the family")
+    if table.capacity < base.n + 1:
+        raise CapacityError(
+            f"table capacity {table.capacity} cannot reach degree "
+            f"{base.n + 1}, which the polynomial of the {base.n + 1} new "
+            f"nodes needs")
     check = verify_rule(base, table, base.exactness_degree)
     if check.norm > max(10.0 * config.epsilon, 10.0 * base.residual_norm):
         raise ParameterError(

@@ -1,13 +1,15 @@
 """Bitwise digest of the degree search, for before/after comparisons.
 
-Runs every op of the benchmark's ``optimizer`` workload, the Legendre and
-generalized-Hermite (rho = 1) Patterson chains 1 -> 3 -> 7 -> 15 and two
-searches that end in ConvergenceError, one by the iteration budget, cut
-to one degree's worth, and one below the minimal degree, and prints one
-line per op: a sha256 of the node and weight bytes, the subset map, the
-certified degrees, the iteration and restart counts and a sha256 of the
-``--log`` CSV (for an error, its message and best residual instead of
-the rule).
+Runs every op of the benchmark's ``optimizer`` workload, the Legendre
+Patterson chain 1 -> 3 -> ... -> 63, whose last step certifies
+Patterson's degree 95 only through the steps of its odd probe on a
+symmetric weight, the generalized-Hermite (rho = 1) chain
+1 -> 3 -> 7 -> 15 and two searches that end in ConvergenceError, one by
+the iteration budget, cut to one degree's worth, and one below the
+minimal degree.  It prints one line per op: a sha256 of the node and
+weight bytes, the subset map, the certified degrees, the iteration and
+restart counts and a sha256 of the ``--log`` CSV (for an error, its
+message and best residual instead of the rule).
 Each line ends with the op's per-degree runs, read from the CSV: one
 (alpha2, iterations) pair per stretch of consecutive iterations at one
 degree, so a diff shows at which degrees the iterations moved.  Two
@@ -19,8 +21,8 @@ The script puts its own tree's ``src`` first on the path, so to digest an
 older tree, copy this file into that tree's ``tests`` and run it there.
 
 BLAS is pinned to one thread, because threaded reductions may round
-differently from run to run.  The full run takes about a minute.  pytest
-does not collect this file.
+differently from run to run.  The full run takes about half a second
+on a 2-CPU x86 host.  pytest does not collect this file.
 """
 
 import os
@@ -116,7 +118,7 @@ def main() -> None:
             _pair(nq.chebyshev1(), 7, log),
             _pair(nq.legendre(), 100, log),
             _pair(nq.jacobi(0.0, 0.3), 60, log),
-            _chain(nq.legendre(), 3, log),
+            _chain(nq.legendre(), 5, log),
             _chain(nq.generalized_hermite(1.0), 3, log),
             _budget_failure("extend generalized_laguerre(0.0) 15->31 budget",
                             15, nq.OptimizerConfig(max_iterations=1,

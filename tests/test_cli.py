@@ -356,17 +356,31 @@ class TestSparseGrid:
         code, stdout, _ = run(capsys, *grid)
         assert (code, stdout.strip()) == (0, "39")
 
-    def test_autogen_records_carry_iterations(self, tmp_path, capsys):
+    def test_autogen_records_carry_iterations(self, tmp_path, capsys,
+                                              monkeypatch):
+        real = cli.extend_patterson
+        counts = {}
+
+        def counted(rule, table, config):
+            extension, state = real(rule, table, config)
+            counts[extension.n] = state.iteration
+            return extension, state
+
+        monkeypatch.setattr(cli, "extend_patterson", counted)
         cat = tmp_path / "cat"
-        code, _, _ = run(capsys, "sparse-grid", "--family", "legendre",
+        code, _, _ = run(capsys, "sparse-grid", "--family", "hermite-rho1",
                          "--d", "2", "--k", "4", "--autogen",
                          "--catalog", str(cat))
         assert code == 0
-        assert load(cat / "gauss-legendre-n1.json").provenance.iterations == 0
+        kind = "generalized_hermite"
+        assert load(cat / f"gauss-{kind}-n1.json").provenance.iterations == 0
+        # the 3 -> 7 step steps at the degree it concedes, so a count the
+        # CLI dropped would read 0 here
+        assert counts[7] > 0
         for n in (3, 7):
-            record = load(cat / f"ext-legendre-n{n}.json")
+            record = load(cat / f"ext-{kind}-n{n}.json")
             assert record.mode == "patterson"
-            assert record.provenance.iterations > 0
+            assert record.provenance.iterations == counts[n]
 
     def test_autogen_writes_nothing_when_a_step_fails(self, tmp_path, capsys,
                                                        monkeypatch):

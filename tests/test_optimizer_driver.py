@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nestquad.errors import (
+    CapacityError,
     ConvergenceError,
     NestQuadError,
     ParameterError,
@@ -83,12 +84,16 @@ class TestGenerateNested:
 
     def test_large_pair_takes_the_normal_equations_step(self, monkeypatch):
         # 53 nodes and 79 weights: 132 unknowns, past the size gate, and
-        # every iterate is well conditioned, so no step needs the SVD
+        # every iterate is well conditioned, so no step needs the SVD.  The
+        # seed certifies the default start 79 without a step and the probe
+        # at 80 takes none, so this search starts at 80, where it steps
+        # before it concedes 80 for 79
         def fail(*args, **kwargs):
             raise AssertionError("SVD called")
         monkeypatch.setattr(nested_optimizer.np.linalg, "svd", fail)
         table = recurrence_coefficients(legendre(), 114)
-        pair, state = generate_nested(26, table)
+        pair, state = generate_nested(26, table,
+                                      OptimizerConfig(alpha2_initial=80))
         assert (pair.coarse.exactness_degree,
                 pair.fine.exactness_degree) == (51, 79)
         assert pair.residual_norm <= 1e-12
@@ -295,8 +300,8 @@ def attempts(monkeypatch):
     calls = []
     solve = nested_optimizer._solve_degree
 
-    def spy(problem, d, config, state, log=None):
-        d, outcome = solve(problem, d, config, state, log)
+    def spy(problem, d, config, state, log=None, **kwargs):
+        d, outcome = solve(problem, d, config, state, log, **kwargs)
         calls.append((problem.degrees[-1], outcome))
         return d, outcome
 
@@ -337,7 +342,7 @@ class TestDegreeSearch:
         problem = nested_optimizer._pair_problem(2, table, 8, config)
         calls = []
 
-        def solve(problem, d, config, state, log=None):
+        def solve(problem, d, config, state, log=None, **kwargs):
             calls.append((problem.degrees[-1], d))
             if len(calls) == 1:
                 failed = np.full_like(d, np.nan) if failure == "diverged" \
@@ -356,6 +361,37 @@ class TestDegreeSearch:
             calls[1][1], nested_optimizer._node_polynomial_seed(at7, 7))
         assert calls[2][1] is calls[1][1]
         assert state.restarts == 1
+
+    def test_overdetermined_probe_takes_no_step(self, attempts, tmp_path):
+        # the seed of jacobi(0, 0.3) 7 -> 15 certifies the square degree
+        # 22 = 3 n + 1 without a step; the probe at 23 adds a moment row
+        # and no unknown, so it is conceded without a step either
+        table = recurrence_coefficients(jacobi(0.0, 0.3), 68)
+        rule = gauss_rule(table, 1)
+        for _ in range(2):
+            rule, _ = extend_patterson(rule, table)
+        attempts.clear()
+        path = tmp_path / "search.csv"
+        rule, state = extend_patterson(rule, table, log_path=path)
+        assert attempts == [(22, "certified"), (23, "stall")]
+        assert (rule.exactness_degree, state.iteration) == (22, 0)
+        assert alpha2_runs(path) == []
+
+    def test_symmetric_odd_probe_keeps_its_steps(self, attempts, tmp_path):
+        # on Legendre, rounding leaves the odd moment of the 31 -> 63 probe
+        # at 95 above epsilon; its steps reach Patterson's degree 95, and
+        # the even probe at 96 takes none (the start 94 steps as any start)
+        table = recurrence_coefficients(legendre(), 132)
+        rule = gauss_rule(table, 1)
+        for _ in range(4):
+            rule, _ = extend_patterson(rule, table)
+        attempts.clear()
+        path = tmp_path / "search.csv"
+        rule, _ = extend_patterson(rule, table, log_path=path)
+        assert attempts == [(94, "certified"), (95, "certified"),
+                            (96, "stall")]
+        assert alpha2_runs(path) == [94, 95]
+        assert rule.exactness_degree == 95
 
     def test_degree_without_a_seed_is_conceded_without_a_run(
             self, monkeypatch, attempts):
@@ -453,6 +489,19 @@ class TestExtendPatterson:
             rule, _ = extend_patterson(rule, table)
             degrees.append(rule.exactness_degree)
         assert degrees == [5, 11, 23, 47, 95]
+
+    def test_table_short_of_the_new_nodes_polynomial(self, monkeypatch):
+        # the table reaches the start 2 and the base's degree 1, but not
+        # degree 4 of the polynomial of the 4 new nodes
+        def fail(*args, **kwargs):
+            raise AssertionError("search started")
+        monkeypatch.setattr(nested_optimizer, "_node_polynomial_seed", fail)
+        table = recurrence_coefficients(legendre(), 2)
+        base = QuadratureRule(legendre(), np.array([-0.5, 0.0, 0.5]),
+                              np.array([0.25, 0.5, 0.25]), 1, 0.0)
+        with pytest.raises(CapacityError,
+                           match="degree 4, which the polynomial of the 4 new"):
+            extend_patterson(base, table, OptimizerConfig(alpha2_initial=2))
 
     def test_rejects_family_mismatch(self):
         table = table_for(legendre(), 12)
