@@ -7,8 +7,6 @@ the resulting level families, and persists everything as certified JSON
 records.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -73,11 +71,6 @@ from .sparse_grid import (
     write_grid_csv,
 )
 
-try:
-    __version__ = version("nestquad")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0"
-
 __all__ = [
     "CapacityError",
     "Catalog",
@@ -131,3 +124,17 @@ __all__ = [
     "write_grid_csv",
     "write_rule_csv",
 ]
+
+
+def __getattr__(name):
+    # importlib.metadata is slow to import, so the version is looked up on
+    # first access only
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        value = version("nestquad")
+    except PackageNotFoundError:  # running from a source tree
+        value = "0.0.0"
+    globals()["__version__"] = value
+    return value

@@ -11,15 +11,25 @@ merged by summing weights, which is where nested level families pay off:
 their shared nodes coincide bit-exactly, so the union grows far slower than
 with independent Gauss rules per level.
 
-The merge works on integers (after Gerstner & Griebel, Numer. Algorithms 18,
-1998).  Each coordinate of a node is an index into the sorted union of the
-levels' nodes, and the node's key packs its d indices in mixed radix, first
-coordinate most significant, into as many int64 words as needed.  Sorting
-keys then sorts nodes lexicographically.  Blocks are expanded in batches of
-about ``_MERGE_BATCH`` points, and each batch is merged into the running
-grid with np.unique and np.bincount.  Each node's weight is summed in block
-order, starting from 0.0, so the weights do not depend on the batch size,
-and memory stays bounded by the grid plus one batch.
+The merge needs no sort (after Gerstner & Griebel, Numer. Algorithms 18,
+1998, and Bungartz & Griebel, Acta Numerica 13, 2004).  Each coordinate of
+a node is an index into the sorted union of the levels' nodes, and each
+index has a birth: the first level holding it, counted from 0.  A point of
+block i has a birth of at most i_j - 1 on coordinate j, so its births sum
+to at most k - 1.  The d-tuples of indices whose births sum to at most
+k - 1, ranked lexicographically, are the grid's slots: known before any
+block is expanded, they hold every node, in node order.  A tuple's rank
+is a sum of one table entry per coordinate (``_slot_steps``), so a point
+finds its slot directly.  Only non-nested levels with k > d leave slots
+that no block reaches, and those are dropped.
+
+Blocks are expanded by broadcasting.  The points of the first d - 1
+coordinates of all blocks with one |i| are grown coordinate by coordinate
+(``_prefixes``), and a shell's points are these prefixes times the nodes
+of each last rule, taken in batches of about ``_MERGE_BATCH`` points.
+Each batch is added into the slots by np.add.at, which adds in input
+order, so each node's weight is the sum of its block weights in block
+order, starting from 0.0, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -47,15 +57,16 @@ __all__ = [
     "grid_to_json_dict",
 ]
 
-# Full tensor products beyond this many points are refused outright.
+# Full tensor products and sparse grids with more points or slots than this
+# are refused outright.
 _TENSOR_CAP = 1e8
 # Accidental node coincidences (non-nested families) merge within this
 # absolute distance per coordinate; nested families merge bit-exactly.
 _MERGE_TOL = 1e-14
 # Merged weights below this magnitude are candidates for removal.
 _DROP_TOL = 1e-15
-# Tensor-block points are merged into the grid in batches of about this
-# many, which bounds the working memory of the merge.
+# Tensor-block points are added into the grid in batches of about this
+# many, which bounds the memory of the expanded last coordinate.
 _MERGE_BATCH = 1 << 16
 
 
@@ -173,115 +184,129 @@ def tensor_rule(rules):
     if total > _TENSOR_CAP:
         raise CapacityError(
             f"tensor product would hold {total:.3g} points")
-    union = np.unique(np.concatenate([rule.nodes for rule in rules]))
-    axes = _stack_axes([np.searchsorted(union, rule.nodes) for rule in rules],
-                       [rule.weights for rule in rules])
-    d = len(rules)
-    per_word = _digits_per_word(union.size, d)
-    keys, weights = _tensor_blocks(np.arange(d)[None, :], axes, union.size,
-                                   per_word)
-    return _decode_keys(keys, union, d, per_word), weights
+    mesh = np.meshgrid(*[rule.nodes for rule in rules], indexing="ij")
+    weights = rules[0].weights
+    for rule in rules[1:]:
+        weights = np.multiply.outer(weights, rule.weights)
+    return np.stack([m.ravel() for m in mesh], axis=1), weights.ravel()
 
 
-def _compositions(total: int, d: int) -> dict:
-    """All d-tuples of positive integers summing to t, for t = d..total.
+def _level_union(levels):
+    """The sorted distinct values of the level node arrays, each level's
+    nodes as indices into them, and each index's birth: the first level
+    holding it, counted from 0."""
+    values = np.sort(np.concatenate(levels))
+    union = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    indices = [np.searchsorted(union, nodes) for nodes in levels]
+    # the smallest integer type that holds a level, which keeps the budget
+    # arrays of _prefixes small
+    birth = np.empty(union.size, dtype=np.min_scalar_type(len(levels)))
+    for level, index in reversed(list(enumerate(indices))):
+        birth[index] = level
+    return union, indices, birth
 
-    Maps t to an int array with one tuple per row, in colexicographic order
-    (last coordinate varies slowest).
+
+def _slot_steps(birth, d: int, budget: int):
+    """Rank tables of the slot map, and its slot count.
+
+    The slots are the d-tuples of union indices whose births sum to at
+    most ``budget``, ranked lexicographically.  With cnt[m, s] the number
+    of m-tuples whose births sum to at most s, a tuple's rank is the sum
+    over its coordinates j of step[d-1-j, s_j, u_j], where s_j is the
+    budget left before coordinate j and
+
+        step[m, s, u] = sum of cnt[m, s - birth[v]] over v < u, birth[v] <= s.
+
+    Padding a tuple with birth-0 indices maps it to a slot, so no entry
+    exceeds the slot count.  That count is checked against ``_TENSOR_CAP``
+    (below 2^31) before any table is filled, so the tables are exact int32.
     """
-    # table[t]: the compositions of t into `parts` parts
-    table = {t: np.array([[t]]) for t in range(1, total - d + 2)}
-    for parts in range(2, d + 1):
-        table = {t: np.concatenate([
-            np.column_stack([table[t - last],
-                             np.full(len(table[t - last]), last)])
-            for last in range(1, t - parts + 2)])
-            for t in range(parts, total - d + parts + 1)}
-    return table
+    # counted in Python integers, which cannot overflow
+    born = np.bincount(birth, minlength=budget + 1)[:budget + 1].astype(object)
+    cnt = [np.ones(budget + 1, dtype=object)]
+    for _ in range(d):
+        cnt.append(np.convolve(born, cnt[-1])[:budget + 1])
+    slots = int(cnt[d][budget])
+    if slots > _TENSOR_CAP:
+        raise CapacityError(f"sparse grid would span {slots:.3g} slots")
+    gap = np.arange(budget + 1)[:, None] - birth.astype(np.intp)
+    # terms[m, s, v] = cnt[m, s - birth[v]], or 0 where birth[v] > s
+    terms = np.where(gap >= 0,
+                     np.array(cnt[:d], dtype=float)[:, np.maximum(gap, 0)],
+                     0.0)
+    step = np.zeros(terms.shape, dtype=np.int32)
+    step[:, :, 1:] = np.cumsum(terms[:, :, :-1], axis=2)
+    return step, slots
 
 
-def _digits_per_word(radix: int, d: int) -> int:
-    """Base-``radix`` digits of a d-digit node key held by one int64 word.
+def _prefixes(indices, level_weights, birth, step, d: int) -> dict:
+    """The points of the first d - 1 coordinates of every tensor block.
 
-    A node's key is its d axis indices written in base ``radix``, first
-    coordinate most significant, split into words of this many digits (the
-    last word may hold fewer).  Every word stays below 2^63, so a key takes
-    one word unless radix^d exceeds 2^63.
+    Maps n to (rank, left, w) over the points of all (d-1)-coordinate
+    blocks i with |i| = n: blocks in colexicographic order (last coordinate
+    slowest), each block's points in lexicographic order.  ``rank`` is the
+    slot rank summed over these coordinates (see ``_slot_steps``), ``left``
+    the birth budget they leave, and ``w`` the left-to-right product of
+    their weights.  A block's points follow from those of its first j - 1
+    coordinates by one broadcast against the nodes of its j-th rule, so
+    the blocks that share that rule and |i| grow in one step.
     """
-    per_word = 1
-    while per_word < d and radix ** (per_word + 1) <= 2 ** 63:
-        per_word += 1
-    return per_word
+    k = len(indices)
+    layer = {0: (np.zeros(1, dtype=step.dtype),
+                 np.full(1, step.shape[1] - 1, dtype=birth.dtype),
+                 np.ones(1))}
+    for j in range(1, d):
+        grown = {}
+        for n in range(j, j + k):
+            parts = [(layer[n - 1 - level], level) for level in range(k)
+                     if n - 1 - level in layer]
+            size = sum(part[0].size * indices[level].size
+                       for part, level in parts)
+            rank = np.empty(size, dtype=step.dtype)
+            left = np.empty(size, dtype=birth.dtype)
+            w = np.empty(size)
+            end = 0
+            for (rank0, left0, w0), level in parts:
+                index = indices[level]
+                shape = (rank0.size, index.size)
+                out = slice(end, end + rank0.size * index.size)
+                end = out.stop
+                np.add(rank0[:, None], step[d - j][left0[:, None], index],
+                       out=rank[out].reshape(shape))
+                np.subtract(left0[:, None], birth[index],
+                            out=left[out].reshape(shape))
+                np.multiply(w0[:, None], level_weights[level],
+                            out=w[out].reshape(shape))
+            grown[n] = rank, left, w
+        layer = grown
+    return layer
 
 
-def _stack_axes(indices, weights):
-    """Pack univariate rules, given as node-index and weight arrays, into
-    (start, size, index, weight): rule j is the slice
-    ``start[j]:start[j] + size[j]`` of ``index`` and of ``weight``."""
-    size = np.array([ix.size for ix in indices])
-    return (np.cumsum(size) - size, size,
-            np.concatenate(indices), np.concatenate(weights))
-
-
-def _tensor_blocks(blocks, axes, radix: int, per_word: int):
-    """Node keys and weights of a batch of tensor blocks.
-
-    Row b of ``blocks`` names the rule of ``axes`` (see ``_stack_axes``) on
-    each coordinate of block b.  Points come block by block, each block in
-    lexicographic order (first coordinate slowest), as np.meshgrid(...,
-    indexing="ij") lists them.  A point's weight is the left-to-right
-    product of its axis weights, bit for bit what chained np.multiply.outer
-    gives.  Keys come as one row per word (see ``_digits_per_word``).
-    """
-    start, size, index, weight = axes
-    block = np.arange(blocks.shape[0])
-    words, w = [], None
-    for j in range(blocks.shape[1]):
-        # expand every partial point by the nodes of its block's rule j
-        rule = blocks[block, j]
-        count = size[rule]
+def _slot_nodes(union, birth, d: int, budget: int, keep):
+    """(len(keep), d) coordinates of the slots ``keep``, read from one
+    lexicographic enumeration of the d-tuples whose births sum to at most
+    ``budget``."""
+    # the indices born by budget s, for each s
+    members = [np.flatnonzero(birth <= s) for s in range(budget + 1)]
+    size = np.array([m.size for m in members])
+    start = np.cumsum(size) - size
+    flat = np.concatenate(members)
+    left = np.array([budget])
+    parents, digits = [], []
+    for _ in range(d):
+        count = size[left]
         first = np.cumsum(count) - count
-        pos = (np.arange(first[-1] + count[-1])
-               + np.repeat(start[rule] - first, count))
-        block = np.repeat(block, count)
-        words = [np.repeat(word, count) for word in words]
-        if j % per_word == 0:
-            words.append(index[pos])
-        else:
-            words[-1] = words[-1] * radix + index[pos]
-        w = weight[pos] if w is None else np.repeat(w, count) * weight[pos]
-    return np.stack(words), w
-
-
-def _merge(keys, weights):
-    """Distinct keys (one row per word) in increasing lexicographic order,
-    with the weights of equal keys summed.
-
-    np.bincount adds the weights of each key one at a time in input order,
-    starting from 0.0, so each sum rounds exactly as a running
-    ``total += w`` over the inputs does.
-    """
-    key = keys[0]
-    for word in keys[1:]:
-        # fold in the next word through dense ranks, which keep the order
-        _, high = np.unique(key, return_inverse=True)
-        values, low = np.unique(word, return_inverse=True)
-        key = high * values.size + low
-    unique, inverse = np.unique(key, return_inverse=True)
-    first = np.empty(unique.size, dtype=np.intp)
-    first[inverse] = np.arange(inverse.size)
-    return keys[:, first], np.bincount(inverse, weights=weights,
-                                       minlength=unique.size)
-
-
-def _decode_keys(keys, union, d: int, per_word: int):
-    """(N, d) node coordinates of the keys, read back from the union."""
-    digits = np.empty((keys.shape[1], d), dtype=np.intp)
-    for word, key in enumerate(keys):
-        lo = word * per_word
-        for j in range(min(lo + per_word, d) - 1, lo - 1, -1):
-            key, digits[:, j] = np.divmod(key, union.size)
-    return union[digits]
+        parent = np.repeat(np.arange(left.size), count)
+        u = flat[np.arange(parent.size) + (start[left] - first)[parent]]
+        left = left[parent] - birth[u]
+        parents.append(parent)
+        digits.append(u)
+    nodes = np.empty((len(keep), d))
+    row = keep
+    for j in reversed(range(d)):
+        nodes[:, j] = union[digits[j][row]]
+        row = parents[j][row]
+    return nodes
 
 
 def _canonical_levels(family: UnivariateLevelFamily, k: int):
@@ -345,12 +370,14 @@ def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
 
     Tensor blocks are taken shell by shell (|i| = d + r, indices
     colexicographic), each block's points in lexicographic order, and
-    coincident nodes merge by summation.  Nodes are keyed by integers (see
-    the module docstring) and merged in batches of about ``_MERGE_BATCH``
-    points; each node's weight is the sum of its block weights in that
-    order, starting from 0.0, so it does not depend on the batch size.
-    Merged nodes with |weight| < 1e-15 are dropped only when the removal
-    provably cannot disturb degree-(2k-1) exactness.
+    coincident nodes merge by summation.  Each point is added straight into
+    its slot (see the module docstring), in batches of about
+    ``_MERGE_BATCH`` points; each node's weight is the sum of its block
+    weights in that order, starting from 0.0, so it does not depend on the
+    batch size.  Nodes come in lexicographic order.  Merged nodes with
+    |weight| < 1e-15 are dropped only when the removal provably cannot
+    disturb degree-(2k-1) exactness.  More than ``_TENSOR_CAP`` slots
+    raise CapacityError before any block is expanded.
     """
     if d < 1 or k < 1:
         raise ParameterError("need d >= 1 and k >= 1")
@@ -359,31 +386,29 @@ def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
             f"family supplies {family.depth} levels, level {k} requested")
 
     levels = _canonical_levels(family, k)
-    union = np.unique(np.concatenate(levels))
-    axes = _stack_axes([np.searchsorted(union, nodes) for nodes in levels],
-                       [family.rule(i).weights for i in range(1, k + 1)])
-    sizes = axes[1]
-    per_word = _digits_per_word(union.size, d)
-    keys = np.empty((-(-d // per_word), 0), dtype=np.int64)
-    weights = np.empty(0)
-    shells = _compositions(d + k - 1, d)
+    union, indices, birth = _level_union(levels)
+    level_weights = [family.rule(i).weights for i in range(1, k + 1)]
+    step, slots = _slot_steps(birth, d, k - 1)
+    prefixes = _prefixes(indices, level_weights, birth, step, d)
+    weights = np.zeros(slots)
+    touched = np.zeros(slots, dtype=bool)
     for r in range(max(0, k - d), k):
         coeff = (-1.0) ** (k - 1 - r) * math.comb(d - 1, k - 1 - r)
-        blocks = shells[d + r] - 1
-        points = np.prod(sizes[blocks], axis=1, dtype=float)
-        too_big = np.flatnonzero(points > _TENSOR_CAP)
-        if too_big.size:
-            ivec = tuple(int(i) + 1 for i in blocks[too_big[0]])
-            raise CapacityError(f"tensor block {ivec} would hold "
-                                f"{points[too_big[0]]:.3g} points")
-        batch = np.cumsum(points) // _MERGE_BATCH
-        for chunk in np.split(blocks, np.flatnonzero(np.diff(batch)) + 1):
-            new_keys, new_weights = _tensor_blocks(chunk, axes, union.size,
-                                                   per_word)
-            keys, weights = _merge(
-                np.concatenate([keys, new_keys], axis=1),
-                np.concatenate([weights, coeff * new_weights]))
-    nodes = _decode_keys(keys, union, d, per_word)
+        # the shell's blocks, grouped by the rule on their last coordinate
+        for level, index in enumerate(indices):
+            if d + r - 1 - level not in prefixes:
+                continue
+            rank, left, w = prefixes[d + r - 1 - level]
+            rows = max(1, _MERGE_BATCH // index.size)
+            for lo in range(0, rank.size, rows):
+                part = slice(lo, lo + rows)
+                slot = rank[part, None] + step[0][left[part, None], index]
+                w_part = w[part, None] * level_weights[level]
+                np.add.at(weights, slot.ravel(), coeff * w_part.ravel())
+                touched[slot.ravel()] = True
+    keep = np.flatnonzero(touched)
+    nodes = _slot_nodes(union, birth, d, k - 1, keep)
+    weights = weights[keep]
 
     small = np.abs(weights) < _DROP_TOL
     if np.any(small):

@@ -1,0 +1,73 @@
+"""Bitwise digest of Smolyak grid assembly, for before/after comparisons.
+
+Builds the four grids of the benchmark's ``grid`` workload (the Legendre
+Patterson chain 1 -> 3 -> 7 -> 15 at d = 8, k = 7; d = 10, k = 7 and
+d = 20, k = 4, and Gauss levels at d = 8, k = 5), the same chain at
+d = 23, k = 4, the asymmetric jacobi(0, 0.3) chain 1 -> 3 -> 7 at
+d = 5, k = 4 and d = 3, k = 6, and Gauss levels with k > d (Legendre at
+d = 2, k = 6 and jacobi(0, 0.3) at d = 3, k = 5).  It prints one line
+per grid: its node count and a sha256 of its node and weight bytes.
+Two trees build the same grids exactly when their outputs are equal:
+
+    PYTHONPATH=src python tests/grid_digest.py > after.txt
+
+The script puts its own tree's ``src`` first on the path, so to digest an
+older tree, copy this file into that tree's ``tests`` and run it there.
+
+BLAS is pinned to one thread, because threaded reductions may round
+differently from run to run.  The full run takes about a second on a
+2-CPU x86 host.  pytest does not collect this file.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import warnings  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+import nestquad as nq  # noqa: E402
+
+
+def _chain(family, steps):
+    table = nq.recurrence_coefficients(family, 4 * (2 ** (steps + 1) - 1) + 8)
+    chain = [nq.gauss_rule(table, 1)]
+    for _ in range(steps):
+        chain.append(nq.extend_patterson(chain[-1], table)[0])
+    return table, chain
+
+
+def _line(name, levels, d, k) -> str:
+    grid = nq.smolyak_grid(levels, d, k)
+    data = grid.nodes.tobytes() + grid.weights.tobytes()
+    return (f"{name} d={d} k={k}: nodes {grid.node_count} "
+            f"sha256 {hashlib.sha256(data).hexdigest()[:16]}")
+
+
+def main():
+    warnings.simplefilter("ignore")  # chains below the 2i - 1 convention
+    legendre_table, legendre_chain = _chain(nq.legendre(), 3)
+    nested = nq.nested_levels(legendre_chain, 7)
+    jacobi_table, jacobi_chain = _chain(nq.jacobi(0.0, 0.3), 2)
+    jacobi_nested = nq.nested_levels(jacobi_chain, 6)
+    grids = [
+        ("legendre nested", nested, 8, 7),
+        ("legendre nested", nested, 10, 7),
+        ("legendre nested", nested, 20, 4),
+        ("legendre gauss", nq.gauss_levels(legendre_table, 5), 8, 5),
+        ("legendre nested", nested, 23, 4),
+        ("jacobi(0,0.3) nested", jacobi_nested, 5, 4),
+        ("jacobi(0,0.3) nested", jacobi_nested, 3, 6),
+        ("legendre gauss", nq.gauss_levels(legendre_table, 6), 2, 6),
+        ("jacobi(0,0.3) gauss", nq.gauss_levels(jacobi_table, 5), 3, 5),
+    ]
+    for name, levels, d, k in grids:
+        print(_line(name, levels, d, k))
+
+
+if __name__ == "__main__":
+    main()

@@ -3,6 +3,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -17,12 +20,12 @@ from nestquad.nested_optimizer import extend_patterson, generate_nested
 from nestquad.orthopoly import (
     chebyshev1,
     eval_orthonormal,
+    jacobi,
     legendre,
     recurrence_coefficients,
 )
 from nestquad.sparse_grid import (
     _canonical_levels,
-    _digits_per_word,
     SparseGrid,
     UnivariateLevelFamily,
     gauss_levels,
@@ -56,6 +59,16 @@ def leg_chain(leg_table):
     chain.append(r7)
     r15, _ = extend_patterson(r7, leg_table)
     chain.append(r15)
+    return chain
+
+
+@pytest.fixture(scope="module")
+def jacobi_chain():
+    """jacobi(0, 0.3) chain with 1, 3 and 7 nodes."""
+    table = recurrence_coefficients(jacobi(0.0, 0.3), 36)
+    chain = [gauss_rule(table, 1)]
+    for _ in range(2):
+        chain.append(extend_patterson(chain[-1], table)[0])
     return chain
 
 
@@ -484,7 +497,7 @@ def _assert_matches_reference(family, d, k):
 
 
 class TestBitwiseMerge:
-    """The integer-key merge reproduces the dict merge bit for bit."""
+    """The slot-map build reproduces the dict merge bit for bit."""
 
     def test_nested_d8_k7(self, leg_chain):
         grid = _assert_matches_reference(nested_levels(leg_chain, 7), 8, 7)
@@ -499,11 +512,45 @@ class TestBitwiseMerge:
         assert grid.node_count == 4
 
     def test_two_key_words_d23_k4(self, leg_chain):
+        # 7 distinct nodes per axis, 7^23 > 2^63 tuples, 15,319 slots
         family = nested_levels(leg_chain, 4)
-        # 7 distinct nodes per axis: 7^23 > 2^63 needs a second word
-        assert _digits_per_word(7, 23) < 23
         grid = _assert_matches_reference(family, 23, 4)
         assert grid.node_count == 15319
+
+    @pytest.mark.parametrize("d, k", [(5, 4), (3, 6)])
+    def test_asymmetric_nested_chain(self, jacobi_chain, d, k):
+        # jacobi(0, 0.3) nodes are not symmetric, so a slot map that
+        # mirrored the union would misplace them
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            family = nested_levels(jacobi_chain, k)
+        assert family.nested
+        _assert_matches_reference(family, d, k)
+
+    @pytest.mark.parametrize("weight, d, k", [
+        (legendre(), 2, 6), (jacobi(0.0, 0.3), 3, 5)],
+        ids=["legendre-2-6", "jacobi-3-5"])
+    def test_gauss_levels_beyond_d(self, weight, d, k):
+        # with k > d the lowest shells are left out, so some slots of
+        # non-nested levels are reached by no block; they must go even
+        # when no small weight is dropped
+        family = gauss_levels(recurrence_coefficients(weight, 2 * k + 2), k)
+        with mock.patch.object(sparse_grid, "_DROP_TOL", 0.0):
+            grid = _assert_matches_reference(family, d, k)
+        _, slots = sparse_grid._slot_steps(
+            sparse_grid._level_union(_canonical_levels(family, k))[2],
+            d, k - 1)
+        assert grid.node_count < slots
+
+    def test_slot_count_capacity(self, nested_family):
+        # d=4, k=5 spans 193 slots, though no block holds more than 81
+        # points; the count is refused before any point is expanded
+        with mock.patch.object(sparse_grid, "_TENSOR_CAP", 100), \
+                mock.patch.object(sparse_grid, "_prefixes",
+                                  side_effect=AssertionError):
+            with pytest.raises(CapacityError, match="193 slots"):
+                smolyak_grid(nested_family, 4, 5)
+        assert smolyak_grid(nested_family, 4, 5).node_count == 193
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(d=st.integers(1, 6), k=st.integers(1, 4), nested=st.booleans(),
@@ -524,6 +571,25 @@ class TestBitwiseMerge:
             want = np.multiply.outer(want, rule.weights)
         assert np.array_equal(nodes, np.stack([m.ravel() for m in mesh], 1))
         assert np.array_equal(weights, want.ravel())
+
+
+def test_first_grid_imports_no_metadata_or_masked_arrays():
+    # importlib.metadata (for __version__) and numpy.ma (imported by the
+    # first np.unique call) each add 10 to 25 ms to a process's first grid
+    src = os.path.dirname(os.path.dirname(sparse_grid.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import sys, nestquad as nq\n"
+        "table = nq.recurrence_coefficients(nq.legendre(), 8)\n"
+        "nq.smolyak_grid(nq.gauss_levels(table, 3), 2, 3)\n"
+        "slow = {'importlib.metadata', 'numpy.ma'}\n"
+        "print(sorted(slow & set(sys.modules)))\n"
+        "print(type(nq.__version__).__name__)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[]", "str"]
 
 
 def _compositions_ref(total, d):
