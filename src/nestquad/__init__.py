@@ -7,6 +7,10 @@ the resulting level families, and persists everything as certified JSON
 records.
 """
 
+# Before the submodule imports, because rulestore writes it into every
+# record's provenance; pyproject.toml reads the package version from here.
+__version__ = "0.1.0"
+
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -125,16 +129,3 @@ __all__ = [
     "write_rule_csv",
 ]
 
-
-def __getattr__(name):
-    # importlib.metadata is slow to import, so the version is looked up on
-    # first access only
-    if name != "__version__":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib.metadata import PackageNotFoundError, version
-    try:
-        value = version("nestquad")
-    except PackageNotFoundError:  # running from a source tree
-        value = "0.0.0"
-    globals()["__version__"] = value
-    return value

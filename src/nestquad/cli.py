@@ -68,7 +68,12 @@ from .sparse_grid import (
     smolyak_grid,
     write_grid_csv,
 )
-from .sparse_grid import _chain_schedule, _embedded, _weighted_sum
+from .sparse_grid import (
+    _chain_schedule,
+    _embedded,
+    _node_values,
+    _weighted_sum,
+)
 
 __all__ = ["main"]
 
@@ -486,7 +491,7 @@ def cmd_integrate(args) -> int:
         except _MALFORMED as exc:
             raise SchemaError(f"{args.grid}: malformed grid ({exc})") from exc
         f, truth = _resolve_function(fn_name, args.params, d)
-        estimate = _weighted_sum(nodes, weights, f)
+        estimate = _weighted_sum(weights, _node_values(nodes, f))
         line = f"estimate={estimate:.12e}"
         if ((fn_name == "constant" or _truth_applies(family_ref))
                 and math.isfinite(truth)):
@@ -502,8 +507,10 @@ def cmd_integrate(args) -> int:
         raise UsageError("--rule expects a nested pair record")
     pair = record.payload
     f, truth = _resolve_function(fn_name, args.params, 1)
-    mu1 = _weighted_sum(pair.coarse.nodes[:, None], pair.coarse.weights, f)
-    mu2 = _weighted_sum(pair.fine.nodes[:, None], pair.fine.weights, f)
+    # every coarse node is a fine node, so one evaluation serves both
+    values = _node_values(pair.fine.nodes[:, None], f)
+    mu1 = _weighted_sum(pair.coarse.weights, values[list(pair.subset_map)])
+    mu2 = _weighted_sum(pair.fine.weights, values)
     e_i = abs((mu1 - mu2) / mu2) if mu2 != 0.0 else abs(mu1 - mu2)
     line = f"coarse={mu1:.12e} fine={mu2:.12e} e_I={e_i:.3e}"
     if ((fn_name == "constant" or _truth_applies(record.family.label()))

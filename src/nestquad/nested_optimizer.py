@@ -1,7 +1,7 @@
 """Nested quadrature pairs by penalized Gauss-Newton moment matching.
 
-One moment-matching kernel serves both constructions.  Its unknowns are a
-node vector x shared by a list of rule blocks: block b selects the nodes
+One moment-matching kernel serves both constructions.  Its nodes are a
+vector x shared by a list of rule blocks: block b selects the nodes
 x[idx_b], carries its own weights w_b and must reproduce the orthonormal
 moments of the weight through its degree alpha_b, which gives the stacked
 residual
@@ -10,10 +10,11 @@ residual
            [           ...                      ]
            [ V_aB(x[idx_B]) w_B - sqrt(b_0) e_1 ]
 
-over the decision vector d = (x, w_1, ..., w_B).  Both V and its node
-derivatives come from one recurrence pass per iteration at the largest
-block degree.  The trailing entries of x may be frozen: they enter the
-residual and the penalties like any node, but never move.
+Both V and its node derivatives come from one recurrence pass per
+iteration at the largest block degree.  The trailing entries of x may be
+frozen: they enter the residual like any node, but they are constants of
+the problem, so the decision vector d = (movable x, w_1, ..., w_B) holds
+only what a step can move, and a frozen node carries no penalty.
 
 - A nested (Kronrod-type) pair is two blocks over n_2 = 2 n_1 + 1 nodes:
   the coarse rule (``subset_map``, alpha_1) and the fine rule (all nodes,
@@ -31,13 +32,14 @@ convergence.  A step over at least 128 unknowns solves these normal
 equations directly when the eigenvalues of J^T J + lambda^2 I show a
 condition number of at most 1e10; every other step, and any step whose
 solve fails, goes through the SVD filter s / (s^2 + lambda^2), which
-gives the same step by a costlier but rank-safe route.  The step and the
-Newton decrement see only the moment rows and the penalty rows whose
-violation is nonzero.  A penalty row with zero violation is zero in both
-the Jacobian and the residual, so in exact arithmetic dropping it changes
-neither J^T J, J^T R nor the step; only rounding differs.  At a feasible
-iterate that is about half the rows.  The residual norm, c_k and the
-stopping tests still read the whole vector.
+gives the same step by a costlier but rank-safe route.  The step system
+is built at the active rows only: every moment row and each penalty row
+whose violation is nonzero.  A penalty row with zero violation is zero in
+both the Jacobian and the residual, so in exact arithmetic leaving it out
+changes neither J^T J, J^T R nor the step; only rounding differs.  At a
+feasible iterate that is about half the rows.  The residual norm, c_k and
+the stopping tests read the whole vector [R; c_k P], with one penalty row
+per node (zero for a frozen one) and one per weight.
 
 The last block's degree is searched downward from 3 n + 1, where n is the
 size of the base rule (the frozen rule, or the coarse Gauss rule of a
@@ -71,6 +73,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .gauss import (
+    _BOUNDARY_TOL,
     QuadratureRule,
     _gauss_nodes,
     _gauss_weights,
@@ -90,7 +93,6 @@ __all__ = [
     "OptimizerState",
     "NestedRulePair",
     "penalty_coefficient",
-    "newton_decrement",
     "generate_nested",
     "extend_patterson",
     "prune_negligible",
@@ -120,9 +122,6 @@ _STALL_RUN = 25
 # Plateau fallback: no new best residual over this many iterations counts
 # as a stall even when the decrement has not collapsed (guards cycling).
 _PLATEAU_RUN = 200
-# Penalty violations up to this size at convergence are snapped into the
-# feasible set; anything larger is a genuine feasibility failure.
-_SNAP_TOL = 1e-9
 # The penalty coefficient c_k = max(_A, 1/|R|) never exceeds _C_CAP.
 _A = 1e3
 _C_CAP = 1e16
@@ -223,13 +222,13 @@ class NestedRulePair:
 class _MomentProblem:
     """Rule blocks sharing one node vector, with trailing frozen nodes.
 
-    ``blocks`` lists (node indices, degree) per rule; the decision vector
-    is d = (x, w_1, ..., w_B) with one weight block per rule, and the
-    degree search varies the last block's degree.  The trailing
-    ``frozen.size`` nodes of x are held at ``frozen``: their Jacobian
-    columns are dropped and their step entries are zero.  Moment rows come
-    in block order; penalty rows are the nodes, then the weights from the
-    last block to the first.
+    ``blocks`` lists (node indices, degree) per rule; the degree search
+    varies the last block's degree.  The trailing ``frozen.size`` nodes are
+    constants held at ``frozen``, so the decision vector is
+    d = (movable nodes, w_1, ..., w_B) with one weight block per rule.
+    Moment rows come in block order; penalty rows are the nodes, a frozen
+    node's row always zero, then the weights from the last block to the
+    first.
     """
 
     def __init__(self, n: int, blocks, config: OptimizerConfig,
@@ -242,24 +241,28 @@ class _MomentProblem:
         self.config = config
         self.table = table
         self.frozen = np.asarray(frozen, dtype=float)
-        ends = np.cumsum([n] + [idx.size for idx in self.idx])
+        self.n_free = n - self.frozen.size
+        ends = np.cumsum([self.n_free] + [idx.size for idx in self.idx])
         self.weights = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
         self.n_unknowns = int(ends[-1])
-        # column of each penalty row's variable
+        # column of each penalty row's unknown; a frozen node's row, which
+        # is never violated, has none
         self.penalty_cols = np.concatenate(
-            [np.arange(n)] + [np.arange(s.start, s.stop)
-                              for s in reversed(self.weights)])
-        self.free = np.concatenate([np.arange(n - self.frozen.size),
-                                    np.arange(n, self.n_unknowns)])
+            [np.arange(self.n_free), np.full(self.frozen.size, -1)]
+            + [np.arange(s.start, s.stop) for s in reversed(self.weights)])
 
     def set_degree(self, alpha: int):
         self.table.require(alpha)
         self.degrees[-1] = alpha
 
+    def nodes(self, d) -> np.ndarray:
+        """All n nodes: the movable ones of ``d``, then the frozen ones."""
+        return np.concatenate([d[:self.n_free], self.frozen])
+
     def evaluate(self, d):
         """One recurrence pass, values and derivatives, over all nodes at
         the largest block degree."""
-        return eval_orthonormal(self.table, max(self.degrees), d[:self.n],
+        return eval_orthonormal(self.table, max(self.degrees), self.nodes(d),
                                 derivatives=True)
 
     def _block_rows(self, matrix):
@@ -277,92 +280,76 @@ class _MomentProblem:
             parts.append(r)
         return np.concatenate(parts)
 
-    def violations(self, d):
-        """(node excess, weight shortfall) in penalty-row order."""
-        x = d[:self.n]
-        node = np.zeros_like(x)
+    def violations(self, d) -> np.ndarray:
+        """Node excess, then weight shortfall, in penalty-row order; the
+        penalties are their squares."""
+        x = d[:self.n_free]
+        node = np.zeros(self.n)
         if self.domain.bounded_above:
-            node = np.maximum(node, x - self.domain.hi)
+            node[:self.n_free] = np.maximum(0.0, x - self.domain.hi)
         if self.domain.bounded_below:
-            node = np.maximum(node, self.domain.lo - x)
+            node[:self.n_free] = np.maximum(node[:self.n_free],
+                                            self.domain.lo - x)
         w = d[self.penalty_cols[self.n:]]
         if self.config.allow_negative_weights:
-            return node, np.zeros_like(w)
-        return node, np.maximum(0.0, self.weight_floor - w)
+            return np.concatenate([node, np.zeros_like(w)])
+        return np.concatenate([node, np.maximum(0.0, self.weight_floor - w)])
 
-    def active_rows(self, d) -> np.ndarray:
-        """Rows of [R; c_k P] that enter the step: every moment row, and
-        each penalty row whose violation is nonzero.
-
-        A penalty row with zero violation is zero in the Jacobian and in
-        the residual, so leaving it out changes neither the step nor the
-        Newton decrement.  Moment rows stay even where their residual is
-        exactly zero, because their Jacobian rows are not.
-        """
-        n_moments = sum(alpha + 1 for alpha in self.degrees)
-        violated = np.flatnonzero(np.concatenate(self.violations(d)))
-        return np.concatenate([np.arange(n_moments), n_moments + violated])
-
-    def penalties(self, d) -> np.ndarray:
-        node, weight = self.violations(d)
-        return np.concatenate([node * node, weight * weight])
-
-    def jacobian(self, d, ev, c_k: float) -> np.ndarray:
-        """Jacobian of [R; c_k P] over the movable unknowns.
+    def jacobian(self, d, ev, c_k: float, v) -> np.ndarray:
+        """The step system's matrix over the unknowns: the Jacobian of every
+        moment row of R and of each row of c_k P whose violation ``v`` is
+        nonzero.
 
         Residual rows use d p_m(x_i) w_i / d x_i = p'_m(x_i) w_i; a node
         shared by several blocks gets one entry per block's rows.
         """
+        hit = np.flatnonzero(v)
         n_moments = sum(alpha + 1 for alpha in self.degrees)
-        J = np.zeros((n_moments + self.penalty_cols.size, self.n_unknowns))
+        J = np.zeros((n_moments + hit.size, self.n_unknowns))
         row = 0
         for idx, w, V, dV in zip(self.idx, self.weights,
                                  self._block_rows(ev.values),
                                  self._block_rows(ev.derivatives)):
             rows = slice(row, row + V.shape[0])
-            J[rows, idx] = dV * d[w]
+            move = idx < self.n_free
+            J[rows, idx[move]] = (dV * d[w])[:, move]
             J[rows, w] = V
             row = rows.stop
 
-        node, weight = self.violations(d)
-        # d/dx (x - hi)^2 = 2(x - hi) above, d/dx (lo - x)^2 = -2(lo - x) below
-        grad = np.where(d[:self.n] < self.domain.lo, -2.0 * node, 2.0 * node)
-        J[row + np.arange(self.penalty_cols.size), self.penalty_cols] = \
-            np.concatenate([c_k * grad, -2.0 * c_k * weight])
-        if self.frozen.size:
-            J = J[:, self.free]
+        # d/dx (x - hi)^2 = 2(x - hi) above, d/dx (lo - x)^2 = -2(lo - x)
+        # below, d/dw (floor - w)^2 = -2(floor - w)
+        slope = np.full(v.size, -2.0)
+        slope[:self.n_free] = np.where(d[:self.n_free] < self.domain.lo,
+                                       -2.0, 2.0)
+        J[row + np.arange(hit.size), self.penalty_cols[hit]] = \
+            c_k * (slope[hit] * v[hit])
         return J
-
-    def expand_step(self, step) -> np.ndarray:
-        full = np.zeros(self.n_unknowns)
-        full[self.free] = step
-        return full
 
     def certify(self, d) -> list:
         """Check, snap, sort and certify: one (rule, subset map) per block.
 
-        Penalty violations above ``_SNAP_TOL`` are a FeasibilityError, and
-        so is any weight at or below zero unless negative weights are
-        allowed; smaller node excursions are clipped into the domain,
-        except on frozen nodes, which never move.
+        Penalty violations above ``_BOUNDARY_TOL`` are a FeasibilityError,
+        and so is any weight at or below zero unless negative weights are
+        allowed; smaller excursions of the movable nodes are clipped into
+        the domain.  Frozen nodes stay where the base rule put them.
         """
-        node, weight = self.violations(d)
-        excess = float(np.max(node, initial=0.0))
-        if excess > _SNAP_TOL:
+        v = self.violations(d)
+        excess = float(np.max(v[:self.n], initial=0.0))
+        if excess > _BOUNDARY_TOL:
             raise FeasibilityError(
                 f"converged nodes violate the domain by {excess:.3e}")
-        shortfall = float(np.max(weight, initial=0.0))
-        if shortfall > _SNAP_TOL:
+        shortfall = float(np.max(v[self.n:], initial=0.0))
+        if shortfall > _BOUNDARY_TOL:
             raise FeasibilityError(
                 f"converged weights fall {shortfall:.3e} below the floor")
-        # a floor below _SNAP_TOL lets a tiny nonpositive weight past
+        # a floor below _BOUNDARY_TOL lets a tiny nonpositive weight past
         if (not self.config.allow_negative_weights
-                and np.any(d[self.n:] <= 0.0)):
+                and np.any(d[self.n_free:] <= 0.0)):
             raise FeasibilityError("converged weights are not all positive")
 
-        n_free = self.n - self.frozen.size
-        x = np.concatenate([np.clip(d[:n_free], self.domain.lo, self.domain.hi),
-                            self.frozen])
+        x = np.concatenate([
+            np.clip(d[:self.n_free], self.domain.lo, self.domain.hi),
+            self.frozen])
         order = np.argsort(x)
         xs = x[order]
         if np.any(np.diff(xs) <= 0.0):
@@ -417,15 +404,9 @@ def _step_from_svd(u, s, vt, residual, lam: float):
     return vt.T @ coef
 
 
-def newton_decrement(step: np.ndarray, jacobian: np.ndarray,
-                     residual: np.ndarray) -> float:
-    """eta = |step . (J^T R)|^(1/2), the progress measure of one step."""
-    return float(math.sqrt(abs(float(np.dot(step, jacobian.T @ residual)))))
-
-
 def _damped_step(J: np.ndarray, r: np.ndarray, lam: float):
     """The Tikhonov step (J^T J + lam^2 I)^{-1} J^T r and its Newton
-    decrement, as (step, eta).
+    decrement eta = |step . J^T r|^(1/2), as (step, eta).
 
     With at least ``_NORMAL_MIN_COLS`` columns and a damped normal matrix
     whose condition number is at most ``_NORMAL_MAX_COND``, the normal
@@ -433,23 +414,25 @@ def _damped_step(J: np.ndarray, r: np.ndarray, lam: float):
     filter s / (s^2 + lam^2), which also copes with a singular normal
     matrix.
     """
+    g = J.T @ r
+    step = None
     if J.shape[1] >= _NORMAL_MIN_COLS:
         A = J.T @ J
         A[np.diag_indices_from(A)] += lam * lam
-        g = J.T @ r
         try:
             mu = np.linalg.eigvalsh(A)
             if 0.0 < mu[0] and mu[-1] <= _NORMAL_MAX_COND * mu[0]:
                 step = np.linalg.solve(A, g)
-                return step, float(math.sqrt(abs(float(np.dot(step, g)))))
         except np.linalg.LinAlgError:
             pass
-    try:
-        u, s, vt = np.linalg.svd(J, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed during iteration: {exc}") from exc
-    step = _step_from_svd(u, s, vt, r, lam)
-    return step, newton_decrement(step, J, r)
+    if step is None:
+        try:
+            u, s, vt = np.linalg.svd(J, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"SVD failed during iteration: {exc}") from exc
+        step = _step_from_svd(u, s, vt, r, lam)
+    return step, float(math.sqrt(abs(float(np.dot(step, g)))))
 
 
 def _start_degree(config: OptimizerConfig, n: int) -> int:
@@ -487,7 +470,7 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     weights of the last block solve its moment system through ``alpha`` in
     the least-squares sense; a pair's coarse block starts at the Gauss
     weights.  The new nodes take the movable slots of the layout: the even
-    ones of a pair, the leading ones of an extension.
+    ones of a pair, all of an extension's, whose base is frozen.
     """
     table, domain = problem.table, problem.domain
     pair = not problem.frozen.size
@@ -518,21 +501,21 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     except np.linalg.LinAlgError:
         return None
     if (np.any(np.abs(roots.imag) > 1e-10)
-            or not domain.contains(roots.real, tol=_SNAP_TOL)):
+            or not domain.contains(roots.real, tol=_BOUNDARY_TOL)):
         return None
     new = np.clip(np.sort(roots.real), domain.lo, domain.hi)
 
     if pair:
         x = np.empty(2 * n + 1)
         x[0::2], x[1::2] = new, base
-        coarse = [_gauss_weights(table, base)]
+        start = [x, _gauss_weights(table, base)]
     else:
-        x, coarse = np.concatenate([new, base]), []
+        x, start = np.concatenate([new, base]), [new]
     target = np.zeros(alpha + 1)
     target[0] = math.sqrt(table.b[0])
     fine = np.linalg.lstsq(eval_orthonormal(table, alpha, x).values, target,
                            rcond=None)[0]
-    return np.concatenate([x] + coarse + [fine])
+    return np.concatenate(start + [fine])
 
 
 class _DiagnosticsLog:
@@ -585,7 +568,8 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
         if not np.all(np.isfinite(r)):
             return d, "diverged"
         c = penalty_coefficient(float(np.linalg.norm(r)))
-        rt = np.concatenate([r, c * problem.penalties(d)])
+        v = problem.violations(d)
+        rt = np.concatenate([r, c * (v * v)])
         rnorm = float(np.linalg.norm(rt))
         state.best_residual = min(state.best_residual, rnorm)
         if rnorm <= config.epsilon:
@@ -608,11 +592,11 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
                 or level_iter >= max_steps):
             return d, "stall"
 
-        rows = problem.active_rows(d)
-        J = problem.jacobian(d, ev, c)[rows]
         lam = _DAMPING * rnorm
-        step, eta = _damped_step(J, rt[rows], lam)
-        d = d - problem.expand_step(step)
+        active = np.concatenate([np.ones(r.size, dtype=bool), v != 0.0])
+        step, eta = _damped_step(problem.jacobian(d, ev, c, v), rt[active],
+                                 lam)
+        d = d - step
 
         state.iteration += 1
         if log:

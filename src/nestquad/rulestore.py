@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     IntegrityError,
     NestQuadError,
@@ -59,14 +60,6 @@ _VERIFY_FLOOR = 1e-16
 # What decoding a malformed document raises; OverflowError comes from
 # int() of an infinite number, which JSON's "Infinity" token yields.
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("nestquad")
-    except Exception:  # pragma: no cover - metadata absent in odd installs
-        return "unknown"
 
 
 @dataclass(frozen=True)
@@ -146,7 +139,7 @@ def _make_record(mode: str, payload, config, iterations: int) -> RuleRecord:
     )
     prov = Provenance(
         generator=_GENERATOR,
-        version=_package_version(),
+        version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         iterations=int(iterations),
     )

@@ -348,7 +348,10 @@ class SparseGrid:
         if nodes.ndim != 2 or nodes.shape[0] != weights.size:
             raise ParameterError("nodes must be (node_count, d)")
         mass = float(self.source.family.mass) ** nodes.shape[1]
-        if abs(weights.sum() - mass) > 1e-10:
+        # the rounding of the sum grows with sum |w|, which the combination
+        # coefficients C(d - 1, k - 1 - r) inflate at large d
+        scale = max(mass, float(np.abs(weights).sum()))
+        if abs(weights.sum() - mass) > 1e-10 * scale:
             raise ParameterError(
                 f"grid weights sum to {weights.sum()!r}, expected {mass!r}")
         nodes.setflags(write=False)
@@ -439,22 +442,26 @@ def integrate(grid: SparseGrid, f) -> float:
     value aborts with an evaluation error carrying the first offending
     node in node order.
     """
-    return _weighted_sum(grid.nodes, grid.weights, f)
+    return _weighted_sum(grid.weights, _node_values(grid.nodes, f))
 
 
-def _weighted_sum(nodes, weights, f) -> float:
-    """math.fsum of w_q f(x_q) over the rows of ``nodes`` (see
-    ``integrate``); the first non-finite value in node order raises
-    EvaluationError naming its node."""
+def _weighted_sum(weights, values) -> float:
+    """math.fsum of the products w_q f(x_q)."""
+    return math.fsum((weights * values).tolist())
+
+
+def _node_values(nodes, f) -> np.ndarray:
+    """f on every row of ``nodes`` (see ``integrate``); the first
+    non-finite value in node order raises EvaluationError naming its
+    node."""
     values = _batch_values(nodes, f)
     if values is None:
-        values = np.array([_finite(f(point), point) for point in nodes],
-                          dtype=float)
-    else:
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            _finite(values[bad[0]], nodes[bad[0]])  # raises
-    return math.fsum((weights * values).tolist())
+        return np.array([_finite(f(point), point) for point in nodes],
+                        dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        _finite(values[bad[0]], nodes[bad[0]])  # raises
+    return values
 
 
 def _batch_values(nodes, f):

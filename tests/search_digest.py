@@ -6,7 +6,9 @@ Patterson's degree 95 only through the steps of its odd probe on a
 symmetric weight, the generalized-Hermite (rho = 1) chain
 1 -> 3 -> 7 -> 15 and two searches that end in ConvergenceError, one by
 the iteration budget, cut to one degree's worth, and one below the
-minimal degree.  It prints one line per op: a sha256 of the node and
+minimal degree.  Last come two extensions of Simpson's rule whose right
+node sits 1e-13 and 5e-12 past the domain, within the slack that
+``QuadratureRule`` admits.  It prints one line per op: a sha256 of the node and
 weight bytes, the subset map, the certified degrees, the iteration and
 restart counts and a sha256 of the ``--log`` CSV (for an error, its
 message and best residual instead of the rule).
@@ -35,6 +37,8 @@ import itertools  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from unittest import mock  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -86,6 +90,12 @@ def _pair(family, n1, log):
                 pair.subset_map, state, log)
 
 
+def _error_line(name, exc, log) -> str:
+    return (f"{name}: ConvergenceError {exc} "
+            f"best_residual {exc.best_residual!r} csv {_csv_digest(log)} "
+            f"runs {_degree_runs(log)}")
+
+
 def _failure(name, n, config, log):
     """An extension of the generalized-Laguerre (rho = 0) Gauss-n rule
     that must fail: one step per start certifies no degree."""
@@ -94,11 +104,27 @@ def _failure(name, n, config, log):
         nq.extend_patterson(nq.gauss_rule(table, n), table, config,
                             log_path=log)
     except ConvergenceError as exc:
-        yield (f"{name}: ConvergenceError {exc} "
-               f"best_residual {exc.best_residual!r} csv {_csv_digest(log)} "
-               f"runs {_degree_runs(log)}")
+        yield _error_line(name, exc, log)
     else:
         yield f"{name}: no error"
+
+
+def _simpson(excess, log):
+    """The extension of Simpson's rule with its right node at 1 + excess,
+    on a Legendre table through degree 40."""
+    table = nq.recurrence_coefficients(nq.legendre(), 40)
+    nodes = np.array([-1.0, 0.0, 1.0 + excess])
+    weights = np.array([1 / 6, 2 / 3, 1 / 6])
+    residual = nq.moment_residuals(nodes, weights, table, 3)
+    base = nq.QuadratureRule(nq.legendre(), nodes, weights, 3,
+                             float(np.linalg.norm(residual)))
+    name = f"extend simpson 1+{excess:g} 3->7"
+    try:
+        rule, state = nq.extend_patterson(base, table, log_path=log)
+    except ConvergenceError as exc:
+        yield _error_line(name, exc, log)
+    else:
+        yield _line(name, [rule], None, state, log)
 
 
 def _budget_failure(name, n, config, log):
@@ -125,6 +151,8 @@ def main() -> None:
                                                    alpha2_initial=61), log),
             _failure("extend generalized_laguerre(0.0) 7->15 floor", 7,
                      nq.OptimizerConfig(max_iterations=1), log),
+            _simpson(1e-13, log),
+            _simpson(5e-12, log),
         )
         for line in lines:
             print(line, flush=True)

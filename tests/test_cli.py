@@ -599,13 +599,16 @@ class TestIntegrate:
                 rows = np.array([float(f(x)) for x in nodes])
                 np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=0)
                 per_row = math.fsum((weights * rows).tolist())
-                assert cli._weighted_sum(nodes, weights, f) == \
-                    pytest.approx(per_row, rel=1e-14, abs=1e-300)
+                assert cli._weighted_sum(weights, cli._node_values(
+                    nodes, f)) == pytest.approx(per_row, rel=1e-14,
+                                                abs=1e-300)
                 # the CLI prints 13 significant digits
                 assert self._value(stdout, key) == pytest.approx(
                     per_row, rel=1e-12, abs=1e-300)
 
-    def test_builtin_is_called_once(self, grid_path, capsys, monkeypatch):
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """The shapes the built-in integrands are called on, from now on."""
         calls = []
         resolve = cli._resolve_function
 
@@ -619,12 +622,26 @@ class TestIntegrate:
             return counted, truth
 
         monkeypatch.setattr(cli, "_resolve_function", counting)
+        return calls
+
+    def test_builtin_is_called_once(self, grid_path, capsys, monkeypatch):
+        calls = self._count_calls(monkeypatch)
         code, _, _ = run(capsys, "integrate", "--grid", str(grid_path),
                          "--function", "genz-oscillatory",
                          "--params", "0.1,0.3,0.2,0.1")
         assert code == 0
         nodes = json.loads(grid_path.read_text())["nodes"]
         assert calls == [(len(nodes), 3)]
+
+    def test_rule_integrand_is_called_once(self, pair_record, capsys,
+                                           monkeypatch):
+        # the coarse values are read off the fine ones at subset_map
+        calls = self._count_calls(monkeypatch)
+        code, _, _ = run(capsys, "integrate", "--rule", str(pair_record),
+                         "--function", "product-exponential",
+                         "--params", "0.3")
+        assert code == 0
+        assert calls == [(load(pair_record).payload.n2, 1)]
 
     def test_overflowing_rule_integrand_names_coarse_node(self, tmp_path,
                                                          capsys):

@@ -17,7 +17,8 @@ from nestquad.errors import (
     UnsupportedFamilyError,
 )
 from nestquad import nested_optimizer
-from nestquad.gauss import QuadratureRule, gauss_rule, verify_rule
+from nestquad.gauss import QuadratureRule, gauss_rule, moment_residuals, \
+    verify_rule
 from nestquad.nested_optimizer import (
     OptimizerConfig,
     extend_patterson,
@@ -462,6 +463,23 @@ class TestExtendPatterson:
                 rule, _ = extend_patterson(base, table)
                 assert rule.n == n
                 assert_frozen(rule, base)
+
+    @pytest.mark.parametrize("excess, degree", [
+        (0.0, 11), (1e-13, 11), (5e-12, 10), (5e-10, 10)])
+    def test_base_node_past_the_domain_stays_frozen(self, excess, degree):
+        # Simpson's rule with its right node up to the boundary slack past
+        # 1, as QuadratureRule and load accept it: a frozen node carries no
+        # penalty, so the extension certifies and keeps the node as it is
+        table = recurrence_coefficients(legendre(), 40)
+        nodes = np.array([-1.0, 0.0, 1.0 + excess])
+        weights = np.array([1 / 6, 2 / 3, 1 / 6])
+        r = moment_residuals(nodes, weights, table, 3)
+        base = QuadratureRule(legendre(), nodes, weights, 3,
+                              float(np.linalg.norm(r)))
+        rule, _ = extend_patterson(base, table)
+        assert rule.exactness_degree == degree
+        assert rule.nodes[-1] == 1.0 + excess
+        assert verify_rule(rule, table, degree).norm <= 1e-12
 
     def test_deterministic(self):
         table = table_for(legendre(), 16)

@@ -18,7 +18,6 @@ from nestquad.nested_optimizer import (
     OptimizerConfig,
     OptimizerState,
     generate_nested,
-    newton_decrement,
     penalty_coefficient,
     prune_negligible,
 )
@@ -48,18 +47,37 @@ def residual(problem, d):
     return problem.residual(d, problem.evaluate(d))
 
 
+def penalties(problem, d):
+    v = problem.violations(d)
+    return v * v
+
+
+def active(problem, d):
+    """Rows of [R; c_k P] in the step system: every moment row and each
+    violated penalty row."""
+    n_moments = sum(alpha + 1 for alpha in problem.degrees)
+    return np.concatenate([np.ones(n_moments, dtype=bool),
+                           problem.violations(d) != 0.0])
+
+
+def decrement(step, J, r):
+    """eta = |step . (J^T r)|^(1/2), the Newton decrement of a step."""
+    return math.sqrt(abs(float(np.dot(step, J.T @ r))))
+
+
 def interlaced_start(problem):
     """A test point of the problem's layout: its Gauss nodes, shrunk on an
     unbounded domain to the span of the Gauss rule of (alpha + 1)//2
     points, alpha the last block's degree, with uniform weights per block;
-    with frozen nodes, the movable ones take every second Gauss node."""
+    with frozen nodes, the movable ones take every second Gauss node and
+    the frozen ones stay out of d."""
     table = problem.table
     x = _gauss_nodes(table, problem.n)
     m = (problem.degrees[-1] + 1) // 2
     if not table.family.domain.bounded and m < problem.n:
         x = x * (np.max(np.abs(_gauss_nodes(table, m))) / np.max(np.abs(x)))
     if problem.frozen.size:
-        x = np.concatenate([x[0::2], problem.frozen])
+        x = x[0::2]
     mass = float(table.b[0])
     return np.concatenate(
         [x] + [np.full(idx.size, mass / idx.size) for idx in problem.idx])
@@ -150,7 +168,7 @@ class TestPenaltyTerms:
     def _penalties(d, family=legendre(), config=None):
         problem = _pair_problem(1, table_for(family, 5), 5,
                                 config or OptimizerConfig())
-        return problem.penalties(np.array(d))
+        return penalties(problem, np.array(d))
 
     def test_node_violation_squared(self):
         p = self._penalties([-0.5, 0.0, 1.1, 0.5, 0.2, 0.2, 0.2])
@@ -210,8 +228,10 @@ class TestPenaltyCoefficient:
 
 
 def _fd_jacobian(problem, d, c_k, h=1e-7):
+    """Central differences of all of [R; c_k P], penalty rows included."""
     def augmented(v):
-        return np.concatenate([residual(problem, v), c_k * problem.penalties(v)])
+        return np.concatenate([residual(problem, v),
+                               c_k * penalties(problem, v)])
 
     cols = []
     for j in range(d.size):
@@ -222,7 +242,8 @@ def _fd_jacobian(problem, d, c_k, h=1e-7):
 
 
 def jacobian(problem, d, c_k):
-    return problem.jacobian(d, problem.evaluate(d), c_k)
+    return problem.jacobian(d, problem.evaluate(d), c_k,
+                            problem.violations(d))
 
 
 class TestAssembleJacobian:
@@ -231,8 +252,11 @@ class TestAssembleJacobian:
                                 OptimizerConfig())
         d = np.array([-0.5, 0.1, 0.5, 1.0, 0.4, 0.3, 0.3])
         J = jacobian(problem, d, 1e3)
-        # (1 + 3 + 2 moments + 2 n_2 + n_1 penalties, n_1 + 2 n_2 unknowns)
-        assert J.shape == (6 + 7, 7)
+        # (1 + 3 + 2 moments, n_1 + 2 n_2 unknowns): no penalty is violated
+        assert J.shape == (6, 7)
+        # one row more per violated penalty: a node and a fine weight
+        d[0], d[4] = -1.1, -0.2
+        assert jacobian(problem, d, 1e3).shape == (6 + 2, 7)
 
     @pytest.mark.parametrize("family", [
         legendre(),
@@ -257,7 +281,9 @@ class TestAssembleJacobian:
             c_k = 10.0 ** rng.uniform(0, 4)
             J = jacobian(problem, d, c_k)
             J_fd = _fd_jacobian(problem, d, c_k)
-            err = np.max(np.abs(J - J_fd)) / max(1.0, np.max(np.abs(J)))
+            assert not np.any(J_fd[~active(problem, d)])
+            err = (np.max(np.abs(J - J_fd[active(problem, d)]))
+                   / max(1.0, np.max(np.abs(J))))
             assert err <= 1e-6
 
     def test_finite_differences_with_active_penalties(self):
@@ -273,8 +299,10 @@ class TestAssembleJacobian:
             d = np.concatenate([x2, w1, w2])
             c_k = 1e3
             J = jacobian(problem, d, c_k)
+            assert J.shape[0] == 4 + 8 + 2
             J_fd = _fd_jacobian(problem, d, c_k)
-            err = np.max(np.abs(J - J_fd)) / max(1.0, np.max(np.abs(J)))
+            err = (np.max(np.abs(J - J_fd[active(problem, d)]))
+                   / max(1.0, np.max(np.abs(J))))
             assert err <= 1e-6
 
     def test_coarse_rows_accumulate_through_subset(self):
@@ -313,7 +341,8 @@ def _kernel_points(d0, n, n_movable, domain, rng):
 
 class TestMomentKernel:
     """The shared kernel reproduces the former per-layout assemblies bit
-    for bit, including the memory order that later products depend on."""
+    for bit at the rows of the step system, including the memory order
+    that later products depend on."""
 
     @staticmethod
     def _same(got, want):
@@ -337,9 +366,11 @@ class TestMomentKernel:
             assert np.any(p != 0.0) == (d is active)
             # one evaluation with derivatives feeds residual and Jacobian
             ev = problem.evaluate(d)
+            v = problem.violations(d)
             self._same(problem.residual(d, ev), r)
-            self._same(problem.penalties(d), p)
-            self._same(problem.jacobian(d, ev, c_k), J)
+            self._same(v * v, p)
+            rows = np.concatenate([np.ones(r.size, dtype=bool), p != 0.0])
+            self._same(problem.jacobian(d, ev, c_k, v), J[rows])
 
     @pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=lambda f: f.kind)
     def test_extension_layout_matches_reference(self, family):
@@ -350,17 +381,23 @@ class TestMomentKernel:
         problem = _MomentProblem(7, [(range(7), 11)], config, table,
                                  frozen=base.nodes)
         d0 = interlaced_start(problem)
-        np.testing.assert_array_equal(d0[4:7], base.nodes)
-        feasible, active = _kernel_points(d0, 7, 4, family.domain, rng)
+        # d holds the 4 movable nodes and the 7 weights
+        assert d0.size == 4 + 7
+        np.testing.assert_array_equal(problem.nodes(d0)[4:], base.nodes)
+        feasible, active = _kernel_points(d0, 4, 4, family.domain, rng)
         for d in (d0, feasible, active):
             c_k = 10.0 ** rng.uniform(0, 8)
-            r, p, J = reference_extension(eval_orthonormal, d, table, 11,
+            # the reference reads the frozen nodes from its own d
+            full = np.concatenate([problem.nodes(d), d[4:]])
+            r, p, J = reference_extension(eval_orthonormal, full, table, 11,
                                           base.n, c_k, config)
             assert np.any(p != 0.0) == (d is active)
             ev = problem.evaluate(d)
+            v = problem.violations(d)
             self._same(problem.residual(d, ev), r)
-            self._same(problem.penalties(d), p)
-            self._same(problem.jacobian(d, ev, c_k), J)
+            self._same(v * v, p)
+            rows = np.concatenate([np.ones(r.size, dtype=bool), p != 0.0])
+            self._same(problem.jacobian(d, ev, c_k, v), J[rows])
 
     def test_certify_snaps_only_movable_nodes(self):
         table = table_for(legendre(), 30)
@@ -403,7 +440,7 @@ class TestMomentKernel:
         fine = problem.weights[1]
         d[fine.start + 1] += d[fine.start] + 5e-10
         d[fine.start] = -5e-10
-        assert np.max(problem.violations(d)[1]) < 1e-9
+        assert np.max(problem.violations(d)[problem.n:]) < 1e-9
         with pytest.raises(FeasibilityError, match="not all positive"):
             problem.certify(d)
         # allowed negative weights still certify it
@@ -417,20 +454,19 @@ FD_FAMILIES = [legendre(), chebyshev1(), jacobi(0.0, 0.3),
 
 
 class TestActiveRows:
-    """Only penalty rows that are zero in both J and the residual leave
-    the SVD; every moment row stays."""
+    """The step system keeps every moment row and leaves out only penalty
+    rows that are zero in both J and the residual."""
 
     def test_moment_row_with_exactly_zero_residual_stays(self):
         # the coarse block's one node sits at 0, where p_1(0) = 0 exactly
         problem = _pair_problem(1, table_for(legendre(), 8), 4,
                                 OptimizerConfig())
         d = np.array([-0.5, 0.0, 0.5, 1.0, 0.6, 0.8, 0.6])
-        ev = problem.evaluate(d)
-        r = problem.residual(d, ev)
+        r = residual(problem, d)
         assert r[1] == 0.0
-        assert np.any(problem.jacobian(d, ev, 1e3)[1] != 0.0)
-        np.testing.assert_array_equal(problem.active_rows(d),
-                                      np.arange(2 + 5))
+        J = jacobian(problem, d, 1e3)
+        assert J.shape[0] == 2 + 5
+        assert np.any(J[1] != 0.0)
 
     def test_keeps_exactly_the_violated_penalty_rows(self):
         problem = _pair_problem(2, table_for(legendre(), 12), 7,
@@ -442,24 +478,30 @@ class TestActiveRows:
                       -0.3, 0.7,
                       0.3, -0.1, 0.2, 0.4, 0.5])
         n_moments = 4 + 8
-        violated = np.flatnonzero(problem.penalties(d))
+        violated = np.flatnonzero(problem.violations(d))
         np.testing.assert_array_equal(violated, [0, 4, 6, 10])
-        np.testing.assert_array_equal(
-            problem.active_rows(d),
-            np.concatenate([np.arange(n_moments), n_moments + violated]))
+        J = jacobian(problem, d, 1e3)
+        assert J.shape == (n_moments + 4, 12)
+        # each kept penalty row touches its own unknown only: nodes 0 and
+        # 4, fine weight 1 (column 5 + 2 + 1) and coarse weight 0 (column 5)
+        cols = [np.flatnonzero(row).tolist() for row in J[n_moments:]]
+        assert cols == [[0], [4], [8], [5]]
 
     def test_dropped_rows_are_zero(self):
         rng = np.random.default_rng(8)
+        config = OptimizerConfig()
+        dims = types.SimpleNamespace(n1=2, n2=5, alpha1=3, alpha2=7,
+                                     subset_map=(1, 3))
         for family in FD_FAMILIES:
-            problem = _pair_problem(2, table_for(family, 12), 7,
-                                    OptimizerConfig())
+            table = table_for(family, 12)
+            problem = _pair_problem(2, table, 7, config)
             for d in _kernel_points(interlaced_start(problem), 5, 5,
                                     family.domain, rng):
-                J = jacobian(problem, d, 1e3)
-                rt = np.concatenate([residual(problem, d),
-                                     1e3 * problem.penalties(d)])
-                dropped = np.setdiff1d(np.arange(J.shape[0]),
-                                       problem.active_rows(d))
+                # the full system of [R; c_k P], every penalty row included
+                r, p, J = reference_pair(eval_orthonormal, d, table, dims,
+                                         1e3, config)
+                rt = np.concatenate([r, 1e3 * p])
+                dropped = ~active(problem, d)
                 assert np.all(J[dropped] == 0.0)
                 assert np.all(rt[dropped] == 0.0)
 
@@ -472,28 +514,32 @@ class TestActiveRows:
     def test_trimmed_step_matches_full_step(self, family, driver_lambda,
                                             alpha2):
         rng = np.random.default_rng(9)
-        problem = _pair_problem(2, table_for(family, 12), alpha2,
-                                OptimizerConfig())
+        config = OptimizerConfig()
+        table = table_for(family, 12)
+        problem = _pair_problem(2, table, alpha2, config)
+        dims = types.SimpleNamespace(n1=2, n2=5, alpha1=3, alpha2=alpha2,
+                                     subset_map=(1, 3))
         for _ in range(5):
             points = _kernel_points(interlaced_start(problem), 5, 5,
                                     family.domain, rng)
             for d, penalized in zip(points, (False, True)):
                 c_k = 10.0 ** rng.uniform(0, 4)
-                J = jacobian(problem, d, c_k)
-                rt = np.concatenate([residual(problem, d),
-                                     c_k * problem.penalties(d)])
-                rows = problem.active_rows(d)
-                assert (rows.size > 4 + alpha2 + 1) == penalized
+                # the full system from the reference assembly
+                r, p, J = reference_pair(eval_orthonormal, d, table, dims,
+                                         c_k, config)
+                rt = np.concatenate([r, c_k * p])
+                rows = active(problem, d)
+                J_step = jacobian(problem, d, c_k)
+                assert (J_step.shape[0] > 4 + alpha2 + 1) == penalized
                 u, s, vt = np.linalg.svd(J, full_matrices=False)
                 lam = (_DAMPING * np.linalg.norm(rt) if driver_lambda
                        else 1e-3 * s[0])
                 full = _step_from_svd(u, s, vt, rt, lam)
-                trimmed = svd_step(J[rows], rt[rows], lam)
+                trimmed, eta = _damped_step(J_step, rt[rows], lam)
                 assert (np.linalg.norm(trimmed - full)
                         <= 1e-10 * np.linalg.norm(full))
-                eta_full = newton_decrement(full, J, rt)
-                eta = newton_decrement(trimmed, J[rows], rt[rows])
-                assert eta == pytest.approx(eta_full, rel=1e-12)
+                assert eta == pytest.approx(decrement(full, J, rt),
+                                            rel=1e-12)
 
 
 class TestSolveDegree:
@@ -555,7 +601,8 @@ class TestSolveDegree:
         table = table_for(legendre(), 3)
         problem = _MomentProblem(3, [(range(3), 1)], OptimizerConfig(),
                                  table, frozen=[0.0])
-        d = np.array([0.0, 0.0, 0.0, 1 / 3, 1 / 3, 1 / 3])
+        # d = (two movable nodes, three weights)
+        d = np.array([0.0, 0.0, 1 / 3, 1 / 3, 1 / 3])
         assert np.all(residual(problem, d) == 0.0)
         state = OptimizerState()
         _, outcome = _solve_degree(problem, d, OptimizerConfig(), state)
@@ -623,7 +670,7 @@ class TestDampedStep:
         step, eta = _damped_step(J, r, lam)
         assert (np.linalg.norm(step - expected)
                 <= 1e-8 * np.linalg.norm(expected))
-        assert eta == pytest.approx(newton_decrement(step, J, r), rel=1e-10)
+        assert eta == pytest.approx(decrement(step, J, r), rel=1e-10)
 
     @pytest.mark.parametrize("n", [3, 60, _NORMAL_MIN_COLS - 1])
     def test_small_system_is_the_svd_step_bit_for_bit(self, n):
@@ -632,7 +679,7 @@ class TestDampedStep:
         expected = svd_step(J, r, lam)
         step, eta = _damped_step(J, r, lam)
         np.testing.assert_array_equal(step, expected)
-        assert eta == newton_decrement(expected, J, r)
+        assert eta == decrement(expected, J, r)
 
     def test_ill_conditioned_large_system_falls_back_to_svd(self):
         # a zero column and no damping make J^T J + lam^2 I singular
@@ -642,7 +689,7 @@ class TestDampedStep:
         expected = svd_step(J, r, 0.0)
         step, eta = _damped_step(J, r, 0.0)
         np.testing.assert_array_equal(step, expected)
-        assert eta == newton_decrement(expected, J, r)
+        assert eta == decrement(expected, J, r)
 
     def test_non_finite_large_system_is_a_numerical_error(self):
         rng = np.random.default_rng(6)
@@ -653,16 +700,20 @@ class TestDampedStep:
 
 
 class TestNewtonDecrement:
+    """The decrement that ``_damped_step`` returns with its step."""
+
     def test_zero_step(self):
-        assert newton_decrement(np.zeros(3), np.eye(3), np.ones(3)) == 0.0
+        step, eta = _damped_step(np.eye(3), np.zeros(3), 0.0)
+        np.testing.assert_array_equal(step, np.zeros(3))
+        assert eta == 0.0
 
     def test_exact_step_on_consistent_system(self):
         rng = np.random.default_rng(11)
         J = rng.normal(size=(8, 4))
         z = rng.normal(size=4)
         r = J @ z
-        step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        eta = newton_decrement(step, J, r)
+        step, eta = _damped_step(J, r, 0.0)
+        np.testing.assert_allclose(step, z, rtol=1e-10)
         assert eta == pytest.approx(float(np.linalg.norm(r)), rel=1e-10)
         assert eta == pytest.approx(float(np.linalg.norm(J @ step)), rel=1e-10)
 

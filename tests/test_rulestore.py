@@ -25,6 +25,7 @@ from nestquad.orthopoly import (
     legendre,
     recurrence_coefficients,
 )
+import nestquad
 from nestquad import rulestore
 from nestquad.rulestore import (
     Catalog,
@@ -139,6 +140,13 @@ class TestRoundTrip:
         assert doc["schema_version"] == 1
         assert doc["data"]["mode"] == "gauss"
         assert doc["provenance"]["generator"] == "nestquad"
+
+    def test_provenance_carries_the_package_version(self, leg_table,
+                                                    tmp_path):
+        path = tmp_path / "g2.json"
+        save(make_rule_record(gauss_rule(leg_table, 2)), path)
+        assert load(path).provenance.version == nestquad.__version__
+        assert nestquad.__version__ == "0.1.0"
 
     @pytest.mark.parametrize("family, floor", [
         (legendre(), 1e-6), (generalized_laguerre(0.0), 1e-13)],

@@ -249,6 +249,22 @@ class TestSmolyakWeights:
                     grid = smolyak_grid(family, d, k)
                     assert abs(grid.weights.sum() - 1.0) <= 1e-10
 
+    def test_large_d_sum_is_held_to_its_rounding(self, leg_chain):
+        # sum |w| is 1.27e4 here, and the rounding of sum w passes 1e-10
+        grid = smolyak_grid(nested_levels(leg_chain, 7), 40, 4)
+        assert grid.node_count == 82401
+        bound = 1e-10 * max(1.0, float(np.abs(grid.weights).sum()))
+        assert abs(grid.weights.sum() - 1.0) > 1e-10
+        value = integrate(grid, lambda x: np.ones(x.shape[0]))
+        assert abs(value - 1.0) <= bound
+
+    def test_wrong_weight_sum_is_refused(self, nested_family):
+        grid = smolyak_grid(nested_family, 3, 4)
+        assert np.any(grid.weights < 0.0)
+        with pytest.raises(ParameterError, match="grid weights sum to"):
+            SparseGrid(grid.k, grid.nodes, grid.weights * (1.0 + 1e-6),
+                       nested_family)
+
     def test_negative_weights_retained(self, nested_family):
         grid = smolyak_grid(nested_family, 4, 3)
         assert np.any(grid.weights < 0.0)
@@ -393,7 +409,8 @@ class TestIntegrate:
             shapes.append(np.shape(x))
             return x[0] * x[1]
 
-        value = sparse_grid._weighted_sum(nodes, weights, f)
+        value = sparse_grid._weighted_sum(
+            weights, sparse_grid._node_values(nodes, f))
         assert shapes == [(3,)] * 3
         assert value == math.fsum(w * x[0] * x[1]
                                   for x, w in zip(nodes, weights))
@@ -574,8 +591,9 @@ class TestBitwiseMerge:
 
 
 def test_first_grid_imports_no_metadata_or_masked_arrays():
-    # importlib.metadata (for __version__) and numpy.ma (imported by the
-    # first np.unique call) each add 10 to 25 ms to a process's first grid
+    # importlib.metadata (a run-time version lookup would import it) and
+    # numpy.ma (imported by the first np.unique call) each add 10 to 25 ms
+    # to a process's first grid
     src = os.path.dirname(os.path.dirname(sparse_grid.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
