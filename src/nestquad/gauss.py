@@ -127,8 +127,14 @@ def _gauss_weights(table: RecurrenceTable, nodes) -> np.ndarray:
     identity 1 / sum_j p_j(x_i)^2; unlike the squared first eigenvector
     components this keeps tiny tail weights (Laguerre, Hermite) at full
     relative precision."""
-    V = eval_orthonormal(table, nodes.size - 1, nodes).values
-    return 1.0 / np.einsum("ji,ji->i", V, V)
+    return _christoffel_weights(
+        eval_orthonormal(table, nodes.size - 1, nodes).values)
+
+
+def _christoffel_weights(values: np.ndarray) -> np.ndarray:
+    """1 / sum_j p_j(x_i)^2 over the rows p_0..p_{n-1} of ``values``: the
+    Gauss weights when its n columns are the Gauss-n nodes."""
+    return 1.0 / np.einsum("ji,ji->i", values, values)
 
 
 def gauss_rule(table: RecurrenceTable, n: int) -> QuadratureRule:

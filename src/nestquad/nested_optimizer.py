@@ -10,9 +10,11 @@ residual
            [           ...                      ]
            [ V_aB(x[idx_B]) w_B - sqrt(b_0) e_1 ]
 
-Both V and its node derivatives come from one recurrence pass per
-iteration at the largest block degree.  The trailing entries of x may be
-frozen: they enter the residual like any node, but they are constants of
+V comes from one recurrence pass of values per iteration at the largest
+block degree, and its node derivatives from one more pass over those
+values, made only when a step follows; a seeded start's first iteration
+reuses the evaluation its seed already made.  The trailing entries of x
+may be frozen: they enter the residual like any node, but they are constants of
 the problem, so the decision vector d = (movable x, w_1, ..., w_B) holds
 only what a step can move, and a frozen node carries no penalty.
 
@@ -46,14 +48,21 @@ size of the base rule (the frozen rule, or the coarse Gauss rule of a
 pair).  Each degree has one start, the node-polynomial seed of
 ``_node_polynomial_seed``; a degree whose seed has a complex or
 out-of-domain root is conceded without a step.  A degree counts as
-certified only when ``certify`` accepts its converged iterate; a
-diverged, collided or out-of-domain iterate is conceded like a stall.
+certified only when ``certify`` accepts its converged iterate, and that
+certificate is the one returned; a diverged, collided or out-of-domain
+iterate is conceded like a stall.  A degree stalls when, for 5 steps in
+a row, the Newton decrement eta is below max(epsilon, 1e-4 |R|) while |R|
+stays above 100 epsilon: the Gauss-Newton model then predicts a relative
+reduction eta^2 / |R|^2 below 1e-8, about sqrt(eps), and the iterate sits
+at a nonzero stationary residual (the predicted-reduction test of
+MINPACK; J.J. More, LNM 630, 1978).
 After the first certified degree, the search probes upward one degree at
 a time, warm from the last certified iterate, until a probe fails, and
 returns the highest certified degree.  Above 3 n + 1, where the unknowns
 and the moment rows are equally many, a probe takes no step and only
-checks its warm start, except for an odd degree on a symmetric weight,
-whose odd moment rounding may leave above epsilon.
+checks its warm start, except for an odd degree on a symmetric weight
+whose frozen base (if any) is symmetric, where the odd moment, zero in
+exact arithmetic, may be left above epsilon by rounding.
 """
 
 from __future__ import annotations
@@ -75,6 +84,7 @@ from .errors import (
 from .gauss import (
     _BOUNDARY_TOL,
     QuadratureRule,
+    _christoffel_weights,
     _gauss_nodes,
     _gauss_weights,
     moment_residuals,
@@ -83,6 +93,7 @@ from .gauss import (
 from .orthopoly import (
     RecurrenceTable,
     WeightFamily,
+    eval_derivatives,
     eval_orthonormal,
     generalized_laguerre,
     recurrence_coefficients,
@@ -116,12 +127,21 @@ _NORMAL_MIN_COLS = 128
 # is then about cond * eps = 2e-6, which an inexact Newton step tolerates.
 # Every iteration of the Legendre n1 = 100 and Jacobi n1 = 60 pairs passes.
 _NORMAL_MAX_COND = 1e10
-# Stall: decrement below tolerance while the residual stays above 100 eps,
-# sustained this many consecutive iterations.
-_STALL_RUN = 25
+# Stall: a Newton decrement eta below max(epsilon, _STALL_DECREMENT |R|)
+# while |R| stays above 100 eps, sustained this many consecutive
+# iterations.  eta^2 / |R|^2 is the relative reduction of |R|^2 that the
+# Gauss-Newton model predicts for the step; below 1e-8, about sqrt(eps),
+# the iterate is stationary at a nonzero residual (the predicted-reduction
+# test of MINPACK, ftol = sqrt(eps); J.J. More, LNM 630, 1978).
+_STALL_DECREMENT = 1e-4
+_STALL_RUN = 5
 # Plateau fallback: no new best residual over this many iterations counts
 # as a stall even when the decrement has not collapsed (guards cycling).
 _PLATEAU_RUN = 200
+# A frozen base counts as symmetric when max |x_i + x_{n-1-i}| is at most
+# this times max(1, max |x|): the Legendre 31-point chain rule sits at
+# 2.1e-14, a Simpson base nudged 5e-12 past the domain does not.
+_SYMMETRY_TOL = 1e-12
 # The penalty coefficient c_k = max(_A, 1/|R|) never exceeds _C_CAP.
 _A = 1e3
 _C_CAP = 1e16
@@ -260,10 +280,10 @@ class _MomentProblem:
         return np.concatenate([d[:self.n_free], self.frozen])
 
     def evaluate(self, d):
-        """One recurrence pass, values and derivatives, over all nodes at
-        the largest block degree."""
-        return eval_orthonormal(self.table, max(self.degrees), self.nodes(d),
-                                derivatives=True)
+        """One recurrence pass of values over all nodes at the largest
+        block degree; ``jacobian`` adds the derivative rows when a step
+        needs them."""
+        return eval_orthonormal(self.table, max(self.degrees), self.nodes(d))
 
     def _block_rows(self, matrix):
         # np.take keeps the C order of a values-only evaluation at the
@@ -301,15 +321,17 @@ class _MomentProblem:
         nonzero.
 
         Residual rows use d p_m(x_i) w_i / d x_i = p'_m(x_i) w_i; a node
-        shared by several blocks gets one entry per block's rows.
+        shared by several blocks gets one entry per block's rows.  The
+        derivative rows are evaluated here from the values of ``ev``.
         """
+        derivatives = eval_derivatives(self.table, self.nodes(d), ev.values)
         hit = np.flatnonzero(v)
         n_moments = sum(alpha + 1 for alpha in self.degrees)
         J = np.zeros((n_moments + hit.size, self.n_unknowns))
         row = 0
         for idx, w, V, dV in zip(self.idx, self.weights,
                                  self._block_rows(ev.values),
-                                 self._block_rows(ev.derivatives)):
+                                 self._block_rows(derivatives)):
             rows = slice(row, row + V.shape[0])
             move = idx < self.n_free
             J[rows, idx[move]] = (dV * d[w])[:, move]
@@ -457,7 +479,8 @@ def _pair_start(config: OptimizerConfig, n1: int) -> int:
 
 def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     """Start for degree ``alpha`` at the roots of the new nodes' polynomial,
-    or None when a root is complex or outside the domain.
+    as (d, ``problem.evaluate(d)``), or None when a root is complex or
+    outside the domain.
 
     With base nodes y_1..y_n (the frozen rule, or the Gauss-n_1 nodes of a
     pair) and pi = prod (x - y_k), the 2 n + 1 nodes reach degree alpha
@@ -470,28 +493,32 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     weights of the last block solve its moment system through ``alpha`` in
     the least-squares sense; a pair's coarse block starts at the Gauss
     weights.  The new nodes take the movable slots of the layout: the even
-    ones of a pair, all of an extension's, whose base is frozen.
+    ones of a pair, all of an extension's, whose base is frozen.  The
+    Vandermonde of that least-squares solve is the evaluation of the first
+    Gauss-Newton iteration (same nodes, same degree), so it is returned.
     """
     table, domain = problem.table, problem.domain
     pair = not problem.frozen.size
     base = _gauss_nodes(table, problem.idx[0].size) if pair else problem.frozen
     n = base.size
     m = n + 1
-    # the Gram entries pi p_i p_j have degree n + k - 1 + m, at most both
-    # n + 2 m - 1 and alpha, so a Gauss rule of g points with 2 g - 1 at
-    # least either bound integrates them exactly; the table, which
-    # reaches alpha, caps g no lower than that
-    g = min((n + 2 * m) // 2 + 2, table.capacity + 1)
-    t = _gauss_nodes(table, g)
-    P = eval_orthonormal(table, m, t).values
-    diff = t[:, None] - base[None, :]
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(np.abs(diff)).sum(axis=1)
-    pi = np.prod(np.sign(diff), axis=1) * np.exp(log_pi - log_pi.max())
     c = np.zeros(m)
     k = min(alpha - 2 * n, m)
     if k > 0:
-        gram = (P[:k] * (_gauss_weights(table, t) * pi)) @ P.T
+        # the Gram entries pi p_i p_j have degree n + k - 1 + m, at most
+        # both n + 2 m - 1 and alpha, so a Gauss rule of g points with
+        # 2 g - 1 at least either bound integrates them exactly; the table,
+        # which reaches alpha, caps g no lower than that.  Its weights'
+        # evaluation, through g - 1 >= m, holds p_0..p_m at its nodes.
+        g = min((n + 2 * m) // 2 + 2, table.capacity + 1)
+        t = _gauss_nodes(table, g)
+        V = eval_orthonormal(table, g - 1, t).values
+        P = V[:m + 1]
+        diff = t[:, None] - base[None, :]
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(np.abs(diff)).sum(axis=1)
+        pi = np.prod(np.sign(diff), axis=1) * np.exp(log_pi - log_pi.max())
+        gram = (P[:k] * (_christoffel_weights(V) * pi)) @ P.T
         c = np.linalg.lstsq(gram[:, :m], -gram[:, m], rcond=None)[0]
     off = np.sqrt(table.b[1:m])
     comrade = np.diag(table.a[:m]) + np.diag(off, 1) + np.diag(off, -1)
@@ -513,9 +540,9 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
         x, start = np.concatenate([new, base]), [new]
     target = np.zeros(alpha + 1)
     target[0] = math.sqrt(table.b[0])
-    fine = np.linalg.lstsq(eval_orthonormal(table, alpha, x).values, target,
-                           rcond=None)[0]
-    return np.concatenate(start + [fine])
+    ev = eval_orthonormal(table, alpha, x)
+    fine = np.linalg.lstsq(ev.values, target, rcond=None)[0]
+    return np.concatenate(start + [fine]), ev
 
 
 class _DiagnosticsLog:
@@ -536,20 +563,24 @@ class _DiagnosticsLog:
 
 
 def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
-                  state: OptimizerState, log=None, *, max_steps=None):
-    """Gauss-Newton at the problem's current degree, starting from ``d``.
+                  state: OptimizerState, log=None, *, max_steps=None,
+                  ev=None):
+    """Gauss-Newton at the problem's current degree, starting from ``d``,
+    whose ``problem.evaluate(d)`` may be passed as ``ev``.
 
-    Returns (last iterate, outcome).  The outcome is "certified" once the
-    augmented residual is within epsilon and ``problem.certify`` accepts
-    the iterate, "infeasible" when it is within epsilon but ``certify``
-    refuses it (collided or out-of-domain nodes), "diverged" when the
-    moment residual is not finite, and "stall" when the Newton decrement
-    has collapsed for ``_STALL_RUN`` steps, the residual has not improved
-    for ``_PLATEAU_RUN`` steps, or the degree has used ``max_steps``
-    steps (by default ``max_iterations``; with 0 the call only checks
-    ``d``).  Every step is damped with lambda = ``_DAMPING`` times the
-    augmented residual norm.  Raises ConvergenceError when the whole
-    search's budget is spent.
+    Returns (last iterate, outcome, certificate).  The outcome is
+    "certified" once the augmented residual is within epsilon and
+    ``problem.certify`` accepts the iterate, whose rules it returns as the
+    certificate (None for every other outcome); "infeasible" when it is
+    within epsilon but ``certify`` refuses it (collided or out-of-domain
+    nodes); "diverged" when the moment residual is not finite; and "stall"
+    when the Newton decrement has stayed below max(epsilon,
+    ``_STALL_DECREMENT`` |R|) for ``_STALL_RUN`` steps, the residual has
+    not improved for ``_PLATEAU_RUN`` steps, or the degree has used
+    ``max_steps`` steps (by default ``max_iterations``; with 0 the call
+    only checks ``d``).  Every step is damped with lambda = ``_DAMPING``
+    times the augmented residual norm.  Raises ConvergenceError when the
+    whole search's budget is spent.
     """
     alpha2 = problem.degrees[-1]
     if max_steps is None:
@@ -563,10 +594,11 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
                 f"iteration budget exhausted at alpha2={alpha2}",
                 best_residual=state.best_residual)
 
-        ev = problem.evaluate(d)
+        if ev is None:
+            ev = problem.evaluate(d)
         r = problem.residual(d, ev)
         if not np.all(np.isfinite(r)):
-            return d, "diverged"
+            return d, "diverged", None
         c = penalty_coefficient(float(np.linalg.norm(r)))
         v = problem.violations(d)
         rt = np.concatenate([r, c * (v * v)])
@@ -574,29 +606,30 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
         state.best_residual = min(state.best_residual, rnorm)
         if rnorm <= config.epsilon:
             try:
-                problem.certify(d)
+                return d, "certified", problem.certify(d)
             except FeasibilityError:
-                return d, "infeasible"
-            return d, "certified"
+                return d, "infeasible", None
 
         if rnorm < best - 1e-16:
             best = rnorm
             plateau_run = 0
         else:
             plateau_run += 1
-        if eta < config.epsilon and rnorm > 100.0 * config.epsilon:
+        if (eta < max(config.epsilon, _STALL_DECREMENT * rnorm)
+                and rnorm > 100.0 * config.epsilon):
             stall_run += 1
         else:
             stall_run = 0
         if (stall_run >= _STALL_RUN or plateau_run >= _PLATEAU_RUN
                 or level_iter >= max_steps):
-            return d, "stall"
+            return d, "stall", None
 
         lam = _DAMPING * rnorm
         active = np.concatenate([np.ones(r.size, dtype=bool), v != 0.0])
         step, eta = _damped_step(problem.jacobian(d, ev, c, v), rt[active],
                                  lam)
         d = d - step
+        ev = None
 
         state.iteration += 1
         if log:
@@ -607,7 +640,8 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
            alpha2_start: int, min_alpha2: int, log=None):
     """Degree search around ``_solve_degree``.
 
-    Returns (certified d, state) and leaves the problem at the certified
+    Returns (certificate, state), the certificate ``_solve_degree`` made
+    at the highest certified degree, and leaves the problem at that
     degree; degrees at or below ``min_alpha2`` are never tried.  Each
     degree starts once, at its node-polynomial seed, and is conceded when
     it has no seed or its run ends in anything but "certified"; the next
@@ -619,19 +653,28 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
     square degree 3 n + 1, and each probe above it adds a row and no
     unknown.  Such a probe takes no step: it certifies only when its
     warm start already does, and is conceded otherwise.  On a symmetric
-    weight a probe to an odd degree keeps its steps, because the odd
-    moment that vanishes in exact arithmetic may be left above epsilon
-    by rounding (Legendre 31 -> 63 reaches Patterson's 95 that way).
+    weight with a symmetric frozen base (trivially so for a pair, which
+    freezes nothing), a probe to an odd degree keeps its steps, because
+    the odd moment that vanishes in exact arithmetic may be left above
+    epsilon by rounding (Legendre 31 -> 63 reaches Patterson's 95 that
+    way).  Under an asymmetric base that moment does not vanish, so such a
+    probe is as overdetermined as any other.
     """
     square = 3 * ((problem.n - 1) // 2) + 1
-    symmetric = problem.table.family.symmetric
+    frozen = problem.frozen
+    skew = np.max(np.abs(frozen + frozen[::-1]), initial=0.0)
+    scale = max(1.0, np.max(np.abs(frozen), initial=0.0))
+    symmetric = (problem.table.family.symmetric
+                 and skew <= _SYMMETRY_TOL * scale)
     alpha2 = alpha2_start
     state = OptimizerState()
     while True:
         problem.set_degree(alpha2)
-        d = _node_polynomial_seed(problem, alpha2)
-        if d is not None:
-            d, outcome = _solve_degree(problem, d, config, state, log)
+        seed = _node_polynomial_seed(problem, alpha2)
+        if seed is not None:
+            d, ev = seed
+            d, outcome, rules = _solve_degree(problem, d, config, state, log,
+                                              ev=ev)
             if outcome == "certified":
                 break
         state.restarts += 1
@@ -645,26 +688,27 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
         problem.set_degree(alpha2 + 1)
         overdetermined = (alpha2 + 1 > square
                           and not (symmetric and (alpha2 + 1) % 2))
-        probe, outcome = _solve_degree(problem, d, config, state, log,
-                                       max_steps=0 if overdetermined else None)
+        probe, outcome, certificate = _solve_degree(
+            problem, d, config, state, log,
+            max_steps=0 if overdetermined else None)
         if outcome != "certified":
             problem.set_degree(alpha2)
             break
         alpha2 += 1
-        d = probe
-    return d, state
+        d, rules = probe, certificate
+    return rules, state
 
 
 def _search(problem: _MomentProblem, config: OptimizerConfig,
             alpha2: int, min_alpha2: int, log_path):
-    """Run the degree search and certify its result, one rule per block."""
+    """Run the degree search; returns its certificate, one (rule, subset
+    map) per block, and the state."""
     log = _DiagnosticsLog(log_path) if log_path is not None else None
     try:
-        d, state = _drive(problem, config, alpha2, min_alpha2, log)
+        return _drive(problem, config, alpha2, min_alpha2, log)
     finally:
         if log:
             log.flush()
-    return problem.certify(d), state
 
 
 def generate_nested(n1: int, table: RecurrenceTable,

@@ -13,7 +13,7 @@ one".  Differentiating the recurrence gives
 
     sqrt(b_{m+1}) p'_{m+1}(x) = (x - a_m) p'_m(x) - sqrt(b_m) p'_{m-1}(x) + p_m(x)
 
-which is evaluated alongside the values when derivatives are requested.
+which ``eval_derivatives`` evaluates from the values, on request.
 
 Coefficients for the built-in families are classical closed forms; custom
 families pass user-supplied coefficient arrays through unchanged.
@@ -41,6 +41,7 @@ __all__ = [
     "custom_family",
     "recurrence_coefficients",
     "eval_orthonormal",
+    "eval_derivatives",
     "weight_density",
 ]
 
@@ -306,6 +307,70 @@ def recurrence_coefficients(family: WeightFamily, n_coeffs: int) -> RecurrenceTa
     return RecurrenceTable(family, a, b)
 
 
+def _coefficients(table: RecurrenceTable, degree: int):
+    """a_0..a_{degree-1} and sqrt(b_0..b_degree) as Python floats, and for
+    each a_m whether it differs in bits from a_{m-1}: x - a_m is the same
+    row until then (for the symmetric families, whose a_m all vanish, it is
+    computed once)."""
+    a = table.a[:degree]
+    bits = a.view(np.int64)
+    fresh = np.ones(degree, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+    return a.tolist(), fresh.tolist(), np.sqrt(table.b[:degree + 1]).tolist()
+
+
+def _values(table: RecurrenceTable, degree: int, x: np.ndarray) -> np.ndarray:
+    """p_0..p_degree at x by the three-term recurrence, in place: each row
+    is ((x - a_m) p_m - sqrt(b_m) p_{m-1}) / sqrt(b_{m+1}), rounded
+    operation by operation as written.  Ufuncs write into preallocated
+    rows through their positional out argument, which numpy parses faster
+    than the keyword."""
+    a, fresh, sqrt_b = _coefficients(table, degree)
+    mul, sub, div = np.multiply, np.subtract, np.divide
+    p = np.empty((degree + 1, x.size))
+    p[0] = 1.0 / sqrt_b[0]
+    rows = list(p)
+    xa, tmp = np.empty(x.size), np.empty(x.size)
+    for m in range(degree):
+        if fresh[m]:
+            sub(x, a[m], xa)
+        row = rows[m + 1]
+        mul(xa, rows[m], row)
+        if m:
+            mul(rows[m - 1], sqrt_b[m], tmp)
+            sub(row, tmp, row)
+        div(row, sqrt_b[m + 1], row)
+    return p
+
+
+def eval_derivatives(table: RecurrenceTable, x, values) -> np.ndarray:
+    """p'_0..p'_degree at x from the values ``eval_orthonormal`` returned
+    there, by the differentiated recurrence; ``eval_orthonormal(...,
+    derivatives=True)`` calls this, so the two agree bit for bit.  A
+    search that needs derivatives only when it steps evaluates them here,
+    after the values."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    degree = values.shape[0] - 1
+    table.require(degree)
+    a, fresh, sqrt_b = _coefficients(table, degree)
+    mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
+    q = np.zeros_like(values)
+    p, rows = list(values), list(q)
+    if degree >= 1:
+        div(p[0], sqrt_b[1], rows[1])
+    xa, tmp = np.empty(x.size), np.empty(x.size)
+    for m in range(1, degree):
+        if fresh[m] or m == 1:
+            sub(x, a[m], xa)
+        row = rows[m + 1]
+        mul(xa, rows[m], row)
+        mul(rows[m - 1], sqrt_b[m], tmp)
+        sub(row, tmp, row)
+        add(row, p[m], row)
+        div(row, sqrt_b[m + 1], row)
+    return q
+
+
 def eval_orthonormal(table: RecurrenceTable, degree: int, x,
                      derivatives: bool = False) -> PolynomialEvaluation:
     """Evaluate p_0..p_degree (and optionally p'_0..p'_degree) at nodes x.
@@ -319,25 +384,11 @@ def eval_orthonormal(table: RecurrenceTable, degree: int, x,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise ParameterError("nodes must be one-dimensional")
-
-    a, b = table.a, table.b
-    sqrt_b = np.sqrt(b)
-    p = np.empty((degree + 1, x.size))
-    p[0] = 1.0 / sqrt_b[0]
-    if degree >= 1:
-        p[1] = (x - a[0]) * p[0] / sqrt_b[1]
-    for m in range(1, degree):
-        p[m + 1] = ((x - a[m]) * p[m] - sqrt_b[m] * p[m - 1]) / sqrt_b[m + 1]
-
+    p = _values(table, degree, x)
     if not derivatives:
         return PolynomialEvaluation(values=p)
-
-    q = np.zeros_like(p)
-    if degree >= 1:
-        q[1] = p[0] / sqrt_b[1]
-    for m in range(1, degree):
-        q[m + 1] = ((x - a[m]) * q[m] - sqrt_b[m] * q[m - 1] + p[m]) / sqrt_b[m + 1]
-    return PolynomialEvaluation(values=p, derivatives=q)
+    return PolynomialEvaluation(values=p,
+                                derivatives=eval_derivatives(table, x, p))
 
 
 def weight_density(family: WeightFamily):

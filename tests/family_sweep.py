@@ -6,8 +6,9 @@ rule (table through degree 132): four extensions for legendre, chebyshev1
 and jacobi(0,0.3), three for the others.  A chain stops at its first
 error.  Prints one line per op: a sha256 of its node and weight bytes,
 its certified degrees, its iteration count and its wall time, or the
-error it raised.  Two trees find the same rules at the same cost when
-their outputs agree up to the seconds column:
+error it raised; the last line is ``total iterations N`` over the ops
+that returned a rule.  Two trees find the same rules at the same cost
+when their outputs agree up to the seconds column:
 
     PYTHONPATH=src python tests/family_sweep.py > after.txt
 
@@ -15,7 +16,7 @@ The script puts its own tree's ``src`` first on the path, so to sweep an
 older tree, copy this file into that tree's ``tests`` and run it there.
 
 BLAS is pinned to one thread, because threaded reductions may round
-differently from run to run.  The full run takes about seven seconds
+differently from run to run.  The full run takes about six seconds
 on a 2-CPU x86 host.  pytest does not collect this file.
 """
 
@@ -51,13 +52,16 @@ CHAIN_CAPACITY = 132
 
 def _timed(name, run):
     """Print ``name``, then the op's result or error, with its seconds;
-    returns the result, or None after an error."""
+    returns the result and its iteration count, or (None, 0) after an
+    error."""
     start = time.perf_counter()
     try:
         result, rules, state = run()
     except NestQuadError as exc:
         outcome, result = f"{type(exc).__name__}: {exc}", None
+        iterations = 0
     else:
+        iterations = state.iteration
         arrays = b"".join(r.nodes.tobytes() + r.weights.tobytes()
                           for r in rules)
         outcome = (f"nodes {hashlib.sha256(arrays).hexdigest()[:16]} "
@@ -65,7 +69,7 @@ def _timed(name, run):
                    f"iterations {state.iteration}")
     print(f"{name}: {outcome} seconds {time.perf_counter() - start:.2f}",
           flush=True)
-    return result
+    return result, iterations
 
 
 def _pair(family, n1):
@@ -80,17 +84,21 @@ def _extend(rule, table):
 
 
 def main() -> None:
+    total = 0
     for family, steps in FAMILIES:
         label = family.label()
         for n1 in PAIR_N1:
-            _timed(f"pair {label} n1={n1}", lambda: _pair(family, n1))
+            total += _timed(f"pair {label} n1={n1}",
+                            lambda: _pair(family, n1))[1]
         table = nq.recurrence_coefficients(family, CHAIN_CAPACITY)
         rule = nq.gauss_rule(table, 1)
         for _ in range(steps):
             name = f"extend {label} {rule.n}->{2 * rule.n + 1}"
-            rule = _timed(name, lambda: _extend(rule, table))
+            rule, iterations = _timed(name, lambda: _extend(rule, table))
+            total += iterations
             if rule is None:
                 break
+    print(f"total iterations {total}")
 
 
 if __name__ == "__main__":

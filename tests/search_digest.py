@@ -14,8 +14,10 @@ restart counts and a sha256 of the ``--log`` CSV (for an error, its
 message and best residual instead of the rule).
 Each line ends with the op's per-degree runs, read from the CSV: one
 (alpha2, iterations) pair per stretch of consecutive iterations at one
-degree, so a diff shows at which degrees the iterations moved.  Two
-trees run the same search exactly when their outputs are equal:
+degree, so a diff shows at which degrees the iterations moved.  The last
+line is ``total iterations N``, the CSV rows of all ops, errors
+included.  Two trees run the same search exactly when their outputs are
+equal:
 
     PYTHONPATH=src python tests/search_digest.py > after.txt
 
@@ -154,8 +156,11 @@ def main() -> None:
             _simpson(1e-13, log),
             _simpson(5e-12, log),
         )
+        total = 0
         for line in lines:
             print(line, flush=True)
+            total += sum(count for _, count in _degree_runs(log))
+        print(f"total iterations {total}")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -88,7 +89,7 @@ class TestGenerateNested:
         # every iterate is well conditioned, so no step needs the SVD.  The
         # seed certifies the default start 79 without a step and the probe
         # at 80 takes none, so this search starts at 80, where it steps
-        # before it concedes 80 for 79
+        # until the relative decrement test concedes 80 for 79
         def fail(*args, **kwargs):
             raise AssertionError("SVD called")
         monkeypatch.setattr(nested_optimizer.np.linalg, "svd", fail)
@@ -98,7 +99,22 @@ class TestGenerateNested:
         assert (pair.coarse.exactness_degree,
                 pair.fine.exactness_degree) == (51, 79)
         assert pair.residual_norm <= 1e-12
-        assert state.iteration == 28
+        assert state.iteration == 7
+
+    def test_stationary_start_is_conceded_early(self):
+        # the generalized-Hermite (rho = 1) pair n1 = 8 stops at a nonzero
+        # stationary residual at its start 22; the relative decrement test
+        # concedes it in at most 31 steps (the absolute test took 62), and
+        # the search still certifies (15, 21) with the same nodes and
+        # weights, hashed as tests/search_digest.py hashes them
+        table = recurrence_coefficients(generalized_hermite(1.0), 42)
+        pair, state = generate_nested(8, table)
+        rules = (pair.coarse, pair.fine)
+        assert tuple(r.exactness_degree for r in rules) == (15, 21)
+        arrays = b"".join(r.nodes.tobytes() + r.weights.tobytes()
+                          for r in rules)
+        assert hashlib.sha256(arrays).hexdigest()[:16] == "0ac114c04721ff97"
+        assert state.iteration <= 31
 
     def test_embedding_is_bit_exact(self):
         table = table_for(legendre(), 16)
@@ -302,9 +318,9 @@ def attempts(monkeypatch):
     solve = nested_optimizer._solve_degree
 
     def spy(problem, d, config, state, log=None, **kwargs):
-        d, outcome = solve(problem, d, config, state, log, **kwargs)
-        calls.append((problem.degrees[-1], outcome))
-        return d, outcome
+        result = solve(problem, d, config, state, log, **kwargs)
+        calls.append((problem.degrees[-1], result[1]))
+        return result
 
     monkeypatch.setattr(nested_optimizer, "_solve_degree", spy)
     return calls
@@ -348,20 +364,24 @@ class TestDegreeSearch:
             if len(calls) == 1:
                 failed = np.full_like(d, np.nan) if failure == "diverged" \
                     else d + 1.0
-                return failed, failure
-            return d, "certified" if len(calls) == 2 else "stall"
+                return failed, failure, None
+            if len(calls) == 2:
+                return d, "certified", "certificate at 7"
+            return d, "stall", None
 
         monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
-        _, state = nested_optimizer._drive(problem, config, 8, 3)
+        certificate, state = nested_optimizer._drive(problem, config, 8, 3)
         # 8 fails from its seed and is conceded; 7 starts from its own
         # seed, not from 8's failed iterate, and certifies; the probe at 8
         # starts warm from 7's certified iterate and fails
         assert [alpha2 for alpha2, _ in calls] == [8, 7, 8]
         at7 = nested_optimizer._pair_problem(2, table, 7, config)
         np.testing.assert_array_equal(
-            calls[1][1], nested_optimizer._node_polynomial_seed(at7, 7))
+            calls[1][1], nested_optimizer._node_polynomial_seed(at7, 7)[0])
         assert calls[2][1] is calls[1][1]
         assert state.restarts == 1
+        # the search returns the certificate of the degree that certified
+        assert certificate == "certificate at 7"
 
     def test_overdetermined_probe_takes_no_step(self, attempts, tmp_path):
         # the seed of jacobi(0, 0.3) 7 -> 15 certifies the square degree
@@ -393,6 +413,76 @@ class TestDegreeSearch:
                             (96, "stall")]
         assert alpha2_runs(path) == [94, 95]
         assert rule.exactness_degree == 95
+
+    def test_odd_probe_over_an_asymmetric_base_takes_no_step(self,
+                                                             attempts):
+        # Simpson's rule with its right node 5e-12 past 1 is not symmetric,
+        # so the odd moments of its extension cannot vanish by symmetry:
+        # the seed certifies 10 = 3 n + 1 and the odd probe at 11 is as
+        # overdetermined as an even one, conceded without a step
+        table = recurrence_coefficients(legendre(), 40)
+        nodes = np.array([-1.0, 0.0, 1.0 + 5e-12])
+        weights = np.array([1 / 6, 2 / 3, 1 / 6])
+        r = moment_residuals(nodes, weights, table, 3)
+        base = QuadratureRule(legendre(), nodes, weights, 3,
+                              float(np.linalg.norm(r)))
+        rule, state = extend_patterson(base, table)
+        assert attempts == [(10, "certified"), (11, "stall")]
+        assert (rule.exactness_degree, state.iteration) == (10, 0)
+
+    def test_one_certificate_per_certified_degree(self, monkeypatch,
+                                                  attempts):
+        # the search returns the certificate its last certified degree
+        # made, instead of certifying that iterate again
+        degrees = []
+        certify = nested_optimizer._MomentProblem.certify
+
+        def spy(problem, d):
+            degrees.append(problem.degrees[-1])
+            return certify(problem, d)
+
+        monkeypatch.setattr(nested_optimizer._MomentProblem, "certify", spy)
+        table = recurrence_coefficients(chebyshev1(), 4 * 7 + 10)
+        pair, _ = generate_nested(7, table)
+        assert degrees == [alpha2 for alpha2, outcome in attempts
+                           if outcome == "certified"] == list(range(22, 28))
+        assert pair.fine.exactness_degree == 27
+
+    def test_each_recurrence_pass_runs_once(self, monkeypatch, attempts):
+        # a seeded start reuses the seed's evaluation, and derivative rows
+        # are evaluated only for a step: jacobi(0, 0.3) 7 -> 15 certifies
+        # its seed at 22 and concedes the probe at 23 without a step, so
+        # only the probe evaluates and nothing differentiates
+        evaluated, differentiated = [], []
+        evaluate = nested_optimizer._MomentProblem.evaluate
+        derivatives = nested_optimizer.eval_derivatives
+
+        def spy_evaluate(problem, d):
+            evaluated.append(problem.degrees[-1])
+            return evaluate(problem, d)
+
+        def spy_derivatives(table, x, values):
+            differentiated.append(values.shape[0] - 1)
+            return derivatives(table, x, values)
+
+        monkeypatch.setattr(nested_optimizer._MomentProblem, "evaluate",
+                            spy_evaluate)
+        monkeypatch.setattr(nested_optimizer, "eval_derivatives",
+                            spy_derivatives)
+        table = recurrence_coefficients(jacobi(0.0, 0.3), 68)
+        rule = gauss_rule(table, 1)
+        for _ in range(2):
+            rule, _ = extend_patterson(rule, table)
+        attempts.clear()
+        evaluated.clear()
+        differentiated.clear()
+        _, state = extend_patterson(rule, table)
+        assert attempts == [(22, "certified"), (23, "stall")]
+        assert (evaluated, differentiated, state.iteration) == ([23], [], 0)
+        # a search that steps differentiates once per step
+        _, state = extend_patterson(gauss_rule(table, 3), table,
+                                    OptimizerConfig(alpha2_initial=11))
+        assert len(differentiated) == state.iteration > 0
 
     def test_degree_without_a_seed_is_conceded_without_a_run(
             self, monkeypatch, attempts):

@@ -22,7 +22,8 @@ from nestquad.nested_optimizer import (
     prune_negligible,
 )
 from nestquad.nested_optimizer import _DAMPING, _NORMAL_MIN_COLS, \
-    _PLATEAU_RUN, _STALL_RUN, _DiagnosticsLog, _MomentProblem, \
+    _PLATEAU_RUN, _STALL_DECREMENT, _STALL_RUN, _DiagnosticsLog, \
+    _MomentProblem, \
     _damped_step, _pair_problem, _solve_degree, _step_from_svd
 from nestquad.orthopoly import (
     chebyshev1,
@@ -557,15 +558,21 @@ class TestSolveDegree:
         assert tuple(subset) == tuple(problem.idx[0])
         d = np.concatenate([nodes, coarse_weights, weights])
         state = OptimizerState()
-        _, outcome = _solve_degree(problem, d, OptimizerConfig(), state)
+        _, outcome, certificate = _solve_degree(problem, d, OptimizerConfig(),
+                                                state)
         assert outcome == "certified"
         assert state.best_residual <= 1e-12
+        # the certificate is the one certify gives this iterate
+        (coarse, subset), (fine, _) = certificate
+        assert (coarse.exactness_degree, fine.exactness_degree) == (13, 23)
+        assert subset == tuple(problem.idx[0])
+        np.testing.assert_array_equal(fine.nodes, nodes)
 
     def test_diverged_from_non_finite_iterate(self):
         problem, d0 = self._problem(1, 5, OptimizerConfig())
         d0[0] = np.nan
         state = OptimizerState()
-        _, outcome = _solve_degree(problem, d0, OptimizerConfig(), state)
+        _, outcome, _ = _solve_degree(problem, d0, OptimizerConfig(), state)
         assert outcome == "diverged"
         assert state.iteration == 0
 
@@ -574,24 +581,33 @@ class TestSolveDegree:
         config = OptimizerConfig(max_iterations=300)
         problem, d0 = self._problem(1, 6, config)
         state = OptimizerState()
-        _, outcome = _solve_degree(problem, d0, config, state)
+        _, outcome, _ = _solve_degree(problem, d0, config, state)
         assert outcome == "stall"
         assert 0 < state.iteration <= 300
         assert state.best_residual > config.epsilon
 
     def test_decrement_stall_ends_the_degree(self):
-        # the Newton decrement collapses while the residual stays large;
-        # the degree ends after _STALL_RUN such steps, long before the
-        # plateau test or the per-degree budget could end it
+        # no 3-node rule reaches degree 6: the residual settles near 0.44
+        # while the Newton decrement shrinks tenfold a step.  The degree
+        # ends after _STALL_RUN decrements below _STALL_DECREMENT |R|, the
+        # relative test, while every decrement is still above epsilon and
+        # long before the plateau test or the per-degree budget could end it
         config = OptimizerConfig(max_iterations=1000)
         problem, d0 = self._problem(1, 6, config)
         state = OptimizerState()
         log = _DiagnosticsLog(None)
-        _, outcome = _solve_degree(problem, d0, config, state, log)
+        _, outcome, _ = _solve_degree(problem, d0, config, state, log)
         assert outcome == "stall"
         assert _STALL_RUN <= state.iteration < _PLATEAU_RUN
-        decrements = [float(row.split(",")[2]) for row in log.lines[1:]]
-        assert max(decrements[-_STALL_RUN:]) < config.epsilon
+        rnorm, eta = np.array([[float(v) for v in row.split(",")[1:3]]
+                               for row in log.lines[1:]]).T
+        # a step's decrement is tested against the residual after it; the
+        # last one's is not logged, but it is at least the best residual
+        after = np.append(rnorm[1:], state.best_residual)
+        small = eta < _STALL_DECREMENT * after
+        assert np.all(small[-_STALL_RUN:])
+        assert not small[-_STALL_RUN - 1]
+        assert np.all(eta > config.epsilon)
         assert state.best_residual > 100.0 * config.epsilon
 
     def test_infeasible_root_is_not_certified(self):
@@ -605,8 +621,9 @@ class TestSolveDegree:
         d = np.array([0.0, 0.0, 1 / 3, 1 / 3, 1 / 3])
         assert np.all(residual(problem, d) == 0.0)
         state = OptimizerState()
-        _, outcome = _solve_degree(problem, d, OptimizerConfig(), state)
-        assert outcome == "infeasible"
+        _, outcome, certificate = _solve_degree(problem, d, OptimizerConfig(),
+                                                state)
+        assert (outcome, certificate) == ("infeasible", None)
         assert state.iteration == 0
         with pytest.raises(FeasibilityError, match="collided"):
             problem.certify(d)

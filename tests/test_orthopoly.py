@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nestquad.errors import CapacityError, ParameterError, UnsupportedFamilyError
 from nestquad import orthopoly as op
@@ -191,6 +192,75 @@ class TestEvalOrthonormal:
         V = op.eval_orthonormal(table, 8, [-1.0, 0.0, 1.0]).values
         assert V.shape == (9, 3)
         assert np.all(np.isfinite(V))
+
+
+def textbook_recurrence(table, degree, x):
+    """The three-term recurrence and its derivative as plain row loops, the
+    reference the in-place kernel must reproduce bit for bit."""
+    a, b = table.a, table.b
+    sqrt_b = np.sqrt(b)
+    p = np.empty((degree + 1, x.size))
+    p[0] = 1.0 / sqrt_b[0]
+    if degree >= 1:
+        p[1] = (x - a[0]) * p[0] / sqrt_b[1]
+    for m in range(1, degree):
+        p[m + 1] = ((x - a[m]) * p[m] - sqrt_b[m] * p[m - 1]) / sqrt_b[m + 1]
+    q = np.zeros_like(p)
+    if degree >= 1:
+        q[1] = p[0] / sqrt_b[1]
+    for m in range(1, degree):
+        q[m + 1] = ((x - a[m]) * q[m] - sqrt_b[m] * q[m - 1]
+                    + p[m]) / sqrt_b[m + 1]
+    return p, q
+
+
+def _custom(a_values):
+    """A custom family whose a_m repeat in runs and include -0.0, so the
+    kernel both reuses and refreshes its x - a_m row."""
+    n = len(a_values)
+    b = [1.0] + [0.25 + 0.01 * k for k in range(1, n)]
+    return op.custom_family(a_values, b, (-math.inf, math.inf))
+
+
+KERNEL_FAMILIES = [family for _, _, family in FAMILIES] + [
+    op.jacobi(1.0, -0.5), op.jacobi(2.0, 2.0), op.generalized_laguerre(1.5)]
+
+
+class TestKernelMatchesTextbook:
+    """The in-place kernel and its lazily evaluated derivative rows equal
+    the textbook loop bit for bit, values and derivatives, also where rows
+    overflow to inf or nan."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(family=st.sampled_from(KERNEL_FAMILIES),
+           degree=st.integers(0, 300),
+           x=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40))
+    def test_built_in_families(self, family, degree, x):
+        self._check(op.recurrence_coefficients(family, 300), degree,
+                    np.array(x))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(a=st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.75]),
+                      min_size=1, max_size=60),
+           data=st.data())
+    def test_custom_coefficients(self, a, data):
+        table = op.recurrence_coefficients(_custom(a), len(a) - 1)
+        degree = data.draw(st.integers(0, table.capacity))
+        x = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1,
+                               max_size=20))
+        self._check(table, degree, np.array(x))
+
+    @staticmethod
+    def _check(table, degree, x):
+        with np.errstate(all="ignore"):
+            p, q = textbook_recurrence(table, degree, x)
+            ev = op.eval_orthonormal(table, degree, x, derivatives=True)
+            values = op.eval_orthonormal(table, degree, x).values
+            lazy = op.eval_derivatives(table, x, values)
+        assert ev.values.tobytes() == p.tobytes()
+        assert values.tobytes() == p.tobytes()
+        assert ev.derivatives.tobytes() == q.tobytes()
+        assert lazy.tobytes() == q.tobytes()
 
 
 class TestWeightDensity:
