@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -181,6 +180,15 @@ def _run_generation(task):
     return n1, pair, state.iteration, None, time.perf_counter() - start
 
 
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes.  Only ``generate`` with several
+    --n1 values needs one, so concurrent.futures (and the multiprocessing,
+    logging and socket modules it pulls in) is imported here, not with the
+    CLI."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _derive_log_path(log, n1, many):
     if log is None:
         return None
@@ -219,7 +227,7 @@ def cmd_generate(args) -> int:
 
     if many:
         workers = min(len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             results = list(pool.map(_run_generation, tasks))
     else:
         results = [_run_generation(tasks[0])]

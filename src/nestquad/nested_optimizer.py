@@ -13,7 +13,9 @@ residual
 V comes from one recurrence pass of values per iteration at the largest
 block degree, and its node derivatives from one more pass over those
 values, made only when a step follows; a seeded start's first iteration
-reuses the evaluation its seed already made.  The trailing entries of x
+reuses the evaluation its seed already made, and an upward probe's first
+iteration grows the certified iterate's evaluation by one recurrence row,
+bit for bit the row a fresh pass would give.  The trailing entries of x
 may be frozen: they enter the residual like any node, but they are constants of
 the problem, so the decision vector d = (movable x, w_1, ..., w_B) holds
 only what a step can move, and a frozen node carries no penalty.
@@ -47,10 +49,18 @@ The last block's degree is searched downward from 3 n + 1, where n is the
 size of the base rule (the frozen rule, or the coarse Gauss rule of a
 pair).  Each degree has one start, the node-polynomial seed of
 ``_node_polynomial_seed``; a degree whose seed has a complex or
-out-of-domain root is conceded without a step.  A degree counts as
-certified only when ``certify`` accepts its converged iterate, and that
-certificate is the one returned; a diverged, collided or out-of-domain
-iterate is conceded like a stall.  A degree stalls when, for 5 steps in
+out-of-domain root is conceded without a step.  What the seeds of one
+search share whatever their degree (the base rule, the Gauss rule of the
+Gram matrix and its weights times the base's node polynomial) is built
+once per search.  The seed's fine weights solve a least-squares moment
+system; a problem of at least 128 unknowns, whose steps take the normal
+equations, solves it from the normal equations behind the same
+condition test, and any other through ``lstsq``.  A degree counts as
+certified when its converged iterate passes ``check_feasible`` (domain,
+weight floor, positivity, no collision); a diverged, collided or
+out-of-domain iterate is conceded like a stall.  The certificate, with
+its recomputed moment residuals, is built once, for the degree the
+search returns.  A degree stalls when, for 5 steps in
 a row, the Newton decrement eta is below max(epsilon, 1e-4 |R|) while |R|
 stays above 100 epsilon: the Gauss-Newton model then predicts a relative
 reduction eta^2 / |R|^2 below 1e-8, about sqrt(eps), and the iterate sits
@@ -67,6 +77,7 @@ exact arithmetic, may be left above epsilon by rounding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,6 +106,7 @@ from .orthopoly import (
     WeightFamily,
     eval_derivatives,
     eval_orthonormal,
+    extend_orthonormal,
     generalized_laguerre,
     recurrence_coefficients,
 )
@@ -285,6 +297,19 @@ class _MomentProblem:
         needs them."""
         return eval_orthonormal(self.table, max(self.degrees), self.nodes(d))
 
+    def grow(self, d, ev):
+        """``evaluate(d)`` from ``ev``, the evaluation of the same ``d`` at
+        lower degrees: the recurrence resumes after ev's rows, with the
+        same bits as a fresh pass."""
+        return extend_orthonormal(self.table, max(self.degrees),
+                                  self.nodes(d), ev.values)
+
+    @functools.cached_property
+    def seed_basis(self) -> _SeedBasis:
+        """What every node-polynomial seed of this problem's search shares,
+        built on first use."""
+        return _SeedBasis(self)
+
     def _block_rows(self, matrix):
         # np.take keeps the C order of a values-only evaluation at the
         # block's own nodes, so the products below round identically
@@ -347,13 +372,15 @@ class _MomentProblem:
             c_k * (slope[hit] * v[hit])
         return J
 
-    def certify(self, d) -> list:
-        """Check, snap, sort and certify: one (rule, subset map) per block.
+    def check_feasible(self, d):
+        """Check and snap: the nodes of ``d`` in ascending order and the
+        rank of each, as (sorted nodes, ranks).
 
         Penalty violations above ``_BOUNDARY_TOL`` are a FeasibilityError,
         and so is any weight at or below zero unless negative weights are
-        allowed; smaller excursions of the movable nodes are clipped into
-        the domain.  Frozen nodes stay where the base rule put them.
+        allowed, and so are colliding nodes; smaller excursions of the
+        movable nodes are clipped into the domain.  Frozen nodes stay where
+        the base rule put them.
         """
         v = self.violations(d)
         excess = float(np.max(v[:self.n], initial=0.0))
@@ -378,7 +405,13 @@ class _MomentProblem:
             raise FeasibilityError("nodes collided during optimization")
         pos = np.empty(self.n, dtype=int)
         pos[order] = np.arange(self.n)
+        return xs, pos
 
+    def certify(self, d) -> list:
+        """Check, snap, sort and certify: one (rule, subset map) per block,
+        each rule carrying its recomputed moment residual.  Raises
+        FeasibilityError as ``check_feasible`` does."""
+        xs, pos = self.check_feasible(d)
         out = []
         for idx, w, alpha in zip(self.idx, self.weights, self.degrees):
             rank = pos[idx]
@@ -426,6 +459,20 @@ def _step_from_svd(u, s, vt, residual, lam: float):
     return vt.T @ coef
 
 
+def _normal_solve(A: np.ndarray, g: np.ndarray):
+    """The solution of the normal equations A s = g, or None when the
+    eigenvalues of the symmetric matrix A show it singular, indefinite or
+    of condition number above ``_NORMAL_MAX_COND``, or when a solve
+    fails."""
+    try:
+        mu = np.linalg.eigvalsh(A)
+        if 0.0 < mu[0] and mu[-1] <= _NORMAL_MAX_COND * mu[0]:
+            return np.linalg.solve(A, g)
+    except np.linalg.LinAlgError:
+        pass
+    return None
+
+
 def _damped_step(J: np.ndarray, r: np.ndarray, lam: float):
     """The Tikhonov step (J^T J + lam^2 I)^{-1} J^T r and its Newton
     decrement eta = |step . J^T r|^(1/2), as (step, eta).
@@ -441,12 +488,7 @@ def _damped_step(J: np.ndarray, r: np.ndarray, lam: float):
     if J.shape[1] >= _NORMAL_MIN_COLS:
         A = J.T @ J
         A[np.diag_indices_from(A)] += lam * lam
-        try:
-            mu = np.linalg.eigvalsh(A)
-            if 0.0 < mu[0] and mu[-1] <= _NORMAL_MAX_COND * mu[0]:
-                step = np.linalg.solve(A, g)
-        except np.linalg.LinAlgError:
-            pass
+        step = _normal_solve(A, g)
     if step is None:
         try:
             u, s, vt = np.linalg.svd(J, full_matrices=False)
@@ -477,6 +519,46 @@ def _pair_start(config: OptimizerConfig, n1: int) -> int:
     return alpha2
 
 
+class _SeedBasis:
+    """The degree-independent part of the node-polynomial seeds of one
+    search: the base nodes y_1..y_n (the frozen rule, or the Gauss-n_1
+    nodes of a pair, whose Gauss weights start the coarse block) and the
+    factors of the Gram matrix, built when a degree first needs them."""
+
+    def __init__(self, problem: _MomentProblem):
+        self.table = problem.table
+        self.pair = not problem.frozen.size
+        if self.pair:
+            self.base = _gauss_nodes(self.table, problem.idx[0].size)
+            self.base_weights = _gauss_weights(self.table, self.base)
+        else:
+            self.base, self.base_weights = problem.frozen, None
+
+    @functools.cached_property
+    def gram_factors(self):
+        """(P, u): the rows p_0..p_m at the nodes t of a Gauss-g rule, and
+        its Christoffel weights times pi = prod (t - y_k), scaled by the
+        largest |pi| (which cancels in c), so that the Gram matrix of
+        degree k is (P[:k] * u) @ P.T.
+
+        Its entries pi p_i p_j have degree n + k - 1 + m, at most both
+        n + 2 m - 1 and alpha, so a Gauss rule of g points with 2 g - 1
+        at least either bound integrates them exactly; the table, which
+        reaches alpha, caps g no lower than that.  Its weights' evaluation,
+        through g - 1 >= m, holds p_0..p_m at its nodes.
+        """
+        table, base = self.table, self.base
+        m = base.size + 1
+        g = min((base.size + 2 * m) // 2 + 2, table.capacity + 1)
+        t = _gauss_nodes(table, g)
+        V = eval_orthonormal(table, g - 1, t).values
+        diff = t[:, None] - base[None, :]
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(np.abs(diff)).sum(axis=1)
+        pi = np.prod(np.sign(diff), axis=1) * np.exp(log_pi - log_pi.max())
+        return V[:m + 1], _christoffel_weights(V) * pi
+
+
 def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     """Start for degree ``alpha`` at the roots of the new nodes' polynomial,
     as (d, ``problem.evaluate(d)``), or None when a root is complex or
@@ -492,33 +574,26 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     The roots of q_m are the eigenvalues of J_m - sqrt(b_m) e_m c^T.  The
     weights of the last block solve its moment system through ``alpha`` in
     the least-squares sense; a pair's coarse block starts at the Gauss
-    weights.  The new nodes take the movable slots of the layout: the even
-    ones of a pair, all of an extension's, whose base is frozen.  The
-    Vandermonde of that least-squares solve is the evaluation of the first
-    Gauss-Newton iteration (same nodes, same degree), so it is returned.
+    weights.  A problem of at least ``_NORMAL_MIN_COLS`` unknowns, whose
+    steps take the normal equations, solves them from the normal
+    equations too when ``_normal_solve`` accepts their condition, and
+    every other through ``lstsq``.  The new nodes take the movable slots
+    of the layout: the even ones of a pair, all of an extension's, whose
+    base is frozen.  The Vandermonde of that least-squares solve is the
+    evaluation of the first Gauss-Newton iteration (same nodes, same
+    degree), so it is returned.  Everything that does not depend on
+    ``alpha`` comes from ``problem.seed_basis``, built once per search.
     """
     table, domain = problem.table, problem.domain
-    pair = not problem.frozen.size
-    base = _gauss_nodes(table, problem.idx[0].size) if pair else problem.frozen
+    basis = problem.seed_basis
+    base = basis.base
     n = base.size
     m = n + 1
     c = np.zeros(m)
     k = min(alpha - 2 * n, m)
     if k > 0:
-        # the Gram entries pi p_i p_j have degree n + k - 1 + m, at most
-        # both n + 2 m - 1 and alpha, so a Gauss rule of g points with
-        # 2 g - 1 at least either bound integrates them exactly; the table,
-        # which reaches alpha, caps g no lower than that.  Its weights'
-        # evaluation, through g - 1 >= m, holds p_0..p_m at its nodes.
-        g = min((n + 2 * m) // 2 + 2, table.capacity + 1)
-        t = _gauss_nodes(table, g)
-        V = eval_orthonormal(table, g - 1, t).values
-        P = V[:m + 1]
-        diff = t[:, None] - base[None, :]
-        with np.errstate(divide="ignore"):
-            log_pi = np.log(np.abs(diff)).sum(axis=1)
-        pi = np.prod(np.sign(diff), axis=1) * np.exp(log_pi - log_pi.max())
-        gram = (P[:k] * (_christoffel_weights(V) * pi)) @ P.T
+        P, u = basis.gram_factors
+        gram = (P[:k] * u) @ P.T
         c = np.linalg.lstsq(gram[:, :m], -gram[:, m], rcond=None)[0]
     off = np.sqrt(table.b[1:m])
     comrade = np.diag(table.a[:m]) + np.diag(off, 1) + np.diag(off, -1)
@@ -532,16 +607,21 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
         return None
     new = np.clip(np.sort(roots.real), domain.lo, domain.hi)
 
-    if pair:
+    if basis.pair:
         x = np.empty(2 * n + 1)
         x[0::2], x[1::2] = new, base
-        start = [x, _gauss_weights(table, base)]
+        start = [x, basis.base_weights]
     else:
         x, start = np.concatenate([new, base]), [new]
     target = np.zeros(alpha + 1)
     target[0] = math.sqrt(table.b[0])
     ev = eval_orthonormal(table, alpha, x)
-    fine = np.linalg.lstsq(ev.values, target, rcond=None)[0]
+    V = ev.values
+    fine = None
+    if problem.n_unknowns >= _NORMAL_MIN_COLS:
+        fine = _normal_solve(V.T @ V, V.T @ target)
+    if fine is None:
+        fine = np.linalg.lstsq(V, target, rcond=None)[0]
     return np.concatenate(start + [fine]), ev
 
 
@@ -568,12 +648,14 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
     """Gauss-Newton at the problem's current degree, starting from ``d``,
     whose ``problem.evaluate(d)`` may be passed as ``ev``.
 
-    Returns (last iterate, outcome, certificate).  The outcome is
-    "certified" once the augmented residual is within epsilon and
-    ``problem.certify`` accepts the iterate, whose rules it returns as the
-    certificate (None for every other outcome); "infeasible" when it is
-    within epsilon but ``certify`` refuses it (collided or out-of-domain
-    nodes); "diverged" when the moment residual is not finite; and "stall"
+    Returns (last iterate, outcome, evaluation), the evaluation being
+    ``problem.evaluate`` of a certified iterate, which a probe grows (None
+    for every other outcome).  The outcome is "certified" once the
+    augmented residual is within epsilon and ``problem.check_feasible``
+    accepts the iterate (the search builds the certificate only for the
+    degree it returns); "infeasible" when it is within epsilon but
+    ``check_feasible`` refuses it (collided or out-of-domain nodes);
+    "diverged" when the moment residual is not finite; and "stall"
     when the Newton decrement has stayed below max(epsilon,
     ``_STALL_DECREMENT`` |R|) for ``_STALL_RUN`` steps, the residual has
     not improved for ``_PLATEAU_RUN`` steps, or the degree has used
@@ -606,9 +688,10 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
         state.best_residual = min(state.best_residual, rnorm)
         if rnorm <= config.epsilon:
             try:
-                return d, "certified", problem.certify(d)
+                problem.check_feasible(d)
             except FeasibilityError:
                 return d, "infeasible", None
+            return d, "certified", ev
 
         if rnorm < best - 1e-16:
             best = rnorm
@@ -640,14 +723,15 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
            alpha2_start: int, min_alpha2: int, log=None):
     """Degree search around ``_solve_degree``.
 
-    Returns (certificate, state), the certificate ``_solve_degree`` made
-    at the highest certified degree, and leaves the problem at that
-    degree; degrees at or below ``min_alpha2`` are never tried.  Each
-    degree starts once, at its node-polynomial seed, and is conceded when
-    it has no seed or its run ends in anything but "certified"; the next
-    degree starts from its own seed, never from the failed iterate.  After
-    the first certified degree the search probes upward, warm from the
-    last certified iterate, until a probe fails.
+    Returns (certificate, state), ``problem.certify`` of the iterate of
+    the highest certified degree, the only certificate the search builds,
+    and leaves the problem at that degree; degrees at or below
+    ``min_alpha2`` are never tried.  Each degree starts once, at its
+    node-polynomial seed, and is conceded when it has no seed or its run
+    ends in anything but "certified"; the next degree starts from its own
+    seed, never from the failed iterate.  After the first certified degree
+    the search probes upward, warm from the last certified iterate, whose
+    evaluation the probe grows by one recurrence row, until a probe fails.
 
     A (2 n + 1)-node problem has as many unknowns as moment rows at the
     square degree 3 n + 1, and each probe above it adds a row and no
@@ -673,8 +757,8 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
         seed = _node_polynomial_seed(problem, alpha2)
         if seed is not None:
             d, ev = seed
-            d, outcome, rules = _solve_degree(problem, d, config, state, log,
-                                              ev=ev)
+            d, outcome, ev = _solve_degree(problem, d, config, state, log,
+                                           ev=ev)
             if outcome == "certified":
                 break
         state.restarts += 1
@@ -688,15 +772,15 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
         problem.set_degree(alpha2 + 1)
         overdetermined = (alpha2 + 1 > square
                           and not (symmetric and (alpha2 + 1) % 2))
-        probe, outcome, certificate = _solve_degree(
+        probe, outcome, probe_ev = _solve_degree(
             problem, d, config, state, log,
-            max_steps=0 if overdetermined else None)
+            max_steps=0 if overdetermined else None, ev=problem.grow(d, ev))
         if outcome != "certified":
             problem.set_degree(alpha2)
             break
         alpha2 += 1
-        d, rules = probe, certificate
-    return rules, state
+        d, ev = probe, probe_ev
+    return problem.certify(d), state
 
 
 def _search(problem: _MomentProblem, config: OptimizerConfig,

@@ -41,6 +41,7 @@ __all__ = [
     "custom_family",
     "recurrence_coefficients",
     "eval_orthonormal",
+    "extend_orthonormal",
     "eval_derivatives",
     "weight_density",
 ]
@@ -319,19 +320,31 @@ def _coefficients(table: RecurrenceTable, degree: int):
     return a.tolist(), fresh.tolist(), np.sqrt(table.b[:degree + 1]).tolist()
 
 
-def _values(table: RecurrenceTable, degree: int, x: np.ndarray) -> np.ndarray:
+def _values(table: RecurrenceTable, degree: int, x: np.ndarray,
+            head=None) -> np.ndarray:
     """p_0..p_degree at x by the three-term recurrence, in place: each row
     is ((x - a_m) p_m - sqrt(b_m) p_{m-1}) / sqrt(b_{m+1}), rounded
     operation by operation as written.  Ufuncs write into preallocated
     rows through their positional out argument, which numpy parses faster
-    than the keyword."""
+    than the keyword.  Given ``head``, the rows p_0..p_j of an earlier
+    pass at the same x, the pass copies them and resumes after row j; a
+    row depends only on the two before it, so every later row has the
+    bits of a fresh pass."""
     a, fresh, sqrt_b = _coefficients(table, degree)
     mul, sub, div = np.multiply, np.subtract, np.divide
     p = np.empty((degree + 1, x.size))
-    p[0] = 1.0 / sqrt_b[0]
+    if head is None:
+        start = 0
+        p[0] = 1.0 / sqrt_b[0]
+    else:
+        start = head.shape[0] - 1
+        p[:start + 1] = head
+        if start < degree:
+            # x - a_m was never formed in this pass
+            fresh[start] = True
     rows = list(p)
     xa, tmp = np.empty(x.size), np.empty(x.size)
-    for m in range(degree):
+    for m in range(start, degree):
         if fresh[m]:
             sub(x, a[m], xa)
         row = rows[m + 1]
@@ -389,6 +402,26 @@ def eval_orthonormal(table: RecurrenceTable, degree: int, x,
         return PolynomialEvaluation(values=p)
     return PolynomialEvaluation(values=p,
                                 derivatives=eval_derivatives(table, x, p))
+
+
+def extend_orthonormal(table: RecurrenceTable, degree: int, x,
+                       values) -> PolynomialEvaluation:
+    """Continue ``values``, the rows p_0..p_j at nodes x that
+    ``eval_orthonormal`` returned, through ``degree`` >= j.
+
+    The recurrence resumes after row j, so the result equals
+    ``eval_orthonormal(table, degree, x)`` bit for bit while computing
+    only the rows past j.
+    """
+    table.require(degree)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    values = np.asarray(values, dtype=float)
+    if (x.ndim != 1 or values.ndim != 2 or values.shape[1] != x.size
+            or not 1 <= values.shape[0] <= degree + 1):
+        raise ParameterError(
+            f"values of shape {values.shape} do not start degree {degree} "
+            f"at {x.size} nodes")
+    return PolynomialEvaluation(values=_values(table, degree, x, values))
 
 
 def weight_density(family: WeightFamily):

@@ -11,7 +11,6 @@ trusted or rejected file by file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -119,6 +118,8 @@ class RuleRecord:
         """
         params = self.family.params
         if self.family.kind == "custom":
+            # only a custom family's key needs hashlib (and OpenSSL)
+            import hashlib
             family = self.family
             # adding 0.0 turns -0.0 into 0.0, which the family treats as equal
             values = np.array(family.custom_a + family.custom_b

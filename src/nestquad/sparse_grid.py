@@ -368,6 +368,35 @@ class SparseGrid:
         return self.weights.size
 
 
+def _merged_weights(family: UnivariateLevelFamily, indices, birth, d: int,
+                    k: int):
+    """(slots, weights): the slots some block touches, ascending, and the
+    weight summed into each.  The prefix tables, the slot steps and the
+    touched mask die with this call, before ``_slot_nodes`` allocates its
+    own enumeration."""
+    level_weights = [family.rule(i).weights for i in range(1, k + 1)]
+    step, slots = _slot_steps(birth, d, k - 1)
+    prefixes = _prefixes(indices, level_weights, birth, step, d)
+    weights = np.zeros(slots)
+    touched = np.zeros(slots, dtype=bool)
+    for r in range(max(0, k - d), k):
+        coeff = (-1.0) ** (k - 1 - r) * math.comb(d - 1, k - 1 - r)
+        # the shell's blocks, grouped by the rule on their last coordinate
+        for level, index in enumerate(indices):
+            if d + r - 1 - level not in prefixes:
+                continue
+            rank, left, w = prefixes[d + r - 1 - level]
+            rows = max(1, _MERGE_BATCH // index.size)
+            for lo in range(0, rank.size, rows):
+                part = slice(lo, lo + rows)
+                slot = rank[part, None] + step[0][left[part, None], index]
+                w_part = w[part, None] * level_weights[level]
+                np.add.at(weights, slot.ravel(), coeff * w_part.ravel())
+                touched[slot.ravel()] = True
+    keep = np.flatnonzero(touched)
+    return keep, weights[keep]
+
+
 def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
     """Build the level-k sparse grid over d dimensions.
 
@@ -390,28 +419,8 @@ def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
 
     levels = _canonical_levels(family, k)
     union, indices, birth = _level_union(levels)
-    level_weights = [family.rule(i).weights for i in range(1, k + 1)]
-    step, slots = _slot_steps(birth, d, k - 1)
-    prefixes = _prefixes(indices, level_weights, birth, step, d)
-    weights = np.zeros(slots)
-    touched = np.zeros(slots, dtype=bool)
-    for r in range(max(0, k - d), k):
-        coeff = (-1.0) ** (k - 1 - r) * math.comb(d - 1, k - 1 - r)
-        # the shell's blocks, grouped by the rule on their last coordinate
-        for level, index in enumerate(indices):
-            if d + r - 1 - level not in prefixes:
-                continue
-            rank, left, w = prefixes[d + r - 1 - level]
-            rows = max(1, _MERGE_BATCH // index.size)
-            for lo in range(0, rank.size, rows):
-                part = slice(lo, lo + rows)
-                slot = rank[part, None] + step[0][left[part, None], index]
-                w_part = w[part, None] * level_weights[level]
-                np.add.at(weights, slot.ravel(), coeff * w_part.ravel())
-                touched[slot.ravel()] = True
-    keep = np.flatnonzero(touched)
+    keep, weights = _merged_weights(family, indices, birth, d, k)
     nodes = _slot_nodes(union, birth, d, k - 1, keep)
-    weights = weights[keep]
 
     small = np.abs(weights) < _DROP_TOL
     if np.any(small):

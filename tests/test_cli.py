@@ -100,7 +100,7 @@ class TestGenerate:
         def no_pool(*args, **kwargs):
             raise AssertionError("the worker pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_process_pool", no_pool)
         monkeypatch.setattr(cli, "_run_generation", no_pool)
         code, stdout, stderr = run(capsys, "generate", "--family", "legendre",
                                    "--n1", "5,1", "--alpha2-init", start)

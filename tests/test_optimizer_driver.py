@@ -359,14 +359,14 @@ class TestDegreeSearch:
         problem = nested_optimizer._pair_problem(2, table, 8, config)
         calls = []
 
-        def solve(problem, d, config, state, log=None, **kwargs):
-            calls.append((problem.degrees[-1], d))
+        def solve(problem, d, config, state, log=None, *, ev, **kwargs):
+            calls.append((problem.degrees[-1], d, ev))
             if len(calls) == 1:
                 failed = np.full_like(d, np.nan) if failure == "diverged" \
                     else d + 1.0
                 return failed, failure, None
             if len(calls) == 2:
-                return d, "certified", "certificate at 7"
+                return d, "certified", ev
             return d, "stall", None
 
         monkeypatch.setattr(nested_optimizer, "_solve_degree", solve)
@@ -374,14 +374,29 @@ class TestDegreeSearch:
         # 8 fails from its seed and is conceded; 7 starts from its own
         # seed, not from 8's failed iterate, and certifies; the probe at 8
         # starts warm from 7's certified iterate and fails
-        assert [alpha2 for alpha2, _ in calls] == [8, 7, 8]
+        assert [alpha2 for alpha2, _, _ in calls] == [8, 7, 8]
         at7 = nested_optimizer._pair_problem(2, table, 7, config)
-        np.testing.assert_array_equal(
-            calls[1][1], nested_optimizer._node_polynomial_seed(at7, 7)[0])
+        seed7, ev7 = nested_optimizer._node_polynomial_seed(at7, 7)
+        np.testing.assert_array_equal(calls[1][1], seed7)
+        assert calls[1][2].values.tobytes() == ev7.values.tobytes()
         assert calls[2][1] is calls[1][1]
+        # the probe's evaluation is 7's grown by one row, with the bits of
+        # a fresh evaluation at 8
+        at8 = nested_optimizer._pair_problem(2, table, 8, config)
+        assert (calls[2][2].values.tobytes()
+                == at8.evaluate(seed7).values.tobytes())
         assert state.restarts == 1
-        # the search returns the certificate of the degree that certified
-        assert certificate == "certificate at 7"
+        # the search certifies the iterate of the degree that certified,
+        # and leaves the problem at that degree
+        assert problem.degrees == [3, 7]
+        want = at7.certify(seed7)
+        assert [subset for _, subset in certificate] == \
+            [subset for _, subset in want]
+        for (got, _), (rule, _) in zip(certificate, want):
+            assert got.exactness_degree == rule.exactness_degree
+            assert got.nodes.tobytes() == rule.nodes.tobytes()
+            assert got.weights.tobytes() == rule.weights.tobytes()
+            assert got.residual_norm == rule.residual_norm
 
     def test_overdetermined_probe_takes_no_step(self, attempts, tmp_path):
         # the seed of jacobi(0, 0.3) 7 -> 15 certifies the square degree
@@ -430,36 +445,54 @@ class TestDegreeSearch:
         assert attempts == [(10, "certified"), (11, "stall")]
         assert (rule.exactness_degree, state.iteration) == (10, 0)
 
-    def test_one_certificate_per_certified_degree(self, monkeypatch,
-                                                  attempts):
-        # the search returns the certificate its last certified degree
-        # made, instead of certifying that iterate again
-        degrees = []
+    def test_one_certificate_per_search(self, monkeypatch, attempts):
+        # each certified degree passes the feasibility tests once; the
+        # certificate (moment residuals, rules, pair) is built once, for
+        # the degree the search returns
+        checked, certified = [], []
+        check = nested_optimizer._MomentProblem.check_feasible
         certify = nested_optimizer._MomentProblem.certify
 
-        def spy(problem, d):
-            degrees.append(problem.degrees[-1])
+        def spy_check(problem, d):
+            checked.append(problem.degrees[-1])
+            return check(problem, d)
+
+        def spy_certify(problem, d):
+            certified.append(problem.degrees[-1])
             return certify(problem, d)
 
-        monkeypatch.setattr(nested_optimizer._MomentProblem, "certify", spy)
+        monkeypatch.setattr(nested_optimizer._MomentProblem,
+                            "check_feasible", spy_check)
+        monkeypatch.setattr(nested_optimizer._MomentProblem, "certify",
+                            spy_certify)
         table = recurrence_coefficients(chebyshev1(), 4 * 7 + 10)
         pair, _ = generate_nested(7, table)
-        assert degrees == [alpha2 for alpha2, outcome in attempts
-                           if outcome == "certified"] == list(range(22, 28))
+        # certify checks feasibility once more for the returned degree
+        assert checked == [alpha2 for alpha2, outcome in attempts
+                           if outcome == "certified"] + [27]
+        assert checked[:-1] == list(range(22, 28))
+        assert certified == [27]
         assert pair.fine.exactness_degree == 27
 
     def test_each_recurrence_pass_runs_once(self, monkeypatch, attempts):
-        # a seeded start reuses the seed's evaluation, and derivative rows
+        # a seeded start reuses the seed's evaluation, a probe grows the
+        # certified iterate's evaluation by one row, and derivative rows
         # are evaluated only for a step: jacobi(0, 0.3) 7 -> 15 certifies
         # its seed at 22 and concedes the probe at 23 without a step, so
-        # only the probe evaluates and nothing differentiates
-        evaluated, differentiated = [], []
+        # nothing evaluates afresh, the probe adds row 23 to the 23 rows
+        # of 22, and nothing differentiates
+        evaluated, grown, differentiated = [], [], []
         evaluate = nested_optimizer._MomentProblem.evaluate
+        extend = nested_optimizer.extend_orthonormal
         derivatives = nested_optimizer.eval_derivatives
 
         def spy_evaluate(problem, d):
             evaluated.append(problem.degrees[-1])
             return evaluate(problem, d)
+
+        def spy_extend(table, degree, x, values):
+            grown.append((values.shape[0], degree))
+            return extend(table, degree, x, values)
 
         def spy_derivatives(table, x, values):
             differentiated.append(values.shape[0] - 1)
@@ -467,6 +500,8 @@ class TestDegreeSearch:
 
         monkeypatch.setattr(nested_optimizer._MomentProblem, "evaluate",
                             spy_evaluate)
+        monkeypatch.setattr(nested_optimizer, "extend_orthonormal",
+                            spy_extend)
         monkeypatch.setattr(nested_optimizer, "eval_derivatives",
                             spy_derivatives)
         table = recurrence_coefficients(jacobi(0.0, 0.3), 68)
@@ -475,14 +510,87 @@ class TestDegreeSearch:
             rule, _ = extend_patterson(rule, table)
         attempts.clear()
         evaluated.clear()
+        grown.clear()
         differentiated.clear()
         _, state = extend_patterson(rule, table)
         assert attempts == [(22, "certified"), (23, "stall")]
-        assert (evaluated, differentiated, state.iteration) == ([23], [], 0)
+        assert (evaluated, grown, differentiated, state.iteration) == \
+            ([], [(23, 23)], [], 0)
         # a search that steps differentiates once per step
         _, state = extend_patterson(gauss_rule(table, 3), table,
                                     OptimizerConfig(alpha2_initial=11))
         assert len(differentiated) == state.iteration > 0
+
+    def test_zero_step_probe_evaluates_nothing_afresh(self, monkeypatch):
+        # a probe that may take no step checks its warm start on the
+        # certified iterate's evaluation grown by one row: no fresh
+        # recurrence pass, and no certificate's either.  The chebyshev1
+        # pair n1 = 7 certifies its even probes 24 and 26 that way and
+        # fails 28; the jacobi(0, 0.3) extension 7 -> 15 fails 23
+        from nestquad import gauss
+        probes, fresh, spied = [], [], []
+        solve = nested_optimizer._solve_degree
+
+        def spy_solve(problem, d, config, state, log=None, **kwargs):
+            spied.clear()
+            result = solve(problem, d, config, state, log, **kwargs)
+            if kwargs.get("max_steps") == 0:
+                probes.append(problem.degrees[-1])
+                fresh.append(spied[:])
+            return result
+
+        def spy(name, owner, attr):
+            real = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                spied.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        spy("evaluate", nested_optimizer._MomentProblem, "evaluate")
+        spy("eval_orthonormal", nested_optimizer, "eval_orthonormal")
+        spy("moments", gauss, "eval_orthonormal")
+        monkeypatch.setattr(nested_optimizer, "_solve_degree", spy_solve)
+        pair, _ = generate_nested(
+            7, recurrence_coefficients(chebyshev1(), 4 * 7 + 10))
+        assert pair.fine.exactness_degree == 27
+        table = recurrence_coefficients(jacobi(0.0, 0.3), 68)
+        rule = gauss_rule(table, 1)
+        for _ in range(3):
+            rule, _ = extend_patterson(rule, table)
+        assert rule.exactness_degree == 22
+        assert probes[:3] == [24, 26, 28] and probes[-1] == 23
+        assert fresh == [[]] * len(probes)
+
+    def test_seed_basis_is_built_once_per_search(self, monkeypatch,
+                                                 attempts):
+        # the generalized-Hermite (rho = 1) pair n1 = 8 seeds the five
+        # degrees 25 down to 21, the first four of which have complex
+        # roots; its base Gauss rule and its Gauss-g Gram rule are built
+        # once, by the first seed
+        built, seeded = [], []
+        gauss_nodes = nested_optimizer._gauss_nodes
+        seed = nested_optimizer._node_polynomial_seed
+
+        def spy_nodes(table, n):
+            built.append(n)
+            return gauss_nodes(table, n)
+
+        def spy_seed(problem, alpha):
+            result = seed(problem, alpha)
+            seeded.append((alpha, result is not None))
+            return result
+
+        monkeypatch.setattr(nested_optimizer, "_gauss_nodes", spy_nodes)
+        monkeypatch.setattr(nested_optimizer, "_node_polynomial_seed",
+                            spy_seed)
+        table = recurrence_coefficients(generalized_hermite(1.0), 42)
+        pair, state = generate_nested(8, table)
+        assert pair.fine.exactness_degree == 21
+        assert seeded == [(25, False), (24, False), (23, False),
+                          (22, False), (21, True)]
+        assert attempts == [(21, "certified"), (22, "stall")]
+        assert built == [8, 15]
 
     def test_degree_without_a_seed_is_conceded_without_a_run(
             self, monkeypatch, attempts):

@@ -24,7 +24,8 @@ from nestquad.nested_optimizer import (
 from nestquad.nested_optimizer import _DAMPING, _NORMAL_MIN_COLS, \
     _PLATEAU_RUN, _STALL_DECREMENT, _STALL_RUN, _DiagnosticsLog, \
     _MomentProblem, \
-    _damped_step, _pair_problem, _solve_degree, _step_from_svd
+    _damped_step, _node_polynomial_seed, _normal_solve, _pair_problem, \
+    _solve_degree, _step_from_svd
 from nestquad.orthopoly import (
     chebyshev1,
     eval_orthonormal,
@@ -558,12 +559,16 @@ class TestSolveDegree:
         assert tuple(subset) == tuple(problem.idx[0])
         d = np.concatenate([nodes, coarse_weights, weights])
         state = OptimizerState()
-        _, outcome, certificate = _solve_degree(problem, d, OptimizerConfig(),
-                                                state)
+        root, outcome, ev = _solve_degree(problem, d, OptimizerConfig(),
+                                          state)
         assert outcome == "certified"
         assert state.best_residual <= 1e-12
-        # the certificate is the one certify gives this iterate
-        (coarse, subset), (fine, _) = certificate
+        assert state.iteration == 0
+        # the run returns the root untouched with its evaluation, which a
+        # probe would grow; the certificate is left to the search
+        assert root is d
+        assert ev.values.tobytes() == problem.evaluate(d).values.tobytes()
+        (coarse, subset), (fine, _) = problem.certify(root)
         assert (coarse.exactness_degree, fine.exactness_degree) == (13, 23)
         assert subset == tuple(problem.idx[0])
         np.testing.assert_array_equal(fine.nodes, nodes)
@@ -714,6 +719,79 @@ class TestDampedStep:
         J[3, 4] = np.nan
         with pytest.raises(NumericalError, match="SVD failed"):
             _damped_step(J, r, lam)
+
+
+class TestNormalSolve:
+    def test_well_conditioned_is_the_plain_solve(self):
+        rng = np.random.default_rng(3)
+        J = rng.normal(size=(40, 30))
+        A, g = J.T @ J, rng.normal(size=30)
+        np.testing.assert_array_equal(_normal_solve(A, g),
+                                      np.linalg.solve(A, g))
+
+    def test_singular_or_ill_conditioned_is_refused(self):
+        A = np.diag([1.0, 1.0, 0.0])
+        assert _normal_solve(A, np.ones(3)) is None
+        A[2, 2] = 1e-11
+        assert _normal_solve(A, np.ones(3)) is None
+
+
+class TestNodePolynomialSeed:
+    """The seed's fine weights: normal equations at and past the size
+    gate, ``lstsq`` below it."""
+
+    @staticmethod
+    def _spy_lstsq(monkeypatch):
+        shapes = []
+        lstsq = np.linalg.lstsq
+
+        def spy(a, b, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return lstsq(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        return shapes
+
+    def test_large_seed_takes_the_normal_equations(self, monkeypatch):
+        # Legendre n1 = 100: 502 unknowns, a 302 x 201 seed Vandermonde
+        table = recurrence_coefficients(legendre(), 4 * 100 + 10)
+        problem = _pair_problem(100, table, 301, OptimizerConfig())
+        assert problem.n_unknowns >= _NORMAL_MIN_COLS
+        shapes = self._spy_lstsq(monkeypatch)
+        d, ev = _node_polynomial_seed(problem, 301)
+        # only the 101 x 101 Gram system of the node polynomial
+        assert shapes == [(101, 101)]
+        fine = d[problem.weights[-1]]
+        target = np.zeros(302)
+        target[0] = 1.0
+        assert np.linalg.norm(ev.values @ fine - target) <= 1e-11
+        monkeypatch.undo()
+        reference = np.linalg.lstsq(ev.values, target, rcond=None)[0]
+        np.testing.assert_allclose(fine, reference, rtol=0, atol=1e-12)
+
+    def test_small_seed_keeps_lstsq(self, monkeypatch):
+        # the generalized-Hermite (rho = 1) pair n1 = 8 has 42 unknowns;
+        # every seed its search can try solves by lstsq, bit for bit
+        table = recurrence_coefficients(generalized_hermite(1.0), 42)
+        problem = _pair_problem(8, table, 22, OptimizerConfig())
+        assert problem.n_unknowns < _NORMAL_MIN_COLS
+        shapes = self._spy_lstsq(monkeypatch)
+        seeded = 0
+        for alpha in range(22, 15, -1):
+            problem.set_degree(alpha)
+            shapes.clear()
+            seed = _node_polynomial_seed(problem, alpha)
+            if seed is None:
+                continue
+            seeded += 1
+            d, ev = seed
+            assert shapes[-1] == (alpha + 1, 17)
+            target = np.zeros(alpha + 1)
+            target[0] = 1.0
+            np.testing.assert_array_equal(
+                d[problem.weights[-1]],
+                np.linalg.lstsq(ev.values, target, rcond=None)[0])
+        assert seeded >= 5
 
 
 class TestNewtonDecrement:

@@ -193,6 +193,17 @@ class TestEvalOrthonormal:
         assert V.shape == (9, 3)
         assert np.all(np.isfinite(V))
 
+    def test_continuation_rejects_rows_that_do_not_fit(self):
+        table = op.recurrence_coefficients(op.legendre(), 6)
+        x = np.array([-0.5, 0.25])
+        V = op.eval_orthonormal(table, 4, x).values
+        for degree, values in ((3, V), (6, V[:0]), (6, V[:, :1]),
+                               (6, V[0])):
+            with pytest.raises(ParameterError, match="do not start"):
+                op.extend_orthonormal(table, degree, x, values)
+        with pytest.raises(CapacityError):
+            op.extend_orthonormal(table, 7, x, V)
+
 
 def textbook_recurrence(table, degree, x):
     """The three-term recurrence and its derivative as plain row loops, the
@@ -249,6 +260,39 @@ class TestKernelMatchesTextbook:
         x = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1,
                                max_size=20))
         self._check(table, degree, np.array(x))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(family=st.sampled_from(KERNEL_FAMILIES),
+           degree=st.integers(0, 300),
+           x=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
+           data=st.data())
+    def test_continuation_built_in_families(self, family, degree, x, data):
+        self._check_continuation(op.recurrence_coefficients(family, 300),
+                                 degree, np.array(x), data)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(a=st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.75]),
+                      min_size=1, max_size=60),
+           data=st.data())
+    def test_continuation_custom_coefficients(self, a, data):
+        table = op.recurrence_coefficients(_custom(a), len(a) - 1)
+        degree = data.draw(st.integers(0, table.capacity))
+        x = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1,
+                               max_size=20))
+        self._check_continuation(table, degree, np.array(x), data)
+
+    @staticmethod
+    def _check_continuation(table, degree, x, data):
+        """The rows p_0..p_{degree-1} continued by one row, and the first
+        j rows continued through ``degree``, equal a fresh pass."""
+        j = data.draw(st.integers(1, degree + 1))
+        with np.errstate(all="ignore"):
+            fresh = op.eval_orthonormal(table, degree, x).values
+            one_row = op.extend_orthonormal(table, degree, x,
+                                            fresh[:max(degree, 1)]).values
+            from_j = op.extend_orthonormal(table, degree, x, fresh[:j]).values
+        assert one_row.tobytes() == fresh.tobytes()
+        assert from_j.tobytes() == fresh.tobytes()
 
     @staticmethod
     def _check(table, degree, x):

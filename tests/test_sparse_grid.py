@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -593,21 +594,42 @@ class TestBitwiseMerge:
 def test_first_grid_imports_no_metadata_or_masked_arrays():
     # importlib.metadata (a run-time version lookup would import it) and
     # numpy.ma (imported by the first np.unique call) each add 10 to 25 ms
-    # to a process's first grid
+    # to a process's first grid; importing the CLI adds neither, nor
+    # concurrent.futures (about 19 ms with multiprocessing, logging and
+    # socket), which only a multi-n1 generate needs, nor hashlib (OpenSSL),
+    # which only a custom family's catalog key needs
     src = os.path.dirname(os.path.dirname(sparse_grid.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     code = (
-        "import sys, nestquad as nq\n"
+        "import sys, nestquad as nq, nestquad.cli\n"
         "table = nq.recurrence_coefficients(nq.legendre(), 8)\n"
         "nq.smolyak_grid(nq.gauss_levels(table, 3), 2, 3)\n"
-        "slow = {'importlib.metadata', 'numpy.ma'}\n"
+        "slow = {'importlib.metadata', 'numpy.ma', 'concurrent.futures',\n"
+        "        'multiprocessing', 'hashlib'}\n"
         "print(sorted(slow & set(sys.modules)))\n"
         "print(type(nq.__version__).__name__)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["[]", "str"]
+
+
+def test_build_peak_is_a_small_multiple_of_the_grid(leg_chain):
+    # the merge's prefix tables, slot steps and touched mask are freed
+    # before the slot enumeration allocates its own: at d = 10, k = 7
+    # (60,225 nodes, 5.3 MB of nodes and weights) the build's traced peak
+    # is 2.2 times the grid's own bytes; holding them to the end of the
+    # build made it 3.3 times
+    family = nested_levels(leg_chain, 7)
+    tracemalloc.start()
+    try:
+        grid = smolyak_grid(family, 10, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.node_count == 60225
+    assert peak <= 2.75 * (grid.nodes.nbytes + grid.weights.nbytes)
 
 
 def _compositions_ref(total, d):
