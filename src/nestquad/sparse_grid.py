@@ -11,25 +11,29 @@ merged by summing weights, which is where nested level families pay off:
 their shared nodes coincide bit-exactly, so the union grows far slower than
 with independent Gauss rules per level.
 
-The merge needs no sort (after Gerstner & Griebel, Numer. Algorithms 18,
-1998, and Bungartz & Griebel, Acta Numerica 13, 2004).  Each coordinate of
-a node is an index into the sorted union of the levels' nodes, and each
-index has a birth: the first level holding it, counted from 0.  A point of
-block i has a birth of at most i_j - 1 on coordinate j, so its births sum
-to at most k - 1.  The d-tuples of indices whose births sum to at most
-k - 1, ranked lexicographically, are the grid's slots: known before any
-block is expanded, they hold every node, in node order.  A tuple's rank
-is a sum of one table entry per coordinate (``_slot_steps``), so a point
-finds its slot directly.  Only non-nested levels with k > d leave slots
-that no block reaches, and those are dropped.
+The merge needs neither a sort nor the tensor points themselves (after
+Gerstner & Griebel, Numer. Algorithms 18, 1998, and Bungartz & Griebel,
+Acta Numerica 13, 2004).  Each coordinate of a node is an index u into the
+sorted union of the levels' nodes, with a birth b_u: the first level
+holding it, counted from 0.  A point of block i has a birth of at most
+i_j - 1 on coordinate j, so its births sum to at most k - 1.  The d-tuples
+of indices whose births sum to at most k - 1, in lexicographic order, are
+the grid's slots: they hold every node, in node order.  With Q_u[l] the
+weight of u in level b_u + l (counted from 0, and 0 where that level lacks
+u), the weight summed into slot (u_1, ..., u_d) factors as
 
-Blocks are expanded by broadcasting.  The points of the first d - 1
-coordinates of all blocks with one |i| are grown coordinate by coordinate
-(``_prefixes``), and a shell's points are these prefixes times the nodes
-of each last rule, taken in batches of about ``_MERGE_BATCH`` points.
-Each batch is added into the slots by np.add.at, which adds in input
-order, so each node's weight is the sum of its block weights in block
-order, starting from 0.0, whatever the batch size.
+    W(u) = sum_r c_r [z^r] prod_j z^(b_j) Q_(u_j)(z),
+    c_r = (-1)^(k-1-r) C(d-1, k-1-r),
+
+so one walk of the slot tree, coordinate by coordinate and in
+lexicographic order, computes every weight (``_slot_walk``).  A tree node
+carries the coefficients of z^0..z^(k-1) of its partial product, shifted
+by its births, and the last coordinate folds the c_r in through one
+table per union index.  The work grows with the slots, not with the
+tensor points, and the weights differ from a block-by-block sum only by
+rounding.  Only non-nested levels with k > d leave slots that no
+block reaches; the same walk over 0/1 level indicators counts the blocks
+reaching each slot, and the unreached ones are dropped.
 """
 
 from __future__ import annotations
@@ -65,9 +69,6 @@ _TENSOR_CAP = 1e8
 _MERGE_TOL = 1e-14
 # Merged weights below this magnitude are candidates for removal.
 _DROP_TOL = 1e-15
-# Tensor-block points are added into the grid in batches of about this
-# many, which bounds the memory of the expanded last coordinate.
-_MERGE_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -198,112 +199,116 @@ def _level_union(levels):
     values = np.sort(np.concatenate(levels))
     union = values[np.concatenate(([True], values[1:] != values[:-1]))]
     indices = [np.searchsorted(union, nodes) for nodes in levels]
-    # the smallest integer type that holds a level, which keeps the budget
-    # arrays of _prefixes small
-    birth = np.empty(union.size, dtype=np.min_scalar_type(len(levels)))
+    birth = np.empty(union.size, dtype=np.intp)
     for level, index in reversed(list(enumerate(indices))):
         birth[index] = level
     return union, indices, birth
 
 
-def _slot_steps(birth, d: int, budget: int):
-    """Rank tables of the slot map, and its slot count.
+def _slot_count(birth, d: int, budget: int) -> int:
+    """The number of d-tuples of union indices whose births sum to at most
+    ``budget``; CapacityError if it exceeds ``_TENSOR_CAP``.
 
-    The slots are the d-tuples of union indices whose births sum to at
-    most ``budget``, ranked lexicographically.  With cnt[m, s] the number
-    of m-tuples whose births sum to at most s, a tuple's rank is the sum
-    over its coordinates j of step[d-1-j, s_j, u_j], where s_j is the
-    budget left before coordinate j and
-
-        step[m, s, u] = sum of cnt[m, s - birth[v]] over v < u, birth[v] <= s.
-
-    Padding a tuple with birth-0 indices maps it to a slot, so no entry
-    exceeds the slot count.  That count is checked against ``_TENSOR_CAP``
-    (below 2^31) before any table is filled, so the tables are exact int32.
+    With cnt[m, s] the number of m-tuples whose births sum to at most s,
+    cnt[m] is cnt[m - 1] convolved with the count of indices per birth.
     """
     # counted in Python integers, which cannot overflow
     born = np.bincount(birth, minlength=budget + 1)[:budget + 1].astype(object)
-    cnt = [np.ones(budget + 1, dtype=object)]
+    cnt = np.ones(budget + 1, dtype=object)
     for _ in range(d):
-        cnt.append(np.convolve(born, cnt[-1])[:budget + 1])
-    slots = int(cnt[d][budget])
+        cnt = np.convolve(born, cnt)[:budget + 1]
+    slots = int(cnt[budget])
     if slots > _TENSOR_CAP:
         raise CapacityError(f"sparse grid would span {slots:.3g} slots")
-    gap = np.arange(budget + 1)[:, None] - birth.astype(np.intp)
-    # terms[m, s, v] = cnt[m, s - birth[v]], or 0 where birth[v] > s
-    terms = np.where(gap >= 0,
-                     np.array(cnt[:d], dtype=float)[:, np.maximum(gap, 0)],
-                     0.0)
-    step = np.zeros(terms.shape, dtype=np.int32)
-    step[:, :, 1:] = np.cumsum(terms[:, :, :-1], axis=2)
-    return step, slots
+    return slots
 
 
-def _prefixes(indices, level_weights, birth, step, d: int) -> dict:
-    """The points of the first d - 1 coordinates of every tensor block.
+def _level_tables(indices, level_weights, birth, budget: int):
+    """q[l, u]: the weight of union index u in level birth[u] + l, counted
+    from 0, and 0 where that level lacks u.  A level whose nodes share an
+    index adds their weights."""
+    q = np.zeros((budget + 1, birth.size))
+    for level, (index, weights) in enumerate(zip(indices, level_weights)):
+        np.add.at(q, (level - birth[index], index), weights)
+    return q
 
-    Maps n to (rank, left, w) over the points of all (d-1)-coordinate
-    blocks i with |i| = n: blocks in colexicographic order (last coordinate
-    slowest), each block's points in lexicographic order.  ``rank`` is the
-    slot rank summed over these coordinates (see ``_slot_steps``), ``left``
-    the birth budget they leave, and ``w`` the left-to-right product of
-    their weights.  A block's points follow from those of its first j - 1
-    coordinates by one broadcast against the nodes of its j-th rule, so
-    the blocks that share that rule and |i| grow in one step.
+
+def _slot_walk(birth, q, c, d: int, budget: int):
+    """Enumerate the slots and sum the weight of each.
+
+    Walks the d-tuples of union indices whose births sum to at most
+    ``budget`` lexicographically, one coordinate per step, and returns
+    (parents, digits, weights): per step, each tree node's parent in the
+    step before and its index, and per slot (a node of the last step) its
+    weight sum_r c[r] [z^r] prod_j z^(birth[u_j]) Q_(u_j)(z), where Q_u has
+    the coefficients q[:, u].
+
+    Row s of ``coef`` holds coefficient s of a node's product divided by
+    z^(budget - left), where ``left`` is the budget its births leave; a
+    child's row s is the sum over a = 0..s of its parent's row a times
+    q[s - a] at its index.  Only rows s <= left reach a weight, but every
+    node carries all budget + 1 rows: they are as bounded as the others,
+    and selecting the rows that matter saves no time.  The last
+    step folds c in instead, through the table
+    fold[t, u] = sum_l c[t + birth[u] + l] q[l, u], which is 0 past
+    t = budget.  Every sum is an elementwise numpy operation in a fixed
+    order, so reruns are bitwise identical.
     """
-    k = len(indices)
-    layer = {0: (np.zeros(1, dtype=step.dtype),
-                 np.full(1, step.shape[1] - 1, dtype=birth.dtype),
-                 np.ones(1))}
-    for j in range(1, d):
-        grown = {}
-        for n in range(j, j + k):
-            parts = [(layer[n - 1 - level], level) for level in range(k)
-                     if n - 1 - level in layer]
-            size = sum(part[0].size * indices[level].size
-                       for part, level in parts)
-            rank = np.empty(size, dtype=step.dtype)
-            left = np.empty(size, dtype=birth.dtype)
-            w = np.empty(size)
-            end = 0
-            for (rank0, left0, w0), level in parts:
-                index = indices[level]
-                shape = (rank0.size, index.size)
-                out = slice(end, end + rank0.size * index.size)
-                end = out.stop
-                np.add(rank0[:, None], step[d - j][left0[:, None], index],
-                       out=rank[out].reshape(shape))
-                np.subtract(left0[:, None], birth[index],
-                            out=left[out].reshape(shape))
-                np.multiply(w0[:, None], level_weights[level],
-                            out=w[out].reshape(shape))
-            grown[n] = rank, left, w
-        layer = grown
-    return layer
-
-
-def _slot_nodes(union, birth, d: int, budget: int, keep):
-    """(len(keep), d) coordinates of the slots ``keep``, read from one
-    lexicographic enumeration of the d-tuples whose births sum to at most
-    ``budget``."""
+    size = budget + 1
+    union = birth.size
     # the indices born by budget s, for each s
-    members = [np.flatnonzero(birth <= s) for s in range(budget + 1)]
-    size = np.array([m.size for m in members])
-    start = np.cumsum(size) - size
+    members = [np.flatnonzero(birth <= s) for s in range(size)]
+    count_by_left = np.array([m.size for m in members])
+    start = np.cumsum(count_by_left) - count_by_left
     flat = np.concatenate(members)
+    padded = np.concatenate((c, np.zeros(2 * budget)))
+    fold = np.zeros_like(q)
+    for t in range(size):
+        for lag in range(size):
+            fold[t] += padded[t + birth + lag] * q[lag]
+    fold = fold.ravel()
+
     left = np.array([budget])
+    coef = [np.ones(1)] + [np.zeros(1)] * budget
     parents, digits = [], []
-    for _ in range(d):
-        count = size[left]
+    for step in range(d):
+        count = count_by_left[left]
         first = np.cumsum(count) - count
         parent = np.repeat(np.arange(left.size), count)
         u = flat[np.arange(parent.size) + (start[left] - first)[parent]]
-        left = left[parent] - birth[u]
+        child_left = left[parent] - birth[u]
         parents.append(parent)
         digits.append(u)
-    nodes = np.empty((len(keep), d))
+        if step == d - 1:
+            break
+        grown = []
+        prefix = [row[parent] for row in coef]
+        factor = [row[u] for row in q]
+        for s in range(size):
+            acc = prefix[0] * factor[s]
+            for a in range(1, s + 1):
+                acc += prefix[a] * factor[s - a]
+            grown.append(acc)
+        del prefix, factor  # freed before the next, larger step
+        coef = grown
+        left = child_left
+
+    # a slot's parent row a meets the fold table at t = budget - left + a,
+    # with the parent's left; the rows past t = budget are zero
+    fold = np.concatenate((fold, np.zeros(budget * union)))
+    at = (budget - left[parent]) * union + u
+    weights = coef[0][parent] * fold[at]
+    for a in range(1, size):
+        weights += coef[a][parent] * fold[at + a * union]
+    return parents, digits, weights
+
+
+def _slot_nodes(union, parents, digits, keep):
+    """(len(keep), d) coordinates of the slots ``keep``, read back from the
+    tree of ``_slot_walk``."""
+    nodes = np.empty((len(keep), len(digits)))
     row = keep
-    for j in reversed(range(d)):
+    for j in reversed(range(len(digits))):
         nodes[:, j] = union[digits[j][row]]
         row = parents[j][row]
     return nodes
@@ -368,48 +373,17 @@ class SparseGrid:
         return self.weights.size
 
 
-def _merged_weights(family: UnivariateLevelFamily, indices, birth, d: int,
-                    k: int):
-    """(slots, weights): the slots some block touches, ascending, and the
-    weight summed into each.  The prefix tables, the slot steps and the
-    touched mask die with this call, before ``_slot_nodes`` allocates its
-    own enumeration."""
-    level_weights = [family.rule(i).weights for i in range(1, k + 1)]
-    step, slots = _slot_steps(birth, d, k - 1)
-    prefixes = _prefixes(indices, level_weights, birth, step, d)
-    weights = np.zeros(slots)
-    touched = np.zeros(slots, dtype=bool)
-    for r in range(max(0, k - d), k):
-        coeff = (-1.0) ** (k - 1 - r) * math.comb(d - 1, k - 1 - r)
-        # the shell's blocks, grouped by the rule on their last coordinate
-        for level, index in enumerate(indices):
-            if d + r - 1 - level not in prefixes:
-                continue
-            rank, left, w = prefixes[d + r - 1 - level]
-            rows = max(1, _MERGE_BATCH // index.size)
-            for lo in range(0, rank.size, rows):
-                part = slice(lo, lo + rows)
-                slot = rank[part, None] + step[0][left[part, None], index]
-                w_part = w[part, None] * level_weights[level]
-                np.add.at(weights, slot.ravel(), coeff * w_part.ravel())
-                touched[slot.ravel()] = True
-    keep = np.flatnonzero(touched)
-    return keep, weights[keep]
-
-
 def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
     """Build the level-k sparse grid over d dimensions.
 
-    Tensor blocks are taken shell by shell (|i| = d + r, indices
-    colexicographic), each block's points in lexicographic order, and
-    coincident nodes merge by summation.  Each point is added straight into
-    its slot (see the module docstring), in batches of about
-    ``_MERGE_BATCH`` points; each node's weight is the sum of its block
-    weights in that order, starting from 0.0, so it does not depend on the
-    batch size.  Nodes come in lexicographic order.  Merged nodes with
-    |weight| < 1e-15 are dropped only when the removal provably cannot
-    disturb degree-(2k-1) exactness.  More than ``_TENSOR_CAP`` slots
-    raise CapacityError before any block is expanded.
+    Coincident nodes of the tensor blocks merge by summation.  Each node's
+    weight is computed in one walk over the grid's slots (see the module
+    docstring), without expanding the blocks; it equals the block-by-block
+    sum up to rounding, and is bitwise the same on every run.  Nodes come in
+    lexicographic order.  Merged nodes with |weight| < 1e-15 are dropped
+    only when the removal provably cannot disturb degree-(2k-1) exactness.
+    More than ``_TENSOR_CAP`` slots raise CapacityError before any slot is
+    enumerated.
     """
     if d < 1 or k < 1:
         raise ParameterError("need d >= 1 and k >= 1")
@@ -419,8 +393,27 @@ def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
 
     levels = _canonical_levels(family, k)
     union, indices, birth = _level_union(levels)
-    keep, weights = _merged_weights(family, indices, birth, d, k)
-    nodes = _slot_nodes(union, birth, d, k - 1, keep)
+    budget = k - 1
+    _slot_count(birth, d, budget)
+    q = _level_tables(
+        indices, [family.rule(i).weights for i in range(1, k + 1)], birth,
+        budget)
+    c = np.array([(-1.0) ** (budget - r) * math.comb(d - 1, budget - r)
+                  for r in range(k)])
+    parents, digits, weights = _slot_walk(birth, q, c, d, budget)
+    if family.nested or k <= d:
+        # every slot is reached: with k <= d the block of its birth levels
+        # is in the sum, and nested levels hold an index above its birth
+        keep = np.arange(weights.size)
+    else:
+        # count the blocks reaching each slot, over 0/1 level indicators
+        held = _level_tables(indices, [np.ones(i.size) for i in indices],
+                             birth, budget)
+        blocks = _slot_walk(birth, held, (np.arange(k) >= k - d) * 1.0, d,
+                            budget)[2]
+        keep = np.flatnonzero(blocks)
+        weights = weights[keep]
+    nodes = _slot_nodes(union, parents, digits, keep)
 
     small = np.abs(weights) < _DROP_TOL
     if np.any(small):

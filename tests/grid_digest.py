@@ -1,4 +1,4 @@
-"""Bitwise digest of Smolyak grid assembly, for before/after comparisons.
+"""Digest of Smolyak grid assembly, for before/after comparisons.
 
 Builds the four grids of the benchmark's ``grid`` workload (the Legendre
 Patterson chain 1 -> 3 -> 7 -> 15 at d = 8, k = 7; d = 10, k = 7 and
@@ -6,17 +6,23 @@ d = 20, k = 4, and Gauss levels at d = 8, k = 5), the same chain at
 d = 23, k = 4, the asymmetric jacobi(0, 0.3) chain 1 -> 3 -> 7 at
 d = 5, k = 4 and d = 3, k = 6, and Gauss levels with k > d (Legendre at
 d = 2, k = 6 and jacobi(0, 0.3) at d = 3, k = 5).  It prints one line
-per grid: its node count and a sha256 of its node and weight bytes.
-Two trees build the same grids exactly when their outputs are equal:
+per grid: its node count, a sha256 of its node bytes, a sha256 of its
+weight bytes, and the largest |w - w_ref| / max |w_ref| against the plain
+dict merge ``oracles.reference_smolyak``, which sums each node's block
+terms in block order.  Two trees build the same grids exactly when their
+outputs are equal; a change that only re-rounds the weights keeps the
+node hashes and moves the weight hashes by a gap of a few ulps:
 
     PYTHONPATH=src python tests/grid_digest.py > after.txt
 
-The script puts its own tree's ``src`` first on the path, so to digest an
-older tree, copy this file into that tree's ``tests`` and run it there.
+The script puts its own tree's ``src`` and ``tests`` first on the path,
+so to digest an older tree, copy this file into that tree's ``tests`` and
+run it there.
 
 BLAS is pinned to one thread, because threaded reductions may round
-differently from run to run.  The full run takes about a second on a
-2-CPU x86 host.  pytest does not collect this file.
+differently from run to run.  The full run takes a few seconds on a
+2-CPU x86 host, most of them in the dict merge.  pytest does not collect
+this file.
 """
 
 import os
@@ -28,9 +34,14 @@ import hashlib  # noqa: E402
 import sys  # noqa: E402
 import warnings  # noqa: E402
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(_HERE, os.pardir, "src"), _HERE]
+
+import numpy as np  # noqa: E402
 
 import nestquad as nq  # noqa: E402
+from nestquad.sparse_grid import _canonical_levels  # noqa: E402
+from oracles import reference_smolyak  # noqa: E402
 
 
 def _chain(family, steps):
@@ -43,9 +54,18 @@ def _chain(family, steps):
 
 def _line(name, levels, d, k) -> str:
     grid = nq.smolyak_grid(levels, d, k)
-    data = grid.nodes.tobytes() + grid.weights.tobytes()
-    return (f"{name} d={d} k={k}: nodes {grid.node_count} "
-            f"sha256 {hashlib.sha256(data).hexdigest()[:16]}")
+    ref_weights = reference_smolyak(
+        _canonical_levels(levels, k),
+        [levels.rule(i).weights for i in range(1, k + 1)], d, k)[1]
+    gap = (np.max(np.abs(grid.weights - ref_weights))
+           / np.max(np.abs(ref_weights)))
+    return (f"{name} d={d} k={k}: nodes {grid.node_count}, sha256 nodes "
+            f"{_sha(grid.nodes)} weights {_sha(grid.weights)}, "
+            f"max|dw|/max|w| vs dict merge {gap:.2e}")
+
+
+def _sha(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()[:16]
 
 
 def main():

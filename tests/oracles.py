@@ -4,7 +4,9 @@ Everything here is built from first principles with mpmath: exact moment
 sequences per weight family, a Stieltjes/Gram-Schmidt recurrence builder
 working on polynomial coefficient lists, and coefficient-based polynomial
 evaluation.  The Smolyak reference merge is the plain dict-of-tuples
-merge, kept as the bitwise reference for the package's integer-key merge.
+merge, kept as the bitwise reference for the package's grid nodes; its
+rational twin sums the same blocks exactly, as the reference for the
+grid weights.
 The moment-matching references are the former separate assemblies of the
 nested-pair and the frozen-node extension problems, kept as the bitwise
 reference for the package's shared kernel; they take the package's
@@ -16,6 +18,7 @@ between the two is meaningful.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -214,7 +217,9 @@ def reference_smolyak(levels, level_weights, d: int, k: int):
     shell by shell in colexicographic order, points within a block in
     lexicographic order; each node's weight is summed in that order from
     0.0, the nodes are sorted, and weights below 1e-15 are dropped when the
-    drop provably keeps degree-(2k-1) exactness.  Returns (nodes, weights).
+    drop provably keeps degree-(2k-1) exactness.  Returns (nodes, weights,
+    scales), where a node's scale is the sum of the magnitudes of the
+    terms summed into its weight (A(u) of ``exact_smolyak``, in floats).
     """
     table = {}
     for r in range(max(0, k - d), k):
@@ -227,10 +232,12 @@ def reference_smolyak(levels, level_weights, d: int, k: int):
                 w = np.multiply.outer(w, level_weights[i - 1])
             w = coeff * w.ravel()
             for point, wq in zip(map(tuple, pts.tolist()), w.tolist()):
-                table[point] = table.get(point, 0.0) + wq
+                total, scale = table.get(point, (0.0, 0.0))
+                table[point] = (total + wq, scale + abs(wq))
 
     points = sorted(table.keys())
-    weights = np.array([table[p] for p in points])
+    weights = np.array([table[p][0] for p in points])
+    scales = np.array([table[p][1] for p in points])
     nodes = np.array(points, dtype=float).reshape(len(points), d)
     small = np.abs(weights) < 1e-15
     if np.any(small):
@@ -238,7 +245,35 @@ def reference_smolyak(levels, level_weights, d: int, k: int):
         if float(np.sum(np.abs(weights[small]) * mags[small])) <= 1e-12:
             nodes = nodes[~small]
             weights = weights[~small]
-    return nodes, weights
+            scales = scales[~small]
+    return nodes, weights, scales
+
+
+def exact_smolyak(levels, level_weights, d: int, k: int) -> dict:
+    """Level-k Smolyak weights summed exactly, block by block.
+
+    Takes the inputs of ``reference_smolyak`` and visits the same blocks,
+    but sums in ``fractions.Fraction``, which holds every float and every
+    product of floats exactly.  Maps each node tuple that some block
+    reaches to (W, A): W is its weight, the sum over blocks of c_r times
+    the product of the block's weights, and A the sum of |c_r| times the
+    product of their magnitudes, which scales the rounding of any float
+    summation of those terms.  Nothing is dropped.
+    """
+    table = {}
+    rules = [list(zip(nodes.tolist(), map(Fraction, weights.tolist())))
+             for nodes, weights in zip(levels, level_weights)]
+    for r in range(max(0, k - d), k):
+        coeff = (-1) ** (k - 1 - r) * math.comb(d - 1, k - 1 - r)
+        for ivec in _compositions(d + r, d):
+            points = [((), Fraction(coeff))]
+            for i in ivec:
+                points = [(point + (x,), w * wx) for point, w in points
+                          for x, wx in rules[i - 1]]
+            for point, w in points:
+                total, scale = table.get(point, (0, 0))
+                table[point] = (total + w, scale + abs(w))
+    return table
 
 
 def _bounds(domain):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -38,7 +39,7 @@ from nestquad.sparse_grid import (
     tensor_rule,
     write_grid_csv,
 )
-from oracles import reference_smolyak
+from oracles import exact_smolyak, reference_smolyak
 
 
 @pytest.fixture(scope="module")
@@ -251,11 +252,15 @@ class TestSmolyakWeights:
                     assert abs(grid.weights.sum() - 1.0) <= 1e-10
 
     def test_large_d_sum_is_held_to_its_rounding(self, leg_chain):
-        # sum |w| is 1.27e4 here, and the rounding of sum w passes 1e-10
+        # sum |w| is 1.27e4 here, so the mass check lets the sum of w stray
+        # from 1 by up to 1.27e-6, far past 1e-10: rounding grows with sum |w|
         grid = smolyak_grid(nested_levels(leg_chain, 7), 40, 4)
         assert grid.node_count == 82401
         bound = 1e-10 * max(1.0, float(np.abs(grid.weights).sum()))
-        assert abs(grid.weights.sum() - 1.0) > 1e-10
+        assert abs(grid.weights.sum() - 1.0) <= bound
+        shifted = SparseGrid(grid.k, grid.nodes, grid.weights * (1.0 + 1e-7),
+                             grid.source)
+        assert abs(shifted.weights.sum() - 1.0) > 1e-10
         value = integrate(grid, lambda x: np.ones(x.shape[0]))
         assert abs(value - 1.0) <= bound
 
@@ -504,21 +509,70 @@ def _cancelling_family(leg_table):
     return UnivariateLevelFamily((gauss_rule(leg_table, 1), lvl2))
 
 
-def _assert_matches_reference(family, d, k):
+def _near_double_family(leg_table, depth):
+    """Gauss levels 1..depth, with level 2's left node split into two nodes
+    one ulp apart and half its weight on each: non-nested, and the two
+    nodes merge into one within _MERGE_TOL."""
+    g2 = gauss_rule(leg_table, 2)
+    left, right = g2.nodes
+    nodes = np.array([left, np.nextafter(left, 2.0), right])
+    weights = np.array([g2.weights[0] / 2, g2.weights[0] / 2, g2.weights[1]])
+    lvl2 = QuadratureRule(
+        family=legendre(), nodes=nodes, weights=weights, exactness_degree=3,
+        residual_norm=float(np.linalg.norm(moment_residuals(
+            nodes, weights, leg_table, 3))))
+    return UnivariateLevelFamily(
+        (gauss_rule(leg_table, 1), lvl2,
+         *(gauss_rule(leg_table, i) for i in range(3, depth + 1))))
+
+
+def _rounding_bound(d, k):
+    # the slot walk rounds each weight's terms at most k + 1 times per
+    # coordinate, each time by eps relative to the magnitudes involved
+    return d * (k + 1) * np.finfo(float).eps
+
+
+def _reference(family, d, k):
     levels = _canonical_levels(family, k)
-    ref_nodes, ref_weights = reference_smolyak(
-        levels, [family.rule(i).weights for i in range(1, k + 1)], d, k)
+    level_weights = [family.rule(i).weights for i in range(1, k + 1)]
+    return levels, level_weights, reference_smolyak(levels, level_weights,
+                                                    d, k)
+
+
+def _assert_matches_reference(family, d, k):
+    """Nodes bit for bit those of the dict merge; each weight, and the dict
+    merge's, within d (k + 1) eps A(u) of the exact sum W(u)."""
+    levels, level_weights, (ref_nodes, ref_weights, _) = _reference(
+        family, d, k)
     grid = smolyak_grid(family, d, k)
     assert np.array_equal(grid.nodes, ref_nodes)
-    assert np.array_equal(grid.weights, ref_weights)
+    exact = exact_smolyak(levels, level_weights, d, k)
+    bound = Fraction(_rounding_bound(d, k))
+    for point, w, w_ref in zip(map(tuple, grid.nodes.tolist()),
+                               grid.weights.tolist(), ref_weights.tolist()):
+        total, scale = exact[point]
+        assert abs(Fraction(w) - total) <= bound * scale, point
+        assert abs(Fraction(w_ref) - total) <= bound * scale, point
+    return grid
+
+
+def _assert_close_to_reference(family, d, k):
+    """For grids too large for the exact sums: nodes bit for bit those of
+    the dict merge, weights within twice the bound of its weights."""
+    _, _, (ref_nodes, ref_weights, scales) = _reference(family, d, k)
+    grid = smolyak_grid(family, d, k)
+    assert np.array_equal(grid.nodes, ref_nodes)
+    gap = np.abs(grid.weights - ref_weights)
+    assert np.all(gap <= 2 * _rounding_bound(d, k) * scales)
     return grid
 
 
 class TestBitwiseMerge:
-    """The slot-map build reproduces the dict merge bit for bit."""
+    """The slot walk reproduces the dict merge's nodes bit for bit, and its
+    weights are as close to the exact sums as the dict merge's."""
 
     def test_nested_d8_k7(self, leg_chain):
-        grid = _assert_matches_reference(nested_levels(leg_chain, 7), 8, 7)
+        grid = _assert_close_to_reference(nested_levels(leg_chain, 7), 8, 7)
         assert grid.node_count == 17921
 
     def test_gauss_d8_k5(self, gauss_family):
@@ -532,7 +586,7 @@ class TestBitwiseMerge:
     def test_two_key_words_d23_k4(self, leg_chain):
         # 7 distinct nodes per axis, 7^23 > 2^63 tuples, 15,319 slots
         family = nested_levels(leg_chain, 4)
-        grid = _assert_matches_reference(family, 23, 4)
+        grid = _assert_close_to_reference(family, 23, 4)
         assert grid.node_count == 15319
 
     @pytest.mark.parametrize("d, k", [(5, 4), (3, 6)])
@@ -555,30 +609,38 @@ class TestBitwiseMerge:
         family = gauss_levels(recurrence_coefficients(weight, 2 * k + 2), k)
         with mock.patch.object(sparse_grid, "_DROP_TOL", 0.0):
             grid = _assert_matches_reference(family, d, k)
-        _, slots = sparse_grid._slot_steps(
+        slots = sparse_grid._slot_count(
             sparse_grid._level_union(_canonical_levels(family, k))[2],
             d, k - 1)
         assert grid.node_count < slots
 
+    @pytest.mark.parametrize("d, k", [(2, 2), (3, 2), (2, 3)])
+    def test_near_double_nodes_of_one_level_merge(self, leg_table, d, k):
+        # the split node's two weights add into one slot, as in the dict
+        # merge, so the grid is the Gauss-levels grid up to rounding
+        family = _near_double_family(leg_table, k)
+        assert not family.nested
+        grid = _assert_matches_reference(family, d, k)
+        gauss = smolyak_grid(gauss_levels(leg_table, k), d, k)
+        assert np.array_equal(grid.nodes, gauss.nodes)
+        np.testing.assert_allclose(grid.weights, gauss.weights, rtol=0.0,
+                                   atol=1e-15)
+
     def test_slot_count_capacity(self, nested_family):
         # d=4, k=5 spans 193 slots, though no block holds more than 81
-        # points; the count is refused before any point is expanded
+        # points; the count is refused before the walk enumerates a slot
         with mock.patch.object(sparse_grid, "_TENSOR_CAP", 100), \
-                mock.patch.object(sparse_grid, "_prefixes",
+                mock.patch.object(sparse_grid, "_slot_walk",
                                   side_effect=AssertionError):
             with pytest.raises(CapacityError, match="193 slots"):
                 smolyak_grid(nested_family, 4, 5)
         assert smolyak_grid(nested_family, 4, 5).node_count == 193
 
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(d=st.integers(1, 6), k=st.integers(1, 4), nested=st.booleans(),
-           batch=st.sampled_from([1, 3, 100, 1 << 16]))
-    def test_random_grids(self, nested_family, gauss_family, d, k, nested,
-                          batch):
-        # the batch size decides how often the running grid is re-merged
-        family = nested_family if nested else gauss_family
-        with mock.patch.object(sparse_grid, "_MERGE_BATCH", batch):
-            _assert_matches_reference(family, d, k)
+    @given(d=st.integers(1, 6), k=st.integers(1, 4), nested=st.booleans())
+    def test_random_grids(self, nested_family, gauss_family, d, k, nested):
+        _assert_matches_reference(nested_family if nested else gauss_family,
+                                  d, k)
 
     def test_tensor_rule_matches_meshgrid(self, leg_table):
         rules = [gauss_rule(leg_table, n) for n in (3, 1, 4, 2)]
@@ -616,11 +678,10 @@ def test_first_grid_imports_no_metadata_or_masked_arrays():
 
 
 def test_build_peak_is_a_small_multiple_of_the_grid(leg_chain):
-    # the merge's prefix tables, slot steps and touched mask are freed
-    # before the slot enumeration allocates its own: at d = 10, k = 7
-    # (60,225 nodes, 5.3 MB of nodes and weights) the build's traced peak
-    # is 2.2 times the grid's own bytes; holding them to the end of the
-    # build made it 3.3 times
+    # the slot walk's coefficient rows die with the walk, before the node
+    # columns are read back: at d = 10, k = 7 (60,225 nodes, 5.3 MB of
+    # nodes and weights) the build's traced peak is 1.75 times the grid's
+    # own bytes: the nodes, the weights and the walk's tree
     family = nested_levels(leg_chain, 7)
     tracemalloc.start()
     try:
