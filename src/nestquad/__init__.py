@@ -61,6 +61,7 @@ from .rulestore import (
     make_pair_record,
     make_rule_record,
     save,
+    verify_record,
     write_rule_csv,
 )
 from .sparse_grid import (
@@ -69,10 +70,12 @@ from .sparse_grid import (
     gauss_levels,
     integrate,
     nested_levels,
+    read_grid_json,
     smolyak_grid,
     tensor_error_bound,
     tensor_rule,
     write_grid_csv,
+    write_grid_json,
 )
 
 __all__ = [
@@ -118,14 +121,17 @@ __all__ = [
     "moment_residuals",
     "nested_levels",
     "prune_negligible",
+    "read_grid_json",
     "recurrence_coefficients",
     "save",
     "smolyak_grid",
     "tensor_error_bound",
     "tensor_rule",
+    "verify_record",
     "verify_rule",
     "weight_density",
     "write_grid_csv",
+    "write_grid_json",
     "write_rule_csv",
 ]
 

@@ -10,7 +10,6 @@ run headlessly and print deterministic output for a given set of flags.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -56,16 +55,16 @@ from .rulestore import (
     make_pair_record,
     make_rule_record,
     save,
+    verify_record,
     write_rule_csv,
 )
-# the shared record codec and certificate check
-from .rulestore import _MALFORMED, _fresh_check, _read_document, _rule_parts
 from .sparse_grid import (
     gauss_levels,
-    grid_to_json_dict,
     nested_levels,
+    read_grid_json,
     smolyak_grid,
     write_grid_csv,
+    write_grid_json,
 )
 from .sparse_grid import (
     _chain_schedule,
@@ -310,19 +309,9 @@ def cmd_gauss(args) -> int:
 # ------------------------------------------------------------------ verify
 
 def cmd_verify(args) -> int:
-    # decode without building rule objects, so that a record whose weights
-    # break the mass condition still gets its residual table and FAIL
-    doc, family = _read_document(args.input)
-    try:
-        parts, _ = _rule_parts(doc)
-    except IntegrityError as exc:
-        raise IntegrityError(f"{args.input}: {exc}") from exc
-    except _MALFORMED as exc:
-        raise SchemaError(f"{args.input}: malformed record ({exc})") from exc
-
+    family, parts, checks = verify_record(args.input, args.alpha)
     ok = True
     labels = ("coarse", "fine") if len(parts) == 2 else ("",)
-    checks = _fresh_check(family, parts, args.alpha)
     for label, (*_, stored), (residuals, norm, allowed) in zip(
             labels, parts, checks):
         if label:
@@ -410,10 +399,7 @@ def cmd_sparse_grid(args) -> int:
         for suffix in (".json", ".csv"):
             if base.endswith(suffix):
                 base = base[:-len(suffix)]
-        doc = grid_to_json_dict(grid, family.label())
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_grid_json(grid, base + ".json", family.label())
         write_grid_csv(grid, base + ".csv")
     print(grid.node_count)
     return EXIT_OK
@@ -484,21 +470,8 @@ def cmd_integrate(args) -> int:
     fn_name = args.function.strip().lower()
 
     if args.grid is not None:
-        try:
-            with open(args.grid, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            d = int(doc["d"])
-            nodes = np.array(doc["nodes"], dtype=float).reshape(-1, d)
-            weights = np.array(doc["weights"], dtype=float)
-            if weights.shape != nodes.shape[:1]:
-                raise ValueError(f"{nodes.shape[0]} nodes but "
-                                 f"{weights.size} weights")
-            family_ref = str(doc["family_ref"])
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{args.grid}: not valid JSON ({exc})") from exc
-        except _MALFORMED as exc:
-            raise SchemaError(f"{args.grid}: malformed grid ({exc})") from exc
-        f, truth = _resolve_function(fn_name, args.params, d)
+        nodes, weights, family_ref = read_grid_json(args.grid)
+        f, truth = _resolve_function(fn_name, args.params, nodes.shape[1])
         estimate = _weighted_sum(weights, _node_values(nodes, f))
         line = f"estimate={estimate:.12e}"
         if ((fn_name == "constant" or _truth_applies(family_ref))

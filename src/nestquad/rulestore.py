@@ -7,6 +7,11 @@ provenance.  Writes are atomic and durable (temp file, fsync, rename, then
 a directory fsync) and loads re-verify the stored certificate against
 freshly built recurrence tables, so a catalog directory can always be
 trusted or rejected file by file.
+
+One decoder (``_decode``) reads every record file, for ``load``,
+``verify_record`` and ``catalog_scan`` alike: a missing or mistyped field
+raises SchemaError and data no certified rule can hold IntegrityError,
+each naming the file once.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "make_pair_record",
     "save",
     "load",
+    "verify_record",
     "catalog_scan",
     "write_rule_csv",
 ]
@@ -282,7 +288,7 @@ def save(record: RuleRecord, path) -> None:
 
 
 def _rule_parts(doc: dict):
-    """Decode a record's data, checking only sizes and degrees.
+    """Decode a record's data, checking only shapes and degrees.
 
     Returns one (nodes, weights, degree, stored residual norm) tuple per
     rule, coarse before fine, and the subset map of a pair (None for a
@@ -298,8 +304,8 @@ def _rule_parts(doc: dict):
     if doc["kind"] == "pair":
         n1 = int(data["n1"])
         n2 = int(data["n2"])
-        if nodes.size != n2 or weights.size != n1 + n2:
-            raise SchemaError("pair data sizes are inconsistent")
+        if nodes.shape != (n2,) or weights.shape != (n1 + n2,):
+            raise SchemaError("pair data shapes are inconsistent")
         subset = tuple(int(i) for i in data["subset_map"])
         if len(subset) != n1 or any(not 0 <= i < n2 for i in subset):
             raise SchemaError(
@@ -310,8 +316,8 @@ def _rule_parts(doc: dict):
                  (nodes, weights[n1:], int(data["alpha2"]),
                   float(data.get("residual_norm_fine", stacked)))]
     else:
-        if nodes.size != int(data["n2"]) or weights.size != nodes.size:
-            raise SchemaError("rule data sizes are inconsistent")
+        if nodes.shape != (int(data["n2"]),) or weights.shape != nodes.shape:
+            raise SchemaError("rule data shapes are inconsistent")
         parts = [(nodes, weights, int(data["alpha2"]),
                   float(data["residual_norm"]))]
     for part_nodes, _, degree, _ in parts:
@@ -330,14 +336,9 @@ def _rule_parts(doc: dict):
 
 
 def _fresh_check(family: WeightFamily, parts, degree: int | None = None):
-    """Recompute the moment residuals of decoded rule parts.
-
-    ``parts`` are the (nodes, weights, degree, stored norm) tuples of
-    ``_rule_parts``; ``degree`` overrides their degrees.  Returns one
-    (residuals, norm, allowed) tuple per part.  A part passes when its
-    fresh norm is at most ``allowed``, its stored norm (plus a floor)
-    times a factor that absorbs rounding in the rebuilt table.
-    """
+    """The checks of ``verify_record`` for decoded parts: ``allowed`` is a
+    part's stored norm (plus a floor) times a factor that absorbs
+    rounding in the rebuilt table."""
     degrees = [part[2] if degree is None else degree for part in parts]
     table = recurrence_coefficients(family, max(degrees))
     checks = []
@@ -348,33 +349,42 @@ def _fresh_check(family: WeightFamily, parts, degree: int | None = None):
     return checks
 
 
-def _read_document(path):
-    """Read a record file; check its schema version, kind and mode.
+def _decode(path):
+    """Read and decode a record file, building no rule object.
 
-    Returns the parsed JSON document and its weight family.
+    Returns (doc, family, parts, subset, certification, provenance), the
+    middle two as ``_rule_parts`` gives them.  A missing or mistyped field
+    raises SchemaError, data no certified rule can hold IntegrityError;
+    either names the file once.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     try:
         version = doc["schema_version"]
         if version != SCHEMA_VERSION:
-            raise SchemaError(
-                f"{path}: unknown schema_version {version!r}")
+            raise SchemaError(f"unknown schema_version {version!r}")
         kind = doc["kind"]
         if kind not in _MODES:
-            raise SchemaError(f"{path}: unknown kind {kind!r}")
+            raise SchemaError(f"unknown kind {kind!r}")
         mode = doc["data"]["mode"]
         if mode not in _MODES[kind]:
-            raise SchemaError(
-                f"{path}: mode {mode!r} invalid for kind {kind!r}")
-        return doc, _family_from_json(doc["family"])
-    except SchemaError:
-        raise
+            raise SchemaError(f"mode {mode!r} invalid for kind {kind!r}")
+        family = _family_from_json(doc["family"])
+        cert, prov = doc["certification"], doc["provenance"]
+        cert = Certification(*(float(cert[key]) for key in
+                               ("epsilon", "A", "weight_floor")))
+        prov = Provenance(*(str(prov[key]) for key in
+                            ("generator", "version", "timestamp")),
+                          int(prov["iterations"]))
+        parts, subset = _rule_parts(doc)
+    except (SchemaError, IntegrityError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except _MALFORMED as exc:
         raise SchemaError(f"{path}: malformed record ({exc})") from exc
+    return doc, family, parts, subset, cert, prov
 
 
 def load(path, verify: bool = True) -> RuleRecord:
@@ -384,44 +394,37 @@ def load(path, verify: bool = True) -> RuleRecord:
     scratch and rejects the file when they exceed ten times the stored
     norm.
     """
-    doc, family = _read_document(path)
+    doc, family, parts, subset, cert, prov = _decode(path)
+    data = doc["data"]
     try:
-        cert_doc = doc["certification"]
-        cert = Certification(
-            epsilon=float(cert_doc["epsilon"]),
-            A=float(cert_doc["A"]),
-            weight_floor=float(cert_doc["weight_floor"]),
-        )
-        prov_doc = doc["provenance"]
-        prov = Provenance(
-            generator=str(prov_doc["generator"]),
-            version=str(prov_doc["version"]),
-            timestamp=str(prov_doc["timestamp"]),
-            iterations=int(prov_doc["iterations"]),
-        )
-    except _MALFORMED as exc:
-        raise SchemaError(f"{path}: malformed record ({exc})") from exc
-    try:
-        parts, subset = _rule_parts(doc)
-        relaxed = bool(doc["data"].get("weight_floor_relaxed", False))
+        relaxed = bool(data.get("weight_floor_relaxed", False))
         rules = [QuadratureRule(family, nodes, weights, alpha, norm,
                                 weight_floor_relaxed=relaxed)
                  for nodes, weights, alpha, norm in parts]
         payload = rules[0] if subset is None else NestedRulePair(
-            *rules, subset, float(doc["data"]["residual_norm"]))
-    except SchemaError:
-        raise
-    except (NestQuadError, *_MALFORMED) as exc:
+            *rules, subset, float(data["residual_norm"]))
+    except NestQuadError as exc:
         raise IntegrityError(f"{path}: stored data is inconsistent "
                              f"({exc})") from exc
-    record = RuleRecord(doc["data"]["mode"], payload, cert, prov)
     checks = _fresh_check(family, parts) if verify else []
     for (*_, stored), (_, fresh, allowed) in zip(parts, checks):
         if fresh > allowed:
             raise IntegrityError(
                 f"{path}: stored residual {stored:.3e} but fresh "
                 f"verification gives {fresh:.3e} (allowed {allowed:.3e})")
-    return record
+    return RuleRecord(data["mode"], payload, cert, prov)
+
+
+def verify_record(path, degree: int | None = None):
+    """Recompute a record file's moment residuals, through ``degree`` if
+    given, building no rule object: a record that ``load`` refuses for
+    its weights is still checked.  Returns (family, parts, checks), one
+    (nodes, weights, degree, stored norm) part and one (residuals, norm,
+    allowed) check per rule, coarse first; a rule passes when its norm is
+    at most ``allowed``.
+    """
+    _, family, parts, *_ = _decode(path)
+    return family, parts, _fresh_check(family, parts, degree)
 
 
 @dataclass(frozen=True)
@@ -448,11 +451,13 @@ class Catalog:
         return self.entries.get(key)
 
 
-def catalog_scan(directory, verify: bool = False) -> Catalog:
+def catalog_scan(directory, verify: bool = True) -> Catalog:
     """Index every readable record in a directory.
 
-    Unreadable or invalid files are skipped with a warning; duplicate keys
-    resolve to the most recently modified file (again with a warning).
+    Each file is read with ``load(path, verify)``, so by default a record
+    whose certificate fails fresh verification is not indexed.  Unreadable
+    or invalid files are skipped with a warning; duplicate keys resolve to
+    the most recently modified file (again with a warning).
     """
     directory = os.fspath(directory)
     names = [n for n in os.listdir(directory) if n.endswith(".json")]
@@ -463,8 +468,9 @@ def catalog_scan(directory, verify: bool = False) -> Catalog:
         try:
             record = load(path, verify=verify)
         except (NestQuadError, OSError) as exc:
-            warnings.warn(f"skipping {path}: {exc}", UserWarning,
-                          stacklevel=2)
+            # load's messages start with the path, the system's may not
+            reason = exc if str(exc).startswith(path) else f"{path}: {exc}"
+            warnings.warn(f"skipping {reason}", UserWarning, stacklevel=2)
             continue
         key = record.key
         if key in entries:

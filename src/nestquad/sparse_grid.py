@@ -34,17 +34,21 @@ tensor points, and the weights differ from a block-by-block sum only by
 rounding.  Only non-nested levels with k > d leave slots that no
 block reaches; the same walk over 0/1 level indicators counts the blocks
 reaching each slot, and the unreached ones are dropped.
+
+A grid file is written by ``write_grid_csv`` or ``write_grid_json``, and
+``read_grid_json`` is the one reader of the JSON file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, EvaluationError, ParameterError
+from .errors import CapacityError, EvaluationError, ParameterError, SchemaError
 from .gauss import QuadratureRule, gauss_rule
 from .orthopoly import RecurrenceTable, WeightFamily
 
@@ -58,7 +62,8 @@ __all__ = [
     "integrate",
     "tensor_error_bound",
     "write_grid_csv",
-    "grid_to_json_dict",
+    "write_grid_json",
+    "read_grid_json",
 ]
 
 # Full tensor products and sparse grids with more points or slots than this
@@ -533,11 +538,41 @@ def write_grid_csv(grid: SparseGrid, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def grid_to_json_dict(grid: SparseGrid, family_ref: str) -> dict:
-    return {
-        "d": grid.d,
-        "k": grid.k,
-        "family_ref": family_ref,
-        "nodes": grid.nodes.tolist(),
-        "weights": grid.weights.tolist(),
-    }
+def write_grid_json(grid: SparseGrid, path, family_ref: str) -> None:
+    """The grid as one JSON object: d, k, family_ref, nodes (N rows of d
+    coordinates) and weights (N values), indented by 2."""
+    doc = {"d": grid.d, "k": grid.k, "family_ref": family_ref,
+           "nodes": grid.nodes.tolist(), "weights": grid.weights.tolist()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def read_grid_json(path):
+    """(nodes, weights, family_ref) of a ``write_grid_json`` file.
+
+    SchemaError refuses a file that is not JSON or lacks a field, a d
+    that is not a positive integer, nodes that are not an (N, d) array
+    with N >= 1, weights that are not N values, and non-finite values.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        d = doc["d"]
+        nodes = np.array(doc["nodes"], dtype=float)
+        weights = np.array(doc["weights"], dtype=float)
+        if type(d) is not int or d < 1:
+            raise ValueError(f"d must be a positive integer, not {d!r}")
+        if (nodes.ndim != 2 or nodes.shape[1] != d or not nodes.size
+                or weights.shape != nodes.shape[:1]):
+            raise ValueError(f"{nodes.shape} nodes and {weights.shape} "
+                             f"weights for d={d}")
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise ValueError("nodes and weights must be finite")
+        family_ref = str(doc["family_ref"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: malformed grid ({exc})") from exc
+    return nodes, weights, family_ref

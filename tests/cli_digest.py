@@ -6,8 +6,11 @@ a sha256 of its stdout, with ``time=`` values masked.  Under each call it
 prints one line per file the call wrote or changed: the file's path, a
 sha256 of its bytes with ``provenance.timestamp`` and
 ``provenance.iterations`` masked, and, for a record, its provenance
-iteration count in clear text.  Two trees behave the same at the CLI
-exactly when their outputs are equal:
+iteration count in clear text.  The last calls read corrupted copies of
+files the earlier ones wrote; under each of them the script also prints
+the ``error:`` lines of its stderr, since an exit code alone does not tell
+one refusal from another.  Two trees behave the same at the CLI exactly
+when their outputs are equal:
 
     PYTHONPATH=src python tests/cli_digest.py > after.txt
 
@@ -29,6 +32,7 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import re  # noqa: E402
+import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 
@@ -74,6 +78,53 @@ CALLS = [
 ]
 
 
+def _edit_json(source, target, edit):
+    """A copy of a JSON file with ``edit`` applied to its document."""
+    with open(source, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def _perturb_weight(doc):
+    doc["data"]["weights"][0] += 1e-6
+
+
+def _tamper_catalog(source, target):
+    """A copy of a catalog whose 7-node rule has one node the 3-node rule
+    lacks moved by 1e-3: it still embeds that rule, but its certificate no
+    longer holds."""
+    shutil.copytree(source, target)
+    inner = os.path.join(source, "ext-legendre-n3.json")
+    with open(inner, encoding="utf-8") as fh:
+        kept = json.load(fh)["data"]["nodes"]
+
+    def move(doc):
+        nodes = doc["data"]["nodes"]
+        nodes[nodes.index([x for x in nodes if x not in kept][0])] += 1e-3
+
+    path = os.path.join(target, "ext-legendre-n7.json")
+    _edit_json(path, path, move)
+
+
+def _nan_weight(doc):
+    doc["weights"][0] = float("nan")
+
+
+# (set-up, call) pairs on corrupted files, run after CALLS
+CORRUPT_CALLS = [
+    (lambda: _tamper_catalog("cat", "cat-tampered"),
+     "sparse-grid --family legendre --d 2 --k 4 --catalog cat-tampered"),
+    (lambda: _edit_json("grid.json", "grid-nan.json", _nan_weight),
+     "integrate --grid grid-nan.json --function constant"),
+    (lambda: _edit_json("g3.json", "g3-no-alpha2.json",
+                        lambda doc: doc["data"].pop("alpha2")),
+     "verify --in g3-no-alpha2.json"),
+    (None, "export --in g3-no-alpha2.json --out no-alpha2.csv"),
+]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -101,22 +152,17 @@ def _file_line(path, data: bytes) -> str:
     return line
 
 
-def _perturb(source, target):
-    """A copy of a rule record with its first weight moved by 1e-6."""
-    with open(source, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["data"]["weights"][0] += 1e-6
-    with open(target, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def _run(call: str):
+def _run(call: str, errors: bool = False):
     before = _snapshot()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(call.split())
     stdout = re.sub(r"time=\S+", "time=*", out.getvalue())
     yield f"{call}: exit {code} stdout {_sha(stdout.encode('utf-8'))}"
+    if errors:
+        for line in err.getvalue().splitlines():
+            if line.startswith("error:"):
+                yield f"  {line}"
     for path, data in sorted(_snapshot().items()):
         if before.get(path) != data:
             yield _file_line(path, data)
@@ -129,8 +175,14 @@ def main() -> None:
         try:
             for call in CALLS:
                 if call == "verify --in g3-perturbed.json":
-                    _perturb("g3.json", "g3-perturbed.json")
+                    _edit_json("g3.json", "g3-perturbed.json",
+                               _perturb_weight)
                 for line in _run(call):
+                    print(line, flush=True)
+            for setup, call in CORRUPT_CALLS:
+                if setup is not None:
+                    setup()
+                for line in _run(call, errors=True):
                     print(line, flush=True)
         finally:
             os.chdir(start)

@@ -7,7 +7,6 @@ summary lines bypass output capture so a full run reads as a checklist.
 """
 
 import itertools
-import json
 import math
 import time
 
@@ -35,10 +34,11 @@ from nestquad.orthopoly import (
 from nestquad.rulestore import load, make_pair_record, make_rule_record, save
 from nestquad.sparse_grid import (
     gauss_levels,
-    grid_to_json_dict,
     nested_levels,
+    read_grid_json,
     smolyak_grid,
     tensor_error_bound,
+    write_grid_json,
 )
 
 from oracles import eval_orthonormal_oracle, family_moments, \
@@ -421,12 +421,12 @@ def test_13_property_sweep_over_artifacts(capsys, tmp_path):
                 <= set(rule.nodes.tolist())
             ok &= _round_trip(rule, tmp_path / f"chain{i}-{j}.json")
             count += 1
-    for label, grid in grids.items():
+    for i, (label, grid) in enumerate(grids.items()):
         ok &= abs(math.fsum(grid.weights) - 1.0) <= 1e-12
-        doc = json.loads(json.dumps(grid_to_json_dict(grid, "legendre"),
-                                    indent=2))
-        ok &= np.array_equal(np.array(doc["nodes"]), grid.nodes)
-        ok &= np.array_equal(np.array(doc["weights"]), grid.weights)
+        write_grid_json(grid, tmp_path / f"grid{i}.json", "legendre")
+        nodes, weights, _ = read_grid_json(tmp_path / f"grid{i}.json")
+        ok &= np.array_equal(nodes, grid.nodes)
+        ok &= np.array_equal(weights, grid.weights)
         count += 1
 
     rerun_pair, _ = _pair_for(legendre(), 4)

@@ -10,8 +10,8 @@ import pytest
 
 from nestquad import cli, rulestore
 from nestquad.cli import main
-from nestquad.errors import ConvergenceError
-from nestquad.rulestore import load
+from nestquad.errors import ConvergenceError, SchemaError
+from nestquad.rulestore import catalog_scan, load
 
 
 def run(capsys, *argv):
@@ -356,6 +356,29 @@ class TestSparseGrid:
         code, stdout, _ = run(capsys, *grid)
         assert (code, stdout.strip()) == (0, "39")
 
+    def test_catalog_skips_a_record_that_fails_verification(self, tmp_path,
+                                                            capsys):
+        cat = tmp_path / "cat"
+        grid = ("sparse-grid", "--family", "legendre", "--d", "2", "--k", "4",
+                "--catalog", str(cat))
+        code, _, _ = run(capsys, *grid, "--autogen")
+        assert code == 0
+        # move a node that the 3-node level lacks: the 7-node rule still
+        # embeds that level, but its certificate no longer holds
+        path = cat / "ext-legendre-n7.json"
+        doc = json.loads(path.read_text())
+        inner = json.loads((cat / "ext-legendre-n3.json").read_text())
+        nodes = doc["data"]["nodes"]
+        new = [x for x in nodes if x not in inner["data"]["nodes"]]
+        nodes[nodes.index(new[0])] += 1e-3
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning) as caught:
+            code, _, stderr = run(capsys, *grid)
+        (warning,) = [str(w.message) for w in caught]
+        assert warning.startswith(f"skipping {path}: stored residual")
+        assert code == 4
+        assert "catalog provides a chain of 2 rules" in stderr
+
     def test_autogen_records_carry_iterations(self, tmp_path, capsys,
                                               monkeypatch):
         real = cli.extend_patterson
@@ -529,19 +552,31 @@ class TestIntegrate:
         assert code == 1
         assert "3" in stderr
 
-    def test_weight_count_mismatch_is_io_error(self, grid_path, capsys):
+    @pytest.mark.parametrize("how", ["weight-count", "nan-weight",
+                                     "inf-node", "flat-nodes"])
+    def test_weight_count_mismatch_is_io_error(self, grid_path, capsys, how):
         doc = json.loads(grid_path.read_text())
-        doc["weights"].pop()
+        if how == "weight-count":
+            doc["weights"].pop()
+        elif how == "nan-weight":
+            doc["weights"][0] = math.nan  # written as JSON NaN
+        elif how == "inf-node":
+            doc["nodes"][0][0] = math.inf
+        else:
+            doc["nodes"] = [x for row in doc["nodes"] for x in row]
         grid_path.write_text(json.dumps(doc))
         code, stdout, stderr = run(capsys, "integrate", "--grid",
                                    str(grid_path), "--function", "constant")
         assert code == 3
         assert stdout == ""
-        assert "malformed grid" in stderr
+        assert stderr.startswith(f"error: {grid_path}: malformed grid (")
+        assert stderr.count(str(grid_path)) == 1
 
-    def test_infinite_dimension_is_io_error(self, grid_path, capsys):
+    # the grid is 3-D, and int() would truncate 3.7 to a valid d
+    @pytest.mark.parametrize("d", [math.inf, 3.7], ids=["inf", "3.7"])
+    def test_infinite_dimension_is_io_error(self, grid_path, capsys, d):
         doc = json.loads(grid_path.read_text())
-        doc["d"] = math.inf
+        doc["d"] = d
         grid_path.write_text(json.dumps(doc))
         code, stdout, stderr = run(capsys, "integrate", "--grid",
                                    str(grid_path), "--function", "constant")
@@ -664,6 +699,74 @@ class TestIntegrate:
         assert code == 1
         assert stdout == ""
         assert f"integrand returned inf at {[float(bad)]}" in stderr
+
+
+_DATA_KEYS = {
+    "rule": ["mode", "n2", "nodes", "weights", "alpha2", "residual_norm"],
+    "pair": ["mode", "n1", "n2", "nodes", "weights", "subset_map", "alpha1",
+             "alpha2", "residual_norm"],
+}
+
+
+class TestMalformedRecord:
+    """Malformed record data fails the same way for every reader."""
+
+    @staticmethod
+    def _record(tmp_path, capsys, kind):
+        path = tmp_path / "cat" / f"{kind}.json"
+        path.parent.mkdir()
+        if kind == "rule":
+            run(capsys, "gauss", "--family", "legendre", "--n", "3",
+                "--out", str(path))
+        else:
+            run(capsys, "generate", "--family", "legendre", "--n1", "1",
+                "--out", str(path))
+        return path
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, keys in _DATA_KEYS.items() for key in keys])
+    def test_missing_data_key_is_schema_error(self, tmp_path, capsys, kind,
+                                              key):
+        path = self._record(tmp_path, capsys, kind)
+        doc = json.loads(path.read_text())
+        del doc["data"][key]
+        path.write_text(json.dumps(doc))
+        for verify in (True, False):
+            with pytest.raises(SchemaError) as info:
+                load(path, verify=verify)
+            message = str(info.value)
+            assert message.startswith(f"{path}: malformed record (")
+            assert message.count(str(path)) == 1
+        with pytest.warns(UserWarning) as caught:
+            assert len(catalog_scan(path.parent)) == 0
+        assert [str(w.message) for w in caught] == [f"skipping {message}"]
+        for argv in (["verify"], ["export", "--out", str(tmp_path / "x.csv")]):
+            code, stdout, stderr = run(capsys, *argv, "--in", str(path))
+            assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind", ["rule", "pair"])
+    def test_nested_node_list_is_schema_error(self, tmp_path, capsys, kind):
+        path = self._record(tmp_path, capsys, kind)
+        doc = json.loads(path.read_text())
+        doc["data"]["nodes"] = [[x] for x in doc["data"]["nodes"]]
+        path.write_text(json.dumps(doc))
+        for verify in (True, False):
+            with pytest.raises(SchemaError, match="shapes are inconsistent"):
+                load(path, verify=verify)
+        code, stdout, stderr = run(capsys, "verify", "--in", str(path))
+        assert (code, stdout) == (3, "")
+        assert "shapes are inconsistent" in stderr
+
+    @pytest.mark.parametrize("part", ["coarse", "fine"])
+    def test_part_norm_falls_back_to_the_pair_norm(self, tmp_path, capsys,
+                                                   part):
+        path = self._record(tmp_path, capsys, "pair")
+        doc = json.loads(path.read_text())
+        del doc["data"][f"residual_norm_{part}"]
+        path.write_text(json.dumps(doc))
+        pair = load(path).payload
+        rule = pair.coarse if part == "coarse" else pair.fine
+        assert rule.residual_norm == doc["data"]["residual_norm"]
 
 
 class TestExport:

@@ -263,6 +263,13 @@ class TestLoadValidation:
         with pytest.raises(SchemaError, match="not valid JSON"):
             load(saved)
 
+    def test_bytes_that_are_not_utf8(self, saved):
+        saved.write_bytes(b"\xff\xfe{")
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load(saved)
+        with pytest.warns(UserWarning, match=f"skipping {saved}: not valid"):
+            assert len(catalog_scan(saved.parent)) == 0
+
     def test_missing_key(self, saved):
         self._rewrite(saved, lambda d: d.pop("certification"))
         with pytest.raises(SchemaError, match="malformed"):

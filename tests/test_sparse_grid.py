@@ -16,7 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nestquad import sparse_grid
-from nestquad.errors import CapacityError, EvaluationError, ParameterError
+from nestquad.errors import (
+    CapacityError,
+    EvaluationError,
+    ParameterError,
+    SchemaError,
+)
 from nestquad.gauss import QuadratureRule, gauss_rule, moment_residuals
 from nestquad.nested_optimizer import extend_patterson, generate_nested
 from nestquad.orthopoly import (
@@ -31,13 +36,14 @@ from nestquad.sparse_grid import (
     SparseGrid,
     UnivariateLevelFamily,
     gauss_levels,
-    grid_to_json_dict,
     integrate,
     nested_levels,
+    read_grid_json,
     smolyak_grid,
     tensor_error_bound,
     tensor_rule,
     write_grid_csv,
+    write_grid_json,
 )
 from oracles import exact_smolyak, reference_smolyak
 
@@ -785,12 +791,22 @@ class TestExport:
         assert float(row[1]) == grid.nodes[0, 1]
         assert float(row[2]) == grid.weights[0]
 
-    def test_json_schema(self, nested_family):
+    def test_json_schema(self, nested_family, tmp_path):
         grid = smolyak_grid(nested_family, 2, 2)
-        doc = grid_to_json_dict(grid, "legendre")
+        path = tmp_path / "grid.json"
+        write_grid_json(grid, path, "legendre")
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
         assert set(doc) == {"d", "k", "family_ref", "nodes", "weights"}
         assert doc["d"] == 2 and doc["k"] == 2
-        assert doc["family_ref"] == "legendre"
-        restored = json.loads(json.dumps(doc))
-        assert np.array_equal(np.array(restored["nodes"]), grid.nodes)
-        assert np.array_equal(np.array(restored["weights"]), grid.weights)
+        nodes, weights, family_ref = read_grid_json(path)
+        assert family_ref == "legendre"
+        assert np.array_equal(nodes, grid.nodes)
+        assert np.array_equal(weights, grid.weights)
+
+    def test_json_reader_refuses_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            read_grid_json(path)
