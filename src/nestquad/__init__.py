@@ -26,6 +26,7 @@ from .errors import (
 from .gauss import (
     MomentReport,
     QuadratureRule,
+    certified_rule,
     circle_theorem_deviation,
     gauss_rule,
     moment_residuals,
@@ -101,6 +102,7 @@ __all__ = [
     "UnsupportedFamilyError",
     "WeightFamily",
     "catalog_scan",
+    "certified_rule",
     "chebyshev1",
     "circle_theorem_deviation",
     "custom_family",

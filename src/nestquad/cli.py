@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 usage or unsupported request (including an
 integrand that is not finite at a node), 2 optimizer failure, 3 input/output
 failure, 4 missing catalog dependency, 5 verification failure.  All commands
 run headlessly and print deterministic output for a given set of flags.
+Errors print as ``error: <message>`` lines on stderr and library warnings
+as ``warning: <message>`` lines.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -594,13 +597,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError("no command given (see --help)")
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (UsageError, ParameterError, UnsupportedFamilyError,
             EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,9 @@ through degree 2n - 1.
 
 Verification is moment-based: a rule exact through degree alpha must
 reproduce the orthonormal moments, i.e. sum_q p_j(x_q) w_q = sqrt(b_0) for
-j = 0 and 0 for 1 <= j <= alpha.  The residual vector of these conditions
-is the certificate every rule in this package carries.
+j = 0 and 0 for 1 <= j <= alpha.  The norm of their residual vector is the
+certificate every rule carries: ``certified_rule`` computes it and
+``recheck`` re-checks a stored one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .orthopoly import (
 __all__ = [
     "QuadratureRule",
     "MomentReport",
+    "certified_rule",
     "gauss_rule",
+    "recheck",
     "verify_rule",
     "circle_theorem_deviation",
 ]
@@ -128,7 +131,7 @@ def _gauss_weights(table: RecurrenceTable, nodes) -> np.ndarray:
     components this keeps tiny tail weights (Laguerre, Hermite) at full
     relative precision."""
     return _christoffel_weights(
-        eval_orthonormal(table, nodes.size - 1, nodes).values)
+        eval_orthonormal(table, nodes.size - 1, nodes))
 
 
 def _christoffel_weights(values: np.ndarray) -> np.ndarray:
@@ -149,17 +152,19 @@ def gauss_rule(table: RecurrenceTable, n: int) -> QuadratureRule:
     degree = 2 * n - 1
     if table.capacity < degree:
         table = recurrence_coefficients(table.family, degree)
-    weights = _gauss_weights(table, nodes)
+    return certified_rule(table, nodes, _gauss_weights(table, nodes), degree)
 
-    residual_norm = float(np.linalg.norm(
-        moment_residuals(nodes, weights, table, degree)))
-    return QuadratureRule(
-        family=table.family,
-        nodes=nodes,
-        weights=weights,
-        exactness_degree=degree,
-        residual_norm=residual_norm,
-    )
+
+def certified_rule(table: RecurrenceTable, nodes, weights, degree: int,
+                   relaxed: bool = False) -> QuadratureRule:
+    """The rule of the table's family with these nodes and weights,
+    certified through ``degree``: it carries the 2-norm of its moment
+    residuals against ``table``.  ``relaxed`` admits nonpositive weights.
+    """
+    residuals = moment_residuals(nodes, weights, table, degree)
+    return QuadratureRule(table.family, nodes, weights, degree,
+                          float(np.linalg.norm(residuals)),
+                          weight_floor_relaxed=relaxed)
 
 
 def moment_residuals(nodes, weights, table: RecurrenceTable,
@@ -168,7 +173,7 @@ def moment_residuals(nodes, weights, table: RecurrenceTable,
 
     r_j = sum_q p_j(x_q) w_q - sqrt(b_0) delta_{j0}, j = 0..degree.
     """
-    V = eval_orthonormal(table, degree, nodes).values
+    V = eval_orthonormal(table, degree, nodes)
     r = V @ np.asarray(weights, dtype=float)
     r[0] -= np.sqrt(table.b[0])
     return r
@@ -176,18 +181,26 @@ def moment_residuals(nodes, weights, table: RecurrenceTable,
 
 def verify_rule(rule: QuadratureRule, table: RecurrenceTable,
                 degree: int | None = None) -> MomentReport:
-    """Recompute the moment residuals of a rule through ``degree``.
-
-    Defaults to the rule's certified exactness degree.  This is the full
-    precision re-check used both at certification time and when loading
-    stored rules.
-    """
+    """Recompute the moment residuals of a rule through ``degree``, by
+    default its certified exactness degree."""
     if degree is None:
         degree = rule.exactness_degree
     if degree < 0:
         raise ParameterError("degree must be nonnegative")
     return MomentReport(moment_residuals(rule.nodes, rule.weights, table,
                                          degree))
+
+
+def recheck(table: RecurrenceTable, nodes, weights, degree: int,
+            stored: float):
+    """Re-check a certificate that claims the norm ``stored``: the fresh
+    moment residuals through ``degree``, their norm and the largest norm
+    the check allows, as (residuals, norm, allowed).  It passes when norm
+    <= allowed = 10 (stored + 1e-16): the factor and the floor absorb the
+    rounding of a rebuilt table, not an order-of-magnitude breach."""
+    residuals = moment_residuals(nodes, weights, table, degree)
+    return (residuals, float(np.linalg.norm(residuals)),
+            10.0 * (stored + 1e-16))
 
 
 def circle_theorem_deviation(rule: QuadratureRule, weight_fn=None,

@@ -28,51 +28,18 @@ only what a step can move, and a frozen node carries no penalty.
   n nodes are the frozen base rule (T.N.L. Patterson, Math. Comp. 22, 1968).
 
 Node bounds and a small positive weight floor are enforced by quadratic
-penalties scaled with a coefficient c_k that grows as the residual shrinks;
-the augmented system [R; c_k P] is driven to zero by Tikhonov-damped
-Gauss-Newton steps (J^T J + lambda^2 I)^{-1} J^T R, with lambda = 0.1
-|[R; c_k P]| at every step: Levenberg-Marquardt damping that vanishes at
-convergence.  A step over at least 128 unknowns solves these normal
-equations directly when the eigenvalues of J^T J + lambda^2 I show a
-condition number of at most 1e10; every other step, and any step whose
-solve fails, goes through the SVD filter s / (s^2 + lambda^2), which
-gives the same step by a costlier but rank-safe route.  The step system
-is built at the active rows only: every moment row and each penalty row
-whose violation is nonzero.  A penalty row with zero violation is zero in
-both the Jacobian and the residual, so in exact arithmetic leaving it out
-changes neither J^T J, J^T R nor the step; only rounding differs.  At a
-feasible iterate that is about half the rows.  The residual norm, c_k and
-the stopping tests read the whole vector [R; c_k P], with one penalty row
-per node (zero for a frozen one) and one per weight.
+penalties P scaled with a coefficient c_k that grows as the residual
+shrinks.  The augmented system [R; c_k P] is driven to zero by
+Levenberg-Marquardt damped Gauss-Newton steps (``_damped_step``), built
+at the active rows only (``_MomentProblem.jacobian``).
 
-The last block's degree is searched downward from 3 n + 1, where n is the
-size of the base rule (the frozen rule, or the coarse Gauss rule of a
-pair).  Each degree has one start, the node-polynomial seed of
-``_node_polynomial_seed``; a degree whose seed has a complex or
-out-of-domain root is conceded without a step.  What the seeds of one
-search share whatever their degree (the base rule, the Gauss rule of the
-Gram matrix and its weights times the base's node polynomial) is built
-once per search.  The seed's fine weights solve a least-squares moment
-system; a problem of at least 128 unknowns, whose steps take the normal
-equations, solves it from the normal equations behind the same
-condition test, and any other through ``lstsq``.  A degree counts as
-certified when its converged iterate passes ``check_feasible`` (domain,
-weight floor, positivity, no collision); a diverged, collided or
-out-of-domain iterate is conceded like a stall.  The certificate, with
-its recomputed moment residuals, is built once, for the degree the
-search returns.  A degree stalls when, for 5 steps in
-a row, the Newton decrement eta is below max(epsilon, 1e-4 |R|) while |R|
-stays above 100 epsilon: the Gauss-Newton model then predicts a relative
-reduction eta^2 / |R|^2 below 1e-8, about sqrt(eps), and the iterate sits
-at a nonzero stationary residual (the predicted-reduction test of
-MINPACK; J.J. More, LNM 630, 1978).
-After the first certified degree, the search probes upward one degree at
-a time, warm from the last certified iterate, until a probe fails, and
-returns the highest certified degree.  Above 3 n + 1, where the unknowns
-and the moment rows are equally many, a probe takes no step and only
-checks its warm start, except for an odd degree on a symmetric weight
-whose frozen base (if any) is symmetric, where the odd moment, zero in
-exact arithmetic, may be left above epsilon by rounding.
+The last block's degree is searched downward from 3 n + 1, n the size of
+the base rule (the frozen rule, or the coarse Gauss rule of a pair), each
+degree from its node-polynomial seed (``_node_polynomial_seed``), and then
+probed upward from the highest certified degree (``_drive``).  A degree
+certifies when its iterate converges and passes ``check_feasible``, and is
+conceded when it diverges or stalls (``_solve_degree``).  Only the degree
+the search returns gets a certificate (``_MomentProblem.certify``).
 """
 
 from __future__ import annotations
@@ -98,8 +65,8 @@ from .gauss import (
     _christoffel_weights,
     _gauss_nodes,
     _gauss_weights,
-    moment_residuals,
-    verify_rule,
+    certified_rule,
+    recheck,
 )
 from .orthopoly import (
     RecurrenceTable,
@@ -196,15 +163,14 @@ def _weight_floor(family: WeightFamily) -> float:
 class OptimizerState:
     """Counters of one search, returned as diagnostics.
 
-    ``iteration`` counts Gauss-Newton steps over all attempted degrees and
-    ``restarts`` the degrees conceded before the first certified one;
-    ``residual_norm`` is the certificate of the returned rule and
-    ``best_residual`` the smallest augmented residual norm seen.
+    ``iteration`` counts Gauss-Newton steps over all attempted degrees,
+    ``restarts`` the degrees conceded before the first certified one and
+    ``best_residual`` the smallest augmented residual norm seen; the
+    certificate is the returned rule's or pair's ``residual_norm``.
     """
 
     iteration: int = 0
     restarts: int = 0
-    residual_norm: float = math.inf
     best_residual: float = math.inf
 
 
@@ -302,7 +268,7 @@ class _MomentProblem:
         lower degrees: the recurrence resumes after ev's rows, with the
         same bits as a fresh pass."""
         return extend_orthonormal(self.table, max(self.degrees),
-                                  self.nodes(d), ev.values)
+                                  self.nodes(d), ev)
 
     @functools.cached_property
     def seed_basis(self) -> _SeedBasis:
@@ -319,7 +285,7 @@ class _MomentProblem:
     def residual(self, d, ev) -> np.ndarray:
         target = math.sqrt(self.table.b[0])
         parts = []
-        for V, w in zip(self._block_rows(ev.values), self.weights):
+        for V, w in zip(self._block_rows(ev), self.weights):
             r = V @ d[w]
             r[0] -= target
             parts.append(r)
@@ -347,15 +313,18 @@ class _MomentProblem:
 
         Residual rows use d p_m(x_i) w_i / d x_i = p'_m(x_i) w_i; a node
         shared by several blocks gets one entry per block's rows.  The
-        derivative rows are evaluated here from the values of ``ev``.
+        derivative rows are evaluated here from the values ``ev``.  A
+        penalty row of zero violation is zero in both the Jacobian and the
+        residual, so leaving it out changes J^T J, J^T R and the step only
+        by rounding; at a feasible iterate that is about half the rows.
         """
-        derivatives = eval_derivatives(self.table, self.nodes(d), ev.values)
+        derivatives = eval_derivatives(self.table, self.nodes(d), ev)
         hit = np.flatnonzero(v)
         n_moments = sum(alpha + 1 for alpha in self.degrees)
         J = np.zeros((n_moments + hit.size, self.n_unknowns))
         row = 0
         for idx, w, V, dV in zip(self.idx, self.weights,
-                                 self._block_rows(ev.values),
+                                 self._block_rows(ev),
                                  self._block_rows(derivatives)):
             rows = slice(row, row + V.shape[0])
             move = idx < self.n_free
@@ -417,12 +386,8 @@ class _MomentProblem:
             rank = pos[idx]
             perm = np.argsort(rank)
             subset = rank[perm]
-            nodes, weights = xs[subset], d[w][perm]
-            r = moment_residuals(nodes, weights, self.table, alpha)
-            rule = QuadratureRule(
-                self.table.family, nodes, weights, alpha,
-                float(np.linalg.norm(r)),
-                weight_floor_relaxed=self.config.allow_negative_weights)
+            rule = certified_rule(self.table, xs[subset], d[w][perm], alpha,
+                                  self.config.allow_negative_weights)
             out.append((rule, tuple(subset.tolist())))
         return out
 
@@ -551,7 +516,7 @@ class _SeedBasis:
         m = base.size + 1
         g = min((base.size + 2 * m) // 2 + 2, table.capacity + 1)
         t = _gauss_nodes(table, g)
-        V = eval_orthonormal(table, g - 1, t).values
+        V = eval_orthonormal(table, g - 1, t)
         diff = t[:, None] - base[None, :]
         with np.errstate(divide="ignore"):
             log_pi = np.log(np.abs(diff)).sum(axis=1)
@@ -615,14 +580,13 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
         x, start = np.concatenate([new, base]), [new]
     target = np.zeros(alpha + 1)
     target[0] = math.sqrt(table.b[0])
-    ev = eval_orthonormal(table, alpha, x)
-    V = ev.values
+    V = eval_orthonormal(table, alpha, x)
     fine = None
     if problem.n_unknowns >= _NORMAL_MIN_COLS:
         fine = _normal_solve(V.T @ V, V.T @ target)
     if fine is None:
         fine = np.linalg.lstsq(V, target, rcond=None)[0]
-    return np.concatenate(start + [fine]), ev
+    return np.concatenate(start + [fine]), V
 
 
 class _DiagnosticsLog:
@@ -817,7 +781,6 @@ def generate_nested(n1: int, table: RecurrenceTable,
     pair = NestedRulePair(coarse, fine, subset,
                           float(math.hypot(coarse.residual_norm,
                                            fine.residual_norm)))
-    state.residual_norm = pair.residual_norm
     return pair, state
 
 
@@ -842,17 +805,18 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
             f"table capacity {table.capacity} cannot reach degree "
             f"{base.n + 1}, which the polynomial of the {base.n + 1} new "
             f"nodes needs")
-    check = verify_rule(base, table, base.exactness_degree)
-    if check.norm > max(10.0 * config.epsilon, 10.0 * base.residual_norm):
+    _, fresh, allowed = recheck(table, base.nodes, base.weights,
+                                base.exactness_degree, base.residual_norm)
+    if fresh > allowed:
         raise ParameterError(
-            f"base rule fails its own certificate ({check.norm:.3e})")
+            f"base rule fails its own certificate ({fresh:.3e}, allowed "
+            f"{allowed:.3e})")
 
     n2 = 2 * base.n + 1
     problem = _MomentProblem(n2, [(range(n2), alpha2)], config, table,
                              frozen=base.nodes)
     ((rule, _),), state = _search(problem, config, alpha2,
                                   base.exactness_degree, log_path)
-    state.residual_norm = rule.residual_norm
     return rule, state
 
 
@@ -867,22 +831,15 @@ def prune_negligible(rule: QuadratureRule, table: RecurrenceTable,
     """
     config = config or OptimizerConfig()
     keep = np.abs(rule.weights) >= _PRUNE_THRESHOLD
-    if np.all(keep):
-        return rule
-    if not np.any(keep):
-        return rule
-    nodes = rule.nodes[keep]
-    weights = rule.weights[keep]
-    r = moment_residuals(nodes, weights, table, rule.exactness_degree)
-    norm = float(np.linalg.norm(r))
-    if norm > 10.0 * config.epsilon:
+    if np.all(keep) or not np.any(keep):
         return rule
     try:
-        return QuadratureRule(rule.family, nodes, weights,
-                              rule.exactness_degree, norm,
-                              weight_floor_relaxed=rule.weight_floor_relaxed)
+        pruned = certified_rule(table, rule.nodes[keep], rule.weights[keep],
+                                rule.exactness_degree,
+                                rule.weight_floor_relaxed)
     except ParameterError:
         return rule
+    return rule if pruned.residual_norm > 10.0 * config.epsilon else pruned
 
 
 def _fold_half(rule: QuadratureRule, tol: float):
@@ -931,10 +888,8 @@ def hermite_to_laguerre(pair: NestedRulePair, *,
         if wc is not None:
             nodes = np.concatenate([[0.0], nodes])
             weights = np.concatenate([[wc], weights])
-        r = moment_residuals(nodes, weights, table, alpha)
-        return QuadratureRule(lag, nodes, weights, alpha,
-                              float(np.linalg.norm(r)),
-                              weight_floor_relaxed=rule.weight_floor_relaxed)
+        return certified_rule(table, nodes, weights, alpha,
+                              rule.weight_floor_relaxed)
 
     coarse = fold(pair.coarse, alpha1)
     fine = fold(pair.fine, alpha2)

@@ -14,6 +14,8 @@ one".  Differentiating the recurrence gives
     sqrt(b_{m+1}) p'_{m+1}(x) = (x - a_m) p'_m(x) - sqrt(b_m) p'_{m-1}(x) + p_m(x)
 
 which ``eval_derivatives`` evaluates from the values, on request.
+Evaluations are plain arrays of shape (degree + 1, len(x)): row j holds
+p_j (or p'_j) at every node.
 
 Coefficients for the built-in families are classical closed forms; custom
 families pass user-supplied coefficient arrays through unchanged.
@@ -32,7 +34,6 @@ __all__ = [
     "Domain",
     "WeightFamily",
     "RecurrenceTable",
-    "PolynomialEvaluation",
     "legendre",
     "chebyshev1",
     "jacobi",
@@ -236,14 +237,6 @@ class RecurrenceTable:
                 f"table capacity {self.capacity} cannot reach degree {degree}")
 
 
-@dataclass(frozen=True)
-class PolynomialEvaluation:
-    """Orthonormal values p_j(x_i), rows j = 0..degree, columns over nodes."""
-
-    values: np.ndarray
-    derivatives: np.ndarray | None = None
-
-
 def recurrence_coefficients(family: WeightFamily, n_coeffs: int) -> RecurrenceTable:
     """Build the recurrence table a_0..a_N, b_0..b_N with N = ``n_coeffs``.
 
@@ -357,11 +350,10 @@ def _values(table: RecurrenceTable, degree: int, x: np.ndarray,
 
 
 def eval_derivatives(table: RecurrenceTable, x, values) -> np.ndarray:
-    """p'_0..p'_degree at x from the values ``eval_orthonormal`` returned
-    there, by the differentiated recurrence; ``eval_orthonormal(...,
-    derivatives=True)`` calls this, so the two agree bit for bit.  A
-    search that needs derivatives only when it steps evaluates them here,
-    after the values."""
+    """p'_0..p'_degree at x, as an array of the shape of ``values``, from
+    the values ``eval_orthonormal`` returned there, by the differentiated
+    recurrence.  A search that needs derivatives only when it steps
+    evaluates them here, after the values."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     degree = values.shape[0] - 1
     table.require(degree)
@@ -384,12 +376,12 @@ def eval_derivatives(table: RecurrenceTable, x, values) -> np.ndarray:
     return q
 
 
-def eval_orthonormal(table: RecurrenceTable, degree: int, x,
-                     derivatives: bool = False) -> PolynomialEvaluation:
-    """Evaluate p_0..p_degree (and optionally p'_0..p'_degree) at nodes x.
+def eval_orthonormal(table: RecurrenceTable, degree: int, x) -> np.ndarray:
+    """Evaluate p_0..p_degree at nodes x, as the array of shape
+    (degree + 1, len(x)) whose row j holds p_j.
 
     Runs the three-term recurrence forward, which is stable on the support
-    of the weight.  Returns matrices of shape (degree + 1, len(x)).
+    of the weight.
     """
     if degree < 0:
         raise ParameterError("degree must be nonnegative")
@@ -397,21 +389,17 @@ def eval_orthonormal(table: RecurrenceTable, degree: int, x,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise ParameterError("nodes must be one-dimensional")
-    p = _values(table, degree, x)
-    if not derivatives:
-        return PolynomialEvaluation(values=p)
-    return PolynomialEvaluation(values=p,
-                                derivatives=eval_derivatives(table, x, p))
+    return _values(table, degree, x)
 
 
 def extend_orthonormal(table: RecurrenceTable, degree: int, x,
-                       values) -> PolynomialEvaluation:
+                       values) -> np.ndarray:
     """Continue ``values``, the rows p_0..p_j at nodes x that
     ``eval_orthonormal`` returned, through ``degree`` >= j.
 
-    The recurrence resumes after row j, so the result equals
-    ``eval_orthonormal(table, degree, x)`` bit for bit while computing
-    only the rows past j.
+    The recurrence resumes after row j, so the (degree + 1, len(x)) array
+    returned equals ``eval_orthonormal(table, degree, x)`` bit for bit
+    while computing only the rows past j.
     """
     table.require(degree)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -421,7 +409,7 @@ def extend_orthonormal(table: RecurrenceTable, degree: int, x,
         raise ParameterError(
             f"values of shape {values.shape} do not start degree {degree} "
             f"at {x.size} nodes")
-    return PolynomialEvaluation(values=_values(table, degree, x, values))
+    return _values(table, degree, x, values)
 
 
 def weight_density(family: WeightFamily):

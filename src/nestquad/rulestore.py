@@ -10,8 +10,9 @@ trusted or rejected file by file.
 
 One decoder (``_decode``) reads every record file, for ``load``,
 ``verify_record`` and ``catalog_scan`` alike: a missing or mistyped field
-raises SchemaError and data no certified rule can hold IntegrityError,
-each naming the file once.
+(a count or degree that is not a JSON integer among them) raises
+SchemaError and data no certified rule can hold IntegrityError, each
+naming the file once.  Fresh checks apply ``gauss.recheck``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .gauss import QuadratureRule, moment_residuals
+from .gauss import QuadratureRule, recheck
 from .nested_optimizer import NestedRulePair, OptimizerConfig
 from .nested_optimizer import _A, _weight_floor
 from .orthopoly import WeightFamily, recurrence_coefficients
@@ -58,12 +59,8 @@ SCHEMA_VERSION = 1
 
 _GENERATOR = "nestquad"
 _MODES = {"rule": ("gauss", "patterson"), "pair": ("kronrod",)}
-# A fresh verification may differ from the stored norm by rounding in the
-# rebuilt recurrence table; reject only a clear order-of-magnitude breach.
-_VERIFY_FACTOR = 10.0
-_VERIFY_FLOOR = 1e-16
 # What decoding a malformed document raises; OverflowError comes from
-# int() of an infinite number, which JSON's "Infinity" token yields.
+# an integer too large for a float.
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
@@ -287,14 +284,22 @@ def save(record: RuleRecord, path) -> None:
             os.unlink(tmp)
 
 
-def _rule_parts(doc: dict):
+def _integer(value) -> int:
+    """A JSON integer; anything else (5.0 too) is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _rule_parts(doc: dict, family: WeightFamily):
     """Decode a record's data, checking only shapes and degrees.
 
     Returns one (nodes, weights, degree, stored residual norm) tuple per
     rule, coarse before fine, and the subset map of a pair (None for a
     single rule).  No n-node rule is exact beyond degree 2n - 1, so a
     larger stored degree is rejected with IntegrityError before any
-    recurrence table is built for it; so is a certification block whose
+    recurrence table is built for it; so is a custom family whose stored
+    recurrence stops short of the degree, and a certification block whose
     degree or residual norm differs from the data's.
     """
     data = doc["data"]
@@ -302,31 +307,37 @@ def _rule_parts(doc: dict):
     weights = np.array(data["weights"], dtype=float)
     subset = None
     if doc["kind"] == "pair":
-        n1 = int(data["n1"])
-        n2 = int(data["n2"])
+        n1 = _integer(data["n1"])
+        n2 = _integer(data["n2"])
         if nodes.shape != (n2,) or weights.shape != (n1 + n2,):
             raise SchemaError("pair data shapes are inconsistent")
-        subset = tuple(int(i) for i in data["subset_map"])
+        subset = tuple(_integer(i) for i in data["subset_map"])
         if len(subset) != n1 or any(not 0 <= i < n2 for i in subset):
             raise SchemaError(
                 f"subset_map must hold {n1} indices of the {n2} fine nodes")
         stacked = float(data["residual_norm"])
-        parts = [(nodes[list(subset)], weights[:n1], int(data["alpha1"]),
+        parts = [(nodes[list(subset)], weights[:n1], _integer(data["alpha1"]),
                   float(data.get("residual_norm_coarse", stacked))),
-                 (nodes, weights[n1:], int(data["alpha2"]),
+                 (nodes, weights[n1:], _integer(data["alpha2"]),
                   float(data.get("residual_norm_fine", stacked)))]
     else:
-        if nodes.shape != (int(data["n2"]),) or weights.shape != nodes.shape:
+        if (nodes.shape != (_integer(data["n2"]),)
+                or weights.shape != nodes.shape):
             raise SchemaError("rule data shapes are inconsistent")
-        parts = [(nodes, weights, int(data["alpha2"]),
+        parts = [(nodes, weights, _integer(data["alpha2"]),
                   float(data["residual_norm"]))]
     for part_nodes, _, degree, _ in parts:
         if not 0 <= degree <= 2 * part_nodes.size - 1:
             raise IntegrityError(
                 f"a {part_nodes.size}-node rule cannot be exact for degree "
                 f"{degree}; the bound is 0..{2 * part_nodes.size - 1}")
+    top = max(part[2] for part in parts)
+    if family.kind == "custom" and top >= len(family.custom_a):
+        raise IntegrityError(
+            f"custom family provides {len(family.custom_a)} coefficients, "
+            f"degree {top} needs {top + 1}")
     cert = doc["certification"]
-    claim = int(cert["alpha"]), float(cert["residual_norm"])
+    claim = _integer(cert["alpha"]), float(cert["residual_norm"])
     stored = parts[-1][2], float(data["residual_norm"])
     if claim != stored:
         raise IntegrityError(
@@ -336,17 +347,12 @@ def _rule_parts(doc: dict):
 
 
 def _fresh_check(family: WeightFamily, parts, degree: int | None = None):
-    """The checks of ``verify_record`` for decoded parts: ``allowed`` is a
-    part's stored norm (plus a floor) times a factor that absorbs
-    rounding in the rebuilt table."""
+    """``gauss.recheck`` of each decoded part, through its stored degree
+    or ``degree``, against one freshly built recurrence table."""
     degrees = [part[2] if degree is None else degree for part in parts]
     table = recurrence_coefficients(family, max(degrees))
-    checks = []
-    for (nodes, weights, _, stored), alpha in zip(parts, degrees):
-        residuals = moment_residuals(nodes, weights, table, alpha)
-        checks.append((residuals, float(np.linalg.norm(residuals)),
-                       _VERIFY_FACTOR * (stored + _VERIFY_FLOOR)))
-    return checks
+    return [recheck(table, nodes, weights, alpha, stored)
+            for (nodes, weights, _, stored), alpha in zip(parts, degrees)]
 
 
 def _decode(path):
@@ -378,8 +384,8 @@ def _decode(path):
                                ("epsilon", "A", "weight_floor")))
         prov = Provenance(*(str(prov[key]) for key in
                             ("generator", "version", "timestamp")),
-                          int(prov["iterations"]))
-        parts, subset = _rule_parts(doc)
+                          _integer(prov["iterations"]))
+        parts, subset = _rule_parts(doc, family)
     except (SchemaError, IntegrityError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except _MALFORMED as exc:
@@ -390,9 +396,9 @@ def _decode(path):
 def load(path, verify: bool = True) -> RuleRecord:
     """Parse a record file, rebuilding and (by default) re-verifying it.
 
-    Verification (``_fresh_check``) recomputes the moment residuals from
-    scratch and rejects the file when they exceed ten times the stored
-    norm.
+    Verification recomputes the moment residuals from scratch and rejects
+    the file when their norm breaks ``gauss.recheck``'s rule, 10 (stored +
+    1e-16).
     """
     doc, family, parts, subset, cert, prov = _decode(path)
     data = doc["data"]

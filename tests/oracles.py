@@ -10,9 +10,9 @@ grid weights.
 The moment-matching references are the former separate assemblies of the
 nested-pair and the frozen-node extension problems, kept as the bitwise
 reference for the package's shared kernel; they take the package's
-recurrence evaluation as an argument, since only the assembly around it
-is under test.  No imports from the package under test, so agreement
-between the two is meaningful.
+recurrence evaluation and its derivative as arguments, since only the
+assembly around them is under test.  No imports from the package under
+test, so agreement between the two is meaningful.
 """
 
 from __future__ import annotations
@@ -313,8 +313,11 @@ def _node_penalty_gradient(x2, domain):
     return grad
 
 
-def reference_pair(evaluate, d, table, dims, c_k, config):
+def reference_pair(evaluate, differentiate, d, table, dims, c_k, config):
     """(moment residual, penalties, Jacobian) of the nested-pair problem.
+
+    ``evaluate(table, degree, x)`` gives the values p_j(x_i), rows j, and
+    ``differentiate(table, x, values)`` their derivatives.
 
     d = (x_2, w_1, w_2); the coarse rule reads its nodes through
     ``dims.subset_map``.  Each rule gets its own recurrence evaluation.
@@ -325,9 +328,11 @@ def reference_pair(evaluate, d, table, dims, c_k, config):
     sub = list(dims.subset_map)
     x1 = x2[sub]
     target = math.sqrt(table.b[0])
-    r1 = evaluate(table, a1, x1).values @ w1
+    V1 = evaluate(table, a1, x1)
+    V2 = evaluate(table, a2, x2)
+    r1 = V1 @ w1
     r1[0] -= target
-    r2 = evaluate(table, a2, x2).values @ w2
+    r2 = V2 @ w2
     r2[0] -= target
     residual = np.concatenate([r1, r2])
 
@@ -335,14 +340,12 @@ def reference_pair(evaluate, d, table, dims, c_k, config):
     node, v2, v1 = _violations(x2, w1, w2, domain, config)
     penalties = np.concatenate([node * node, v2 * v2, v1 * v1])
 
-    ev1 = evaluate(table, a1, x1, derivatives=True)
-    ev2 = evaluate(table, a2, x2, derivatives=True)
     n_moments = a1 + a2 + 2
     J = np.zeros((n_moments + 2 * n2 + n1, n1 + 2 * n2))
-    J[:a1 + 1, sub] = ev1.derivatives * w1
-    J[:a1 + 1, n2:n2 + n1] = ev1.values
-    J[a1 + 1:n_moments, :n2] = ev2.derivatives * w2
-    J[a1 + 1:n_moments, n2 + n1:] = ev2.values
+    J[:a1 + 1, sub] = differentiate(table, x1, V1) * w1
+    J[:a1 + 1, n2:n2 + n1] = V1
+    J[a1 + 1:n_moments, :n2] = differentiate(table, x2, V2) * w2
+    J[a1 + 1:n_moments, n2 + n1:] = V2
     rows = np.arange(n2)
     J[n_moments + rows, rows] = c_k * _node_penalty_gradient(x2, domain)
     J[n_moments + n2 + rows, n2 + n1 + rows] = -2.0 * c_k * v2
@@ -351,7 +354,8 @@ def reference_pair(evaluate, d, table, dims, c_k, config):
     return residual, penalties, J
 
 
-def reference_extension(evaluate, d, table, alpha2, n_frozen, c_k, config):
+def reference_extension(evaluate, differentiate, d, table, alpha2, n_frozen,
+                        c_k, config):
     """(moment residual, penalties, Jacobian) of the frozen-node extension.
 
     d = (x_2, w_2) with the frozen nodes in the trailing ``n_frozen`` slots
@@ -359,17 +363,17 @@ def reference_extension(evaluate, d, table, alpha2, n_frozen, c_k, config):
     """
     n2 = d.size // 2
     x2, w2 = d[:n2], d[n2:]
-    r = evaluate(table, alpha2, x2).values @ w2
+    V = evaluate(table, alpha2, x2)
+    r = V @ w2
     r[0] -= math.sqrt(table.b[0])
 
     domain = table.family.domain
     node, v2, _ = _violations(x2, np.empty(0), w2, domain, config)
     penalties = np.concatenate([node * node, v2 * v2])
 
-    ev = evaluate(table, alpha2, x2, derivatives=True)
     J = np.zeros((alpha2 + 1 + 2 * n2, 2 * n2))
-    J[:alpha2 + 1, :n2] = ev.derivatives * w2
-    J[:alpha2 + 1, n2:] = ev.values
+    J[:alpha2 + 1, :n2] = differentiate(table, x2, V) * w2
+    J[:alpha2 + 1, n2:] = V
     base = alpha2 + 1
     rows = np.arange(n2)
     J[base + rows, rows] = c_k * _node_penalty_gradient(x2, domain)

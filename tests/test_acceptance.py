@@ -271,7 +271,7 @@ def test_10_tensor_error_bound(capsys):
     table = recurrence_coefficients(legendre(), 12)
     g3 = gauss_rule(table, 3)
     alpha = g3.exactness_degree
-    basis = eval_orthonormal(table, alpha, g3.nodes).values
+    basis = eval_orthonormal(table, alpha, g3.nodes)
 
     direction = np.array([1.0, 0.0, -1.0])
     delta = 1e-6 / float(np.linalg.norm(basis @ direction))

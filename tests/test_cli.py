@@ -10,8 +10,10 @@ import pytest
 
 from nestquad import cli, rulestore
 from nestquad.cli import main
-from nestquad.errors import ConvergenceError, SchemaError
-from nestquad.rulestore import catalog_scan, load
+from nestquad.errors import ConvergenceError, IntegrityError, SchemaError
+from nestquad.gauss import gauss_rule
+from nestquad.orthopoly import custom_family, legendre, recurrence_coefficients
+from nestquad.rulestore import catalog_scan, load, make_rule_record, save
 
 
 def run(capsys, *argv):
@@ -310,14 +312,17 @@ class TestSparseGrid:
         assert csv[0] == "x1,x2,x3,x4,weight"
         assert len(csv) == 386
 
-    @pytest.mark.filterwarnings("ignore:level 6 rule")
     def test_nested_hermite_rho1_example(self, tmp_path, capsys):
-        code, stdout, _ = run(
+        code, stdout, stderr = run(
             capsys, "sparse-grid", "--family", "hermite-rho1", "--d", "4",
             "--k", "6", "--schedule", "nested", "--autogen",
             "--catalog", str(tmp_path / "cat"))
         assert code == 0
         assert stdout.strip() == "385"
+        # the level family's shortfall warning prints as a CLI line
+        assert stderr == (
+            "warning: level 6 rule only certifies degree 9, below the 2i-1 "
+            "convention (11); total-degree exactness will degrade\n")
 
     def test_gauss_d10_example(self, capsys):
         code, stdout, _ = run(capsys, "sparse-grid", "--family", "legendre",
@@ -372,12 +377,13 @@ class TestSparseGrid:
         new = [x for x in nodes if x not in inner["data"]["nodes"]]
         nodes[nodes.index(new[0])] += 1e-3
         path.write_text(json.dumps(doc))
-        with pytest.warns(UserWarning) as caught:
-            code, _, stderr = run(capsys, *grid)
-        (warning,) = [str(w.message) for w in caught]
-        assert warning.startswith(f"skipping {path}: stored residual")
+        code, _, stderr = run(capsys, *grid)
         assert code == 4
-        assert "catalog provides a chain of 2 rules" in stderr
+        # the skip warning prints as a CLI line, not in Python's format
+        warning, error = stderr.splitlines()
+        assert warning.startswith(f"warning: skipping {path}: stored residual")
+        assert "UserWarning" not in stderr
+        assert error.startswith("error: catalog provides a chain of 2 rules")
 
     def test_autogen_records_carry_iterations(self, tmp_path, capsys,
                                               monkeypatch):
@@ -701,6 +707,15 @@ class TestIntegrate:
         assert f"integrand returned inf at {[float(bad)]}" in stderr
 
 
+# the integer fields of a record, as (block, key); a subset_map entry
+# stands for the list
+_INTEGER_FIELDS = {
+    "rule": [("data", "n2"), ("data", "alpha2"), ("certification", "alpha"),
+             ("provenance", "iterations")],
+    "pair": [("data", "n1"), ("data", "n2"), ("data", "subset_map"),
+             ("data", "alpha1"), ("data", "alpha2"),
+             ("certification", "alpha"), ("provenance", "iterations")],
+}
 _DATA_KEYS = {
     "rule": ["mode", "n2", "nodes", "weights", "alpha2", "residual_norm"],
     "pair": ["mode", "n1", "n2", "nodes", "weights", "subset_map", "alpha1",
@@ -737,6 +752,59 @@ class TestMalformedRecord:
             message = str(info.value)
             assert message.startswith(f"{path}: malformed record (")
             assert message.count(str(path)) == 1
+        with pytest.warns(UserWarning) as caught:
+            assert len(catalog_scan(path.parent)) == 0
+        assert [str(w.message) for w in caught] == [f"skipping {message}"]
+        for argv in (["verify"], ["export", "--out", str(tmp_path / "x.csv")]):
+            code, stdout, stderr = run(capsys, *argv, "--in", str(path))
+            assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("fraction", [0.7, 0.0])
+    @pytest.mark.parametrize("kind, block, key", [
+        (kind, *field) for kind, fields in _INTEGER_FIELDS.items()
+        for field in fields])
+    def test_non_integer_is_schema_error(self, tmp_path, capsys, kind, block,
+                                         key, fraction):
+        # int() would truncate 5.7 to 5, and a float 5.0 is no JSON integer
+        path = self._record(tmp_path, capsys, kind)
+        doc = json.loads(path.read_text())
+        if key == "subset_map":
+            doc[block][key][0] += fraction
+        else:
+            doc[block][key] += fraction
+        path.write_text(json.dumps(doc))
+        for verify in (True, False):
+            with pytest.raises(SchemaError) as info:
+                load(path, verify=verify)
+            message = str(info.value)
+            assert message.startswith(f"{path}: malformed record (")
+            assert "is not an integer" in message
+            assert message.count(str(path)) == 1
+        with pytest.warns(UserWarning) as caught:
+            assert len(catalog_scan(path.parent)) == 0
+        assert [str(w.message) for w in caught] == [f"skipping {message}"]
+        code, stdout, stderr = run(capsys, "verify", "--in", str(path))
+        assert (code, stdout, stderr) == (3, "", f"error: {message}\n")
+
+    def test_custom_recurrence_short_of_the_degree(self, tmp_path, capsys):
+        # a 3-node Gauss rule of a custom family whose stored recurrence is
+        # then cut from 6 coefficients to 2, short of degree 5
+        coeffs = recurrence_coefficients(legendre(), 5)
+        family = custom_family(coeffs.a, coeffs.b, (-1.0, 1.0))
+        path = tmp_path / "cat" / "g3.json"
+        path.parent.mkdir()
+        save(make_rule_record(
+            gauss_rule(recurrence_coefficients(family, 5), 3)), path)
+        doc = json.loads(path.read_text())
+        doc["family"]["a"] = doc["family"]["a"][:2]
+        doc["family"]["b"] = doc["family"]["b"][:2]
+        path.write_text(json.dumps(doc))
+        message = (f"{path}: custom family provides 2 coefficients, "
+                   f"degree 5 needs 6")
+        for verify in (True, False):
+            with pytest.raises(IntegrityError) as info:
+                load(path, verify=verify)
+            assert str(info.value) == message
         with pytest.warns(UserWarning) as caught:
             assert len(catalog_scan(path.parent)) == 0
         assert [str(w.message) for w in caught] == [f"skipping {message}"]

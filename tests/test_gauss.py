@@ -16,8 +16,10 @@ import nestquad
 from nestquad import orthopoly as op
 from nestquad.gauss import (
     QuadratureRule,
+    certified_rule,
     circle_theorem_deviation,
     gauss_rule,
+    recheck,
     verify_rule,
 )
 
@@ -183,6 +185,42 @@ class TestVerifyRule:
         rule = gauss_rule(table, 3)
         report = verify_rule(rule, table)
         assert report.residuals.shape == (rule.exactness_degree + 1,)
+
+
+class TestCertificate:
+    def test_gauss_rule_is_certified_rule_of_its_arrays(self):
+        for _, _, family in FAMILIES:
+            table = op.recurrence_coefficients(family, 20)
+            rule = gauss_rule(table, 6)
+            again = certified_rule(table, rule.nodes.copy(),
+                                   rule.weights.copy(), 11)
+            assert again.family == family
+            assert again.nodes.tobytes() == rule.nodes.tobytes()
+            assert again.weights.tobytes() == rule.weights.tobytes()
+            assert again.exactness_degree == rule.exactness_degree
+            assert again.residual_norm == rule.residual_norm
+            assert again.residual_norm == verify_rule(rule, table).norm
+
+    def test_relaxed_admits_a_negative_weight(self):
+        table = op.recurrence_coefficients(op.legendre(), 4)
+        nodes = np.array([-0.5, 0.0, 0.5])
+        weights = np.array([0.6, -0.2, 0.6])
+        with pytest.raises(ParameterError, match="positive"):
+            certified_rule(table, nodes, weights, 1)
+        rule = certified_rule(table, nodes, weights, 1, relaxed=True)
+        assert rule.weight_floor_relaxed
+        assert rule.residual_norm < 1e-15
+
+    def test_recheck_allows_ten_times_the_claim_plus_a_floor(self):
+        table = op.recurrence_coefficients(op.legendre(), 6)
+        rule = gauss_rule(table, 3)
+        for stored in (0.0, 1e-15, 2.5e-3):
+            residuals, norm, allowed = recheck(
+                table, rule.nodes, rule.weights, 5, stored)
+            report = verify_rule(rule, table)
+            assert residuals.tobytes() == report.residuals.tobytes()
+            assert norm == report.norm
+            assert allowed == 10.0 * (stored + 1e-16)
 
 
 class TestCircleTheorem:

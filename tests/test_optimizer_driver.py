@@ -138,7 +138,6 @@ class TestGenerateNested:
         assert np.all(pair.coarse.weights > 0)
         assert abs(pair.fine.weights.sum() - 1.0) <= 1e-12
         assert abs(pair.coarse.weights.sum() - 1.0) <= 1e-12
-        assert state.residual_norm == pair.residual_norm
 
     def test_deterministic(self):
         table = table_for(legendre(), 16)
@@ -378,13 +377,12 @@ class TestDegreeSearch:
         at7 = nested_optimizer._pair_problem(2, table, 7, config)
         seed7, ev7 = nested_optimizer._node_polynomial_seed(at7, 7)
         np.testing.assert_array_equal(calls[1][1], seed7)
-        assert calls[1][2].values.tobytes() == ev7.values.tobytes()
+        assert calls[1][2].tobytes() == ev7.tobytes()
         assert calls[2][1] is calls[1][1]
         # the probe's evaluation is 7's grown by one row, with the bits of
         # a fresh evaluation at 8
         at8 = nested_optimizer._pair_problem(2, table, 8, config)
-        assert (calls[2][2].values.tobytes()
-                == at8.evaluate(seed7).values.tobytes())
+        assert calls[2][2].tobytes() == at8.evaluate(seed7).tobytes()
         assert state.restarts == 1
         # the search certifies the iterate of the degree that certified,
         # and leaves the problem at that degree

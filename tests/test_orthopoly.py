@@ -111,13 +111,13 @@ class TestEvalOrthonormal:
         _, _, polys, norms2 = stieltjes_recurrence(moments, 6)
         ref = [float(v) for v in eval_orthonormal_oracle(polys, norms2, 5, 0.3)]
         table = op.recurrence_coefficients(op.legendre(), 6)
-        got = op.eval_orthonormal(table, 5, [0.3]).values[:, 0]
+        got = op.eval_orthonormal(table, 5, [0.3])[:, 0]
         assert np.allclose(got, ref, rtol=0.0, atol=1e-13)
 
     def test_p0_is_constant_one(self):
         for _, _, family in FAMILIES:
             table = op.recurrence_coefficients(family, 2)
-            vals = op.eval_orthonormal(table, 0, [0.1, 0.7]).values
+            vals = op.eval_orthonormal(table, 0, [0.1, 0.7])
             assert np.all(vals == 1.0)
 
     @pytest.mark.parametrize("kind,params,family", FAMILIES[:6],
@@ -133,7 +133,7 @@ class TestEvalOrthonormal:
             pass
         elif family.domain.lo == 0.0:
             pts = [0.1, 0.5, 1.0, 3.0, 6.0]
-        vals = op.eval_orthonormal(table, degree, pts).values
+        vals = op.eval_orthonormal(table, degree, pts)
         for col, x in enumerate(pts):
             ref = [float(v) for v in
                    eval_orthonormal_oracle(polys, norms2, degree, x)]
@@ -146,7 +146,7 @@ class TestEvalOrthonormal:
         for _, _, family in FAMILIES:
             table = op.recurrence_coefficients(family, 60)
             rule = gauss_rule(table, 45)
-            V = op.eval_orthonormal(table, 20, rule.nodes).values
+            V = op.eval_orthonormal(table, 20, rule.nodes)
             G = (V * rule.weights) @ V.T
             assert np.max(np.abs(G - np.eye(21))) < 1e-12
 
@@ -156,18 +156,20 @@ class TestEvalOrthonormal:
             table = op.recurrence_coefficients(family, 16)
             lo, hi = family.domain.lo, family.domain.hi
             pts = np.linspace(max(lo, -1.0) + 0.05, min(hi, 4.0) - 0.05, 10)
-            ev = op.eval_orthonormal(table, 15, pts, derivatives=True)
-            fd = (op.eval_orthonormal(table, 15, pts + h).values
-                  - op.eval_orthonormal(table, 15, pts - h).values) / (2 * h)
-            scale = np.maximum(np.abs(ev.derivatives), 1.0)
-            assert np.max(np.abs(ev.derivatives - fd) / scale) < 1e-6
+            dp = op.eval_derivatives(
+                table, pts, op.eval_orthonormal(table, 15, pts))
+            fd = (op.eval_orthonormal(table, 15, pts + h)
+                  - op.eval_orthonormal(table, 15, pts - h)) / (2 * h)
+            scale = np.maximum(np.abs(dp), 1.0)
+            assert np.max(np.abs(dp - fd) / scale) < 1e-6
 
     def test_derivative_recurrence_low_degrees(self):
         # p_0' = 0 everywhere; Legendre p_1 = sqrt(3) x so p_1' = sqrt(3).
         table = op.recurrence_coefficients(op.legendre(), 3)
-        ev = op.eval_orthonormal(table, 1, [-0.3, 0.2, 0.9], derivatives=True)
-        assert np.all(ev.derivatives[0] == 0.0)
-        assert np.allclose(ev.derivatives[1], np.sqrt(3.0), rtol=1e-15)
+        x = [-0.3, 0.2, 0.9]
+        dp = op.eval_derivatives(table, x, op.eval_orthonormal(table, 1, x))
+        assert np.all(dp[0] == 0.0)
+        assert np.allclose(dp[1], np.sqrt(3.0), rtol=1e-15)
 
     def test_symmetry_parity(self):
         # Even-degree polynomials are even, odd-degree odd, for symmetric w.
@@ -176,8 +178,8 @@ class TestEvalOrthonormal:
             if not family.symmetric:
                 continue
             table = op.recurrence_coefficients(family, 13)
-            vp = op.eval_orthonormal(table, 12, pts).values
-            vm = op.eval_orthonormal(table, 12, -pts).values
+            vp = op.eval_orthonormal(table, 12, pts)
+            vm = op.eval_orthonormal(table, 12, -pts)
             signs = (-1.0) ** np.arange(13)
             assert np.max(np.abs(vp - signs[:, None] * vm)) < 1e-13 * np.max(
                 np.abs(vp))
@@ -189,14 +191,14 @@ class TestEvalOrthonormal:
 
     def test_values_shape_and_finite_at_endpoints(self):
         table = op.recurrence_coefficients(op.chebyshev1(), 8)
-        V = op.eval_orthonormal(table, 8, [-1.0, 0.0, 1.0]).values
+        V = op.eval_orthonormal(table, 8, [-1.0, 0.0, 1.0])
         assert V.shape == (9, 3)
         assert np.all(np.isfinite(V))
 
     def test_continuation_rejects_rows_that_do_not_fit(self):
         table = op.recurrence_coefficients(op.legendre(), 6)
         x = np.array([-0.5, 0.25])
-        V = op.eval_orthonormal(table, 4, x).values
+        V = op.eval_orthonormal(table, 4, x)
         for degree, values in ((3, V), (6, V[:0]), (6, V[:, :1]),
                                (6, V[0])):
             with pytest.raises(ParameterError, match="do not start"):
@@ -287,10 +289,10 @@ class TestKernelMatchesTextbook:
         j rows continued through ``degree``, equal a fresh pass."""
         j = data.draw(st.integers(1, degree + 1))
         with np.errstate(all="ignore"):
-            fresh = op.eval_orthonormal(table, degree, x).values
+            fresh = op.eval_orthonormal(table, degree, x)
             one_row = op.extend_orthonormal(table, degree, x,
-                                            fresh[:max(degree, 1)]).values
-            from_j = op.extend_orthonormal(table, degree, x, fresh[:j]).values
+                                            fresh[:max(degree, 1)])
+            from_j = op.extend_orthonormal(table, degree, x, fresh[:j])
         assert one_row.tobytes() == fresh.tobytes()
         assert from_j.tobytes() == fresh.tobytes()
 
@@ -298,12 +300,9 @@ class TestKernelMatchesTextbook:
     def _check(table, degree, x):
         with np.errstate(all="ignore"):
             p, q = textbook_recurrence(table, degree, x)
-            ev = op.eval_orthonormal(table, degree, x, derivatives=True)
-            values = op.eval_orthonormal(table, degree, x).values
+            values = op.eval_orthonormal(table, degree, x)
             lazy = op.eval_derivatives(table, x, values)
-        assert ev.values.tobytes() == p.tobytes()
         assert values.tobytes() == p.tobytes()
-        assert ev.derivatives.tobytes() == q.tobytes()
         assert lazy.tobytes() == q.tobytes()
 
 

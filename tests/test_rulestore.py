@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nestquad.errors import IntegrityError, ParameterError, SchemaError
-from nestquad.gauss import QuadratureRule, gauss_rule
+from nestquad.gauss import QuadratureRule, gauss_rule, verify_rule
 from nestquad.nested_optimizer import (
     OptimizerConfig,
     extend_patterson,
@@ -164,7 +164,6 @@ class TestRoundTrip:
 
     def test_reverification_matches_within_2x(self, leg_pair, leg_table,
                                               tmp_path):
-        from nestquad.gauss import verify_rule
         pair, _ = leg_pair
         for rule in (gauss_rule(leg_table, 5), pair.coarse, pair.fine):
             fresh = verify_rule(rule, leg_table).norm
@@ -360,6 +359,47 @@ class TestLoadValidation:
             load(path)
         with pytest.warns(UserWarning, match="skipping"):
             assert len(catalog_scan(tmp_path)) == 0
+
+
+class TestOneRecheckRule:
+    """``extend_patterson`` checks its base and ``load`` checks a record
+    under the same rule: the fresh norm may be at most 10 (stored +
+    1e-16)."""
+
+    def test_understated_claim_is_refused_by_both(self, leg_table,
+                                                  tmp_path):
+        # a Gauss-3 rule nudged by 1e-13 whose claim is 20 times too small:
+        # its fresh norm is below 10 epsilon but above the rule's bound
+        gauss3 = gauss_rule(leg_table, 3)
+        weights = gauss3.weights + np.array([1e-13, 0.0, -1e-13])
+        fresh = verify_rule(
+            QuadratureRule(legendre(), gauss3.nodes, weights, 5, 0.0),
+            leg_table).norm
+        stored = fresh / 20.0
+        allowed = 10.0 * (stored + 1e-16)
+        assert allowed < fresh < 10.0 * OptimizerConfig().epsilon
+        base = QuadratureRule(legendre(), gauss3.nodes, weights, 5, stored)
+        bound = f"allowed {allowed:.3e}"
+        with pytest.raises(ParameterError, match=bound):
+            extend_patterson(base, leg_table)
+        path = tmp_path / "base.json"
+        save(make_rule_record(base), path)
+        with pytest.raises(IntegrityError, match=bound):
+            load(path)
+
+    def test_claim_within_the_bound_passes_both(self, leg_table, tmp_path):
+        gauss3 = gauss_rule(leg_table, 3)
+        weights = gauss3.weights + np.array([1e-13, 0.0, -1e-13])
+        fresh = verify_rule(
+            QuadratureRule(legendre(), gauss3.nodes, weights, 5, 0.0),
+            leg_table).norm
+        base = QuadratureRule(legendre(), gauss3.nodes, weights, 5,
+                              fresh / 5.0)
+        rule, _ = extend_patterson(base, leg_table)
+        assert rule.exactness_degree == 11
+        path = tmp_path / "base.json"
+        save(make_rule_record(base), path)
+        assert load(path).payload.residual_norm == fresh / 5.0
 
 
 def _key_paths(doc, prefix=()):

@@ -755,7 +755,7 @@ class TestTensorErrorBound:
         eps = 1e-6
         g3 = gauss_rule(leg_table, 3)
         alpha = g3.exactness_degree
-        basis = eval_orthonormal(leg_table, alpha, g3.nodes).values
+        basis = eval_orthonormal(leg_table, alpha, g3.nodes)
         direction = np.array([1.0, 0.0, -1.0])
         delta = eps / float(np.linalg.norm(basis @ direction))
         weights = g3.weights + delta * direction
