@@ -257,13 +257,21 @@ def save(record: RuleRecord, path) -> None:
     """Atomically and durably write a record as JSON (UTF-8,
     newline-terminated)."""
     doc = _record_to_json(record)
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    _write_atomically(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def _write_atomically(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 through a temp file in the same
+    directory: fsync, rename over ``path``, then fsync the directory.  A
+    failure leaves ``path`` as it was and removes the temp file; the
+    OSError names ``path``."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rule-",
-                                   suffix=".json.tmp")
+        fd, tmp = tempfile.mkstemp(dir=directory,
+                                   prefix=f".{os.path.basename(path)}-",
+                                   suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.flush()
@@ -277,8 +285,7 @@ def save(record: RuleRecord, path) -> None:
         finally:
             os.close(dir_fd)
     except OSError as exc:
-        raise OSError(
-            f"saving rule record to {path!r} failed: {exc}") from exc
+        raise OSError(f"writing {path!r} failed: {exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)

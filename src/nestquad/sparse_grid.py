@@ -51,6 +51,7 @@ import numpy as np
 from .errors import CapacityError, EvaluationError, ParameterError, SchemaError
 from .gauss import QuadratureRule, gauss_rule
 from .orthopoly import RecurrenceTable, WeightFamily
+from .rulestore import _write_atomically
 
 __all__ = [
     "UnivariateLevelFamily",
@@ -201,13 +202,18 @@ def _level_union(levels):
     """The sorted distinct values of the level node arrays, each level's
     nodes as indices into them, and each index's birth: the first level
     holding it, counted from 0."""
-    values = np.sort(np.concatenate(levels))
-    union = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    union = _sorted_distinct(np.concatenate(levels))
     indices = [np.searchsorted(union, nodes) for nodes in levels]
     birth = np.empty(union.size, dtype=np.intp)
     for level, index in reversed(list(enumerate(indices))):
         birth[index] = level
     return union, indices, birth
+
+
+def _sorted_distinct(values):
+    """The distinct entries of the 1-d array ``values``, ascending."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def _slot_count(birth, d: int, budget: int) -> int:
@@ -355,8 +361,9 @@ class SparseGrid:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[0] != weights.size:
-            raise ParameterError("nodes must be (node_count, d)")
+        if (nodes.ndim != 2 or nodes.shape[0] != weights.size
+                or nodes.shape[1] < 1):
+            raise ParameterError("nodes must be (node_count, d), d >= 1")
         mass = float(self.source.family.mass) ** nodes.shape[1]
         # the rounding of the sum grows with sum |w|, which the combination
         # coefficients C(d - 1, k - 1 - r) inflate at large d
@@ -528,24 +535,70 @@ def tensor_error_bound(epsilon: float, alphas, p_norm: float) -> float:
     return epsilon * p_norm * d * (1.0 + epsilon) ** (d - 1) * prod
 
 
-def write_grid_csv(grid: SparseGrid, path):
-    """One row per node: d coordinates then the weight."""
-    header = ",".join(f"x{q + 1}" for q in range(grid.d)) + ",weight"
-    lines = [header]
-    for point, weight in zip(grid.nodes.tolist(), grid.weights.tolist()):
-        lines.append(",".join(map(repr, [*point, weight])))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_grid_csv(grid: SparseGrid, path) -> None:
+    """One row per node: d coordinates then the weight, each as its
+    ``repr``, under an ``x1,...,xd,weight`` header."""
+    values = _grid_strings(grid)
+    width = grid.d + 1
+    # the header, then value, separator, value, ... with each row's last
+    # separator a newline
+    pieces = [","] * (2 * values.size + 1)
+    pieces[0] = ",".join(f"x{q + 1}" for q in range(grid.d)) + ",weight\n"
+    pieces[1::2] = values.ravel().tolist()
+    pieces[2 * width::2 * width] = ["\n"] * grid.node_count
+    text = "".join(pieces)
+    del values, pieces  # freed before the text is encoded
+    _write_atomically(path, text)
 
 
 def write_grid_json(grid: SparseGrid, path, family_ref: str) -> None:
     """The grid as one JSON object: d, k, family_ref, nodes (N rows of d
-    coordinates) and weights (N values), indented by 2."""
-    doc = {"d": grid.d, "k": grid.k, "family_ref": family_ref,
-           "nodes": grid.nodes.tolist(), "weights": grid.weights.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    coordinates) and weights (N values), in the bytes of
+    ``json.dump(doc, indent=2)`` plus a newline.  The layout is spelled
+    out here, because the encoder would format every coordinate anew."""
+    if not isinstance(family_ref, str):
+        raise ParameterError(
+            f"family_ref must be a string, not {family_ref!r}")
+    values = _grid_strings(grid)
+    n, d = grid.node_count, grid.d
+    # the head, then coordinate, separator, coordinate, ... with each
+    # row's last separator closing it and opening the next; the last one
+    # closes the nodes and holds the weights
+    pieces = [",\n      "] * (2 * n * d + 1)
+    pieces[0] = (f'{{\n  "d": {json.dumps(d)},\n'
+                 f'  "k": {json.dumps(grid.k)},\n'
+                 f'  "family_ref": {json.dumps(family_ref)},\n'
+                 '  "nodes": [\n    [\n      ')
+    pieces[1::2] = values[:, :d].ravel().tolist()
+    pieces[2 * d::2 * d] = ["\n    ],\n    [\n      "] * n
+    pieces[-1] = ('\n    ]\n  ],\n  "weights": [\n    '
+                  + ",\n    ".join(values[:, d].tolist()) + "\n  ]\n}\n")
+    text = "".join(pieces)
+    del values, pieces  # freed before the text is encoded
+    _write_atomically(path, text)
+
+
+def _grid_strings(grid: SparseGrid):
+    """The ``repr`` of each node's coordinates and then of its weight, as
+    an (N, d + 1) object array; ``json`` writes a float as its ``repr``
+    too.  A grid holds few distinct values, and each is formatted once;
+    distinct means distinct bits, so -0.0 keeps its sign.  ParameterError
+    if a value is not finite, which no reader would take back."""
+    if not (np.isfinite(grid.nodes).all() and np.isfinite(grid.weights).all()):
+        raise ParameterError("grid nodes and weights must be finite")
+    bits = np.column_stack((grid.nodes, grid.weights)).view(np.int64)
+    distinct = _sorted_distinct(bits.ravel())
+    text = np.array(list(map(float.__repr__, distinct.view(float).tolist())),
+                    dtype=object)
+    return text[np.searchsorted(distinct, bits)]
+
+
+class _ParsedFloats(dict):
+    """Number text -> float, parsing each distinct text once."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
 
 
 def read_grid_json(path):
@@ -553,11 +606,13 @@ def read_grid_json(path):
 
     SchemaError refuses a file that is not JSON or lacks a field, a d
     that is not a positive integer, nodes that are not an (N, d) array
-    with N >= 1, weights that are not N values, and non-finite values.
+    with N >= 1, weights that are not N values, non-finite values and a
+    family_ref that is not a string.  A grid holds few distinct
+    coordinates, so each distinct number text is parsed once.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_ParsedFloats().__getitem__)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     try:
@@ -572,7 +627,10 @@ def read_grid_json(path):
                              f"weights for d={d}")
         if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise ValueError("nodes and weights must be finite")
-        family_ref = str(doc["family_ref"])
+        family_ref = doc["family_ref"]
+        if type(family_ref) is not str:
+            raise ValueError(
+                f"family_ref must be a string, not {family_ref!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed grid ({exc})") from exc
     return nodes, weights, family_ref

@@ -3,11 +3,14 @@
 Sets up one workload of this tree's ``bench/workloads.py`` (``optimizer``
 by default, or ``grid``) and runs all its ops, in the workload's order, in
 a closed loop of passes for about ``--seconds``.  It prints one line per
-op: the median seconds over the passes, then the pass median, the
+op: the median seconds over the passes, then a ``set-up`` line with the
+seconds of the one ``workloads.setup`` call, then the pass median, the
 iterations and restarts of one pass and its certified degree sum.  The
-benchmark reports only the pass median; this script shows which ops moved
-it.  Compare two trees by running each in turn, several times in
-alternation, pinned to one CPU:
+benchmark reports the pass median, and a ``setup_s`` that adds the
+worker's start and imports to that set-up; this script shows which ops
+moved the one and sizes the other without a full benchmark run.  Compare
+two trees by running each in turn, several times in alternation, pinned
+to one CPU:
 
     PYTHONPATH=src taskset -c 1 python tests/op_timing.py --seconds 4
 
@@ -56,9 +59,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as workdir:
+        start = time.perf_counter()
         workload = workloads.setup(args.workload,
                                    workloads.SPECS[args.workload], args.seed,
                                    workdir)
+        setup = time.perf_counter() - start
         ops = [op for task in workload.tasks for op in task]
         per_op, passes = [[] for _ in ops], []
         begin = time.perf_counter()
@@ -73,6 +78,7 @@ def main(argv=None) -> int:
     width = max(len(op.name) for op in ops)
     for op, column in zip(ops, per_op):
         print(f"{op.name:<{width}}  {statistics.median(column) * 1e3:9.3f} ms")
+    print(f"{'set-up':<{width}}  {setup * 1e3:9.3f} ms")
     states = [done[op.name][1] for op in ops if op.optimizer]
     degrees = sum(op.degrees(done[op.name]) for op in ops
                   if op.degrees is not None)

@@ -559,7 +559,8 @@ class TestIntegrate:
         assert "3" in stderr
 
     @pytest.mark.parametrize("how", ["weight-count", "nan-weight",
-                                     "inf-node", "flat-nodes"])
+                                     "inf-node", "flat-nodes",
+                                     "null-family-ref"])
     def test_weight_count_mismatch_is_io_error(self, grid_path, capsys, how):
         doc = json.loads(grid_path.read_text())
         if how == "weight-count":
@@ -568,6 +569,8 @@ class TestIntegrate:
             doc["weights"][0] = math.nan  # written as JSON NaN
         elif how == "inf-node":
             doc["nodes"][0][0] = math.inf
+        elif how == "null-family-ref":
+            doc["family_ref"] = None
         else:
             doc["nodes"] = [x for row in doc["nodes"] for x in row]
         grid_path.write_text(json.dumps(doc))

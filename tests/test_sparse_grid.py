@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -299,6 +300,8 @@ class TestSmolyakWeights:
             SparseGrid(1, np.zeros((2, 3)), np.array([1.0]), nested_family)
         with pytest.raises(ParameterError):
             SparseGrid(1, np.zeros((1, 2)), np.array([0.5]), nested_family)
+        with pytest.raises(ParameterError):
+            SparseGrid(1, np.zeros((1, 0)), np.array([1.0]), nested_family)
         assert SparseGrid(1, np.zeros((1, 3)), np.array([1.0]),
                           nested_family).d == 3
 
@@ -778,6 +781,19 @@ class TestTensorErrorBound:
             assert abs(applied - exact) <= bound, f"basis {js}"
 
 
+_WRITERS = {
+    "csv": write_grid_csv,
+    "json": lambda grid, path: write_grid_json(grid, path, "legendre"),
+}
+# -0.0 beside 0.0, subnormals, +-1e300 and neighbours one ulp apart, with
+# draws from the whole range a weight sum cannot overflow
+_GRID_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300,
+                     1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+                     0.1, math.nextafter(0.1, 1.0)]),
+    st.floats(-1e300, 1e300))
+
+
 class TestExport:
     def test_csv_round_trip(self, nested_family, tmp_path):
         grid = smolyak_grid(nested_family, 2, 3)
@@ -810,3 +826,89 @@ class TestExport:
         path.write_bytes(b"\xff\xfe{")
         with pytest.raises(SchemaError, match="not valid JSON"):
             read_grid_json(path)
+
+    @pytest.mark.parametrize("family_ref", [None, 7, ["legendre"]])
+    def test_json_reader_refuses_a_family_ref_that_is_not_a_string(
+            self, nested_family, tmp_path, family_ref):
+        path = tmp_path / "grid.json"
+        write_grid_json(smolyak_grid(nested_family, 2, 2), path, "legendre")
+        doc = json.loads(path.read_text())
+        doc["family_ref"] = family_ref
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="family_ref must be a string"):
+            read_grid_json(path)
+
+    def test_json_writer_refuses_a_family_ref_that_is_not_a_string(
+            self, nested_family, tmp_path):
+        path = tmp_path / "grid.json"
+        with pytest.raises(ParameterError, match="family_ref"):
+            write_grid_json(smolyak_grid(nested_family, 2, 2), path, None)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS)
+    @pytest.mark.parametrize("where, value", [("node", math.nan),
+                                              ("weight", math.inf)])
+    def test_non_finite_value_is_refused_before_writing(
+            self, nested_family, tmp_path, write, where, value):
+        grid = smolyak_grid(nested_family, 2, 2)
+        nodes, weights = grid.nodes.copy(), grid.weights.copy()
+        if where == "node":
+            nodes[1, 0] = value
+        else:
+            weights[1] = value
+        path = tmp_path / "grid.out"
+        with pytest.raises(ParameterError, match="finite"):
+            write(SparseGrid(grid.k, nodes, weights, nested_family), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS)
+    def test_failed_write_leaves_the_old_file(self, nested_family, tmp_path,
+                                              write):
+        path = tmp_path / "grid.out"
+        write(smolyak_grid(nested_family, 2, 2), path)
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        with mock.patch("os.replace", interrupted), \
+                pytest.raises(OSError, match="grid.out"):
+            write(smolyak_grid(nested_family, 3, 3), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["grid.out"]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 12),
+           family_ref=st.one_of(
+               st.sampled_from(["legendre", "jacobi(0.0,0.3)",
+                                "légendre ∞ \U0001d53c"]),
+               st.text()))
+    def test_files_match_the_encoders(self, nested_family, data, d, n,
+                                      family_ref):
+        nodes = np.array(data.draw(st.lists(
+            _GRID_VALUES, min_size=n * d, max_size=n * d))).reshape(n, d)
+        weights = data.draw(st.lists(_GRID_VALUES, min_size=n - 1,
+                                     max_size=n - 1))
+        weights.append(nested_family.family.mass ** d - math.fsum(weights))
+        grid = SparseGrid(1, nodes, np.array(weights), nested_family)
+        doc = {"d": d, "k": 1, "family_ref": family_ref,
+               "nodes": grid.nodes.tolist(), "weights": grid.weights.tolist()}
+        rows = [",".join(f"x{q + 1}" for q in range(d)) + ",weight"]
+        for point, weight in zip(grid.nodes.tolist(), grid.weights.tolist()):
+            rows.append(",".join(map(repr, [*point, weight])))
+        with tempfile.TemporaryDirectory() as tmp:
+            json_path = os.path.join(tmp, "grid.json")
+            csv_path = os.path.join(tmp, "grid.csv")
+            write_grid_json(grid, json_path, family_ref)
+            write_grid_csv(grid, csv_path)
+            with open(json_path, "rb") as fh:
+                assert fh.read() == (json.dumps(doc, indent=2)
+                                     + "\n").encode()
+            with open(csv_path, "rb") as fh:
+                assert fh.read() == ("\n".join(rows) + "\n").encode()
+            back_nodes, back_weights, back_ref = read_grid_json(json_path)
+        assert back_ref == family_ref
+        assert np.array_equal(back_nodes.view(np.int64),
+                              grid.nodes.view(np.int64))
+        assert np.array_equal(back_weights.view(np.int64),
+                              grid.weights.view(np.int64))
