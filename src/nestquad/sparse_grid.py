@@ -350,7 +350,8 @@ class SparseGrid:
     """Merged node/weight set of the level-k sparse operator in d dims.
 
     Combination weights can be negative; the total still sums to unit mass
-    for probability-normalized families.
+    for probability-normalized families.  Nodes and weights must be
+    finite, as a ``QuadratureRule``'s are.
     """
 
     k: int
@@ -364,6 +365,8 @@ class SparseGrid:
         if (nodes.ndim != 2 or nodes.shape[0] != weights.size
                 or nodes.shape[1] < 1):
             raise ParameterError("nodes must be (node_count, d), d >= 1")
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise ParameterError("grid nodes and weights must be finite")
         mass = float(self.source.family.mass) ** nodes.shape[1]
         # the rounding of the sum grows with sum |w|, which the combination
         # coefficients C(d - 1, k - 1 - r) inflate at large d
@@ -582,10 +585,8 @@ def _grid_strings(grid: SparseGrid):
     """The ``repr`` of each node's coordinates and then of its weight, as
     an (N, d + 1) object array; ``json`` writes a float as its ``repr``
     too.  A grid holds few distinct values, and each is formatted once;
-    distinct means distinct bits, so -0.0 keeps its sign.  ParameterError
-    if a value is not finite, which no reader would take back."""
-    if not (np.isfinite(grid.nodes).all() and np.isfinite(grid.weights).all()):
-        raise ParameterError("grid nodes and weights must be finite")
+    distinct means distinct bits, so -0.0 keeps its sign.  Every value is
+    finite, as ``SparseGrid`` requires, so a reader takes each back."""
     bits = np.column_stack((grid.nodes, grid.weights)).view(np.int64)
     distinct = _sorted_distinct(bits.ravel())
     text = np.array(list(map(float.__repr__, distinct.view(float).tolist())),

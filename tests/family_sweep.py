@@ -16,7 +16,7 @@ The script puts its own tree's ``src`` first on the path, so to sweep an
 older tree, copy this file into that tree's ``tests`` and run it there.
 
 BLAS is pinned to one thread, because threaded reductions may round
-differently from run to run.  The full run takes about six seconds
+differently from run to run.  The full run takes about two seconds
 on a 2-CPU x86 host.  pytest does not collect this file.
 """
 

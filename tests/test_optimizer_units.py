@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 
+from nestquad import nested_optimizer
 from nestquad.errors import (
     ConvergenceError,
     FeasibilityError,
@@ -22,7 +23,7 @@ from nestquad.nested_optimizer import (
     prune_negligible,
 )
 from nestquad.nested_optimizer import _DAMPING, _NORMAL_MIN_COLS, \
-    _PLATEAU_RUN, _STALL_DECREMENT, _STALL_RUN, _DiagnosticsLog, \
+    _PLATEAU_RUN, _STALL_RATIO, _DiagnosticsLog, \
     _MomentProblem, \
     _damped_step, _node_polynomial_seed, _normal_solve, _pair_problem, \
     _solve_degree, _step_from_svd
@@ -547,7 +548,7 @@ class TestActiveRows:
 
 
 class TestSolveDegree:
-    """One Gauss-Newton run at a fixed degree and its four outcomes."""
+    """One Gauss-Newton run at a fixed degree and its six outcomes."""
 
     @staticmethod
     def _problem(n1, alpha2, config):
@@ -594,28 +595,56 @@ class TestSolveDegree:
         assert state.best_residual > config.epsilon
 
     def test_decrement_stall_ends_the_degree(self):
-        # no 3-node rule reaches degree 6: the residual settles near 0.44
-        # while the Newton decrement shrinks tenfold a step.  The degree
-        # ends after _STALL_RUN decrements below _STALL_DECREMENT |R|, the
-        # relative test, while every decrement is still above epsilon and
-        # long before the plateau test or the per-degree budget could end it
+        # no 3-node rule reaches degree 6.  The degree ends at its first
+        # weak step, one whose decrement falls below _STALL_RATIO times the
+        # |R| it was computed at, while every decrement is still above
+        # epsilon and long before the plateau test or the per-degree
+        # budget could end it
         config = OptimizerConfig(max_iterations=1000)
         problem, d0 = self._problem(1, 6, config)
         state = OptimizerState()
         log = _DiagnosticsLog(None)
         _, outcome, _ = _solve_degree(problem, d0, config, state, log)
         assert outcome == "stall"
-        assert _STALL_RUN <= state.iteration < _PLATEAU_RUN
+        assert 0 < state.iteration < _PLATEAU_RUN
+        # each logged row is one step: the |R| it was computed at and its
+        # decrement
         rnorm, eta = np.array([[float(v) for v in row.split(",")[1:3]]
                                for row in log.lines[1:]]).T
-        # a step's decrement is tested against the residual after it; the
-        # last one's is not logged, but it is at least the best residual
-        after = np.append(rnorm[1:], state.best_residual)
-        small = eta < _STALL_DECREMENT * after
-        assert np.all(small[-_STALL_RUN:])
-        assert not small[-_STALL_RUN - 1]
+        weak = eta < _STALL_RATIO * rnorm
+        assert weak[-1] and not np.any(weak[:-1])
         assert np.all(eta > config.epsilon)
         assert state.best_residual > 100.0 * config.epsilon
+
+    def test_plateau_ends_the_degree_without_the_decrement_test(
+            self, monkeypatch):
+        # with no step weak enough to stall, the degree-6 run ends
+        # _PLATEAU_RUN steps after its last new best residual
+        monkeypatch.setattr(nested_optimizer, "_STALL_RATIO", 0.0)
+        config = OptimizerConfig(max_iterations=1000)
+        problem, d0 = self._problem(1, 6, config)
+        state = OptimizerState()
+        log = _DiagnosticsLog(None)
+        _, outcome, _ = _solve_degree(problem, d0, config, state, log)
+        assert outcome == "plateau"
+        rnorm = [float(row.split(",")[1]) for row in log.lines[1:]]
+        last_best = int(np.argmin(rnorm))
+        assert state.iteration - last_best == _PLATEAU_RUN
+        assert state.best_residual > 100.0 * config.epsilon
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 3])
+    def test_budget_ends_the_degree(self, max_steps):
+        # the per-degree step budget ends the degree-6 run before the
+        # decrement test does; with 0 the call only checks the start
+        config = OptimizerConfig(max_iterations=1000)
+        problem, d0 = self._problem(1, 6, config)
+        state = OptimizerState()
+        d, outcome, ev = _solve_degree(problem, d0, config, state,
+                                       max_steps=max_steps)
+        assert (outcome, ev) == ("budget", None)
+        assert state.iteration == max_steps
+        if max_steps == 0:
+            assert d is d0
 
     def test_infeasible_root_is_not_certified(self):
         # the Legendre extension of the Gauss-1 rule (node 0 frozen) at

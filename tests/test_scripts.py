@@ -21,10 +21,11 @@ _TIMING_END = (r"set-up +\d+\.\d{3} ms" "\n"
 
 @pytest.mark.parametrize("script, args, last", [
     ("search_digest.py", [], r"total iterations \d+"),
+    ("family_sweep.py", [], r"total iterations \d+"),
     ("cli_digest.py", [], r"  error: \S+: .+"),
     ("op_timing.py", ["--seconds", "0"], _TIMING_END),
     ("op_timing.py", ["--seconds", "0", "--workload", "grid"], _TIMING_END),
-], ids=["search_digest", "cli_digest", "op_timing-optimizer",
+], ids=["search_digest", "family_sweep", "cli_digest", "op_timing-optimizer",
         "op_timing-grid"])
 def test_script_runs(script, args, last):
     env = dict(os.environ)

@@ -305,6 +305,23 @@ class TestSmolyakWeights:
         assert SparseGrid(1, np.zeros((1, 3)), np.array([1.0]),
                           nested_family).d == 3
 
+    @pytest.mark.parametrize("where, value", [
+        ("node", math.nan), ("node", math.inf), ("node", -math.inf),
+        ("weight", math.nan), ("weight", math.inf)])
+    def test_non_finite_node_or_weight_is_refused(self, nested_family,
+                                                  where, value):
+        # a NaN or infinite weight makes the unit-mass check compare NaN,
+        # which is never greater than its bound; the grid is refused before
+        # it, as a QuadratureRule is
+        grid = smolyak_grid(nested_family, 2, 3)
+        nodes, weights = grid.nodes.copy(), grid.weights.copy()
+        if where == "node":
+            nodes[3, 1] = value
+        else:
+            weights[3] = value
+        with pytest.raises(ParameterError, match="finite"):
+            SparseGrid(grid.k, nodes, weights, nested_family)
+
     def test_determinism(self, nested_family):
         a = smolyak_grid(nested_family, 3, 4)
         b = smolyak_grid(nested_family, 3, 4)
