@@ -12,6 +12,7 @@ as ``warning: <message>`` lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -382,15 +383,17 @@ def cmd_sparse_grid(args) -> int:
         levels = gauss_levels(_table(family, args.k, search=False), args.k)
     else:
         needed = _chain_schedule(args.k)[-1]
+        catalog = args.catalog
+        if catalog is None:
+            catalog = os.environ.get("NESTQUAD_CATALOG")
         if args.autogen:
-            chain = _autogen_chain(family, needed, args.catalog)
+            chain = _autogen_chain(family, needed, catalog)
         else:
-            if not args.catalog or not os.path.isdir(args.catalog):
+            if not catalog or not os.path.isdir(catalog):
                 raise MissingDependencyError(
                     "no catalog directory; pass --catalog or set "
                     "NESTQUAD_CATALOG, or use --autogen")
-            chain = _nested_chain_from_catalog(catalog_scan(args.catalog),
-                                               family)
+            chain = _nested_chain_from_catalog(catalog_scan(catalog), family)
             if len(chain) < needed:
                 raise MissingDependencyError(
                     f"catalog provides a chain of {len(chain)} rules, "
@@ -415,7 +418,8 @@ def _resolve_function(name: str, params: str | None, d: int):
     weight on [-1,1]^d, or inf when it exceeds the float range.
 
     ``f`` maps the last axis of its argument to one value: it takes one
-    d-vector, or an (N, d) node array in a single call.
+    d-vector, or an (N, d) node array in a single call.  A parameter that
+    is not finite is refused with a UsageError naming it.
     """
     name = name.strip().lower()
     values = []
@@ -424,6 +428,9 @@ def _resolve_function(name: str, params: str | None, d: int):
             values = [float(p) for p in params.split(",") if p.strip()]
         except ValueError as exc:
             raise UsageError(f"bad --params {params!r}: {exc}") from exc
+    for value in values:
+        if not math.isfinite(value):
+            raise UsageError(f"--params value {value} is not finite")
 
     if name == "constant":
         return (lambda x: np.ones(np.shape(x)[:-1])), 1.0
@@ -524,7 +531,11 @@ def cmd_export(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It holds no state
+    from the environment: ``NESTQUAD_CATALOG`` is read when
+    ``sparse-grid`` runs."""
     parser = _Parser(prog="nestquad",
                      description="Nested quadrature rule toolkit")
     sub = parser.add_subparsers(dest="command")
@@ -572,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--schedule", choices=("nested", "gauss"),
                    default="nested")
-    p.add_argument("--catalog",
-                   default=os.environ.get("NESTQUAD_CATALOG"))
+    p.add_argument("--catalog", default=None)
     p.add_argument("--autogen", action="store_true",
                    help="generate missing univariate levels")
     p.add_argument("--out", default=None,

@@ -75,6 +75,17 @@ _TENSOR_CAP = 1e8
 _MERGE_TOL = 1e-14
 # Merged weights below this magnitude are candidates for removal.
 _DROP_TOL = 1e-15
+# ``_weighted_sum`` files each product m 2^e under slot e + _EXPONENT_BIAS:
+# np.frexp gives e from -1073 (the least subnormal) to 1024.
+_EXPONENT_BIAS = 1073
+_EXPONENT_SLOTS = 2098
+# x + c - c rounds a mantissa |x| < 1 to a multiple of 2^-17, and its
+# remainder to a multiple of 2^-35; the pieces scale to integers by these.
+_SPLITS = (1.5 * 2.0 ** 35, 1.5 * 2.0 ** 17)
+_PIECE_SCALES = np.array([[2.0 ** 17], [2.0 ** 35], [2.0 ** 53]])
+# Products go through the kernel in blocks of this many, which keeps its
+# temporaries small.
+_SUM_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -455,7 +466,8 @@ def integrate(grid: SparseGrid, f) -> float:
     N == d the array is square, a scalar integrand such as ``x[0] * x[1]``
     would also return N values, and ``f`` gets only the per-node calls.
 
-    The sum is ``math.fsum`` of the products w_q f(x_q).  A non-finite
+    The sum is the correctly rounded sum of the products w_q f(x_q), the
+    double ``math.fsum`` returns (see ``_weighted_sum``).  A non-finite
     value aborts with an evaluation error carrying the first offending
     node in node order.
     """
@@ -463,8 +475,58 @@ def integrate(grid: SparseGrid, f) -> float:
 
 
 def _weighted_sum(weights, values) -> float:
-    """math.fsum of the products w_q f(x_q)."""
-    return math.fsum((weights * values).tolist())
+    """The correctly rounded sum of the products w_q f(x_q): the double
+    ``math.fsum`` returns, bit for bit.
+
+    The sum is exact before its one rounding, with per-exponent
+    accumulators after Demmel & Hida (SIAM J. Sci. Comput. 25, 2003).
+    ``np.frexp`` writes each product as m 2^e with |m| < 1 a multiple of
+    2^-53.  Rounding m to a multiple of 2^-17, and what is left to a
+    multiple of 2^-35, splits it into three pieces of at most 18 bits,
+    and ``np.bincount`` sums each piece over the products sharing e.  Each
+    of these float sums is an integer multiple of its piece's unit below
+    2^53 units for fewer than 2^36 products, so it is exact.  One pass
+    over the exponents present adds the pieces up as one Python int, and
+    one int/int true division, which Python rounds correctly, gives the
+    double.
+
+    Two cases go to ``math.fsum`` as they are: a product that is not
+    finite (w_q f(x_q) can overflow when f(x_q) is finite), so that inf,
+    nan and the ValueError of inf - inf come out as ``math.fsum`` gives
+    them, and an exact total of zero, for the sign ``math.fsum`` gives
+    that zero.  A sum that rounds beyond the float range raises
+    OverflowError, as ``math.fsum`` does.  Where ``math.fsum`` raises
+    "intermediate overflow" on finite products whose exact sum is in
+    range, such as 1e308 + 1e308 - 1e308, this returns that sum rounded
+    (1e308).
+    """
+    products = weights * values
+    if not np.isfinite(products).all():
+        return math.fsum(products.tolist())
+    sums = np.zeros((3, _EXPONENT_SLOTS))
+    for start in range(0, products.size, _SUM_BLOCK):
+        mantissas, exponents = np.frexp(products[start:start + _SUM_BLOCK])
+        slots = exponents.astype(np.intp)
+        slots += _EXPONENT_BIAS
+        pieces = []
+        for split in _SPLITS:
+            piece = mantissas + split
+            piece -= split
+            mantissas -= piece
+            pieces.append(piece)
+        pieces.append(mantissas)
+        for row, piece in zip(sums, pieces):
+            row += np.bincount(slots, weights=piece,
+                               minlength=_EXPONENT_SLOTS)
+    digits = (sums * _PIECE_SCALES).astype(np.int64)
+    present = np.flatnonzero(digits.any(axis=0))
+    total = 0
+    for slot, (high, middle, low) in zip(present.tolist(),
+                                         digits[:, present].T.tolist()):
+        total += ((high << 36) + (middle << 18) + low) << slot
+    if total == 0:
+        return math.fsum(products.tolist())
+    return total / (1 << (_EXPONENT_BIAS + 53))
 
 
 def _node_values(nodes, f) -> np.ndarray:

@@ -7,11 +7,14 @@ d = 23, k = 4, the asymmetric jacobi(0, 0.3) chain 1 -> 3 -> 7 at
 d = 5, k = 4 and d = 3, k = 6, and Gauss levels with k > d (Legendre at
 d = 2, k = 6 and jacobi(0, 0.3) at d = 3, k = 5).  It prints one line
 per grid: its node count, a sha256 of its node bytes, a sha256 of its
-weight bytes, and the largest |w - w_ref| / max |w_ref| against the plain
+weight bytes, the largest |w - w_ref| / max |w_ref| against the plain
 dict merge ``oracles.reference_smolyak``, which sums each node's block
-terms in block order.  Two trees build the same grids exactly when their
-outputs are equal; a change that only re-rounds the weights keeps the
-node hashes and moves the weight hashes by a gap of a few ulps:
+terms in block order, and ``float.hex`` of ``integrate`` of the smooth
+integrand cos(0.5 + 0.3 (x_1 + ... + x_d)).  Two trees build the same
+grids exactly when the hashes are equal; a change that only re-rounds the
+weights keeps the node hashes and moves the weight hashes by a gap of a
+few ulps.  Two trees integrate the same bits exactly when the hex
+columns are equal:
 
     PYTHONPATH=src python tests/grid_digest.py > after.txt
 
@@ -59,9 +62,15 @@ def _line(name, levels, d, k) -> str:
         [levels.rule(i).weights for i in range(1, k + 1)], d, k)[1]
     gap = (np.max(np.abs(grid.weights - ref_weights))
            / np.max(np.abs(ref_weights)))
+    integral = nq.integrate(grid, _smooth)
     return (f"{name} d={d} k={k}: nodes {grid.node_count}, sha256 nodes "
             f"{_sha(grid.nodes)} weights {_sha(grid.weights)}, "
-            f"max|dw|/max|w| vs dict merge {gap:.2e}")
+            f"max|dw|/max|w| vs dict merge {gap:.2e}, "
+            f"integral {integral.hex()}")
+
+
+def _smooth(x):
+    return np.cos(0.5 + 0.3 * x.sum(axis=-1))
 
 
 def _sha(array) -> str:

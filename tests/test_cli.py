@@ -440,6 +440,24 @@ class TestSparseGrid:
         assert code == 0
         assert (cat / "gauss-legendre-n1.json").exists()
 
+    def test_env_var_is_read_when_the_command_runs(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the parser is built once per process, so a catalog set in the
+        # environment after the first main() call still counts
+        monkeypatch.delenv("NESTQUAD_CATALOG", raising=False)
+        argv = ["sparse-grid", "--family", "legendre", "--d", "2", "--k",
+                "3"]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 4 and "no catalog directory" in stderr
+        cat = tmp_path / "envcat"
+        monkeypatch.setenv("NESTQUAD_CATALOG", str(cat))
+        code, stdout, _ = run(capsys, *argv, "--autogen")
+        assert (code, stdout) == (0, "9\n")
+        assert (cat / "gauss-legendre-n1.json").exists()
+        code, stdout, _ = run(capsys, *argv)
+        assert (code, stdout) == (0, "9\n")
+        assert cli.build_parser() is cli.build_parser()
+
     def test_d1_equals_univariate_level(self, tmp_path, capsys):
         cat = tmp_path / "cat"
         code, stdout, _ = run(capsys, "sparse-grid", "--family", "legendre",
@@ -551,6 +569,22 @@ class TestIntegrate:
                          "--rule", str(pair_record), "--function",
                          "constant")
         assert code == 1
+
+    @pytest.mark.parametrize("name, params, bad", [
+        ("constant", "nan", "nan"),
+        ("monomial", "inf,1,1", "inf"),
+        ("monomial", "nan,1,1", "nan"),
+        ("product-exponential", "0.3,-inf,0.1", "-inf"),
+        ("genz-oscillatory", "inf,0.5,0.5,0.5", "inf"),
+    ])
+    def test_non_finite_param_is_usage_error(self, grid_path, capsys, name,
+                                             params, bad):
+        code, stdout, stderr = run(capsys, "integrate", "--grid",
+                                   str(grid_path), "--function", name,
+                                   "--params", params)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: --params value {bad} is not finite\n"
 
     def test_param_count_mismatch(self, grid_path, capsys):
         code, _, stderr = run(capsys, "integrate", "--grid", str(grid_path),

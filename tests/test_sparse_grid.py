@@ -490,6 +490,89 @@ class TestIntegrate:
         assert np.array_equal(err.value.node, bad)
 
 
+@st.composite
+def _summands(draw):
+    """Finite floats up to 1e300 in magnitude, from subnormal exponents up,
+    of mixed signs; some draws add near-cancelling partners, repeat the
+    values, or append their negations so that the exact total is zero."""
+    scattered = st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                          st.integers(-1074, 996))
+    values = draw(st.lists(scattered | st.floats(-1e300, 1e300),
+                           min_size=1, max_size=40))
+    if draw(st.booleans()):  # near-cancelling pairs
+        values += [-math.nextafter(v, draw(st.sampled_from([0.0, math.inf])))
+                   for v in values[:draw(st.integers(1, len(values)))]]
+    values *= draw(st.integers(1, 3))  # repeated values
+    if draw(st.booleans()):  # an exact total of zero
+        values = draw(st.permutations(values + [-v for v in values]))
+    return values
+
+
+class TestWeightedSum:
+    """``_weighted_sum`` returns the double ``math.fsum`` returns."""
+
+    @staticmethod
+    def _sum(values):
+        return sparse_grid._weighted_sum(np.array(values, dtype=float),
+                                         np.ones(len(values)))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(values=_summands())
+    def test_equals_fsum_bit_for_bit(self, values):
+        got, want = self._sum(values), math.fsum(values)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("values", [[0.0], [-0.0], [-0.0, -0.0],
+                                        [0.0, -0.0], [1.5, -1.5], []])
+    def test_zero_total_keeps_the_sign_of_fsum(self, values):
+        got, want = self._sum(values), math.fsum(values)
+        assert (got, math.copysign(1.0, got)) == (want,
+                                                 math.copysign(1.0, want))
+
+    def test_many_products_over_several_blocks(self):
+        # half the products are the largest mantissa at one exponent,
+        # whose top piece sums past 2^31; the rest span the smaller
+        # exponents, with near-cancellation at the end
+        rng = np.random.default_rng(3)
+        count = 3 * sparse_grid._SUM_BLOCK + 17
+        values = rng.standard_normal(count) * np.ldexp(
+            1.0, rng.integers(-1074, 1, size=count))
+        values[-100:] = -values[-200:-100] * (1.0 + 2.0 ** -52)
+        weights = rng.uniform(0.5, 2.0, size=count)
+        values[: count // 2] = 1.0 - 2.0 ** -53
+        weights[: count // 2] = 1.0
+        assert sparse_grid._weighted_sum(weights, values) == math.fsum(
+            (weights * values).tolist())
+
+    def test_overflowing_product_is_inf(self):
+        weights, values = np.array([1e200, 1.0]), np.array([1e200, -1.0])
+        with np.errstate(over="ignore"):
+            assert sparse_grid._weighted_sum(weights, values) == math.inf
+
+    def test_inf_minus_inf_raises_value_error(self):
+        with pytest.raises(ValueError):
+            math.fsum([math.inf, -math.inf])
+        with pytest.raises(ValueError):
+            self._sum([math.inf, 1.0, -math.inf])
+
+    def test_nan_is_nan(self):
+        assert math.isnan(self._sum([1.0, math.nan]))
+
+    def test_intermediate_overflow_gives_the_exact_sum(self):
+        # math.fsum overflows on 1e308 + 1e308 before -1e308 comes in
+        values = [1e308, 1e308, -1e308]
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            math.fsum(values)
+        assert self._sum(values) == 1e308
+
+    def test_sum_beyond_the_float_range_overflows(self):
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308])
+        with pytest.raises(OverflowError):
+            self._sum([1e308, 1e308])
+
+
 class TestMergeCorrectness:
     @pytest.mark.parametrize("func", [
         lambda x: math.cos(x.sum()),
