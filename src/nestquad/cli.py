@@ -43,7 +43,7 @@ from .nested_optimizer import (
     generate_nested,
     prune_negligible,
 )
-from .nested_optimizer import _pair_start
+from .nested_optimizer import _new_nodes, _start_degree
 from .orthopoly import (
     WeightFamily,
     chebyshev1,
@@ -157,15 +157,11 @@ def _parse_n1_list(text: str) -> list:
     return values
 
 
-def _table(family: WeightFamily, n: int, *, search: bool):
-    """Recurrence table for building an n-node rule.
-
-    No n-node rule is exact for degree 2n (Gauss optimality).  A Gauss rule
-    needs the table through its degree 2n - 1.  A search starts at degree
-    2n - 1 at most and also probes degree 2n, where it must fail, so its
-    upward probe ends by failing, never by running out of table.
-    """
-    return recurrence_coefficients(family, 2 * n if search else 2 * n - 1)
+def _table(family: WeightFamily, n: int):
+    """Recurrence table for an n-node rule, through degree 2n: a Gauss rule
+    needs 2n - 1, and a search's upward probe ends by failing at 2n, where
+    no n-node rule is exact (Gauss optimality), not by running out of it."""
+    return recurrence_coefficients(family, 2 * n)
 
 
 # ---------------------------------------------------------------- generate
@@ -173,7 +169,7 @@ def _table(family: WeightFamily, n: int, *, search: bool):
 def _run_generation(task):
     """Worker for one n1; returns (n1, pair, iterations, error, seconds)."""
     family, n1, config, log_path = task
-    table = _table(family, 2 * n1 + 1, search=True)
+    table = _table(family, n1 + _new_nodes(n1))
     start = time.perf_counter()
     try:
         pair, state = generate_nested(n1, table, config, log_path=log_path)
@@ -223,7 +219,7 @@ def cmd_generate(args) -> int:
     config = OptimizerConfig(**overrides)
     # refuse a start degree out of range before any n1 is searched
     for n1 in n1_list:
-        _pair_start(config, n1)
+        _start_degree(config, n1, _new_nodes(n1), 2 * n1 - 1)
     many = len(n1_list) > 1
     tasks = [(family, n1, config, _derive_log_path(args.log, n1, many))
              for n1 in n1_list]
@@ -261,7 +257,7 @@ def _patterson_steps(rule, steps: int, config, prune: bool = False):
     ``pruned_from`` is the size before pruning, or None.
     """
     for _ in range(steps):
-        table = _table(rule.family, 2 * rule.n + 1, search=True)
+        table = _table(rule.family, rule.n + _new_nodes(rule.n))
         rule, state = extend_patterson(rule, table, config)
         pruned_from = None
         if prune:
@@ -302,7 +298,7 @@ def cmd_gauss(args) -> int:
     family = _parse_family(args.family, args.params)
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    rule = gauss_rule(_table(family, args.n, search=False), args.n)
+    rule = gauss_rule(_table(family, args.n), args.n)
     if args.out is not None:
         save(make_rule_record(rule), args.out)
     print(f"n={rule.n} alpha={rule.exactness_degree} "
@@ -364,7 +360,7 @@ def _autogen_chain(family, entries, catalog_dir):
     """A Gauss seed and its extensions, ``entries`` rules in all; they are
     saved to ``catalog_dir`` only once every step has succeeded."""
     config = OptimizerConfig()
-    seed = gauss_rule(_table(family, 1, search=False), 1)
+    seed = gauss_rule(_table(family, 1), 1)
     steps = list(_patterson_steps(seed, entries - 1, config))
     if catalog_dir:
         os.makedirs(catalog_dir, exist_ok=True)
@@ -380,7 +376,7 @@ def cmd_sparse_grid(args) -> int:
     if args.d < 1 or args.k < 1:
         raise UsageError("--d and --k must be at least 1")
     if args.schedule == "gauss":
-        levels = gauss_levels(_table(family, args.k, search=False), args.k)
+        levels = gauss_levels(_table(family, args.k), args.k)
     else:
         needed = _chain_schedule(args.k)[-1]
         catalog = args.catalog

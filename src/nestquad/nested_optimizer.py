@@ -20,11 +20,13 @@ may be frozen: they enter the residual like any node, but they are constants of
 the problem, so the decision vector d = (movable x, w_1, ..., w_B) holds
 only what a step can move, and a frozen node carries no penalty.
 
-- A nested (Kronrod-type) pair is two blocks over n_2 = 2 n_1 + 1 nodes:
+Both constructions add m nodes (``_new_nodes``, today n + 1) to a base of n:
+
+- A nested (Kronrod-type) pair is two blocks over n_2 = n_1 + m nodes:
   the coarse rule (``subset_map``, alpha_1) and the fine rule (all nodes,
   alpha_2).  Every coarse node is literally a fine node, so one set of
   integrand evaluations yields two estimates and an error indicator.
-- A Patterson extension is one block over all 2 n + 1 nodes whose trailing
+- A Patterson extension is one block over all n + m nodes whose trailing
   n nodes are the frozen base rule (T.N.L. Patterson, Math. Comp. 22, 1968).
 
 Node bounds and a small positive weight floor are enforced by quadratic
@@ -33,8 +35,7 @@ shrinks.  The augmented system [R; c_k P] is driven to zero by
 Levenberg-Marquardt damped Gauss-Newton steps (``_damped_step``), built
 at the active rows only (``_MomentProblem.jacobian``).
 
-The last block's degree is searched downward from 3 n + 1, n the size of
-the base rule (the frozen rule, or the coarse Gauss rule of a pair), each
+The last block's degree is searched downward from n + 2 m - 1, each
 degree from its node-polynomial seed (``_node_polynomial_seed``), and then
 probed upward from the highest certified degree (``_drive``).  A degree
 certifies when its iterate converges and passes ``check_feasible``, and is
@@ -139,10 +140,11 @@ _PRUNE_THRESHOLD = 1e-13
 class OptimizerConfig:
     """Tunables of the nested-rule search.
 
-    ``alpha2_initial`` overrides the default start 3 n + 1 of the
-    fine-degree search for a (2 n + 1)-node rule, the degree at which the
-    node polynomial of the n + 1 new nodes is unique; it may not exceed
-    4 n + 1, the highest degree such a rule can reach.
+    ``alpha2_initial`` overrides the default start n + 2 m - 1 of the
+    fine-degree search for a rule of n base and m new nodes, the degree at
+    which the node polynomial of the new nodes is unique; it must exceed
+    the base's degree and may not exceed 2 (n + m) - 1, the highest degree
+    an (n + m)-node rule can reach.
     """
 
     epsilon: float = 1e-12
@@ -231,11 +233,13 @@ class _MomentProblem:
     d = (movable nodes, w_1, ..., w_B) with one weight block per rule.
     Moment rows come in block order; penalty rows are the nodes, a frozen
     node's row always zero, then the weights from the last block to the
-    first.
+    first.  ``slots`` = (base, new) slice the node vector, by default the
+    frozen and the movable nodes; ``new`` counts the m new nodes and
+    ``square`` is their ``_square_degree``.
     """
 
     def __init__(self, n: int, blocks, config: OptimizerConfig,
-                 table: RecurrenceTable, frozen=()):
+                 table: RecurrenceTable, frozen=(), slots=None):
         self.n = n
         self.idx = [np.asarray(idx, dtype=int) for idx, _ in blocks]
         self.degrees = [int(alpha) for _, alpha in blocks]
@@ -245,6 +249,10 @@ class _MomentProblem:
         self.table = table
         self.frozen = np.asarray(frozen, dtype=float)
         self.n_free = n - self.frozen.size
+        self.base_slots, self.new_slots = slots or (
+            slice(self.n_free, n), slice(0, self.n_free))
+        self.new = len(range(n)[self.new_slots])
+        self.square = _square_degree(n - self.new, self.new)
         ends = np.cumsum([self.n_free] + [idx.size for idx in self.idx])
         self.weights = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
         self.n_unknowns = int(ends[-1])
@@ -276,10 +284,36 @@ class _MomentProblem:
                                   self.nodes(d), ev)
 
     @functools.cached_property
-    def seed_basis(self) -> _SeedBasis:
-        """What every node-polynomial seed of this problem's search shares,
-        built on first use."""
-        return _SeedBasis(self)
+    def base_rule(self):
+        """(nodes, start weights) of the base y_1..y_n: an extension's
+        frozen nodes, or a pair's Gauss nodes and weights."""
+        if self.frozen.size:
+            return self.frozen, []
+        nodes = _gauss_nodes(self.table, self.n - self.new)
+        return nodes, [_gauss_weights(self.table, nodes)]
+
+    @functools.cached_property
+    def gram_factors(self):
+        """(P, u): the rows p_0..p_m at the nodes t of a Gauss-g rule, and
+        its Christoffel weights times pi = prod (t - y_k), scaled by the
+        largest |pi| (which cancels in c), so that the Gram matrix of
+        degree k is (P[:k] * u) @ P.T.
+
+        Its entries pi p_i p_j have degree n + k - 1 + m, at most both
+        n + 2 m - 1 and alpha, so a Gauss rule of g points with 2 g - 1
+        at least either bound integrates them exactly; the table, which
+        reaches alpha, caps g no lower than that.  Its weights' evaluation,
+        through g - 1 >= m, holds p_0..p_m at its nodes.
+        """
+        table, (base, _), m = self.table, self.base_rule, self.new
+        g = min((self.square + 1) // 2 + 2, table.capacity + 1)
+        t = _gauss_nodes(table, g)
+        V = eval_orthonormal(table, g - 1, t)
+        diff = t[:, None] - base[None, :]
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(np.abs(diff)).sum(axis=1)
+        pi = np.prod(np.sign(diff), axis=1) * np.exp(log_pi - log_pi.max())
+        return V[:m + 1], _christoffel_weights(V) * pi
 
     def _block_rows(self, matrix):
         # np.take keeps the C order of a values-only evaluation at the
@@ -399,15 +433,17 @@ class _MomentProblem:
 
 def _pair_problem(n1: int, table: RecurrenceTable, alpha2: int,
                   config: OptimizerConfig) -> _MomentProblem:
-    """The nested-pair layout over n_2 = 2 n_1 + 1 nodes: the coarse block
-    (every second node, degree 2 n_1 - 1) and the fine block (all nodes,
-    ``alpha2``), nothing frozen."""
+    """The nested-pair layout over n_2 = n_1 + m nodes: the coarse block
+    (the odd slots, degree 2 n_1 - 1) between the new nodes and the fine
+    block (all nodes, ``alpha2``), nothing frozen."""
     if n1 < 1:
         raise ParameterError("n1 must be at least 1")
-    n2 = 2 * n1 + 1
+    n2 = n1 + _new_nodes(n1)
     table.require(alpha2)
-    blocks = [(range(1, 2 * n1, 2), 2 * n1 - 1), (range(n2), alpha2)]
-    return _MomentProblem(n2, blocks, config, table)
+    coarse = slice(1, n2, 2)
+    blocks = [(range(n2)[coarse], 2 * n1 - 1), (range(n2), alpha2)]
+    return _MomentProblem(n2, blocks, config, table,
+                          slots=(coarse, slice(0, n2, 2)))
 
 
 def penalty_coefficient(residual_norm: float) -> float:
@@ -469,64 +505,35 @@ def _damped_step(J: np.ndarray, r: np.ndarray, lam: float):
     return step, float(math.sqrt(abs(float(np.dot(step, g)))))
 
 
-def _start_degree(config: OptimizerConfig, n: int) -> int:
-    """Start degree of the search for a (2 n + 1)-node rule, by default
-    3 n + 1; a start beyond 4 n + 1, where no such rule is exact, is
-    refused before any table is asked for it."""
-    alpha2, top = config.alpha2_initial, 4 * n + 1
-    if alpha2 is not None and alpha2 > top:
+def _new_nodes(n: int) -> int:
+    """m, the number of nodes a nested search adds to a base of n nodes:
+    n + 1, as Kronrod's pairs and Patterson's extensions do."""
+    return n + 1
+
+
+def _square_degree(n: int, m: int) -> int:
+    """Where m nodes added to n give as many unknowns as moment rows."""
+    return n + 2 * m - 1
+
+
+def _start_degree(config: OptimizerConfig, n: int, m: int,
+                  floor: int) -> int:
+    """Start degree of the search adding m nodes to a base of n, by
+    default the square degree; a start at or below ``floor``, the base's
+    degree, or above 2 (n + m) - 1, where no (n + m)-node rule is exact,
+    is refused before any table is asked for it."""
+    alpha2, top = config.alpha2_initial, 2 * (n + m) - 1
+    if alpha2 is None:
+        return _square_degree(n, m)
+    if alpha2 > top:
         raise ParameterError(
             f"alpha2_initial={alpha2} exceeds {top}, the highest degree a "
-            f"{2 * n + 1}-node rule can reach")
-    return 3 * n + 1 if alpha2 is None else alpha2
-
-
-def _pair_start(config: OptimizerConfig, n1: int) -> int:
-    """Start degree of the pair search, which must exceed alpha1 = 2 n1 - 1."""
-    alpha2 = _start_degree(config, n1)
-    if alpha2 <= 2 * n1 - 1:
-        raise ParameterError("alpha2_initial must exceed alpha1 = 2 n1 - 1")
+            f"{n + m}-node rule can reach")
+    if alpha2 <= floor:
+        raise ParameterError(
+            f"alpha2_initial={alpha2} must exceed {floor}, the base rule's "
+            f"degree")
     return alpha2
-
-
-class _SeedBasis:
-    """The degree-independent part of the node-polynomial seeds of one
-    search: the base nodes y_1..y_n (the frozen rule, or the Gauss-n_1
-    nodes of a pair, whose Gauss weights start the coarse block) and the
-    factors of the Gram matrix, built when a degree first needs them."""
-
-    def __init__(self, problem: _MomentProblem):
-        self.table = problem.table
-        self.pair = not problem.frozen.size
-        if self.pair:
-            self.base = _gauss_nodes(self.table, problem.idx[0].size)
-            self.base_weights = _gauss_weights(self.table, self.base)
-        else:
-            self.base, self.base_weights = problem.frozen, None
-
-    @functools.cached_property
-    def gram_factors(self):
-        """(P, u): the rows p_0..p_m at the nodes t of a Gauss-g rule, and
-        its Christoffel weights times pi = prod (t - y_k), scaled by the
-        largest |pi| (which cancels in c), so that the Gram matrix of
-        degree k is (P[:k] * u) @ P.T.
-
-        Its entries pi p_i p_j have degree n + k - 1 + m, at most both
-        n + 2 m - 1 and alpha, so a Gauss rule of g points with 2 g - 1
-        at least either bound integrates them exactly; the table, which
-        reaches alpha, caps g no lower than that.  Its weights' evaluation,
-        through g - 1 >= m, holds p_0..p_m at its nodes.
-        """
-        table, base = self.table, self.base
-        m = base.size + 1
-        g = min((base.size + 2 * m) // 2 + 2, table.capacity + 1)
-        t = _gauss_nodes(table, g)
-        V = eval_orthonormal(table, g - 1, t)
-        diff = t[:, None] - base[None, :]
-        with np.errstate(divide="ignore"):
-            log_pi = np.log(np.abs(diff)).sum(axis=1)
-        pi = np.prod(np.sign(diff), axis=1) * np.exp(log_pi - log_pi.max())
-        return V[:m + 1], _christoffel_weights(V) * pi
 
 
 def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
@@ -534,35 +541,33 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     as (d, ``problem.evaluate(d)``), or None when a root is complex or
     outside the domain.
 
-    With base nodes y_1..y_n (the frozen rule, or the Gauss-n_1 nodes of a
-    pair) and pi = prod (x - y_k), the 2 n + 1 nodes reach degree alpha
-    when the polynomial q_m = p_m + sum_{i<m} c_i p_i of the m = n + 1 new
-    nodes is orthogonal under pi w to p_0..p_{k-1}, k = alpha - 2 n
+    With base nodes y_1..y_n (``problem.base_rule``) and
+    pi = prod (x - y_k), the n + m nodes reach degree alpha when the
+    polynomial q_m = p_m + sum_{i<m} c_i p_i of the m new nodes is
+    orthogonal under pi w to p_0..p_{k-1}, k = alpha - n - m + 1
     (T.N.L. Patterson, Math. Comp. 22, 1968; G. Monegato, SIAM Rev. 24,
-    1982).  At alpha = 3 n + 1, k = m and q_m is unique; below it c is the
-    minimum-norm solution, and above it the 3 n + 1 polynomial is used.
-    The roots of q_m are the eigenvalues of J_m - sqrt(b_m) e_m c^T.  The
-    weights of the last block solve its moment system through ``alpha`` in
-    the least-squares sense; a pair's coarse block starts at the Gauss
-    weights.  A problem of at least ``_NORMAL_MIN_COLS`` unknowns, whose
-    steps take the normal equations, solves them from the normal
-    equations too when ``_normal_solve`` accepts their condition, and
-    every other through ``lstsq``.  The new nodes take the movable slots
-    of the layout: the even ones of a pair, all of an extension's, whose
-    base is frozen.  The Vandermonde of that least-squares solve is the
-    evaluation of the first Gauss-Newton iteration (same nodes, same
-    degree), so it is returned.  Everything that does not depend on
-    ``alpha`` comes from ``problem.seed_basis``, built once per search.
+    1982).  At the square degree n + 2 m - 1, k = m and q_m is unique;
+    below it c is the minimum-norm solution, and above it the square
+    degree's polynomial is used.  The roots of q_m are the eigenvalues of
+    J_m - sqrt(b_m) e_m c^T; they and the base fill the problem's slots.
+    The weights of the last block solve its moment system through
+    ``alpha`` in the least-squares sense; a pair's coarse block starts at
+    the Gauss weights.  A problem of at least ``_NORMAL_MIN_COLS``
+    unknowns, whose steps take the normal equations, solves them from the
+    normal equations too when ``_normal_solve`` accepts their condition,
+    and every other through ``lstsq``.  The Vandermonde of that
+    least-squares solve is the evaluation of the first Gauss-Newton
+    iteration (same nodes, same degree), so it is returned.  What does
+    not depend on ``alpha`` (``base_rule``, ``gram_factors``) is built
+    once per search.
     """
     table, domain = problem.table, problem.domain
-    basis = problem.seed_basis
-    base = basis.base
-    n = base.size
-    m = n + 1
+    base, base_weights = problem.base_rule
+    m = problem.new
     c = np.zeros(m)
-    k = min(alpha - 2 * n, m)
+    k = min(alpha - problem.n + 1, m)
     if k > 0:
-        P, u = basis.gram_factors
+        P, u = problem.gram_factors
         gram = (P[:k] * u) @ P.T
         c = np.linalg.lstsq(gram[:, :m], -gram[:, m], rcond=None)[0]
     off = np.sqrt(table.b[1:m])
@@ -577,12 +582,8 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
         return None
     new = np.clip(np.sort(roots.real), domain.lo, domain.hi)
 
-    if basis.pair:
-        x = np.empty(2 * n + 1)
-        x[0::2], x[1::2] = new, base
-        start = [x, basis.base_weights]
-    else:
-        x, start = np.concatenate([new, base]), [new]
+    x = np.empty(problem.n)
+    x[problem.new_slots], x[problem.base_slots] = new, base
     target = np.zeros(alpha + 1)
     target[0] = math.sqrt(table.b[0])
     V = eval_orthonormal(table, alpha, x)
@@ -591,7 +592,7 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
         fine = _normal_solve(V.T @ V, V.T @ target)
     if fine is None:
         fine = np.linalg.lstsq(V, target, rcond=None)[0]
-    return np.concatenate(start + [fine]), V
+    return np.concatenate([x[:problem.n_free], *base_weights, fine]), V
 
 
 class _DiagnosticsLog:
@@ -706,10 +707,9 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
     the search probes upward, warm from the last certified iterate, whose
     evaluation the probe grows by one recurrence row, until a probe fails.
 
-    A (2 n + 1)-node problem has as many unknowns as moment rows at the
-    square degree 3 n + 1, and each probe above it adds a row and no
-    unknown.  Such a probe takes no step: it certifies only when its
-    warm start already does, and is conceded otherwise.  On a symmetric
+    The problem has as many unknowns as moment rows at ``square``, and
+    each probe above it adds a row and no unknown.  Such a probe takes no
+    step: it certifies only when its warm start already does, and is conceded otherwise.  On a symmetric
     weight with a symmetric frozen base (trivially so for a pair, which
     freezes nothing), a probe to an odd degree keeps its steps, because
     the odd moment that vanishes in exact arithmetic may be left above
@@ -717,7 +717,6 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
     way).  Under an asymmetric base that moment does not vanish, so such a
     probe is as overdetermined as any other.
     """
-    square = 3 * ((problem.n - 1) // 2) + 1
     frozen = problem.frozen
     skew = np.max(np.abs(frozen + frozen[::-1]), initial=0.0)
     scale = max(1.0, np.max(np.abs(frozen), initial=0.0))
@@ -743,7 +742,7 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
 
     while problem.table.capacity >= alpha2 + 1:
         problem.set_degree(alpha2 + 1)
-        overdetermined = (alpha2 + 1 > square
+        overdetermined = (alpha2 + 1 > problem.square
                           and not (symmetric and (alpha2 + 1) % 2))
         probe, outcome, probe_ev = _solve_degree(
             problem, d, config, state, log,
@@ -771,19 +770,19 @@ def _search(problem: _MomentProblem, config: OptimizerConfig,
 def generate_nested(n1: int, table: RecurrenceTable,
                     config: OptimizerConfig | None = None,
                     log_path=None):
-    """Generate a certified nested pair with n_2 = 2 n_1 + 1 nodes.
+    """Generate a certified nested pair with n_2 = n_1 + m nodes.
 
     The coarse rule targets degree 2 n_1 - 1 (which forces it onto the
     Gauss rule); the fine degree is searched downward from
-    ``config.alpha2_initial`` (default 3 n_1 + 1, at most 4 n_1 + 1) to
-    2 n_1 at the lowest, each degree from the node-polynomial seed on the
-    Gauss nodes, and then probed upward.  Returns the pair and the
+    ``config.alpha2_initial`` (default n_1 + 2 m - 1, at most 2 n_2 - 1)
+    to 2 n_1 at the lowest, each degree from the node-polynomial seed on
+    the Gauss nodes, and then probed upward.  Returns the pair and the
     iteration diagnostics.
     Raises ConvergenceError when no degree certifies, FeasibilityError
     when a converged iterate is infeasible.
     """
     config = config or OptimizerConfig()
-    alpha2 = _pair_start(config, n1)
+    alpha2 = _start_degree(config, n1, _new_nodes(n1), 2 * n1 - 1)
     problem = _pair_problem(n1, table, alpha2, config)
     ((coarse, subset), (fine, _)), state = _search(
         problem, config, alpha2, 2 * n1 - 1, log_path)
@@ -796,24 +795,26 @@ def generate_nested(n1: int, table: RecurrenceTable,
 def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
                      config: OptimizerConfig | None = None,
                      log_path=None):
-    """Extend a certified rule by n + 1 nodes, keeping its nodes frozen.
+    """Extend a certified n-node rule by m nodes, keeping its nodes frozen.
 
-    Sequential (Patterson-style) construction: only the new node positions
-    and all 2 n + 1 weights are optimized against the fine moment
-    conditions.  Returns the extended rule (whose exactness degree is the
-    certified alpha_2) and the iteration diagnostics.  Raises
-    CapacityError before the search when the table stops short of degree
-    n + 1, the degree of the new nodes' polynomial.
+    Sequential (Patterson-style) construction: only the m new node
+    positions and all n + m weights are optimized against the fine moment
+    conditions, from ``config.alpha2_initial`` (default n + 2 m - 1) down.
+    Returns the extended rule (whose exactness degree is the certified
+    alpha_2) and the iteration diagnostics.  Raises ParameterError for a
+    start at or below the base's degree or above 2 (n + m) - 1, and
+    CapacityError when the table stops short of degree m, the degree of
+    the new nodes' polynomial, both before the search.
     """
     config = config or OptimizerConfig()
-    alpha2 = _start_degree(config, base.n)
+    m = _new_nodes(base.n)
+    alpha2 = _start_degree(config, base.n, m, base.exactness_degree)
     if base.family != table.family:
         raise ParameterError("base rule and table disagree on the family")
-    if table.capacity < base.n + 1:
+    if table.capacity < m:
         raise CapacityError(
-            f"table capacity {table.capacity} cannot reach degree "
-            f"{base.n + 1}, which the polynomial of the {base.n + 1} new "
-            f"nodes needs")
+            f"table capacity {table.capacity} cannot reach degree {m}, "
+            f"which the polynomial of the {m} new nodes needs")
     _, fresh, allowed = recheck(table, base.nodes, base.weights,
                                 base.exactness_degree, base.residual_norm)
     if fresh > allowed:
@@ -821,7 +822,7 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
             f"base rule fails its own certificate ({fresh:.3e}, allowed "
             f"{allowed:.3e})")
 
-    n2 = 2 * base.n + 1
+    n2 = base.n + m
     problem = _MomentProblem(n2, [(range(n2), alpha2)], config, table,
                              frozen=base.nodes)
     ((rule, _),), state = _search(problem, config, alpha2,

@@ -262,9 +262,9 @@ def save(record: RuleRecord, path) -> None:
 
 def _write_atomically(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8 through a temp file in the same
-    directory: fsync, rename over ``path``, then fsync the directory.  A
-    failure leaves ``path`` as it was and removes the temp file; the
-    OSError names ``path``."""
+    directory: fsync, rename over ``path``, then fsync the directory.  The
+    file gets the mode ``open`` would give it.  A failure leaves ``path``
+    as it was and removes the temp file; the OSError names ``path``."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = None
@@ -272,6 +272,9 @@ def _write_atomically(path, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory,
                                    prefix=f".{os.path.basename(path)}-",
                                    suffix=".tmp")
+        umask = os.umask(0o022)  # mkstemp's 0600 would hide the file
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.flush()
@@ -496,9 +499,8 @@ def catalog_scan(directory, verify: bool = True) -> Catalog:
 
 
 def write_rule_csv(rule: QuadratureRule, path) -> None:
-    """One node,weight row per line with a header, lossless decimals."""
-    lines = ["node,weight"]
-    for x, w in zip(rule.nodes, rule.weights):
-        lines.append(f"{float(x)!r},{float(w)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """One node,weight row per line with a header, lossless decimals,
+    written atomically."""
+    rows = [f"{float(x)!r},{float(w)!r}\n"
+            for x, w in zip(rule.nodes, rule.weights)]
+    _write_atomically(path, "node,weight\n" + "".join(rows))

@@ -19,7 +19,7 @@ from nestquad.errors import (
 )
 from nestquad import nested_optimizer
 from nestquad.gauss import QuadratureRule, gauss_rule, moment_residuals, \
-    verify_rule
+    recheck, verify_rule
 from nestquad.nested_optimizer import (
     OptimizerConfig,
     extend_patterson,
@@ -27,6 +27,7 @@ from nestquad.nested_optimizer import (
     hermite_to_laguerre,
 )
 from nestquad.orthopoly import (
+    RecurrenceTable,
     chebyshev1,
     custom_family,
     generalized_hermite,
@@ -752,6 +753,58 @@ class TestExtendPatterson:
             with pytest.raises(ParameterError, match="exceeds 13"):
                 extend_patterson(base, table,
                                  OptimizerConfig(alpha2_initial=start))
+
+    @pytest.mark.parametrize("start", [5, 3, -10 ** 9])
+    def test_start_at_or_below_the_base_fails_before_the_table(
+            self, monkeypatch, start):
+        # the Gauss-3 base is exact through degree 5, so an extension must
+        # start above it, as a pair must start above alpha1
+        table = recurrence_coefficients(legendre(), 14)
+        base = gauss_rule(table, 3)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a table was asked for a degree")
+        monkeypatch.setattr(RecurrenceTable, "require", fail)
+        with pytest.raises(ParameterError,
+                           match=f"alpha2_initial={start} must exceed 5"):
+            extend_patterson(base, table,
+                             OptimizerConfig(alpha2_initial=start))
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(family=st.one_of(
+        st.builds(jacobi, st.floats(-1.0, 5.0, exclude_min=True),
+                  st.floats(-1.0, 5.0, exclude_min=True)),
+        st.builds(generalized_laguerre,
+                  st.floats(-1.0, 3.0, exclude_min=True)),
+        st.builds(generalized_hermite, st.floats(0.0, 3.0))))
+    def test_chain_steps_certify_or_fail_by_name(self, family):
+        # Gauss-1 -> 3 -> 7: every step either raises a named error or
+        # certifies a rule that embeds its base bit for bit, passes the
+        # re-check of its stored certificate and comes back bit for bit
+        # when rerun
+        table = recurrence_coefficients(family, 14)
+        rule = gauss_rule(table, 1)
+        for n in (3, 7):
+            try:
+                extended, _ = extend_patterson(rule, table)
+            except NestQuadError:
+                return
+            assert extended.n == n
+            assert extended.exactness_degree > rule.exactness_degree
+            assert np.all(extended.weights > 0.0)
+            positions = np.searchsorted(extended.nodes, rule.nodes)
+            assert (extended.nodes[positions].tobytes()
+                    == rule.nodes.tobytes())
+            _, fresh, allowed = recheck(
+                table, extended.nodes, extended.weights,
+                extended.exactness_degree, extended.residual_norm)
+            assert fresh <= allowed
+            again, _ = extend_patterson(rule, table)
+            assert again.nodes.tobytes() == extended.nodes.tobytes()
+            assert again.weights.tobytes() == extended.weights.tobytes()
+            assert (again.exactness_degree, again.residual_norm) == (
+                extended.exactness_degree, extended.residual_norm)
+            rule = extended
 
     def test_rejects_uncertified_base(self):
         table = table_for(legendre(), 12)

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -585,3 +586,26 @@ class TestCsvExport:
             xs, ws = line.split(",")
             assert float(xs) == x
             assert float(ws) == w
+
+    def test_failed_write_leaves_the_old_file(self, leg_table, tmp_path):
+        path = tmp_path / "rule.csv"
+        write_rule_csv(gauss_rule(leg_table, 3), path)
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        with mock.patch("os.replace", interrupted), \
+                pytest.raises(OSError, match="rule.csv"):
+            write_rule_csv(gauss_rule(leg_table, 5), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["rule.csv"]
+
+    def test_files_get_the_mode_open_gives(self, leg_table, tmp_path):
+        rule = gauss_rule(leg_table, 3)
+        (tmp_path / "plain").write_text("")
+        write_rule_csv(rule, tmp_path / "rule.csv")
+        save(make_rule_record(rule), tmp_path / "rule.json")
+        modes = {name: os.stat(tmp_path / name).st_mode & 0o777
+                 for name in ("plain", "rule.csv", "rule.json")}
+        assert modes["rule.csv"] == modes["rule.json"] == modes["plain"]
