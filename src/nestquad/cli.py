@@ -100,6 +100,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_params(params: str | None) -> list:
+    """The numbers of a comma-separated --params flag; none when absent."""
+    if not params:
+        return []
+    try:
+        return [float(p) for p in params.split(",") if p.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad --params {params!r}: {exc}") from exc
+
+
 def _parse_family(name: str, params: str | None) -> WeightFamily:
     """Resolve a family flag such as "jacobi" + "0,0.3" or "hermite-rho1".
 
@@ -107,12 +117,7 @@ def _parse_family(name: str, params: str | None) -> WeightFamily:
     parameter; it cannot be combined with --params.
     """
     text = name.strip().lower()
-    values = []
-    if params:
-        try:
-            values = [float(p) for p in params.split(",") if p.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad --params {params!r}: {exc}") from exc
+    values = _parse_params(params)
     suffix_rho = None
     if "-rho" in text:
         text, _, tail = text.partition("-rho")
@@ -166,28 +171,6 @@ def _table(family: WeightFamily, n: int):
 
 # ---------------------------------------------------------------- generate
 
-def _run_generation(task):
-    """Worker for one n1; returns (n1, pair, iterations, error, seconds)."""
-    family, n1, config, log_path = task
-    table = _table(family, n1 + _new_nodes(n1))
-    start = time.perf_counter()
-    try:
-        pair, state = generate_nested(n1, table, config, log_path=log_path)
-    except (ConvergenceError, FeasibilityError, NumericalError) as exc:
-        return n1, None, 0, f"{type(exc).__name__}: {exc}", \
-            time.perf_counter() - start
-    return n1, pair, state.iteration, None, time.perf_counter() - start
-
-
-def _process_pool(workers: int):
-    """A pool of ``workers`` processes.  Only ``generate`` with several
-    --n1 values needs one, so concurrent.futures (and the multiprocessing,
-    logging and socket modules it pulls in) is imported here, not with the
-    CLI."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def _derive_log_path(log, n1, many):
     if log is None:
         return None
@@ -221,30 +204,28 @@ def cmd_generate(args) -> int:
     for n1 in n1_list:
         _start_degree(config, n1, _new_nodes(n1), 2 * n1 - 1)
     many = len(n1_list) > 1
-    tasks = [(family, n1, config, _derive_log_path(args.log, n1, many))
-             for n1 in n1_list]
-
-    if many:
-        workers = min(len(tasks), os.cpu_count() or 1)
-        with _process_pool(workers) as pool:
-            results = list(pool.map(_run_generation, tasks))
-    else:
-        results = [_run_generation(tasks[0])]
-
     failed = False
-    for n1, pair, iterations, error, seconds in results:
-        if pair is None:
-            print(f"n1={n1} FAILED {error}", file=sys.stderr)
+    for n1 in n1_list:
+        table = _table(family, n1 + _new_nodes(n1))
+        start = time.perf_counter()
+        try:
+            pair, state = generate_nested(
+                n1, table, config,
+                log_path=_derive_log_path(args.log, n1, many))
+        except (ConvergenceError, FeasibilityError, NumericalError) as exc:
+            print(f"n1={n1} FAILED {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             failed = True
             continue
+        seconds = time.perf_counter() - start
         path = _out_path_for_pair(args.out, family, n1, many)
         if path is not None:
-            save(make_pair_record(pair, config, iterations), path)
+            save(make_pair_record(pair, config, state.iteration), path)
         print(f"n1={n1} n2={pair.fine.n} "
               f"alpha1={pair.coarse.exactness_degree} "
               f"alpha2={pair.fine.exactness_degree} "
               f"residual={pair.residual_norm:.3e} "
-              f"iterations={iterations} time={seconds:.2f}s")
+              f"iterations={state.iteration} time={seconds:.2f}s")
     return EXIT_CONVERGENCE if failed else EXIT_OK
 
 
@@ -418,12 +399,7 @@ def _resolve_function(name: str, params: str | None, d: int):
     is not finite is refused with a UsageError naming it.
     """
     name = name.strip().lower()
-    values = []
-    if params:
-        try:
-            values = [float(p) for p in params.split(",") if p.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad --params {params!r}: {exc}") from exc
+    values = _parse_params(params)
     for value in values:
         if not math.isfinite(value):
             raise UsageError(f"--params value {value} is not finite")
@@ -466,8 +442,17 @@ def _resolve_function(name: str, params: str | None, d: int):
     raise UsageError(f"unknown function {name!r}")
 
 
-def _truth_applies(family_ref: str) -> bool:
-    return family_ref.startswith("legendre")
+def _e_mu(estimate: float, truth: float, fn_name: str,
+          family_ref: str) -> str:
+    """The `` e_mu=`` field of an ``integrate`` line: the error against
+    ``truth`` (the uniform weight's; any weight's for ``constant``),
+    absolute and marked ``abs:`` for a zero truth; "" where none applies."""
+    if not ((fn_name == "constant" or family_ref.startswith("legendre"))
+            and math.isfinite(truth)):
+        return ""
+    if truth == 0.0:
+        return f" e_mu=abs:{abs(estimate):.3e}"
+    return f" e_mu={abs((estimate - truth) / truth):.3e}"
 
 
 def cmd_integrate(args) -> int:
@@ -479,14 +464,8 @@ def cmd_integrate(args) -> int:
         nodes, weights, family_ref = read_grid_json(args.grid)
         f, truth = _resolve_function(fn_name, args.params, nodes.shape[1])
         estimate = _weighted_sum(weights, _node_values(nodes, f))
-        line = f"estimate={estimate:.12e}"
-        if ((fn_name == "constant" or _truth_applies(family_ref))
-                and math.isfinite(truth)):
-            if truth == 0.0:
-                line += f" e_mu=abs:{abs(estimate):.3e}"
-            else:
-                line += f" e_mu={abs((estimate - truth) / truth):.3e}"
-        print(line)
+        print(f"estimate={estimate:.12e}"
+              + _e_mu(estimate, truth, fn_name, family_ref))
         return EXIT_OK
 
     record = load(args.rule)
@@ -499,12 +478,8 @@ def cmd_integrate(args) -> int:
     mu1 = _weighted_sum(pair.coarse.weights, values[list(pair.subset_map)])
     mu2 = _weighted_sum(pair.fine.weights, values)
     e_i = abs((mu1 - mu2) / mu2) if mu2 != 0.0 else abs(mu1 - mu2)
-    line = f"coarse={mu1:.12e} fine={mu2:.12e} e_I={e_i:.3e}"
-    if ((fn_name == "constant" or _truth_applies(record.family.label()))
-            and math.isfinite(truth)):
-        if truth != 0.0:
-            line += f" e_mu={abs((mu2 - truth) / truth):.3e}"
-    print(line)
+    print(f"coarse={mu1:.12e} fine={mu2:.12e} e_I={e_i:.3e}"
+          + _e_mu(mu2, truth, fn_name, record.family.label()))
     return EXIT_OK
 
 

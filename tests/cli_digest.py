@@ -3,14 +3,13 @@
 Runs a fixed list of calls through ``nestquad.cli.main`` in a temporary
 directory and prints one line per call: its arguments, its exit code and
 a sha256 of its stdout, with ``time=`` values masked.  Under each call it
-prints one line per file the call wrote or changed: the file's path, a
-sha256 of its bytes with ``provenance.timestamp`` and
-``provenance.iterations`` masked, and, for a record, its provenance
-iteration count in clear text.  The last calls read corrupted copies of
-files the earlier ones wrote; under each of them the script also prints
-the ``error:`` lines of its stderr, since an exit code alone does not tell
-one refusal from another.  Two trees behave the same at the CLI exactly
-when their outputs are equal:
+prints the lines of its stderr, since an exit code alone does not tell
+one refusal or failed search from another, then one line per file the
+call wrote or changed: the file's path, a sha256 of its bytes with
+``provenance.timestamp`` and ``provenance.iterations`` masked, and, for a
+record, its provenance iteration count in clear text.  The last calls
+read corrupted copies of files the earlier ones wrote.  Two trees behave
+the same at the CLI exactly when their outputs are equal:
 
     PYTHONPATH=src python tests/cli_digest.py > after.txt
 
@@ -52,6 +51,7 @@ CALLS = [
     "generate --family legendre --n1 1,2 --out batch",
     "generate --family jacobi --params 0,0.3 --n1 2 --log gen.csv",
     "generate --family legendre --n1 3 --alpha2-init 12 --out pair12.json",
+    "generate --family legendre --n1 1,3 --eps 1e-16 --log mixed.csv",
     "gauss --family legendre --n 1 --out g1.json",
     "gauss --family legendre --n 3 --out g3.json",
     "extend --in g1.json --steps 3 --prune --out ext",
@@ -152,17 +152,15 @@ def _file_line(path, data: bytes) -> str:
     return line
 
 
-def _run(call: str, errors: bool = False):
+def _run(call: str):
     before = _snapshot()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(call.split())
     stdout = re.sub(r"time=\S+", "time=*", out.getvalue())
     yield f"{call}: exit {code} stdout {_sha(stdout.encode('utf-8'))}"
-    if errors:
-        for line in err.getvalue().splitlines():
-            if line.startswith("error:"):
-                yield f"  {line}"
+    for line in err.getvalue().splitlines():
+        yield f"  {line}"
     for path, data in sorted(_snapshot().items()):
         if before.get(path) != data:
             yield _file_line(path, data)
@@ -182,7 +180,7 @@ def main() -> None:
             for setup, call in CORRUPT_CALLS:
                 if setup is not None:
                     setup()
-                for line in _run(call, errors=True):
+                for line in _run(call):
                     print(line, flush=True)
         finally:
             os.chdir(start)

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -98,16 +101,63 @@ class TestGenerate:
     def test_batch_start_out_of_range_searches_nothing(self, capsys,
                                                        monkeypatch, start):
         # 12 is above what n1=1 can reach, 3 not above alpha1 of n1=5;
-        # either is refused before the pool searches the other n1
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the worker pool was started")
+        # either is refused before the other n1 is searched
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search was started")
 
-        monkeypatch.setattr(cli, "_process_pool", no_pool)
-        monkeypatch.setattr(cli, "_run_generation", no_pool)
+        monkeypatch.setattr(cli, "generate_nested", no_search)
         code, stdout, stderr = run(capsys, "generate", "--family", "legendre",
                                    "--n1", "5,1", "--alpha2-init", start)
         assert (code, stdout) == (1, "")
         assert stderr.startswith("error: alpha2_initial")
+
+    def test_batch_matches_single_runs(self, tmp_path, capsys):
+        # at eps 1e-16 n1=1 certifies and n1=3 fails: a batch prints, logs
+        # and saves for each n1 what a run of that n1 alone does
+        def generate(n1, stem):
+            code, stdout, stderr = run(
+                capsys, "generate", "--family", "legendre", "--n1", n1,
+                "--eps", "1e-16", "--log", str(tmp_path / f"{stem}.csv"),
+                "--out", str(tmp_path / stem))
+            return code, re.sub(r"time=\S+", "time=*", stdout), stderr
+
+        def record(stem, n1):
+            doc = json.loads(
+                (tmp_path / stem / f"pair-legendre-n{n1}.json").read_text())
+            doc["provenance"].pop("timestamp")
+            return doc
+
+        batch = generate("1,3", "mixed")
+        one, three = generate("1", "one"), generate("3", "three")
+        assert (one[0], three[0], batch[0]) == (0, 2, 2)
+        assert batch[1] == one[1] + three[1]
+        assert batch[1].startswith("n1=1 n2=3 ")
+        assert batch[2] == one[2] + three[2]
+        assert batch[2].startswith("n1=3 FAILED ConvergenceError: ")
+        for stem, n1 in (("one", 1), ("three", 3)):
+            assert ((tmp_path / f"mixed-n{n1}.csv").read_bytes()
+                    == (tmp_path / f"{stem}.csv").read_bytes())
+        assert record("mixed", 1) == record("one", 1)
+        assert sorted(p.name for p in (tmp_path / "mixed").iterdir()) \
+            == ["pair-legendre-n1.json"]
+        assert not (tmp_path / "three").exists()
+
+    def test_batch_runs_in_this_process(self):
+        # a batch starts no worker pool, so it never imports one
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = (
+            "import sys\n"
+            "from nestquad.cli import main\n"
+            "assert main(['generate', '--family', 'legendre',\n"
+            "             '--n1', '1,2']) == 0\n"
+            "pools = {'concurrent.futures', 'multiprocessing'}\n"
+            "print(sorted(pools & set(sys.modules)))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_diagnostics_log(self, tmp_path, capsys):
         log = tmp_path / "trace.csv"
@@ -554,6 +604,23 @@ class TestIntegrate:
         assert "coarse=" in stdout and "fine=" in stdout
         assert self._value(stdout, "e_I") < 1e-2
         assert self._value(stdout, "e_mu") < 1e-6
+
+    def test_zero_truth_grid_gives_absolute_error(self, grid_path, capsys):
+        code, stdout, _ = run(capsys, "integrate", "--grid", str(grid_path),
+                              "--function", "monomial",
+                              "--params", "1,0,0")
+        assert code == 0
+        match = re.search(r"e_mu=abs:(\S+)", stdout)
+        assert match and float(match.group(1)) <= 1e-15
+
+    def test_zero_truth_rule_gives_absolute_error(self, pair_record,
+                                                  capsys):
+        code, stdout, _ = run(capsys, "integrate", "--rule",
+                              str(pair_record), "--function", "monomial",
+                              "--params", "1")
+        assert code == 0
+        match = re.search(r"e_mu=abs:(\S+)", stdout)
+        assert match and float(match.group(1)) <= 1e-15
 
     def test_unknown_function(self, grid_path, capsys):
         code, _, stderr = run(capsys, "integrate", "--grid", str(grid_path),

@@ -767,7 +767,7 @@ def test_first_grid_imports_no_metadata_or_masked_arrays():
     # numpy.ma (imported by the first np.unique call) each add 10 to 25 ms
     # to a process's first grid; importing the CLI adds neither, nor
     # concurrent.futures (about 19 ms with multiprocessing, logging and
-    # socket), which only a multi-n1 generate needs, nor hashlib (OpenSSL),
+    # socket), which nothing in the package uses, nor hashlib (OpenSSL),
     # which only a custom family's catalog key needs
     src = os.path.dirname(os.path.dirname(sparse_grid.__file__))
     env = dict(os.environ)
