@@ -15,6 +15,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -582,10 +583,25 @@ def _show_warning(message, *_):
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _attach_params(argv) -> list:
+    """``argv`` with each ``--params V`` whose V starts with a minus sign
+    and a digit or a point written ``--params=V``.  argparse reads only
+    plain -N and -.N as negative numbers, and would take a list such as
+    -0.5,0.5 for an unknown option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--params" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--params={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_params(sys.argv[1:] if argv is None else argv))
         if getattr(args, "func", None) is None:
             raise UsageError("no command given (see --help)")
         with warnings.catch_warnings():

@@ -10,15 +10,17 @@ residual
            [           ...                      ]
            [ V_aB(x[idx_B]) w_B - sqrt(b_0) e_1 ]
 
-V comes from one recurrence pass of values per iteration at the largest
-block degree, and its node derivatives from one more pass over those
-values, made only when a step follows; a seeded start's first iteration
-reuses the evaluation its seed already made, and an upward probe's first
-iteration grows the certified iterate's evaluation by one recurrence row,
-bit for bit the row a fresh pass would give.  The trailing entries of x
-may be frozen: they enter the residual like any node, but they are constants of
-the problem, so the decision vector d = (movable x, w_1, ..., w_B) holds
-only what a step can move, and a frozen node carries no penalty.
+V and its node derivatives come from one recurrence pass per iteration at
+the largest block degree, each row carrying values and derivatives side
+by side.  A seeded start's first iteration reuses the values-only
+evaluation its seed already made, and an upward probe's first iteration
+grows the certified iterate's values by one recurrence row, bit for bit
+the row a fresh pass would give; such a start runs its one pass with
+derivatives only when it takes a step, and that pass's values have the
+same bits.  The trailing entries of x may be frozen: they enter the
+residual like any node, but they are constants of the problem, so the
+decision vector d = (movable x, w_1, ..., w_B) holds only what a step can
+move, and a frozen node carries no penalty.
 
 Both constructions add m nodes (``_new_nodes``, today n + 1) to a base of n:
 
@@ -75,7 +77,7 @@ from .gauss import (
 from .orthopoly import (
     RecurrenceTable,
     WeightFamily,
-    eval_derivatives,
+    _values,
     eval_orthonormal,
     extend_orthonormal,
     generalized_laguerre,
@@ -256,6 +258,9 @@ class _MomentProblem:
         ends = np.cumsum([self.n_free] + [idx.size for idx in self.idx])
         self.weights = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
         self.n_unknowns = int(ends[-1])
+        # the derivative columns of an evaluation with derivatives
+        self.slope_idx = [idx + n for idx in self.idx]
+        self._taken = None
         # column of each penalty row's unknown; a frozen node's row, which
         # is never violated, has none
         self.penalty_cols = np.concatenate(
@@ -265,23 +270,26 @@ class _MomentProblem:
     def set_degree(self, alpha: int):
         self.table.require(alpha)
         self.degrees[-1] = alpha
+        self._taken = None
 
     def nodes(self, d) -> np.ndarray:
         """All n nodes: the movable ones of ``d``, then the frozen ones."""
         return np.concatenate([d[:self.n_free], self.frozen])
 
     def evaluate(self, d):
-        """One recurrence pass of values over all nodes at the largest
-        block degree; ``jacobian`` adds the derivative rows when a step
-        needs them."""
-        return eval_orthonormal(self.table, max(self.degrees), self.nodes(d))
+        """One recurrence pass over all n nodes at the largest block
+        degree, values in columns [:n] and their node derivatives in
+        columns [n:]."""
+        degree = max(self.degrees)
+        self.table.require(degree)
+        return _values(self.table, degree, self.nodes(d), derivatives=True)
 
     def grow(self, d, ev):
-        """``evaluate(d)`` from ``ev``, the evaluation of the same ``d`` at
-        lower degrees: the recurrence resumes after ev's rows, with the
-        same bits as a fresh pass."""
+        """The values of ``evaluate(d)`` from ``ev``, an evaluation of the
+        same ``d`` at lower degrees: the recurrence resumes after ev's
+        value rows, with the same bits as a fresh pass."""
         return extend_orthonormal(self.table, max(self.degrees),
-                                  self.nodes(d), ev)
+                                  self.nodes(d), ev[:, :self.n])
 
     @functools.cached_property
     def base_rule(self):
@@ -315,11 +323,15 @@ class _MomentProblem:
         pi = np.prod(np.sign(diff), axis=1) * np.exp(log_pi - log_pi.max())
         return V[:m + 1], _christoffel_weights(V) * pi
 
-    def _block_rows(self, matrix):
-        # np.take keeps the C order of a values-only evaluation at the
-        # block's own nodes, so the products below round identically
-        return [np.take(matrix[:alpha + 1], idx, axis=1)
-                for idx, alpha in zip(self.idx, self.degrees)]
+    def _block_rows(self, ev):
+        """Each block's value rows at its own nodes.  np.take copies them
+        in C order whether ``ev`` holds values only or derivatives too, so
+        the products below round identically.  The rows of the last ``ev``
+        are kept, so ``jacobian`` reuses those ``residual`` took."""
+        if self._taken is None or self._taken[0] is not ev:
+            self._taken = ev, [np.take(ev[:alpha + 1], idx, axis=1)
+                               for idx, alpha in zip(self.idx, self.degrees)]
+        return self._taken[1]
 
     def residual(self, d, ev) -> np.ndarray:
         target = math.sqrt(self.table.b[0])
@@ -352,21 +364,26 @@ class _MomentProblem:
 
         Residual rows use d p_m(x_i) w_i / d x_i = p'_m(x_i) w_i; a node
         shared by several blocks gets one entry per block's rows.  The
-        derivative rows are evaluated here from the values ``ev``.  A
-        penalty row of zero violation is zero in both the Jacobian and the
-        residual, so leaving it out changes J^T J, J^T R and the step only
-        by rounding; at a feasible iterate that is about half the rows.
+        derivative rows are read from ``ev``; a values-only ``ev``, a
+        seeded or grown start's, gets one pass with derivatives at the same
+        nodes, whose values have the same bits.  A penalty row of zero
+        violation is zero in both the Jacobian and the residual, so leaving
+        it out changes J^T J, J^T R and the step only by rounding; at a
+        feasible iterate that is about half the rows.
         """
-        derivatives = eval_derivatives(self.table, self.nodes(d), ev)
+        values = self._block_rows(ev)
+        if ev.shape[1] == self.n:
+            ev = self.evaluate(d)
         hit = np.flatnonzero(v)
         n_moments = sum(alpha + 1 for alpha in self.degrees)
         J = np.zeros((n_moments + hit.size, self.n_unknowns))
         row = 0
-        for idx, w, V, dV in zip(self.idx, self.weights,
-                                 self._block_rows(ev),
-                                 self._block_rows(derivatives)):
+        for idx, slope_idx, w, V, alpha in zip(self.idx, self.slope_idx,
+                                               self.weights, values,
+                                               self.degrees):
             rows = slice(row, row + V.shape[0])
             move = idx < self.n_free
+            dV = np.take(ev[:alpha + 1], slope_idx, axis=1)
             J[rows, idx[move]] = (dV * d[w])[:, move]
             J[rows, w] = V
             row = rows.stop
@@ -616,16 +633,18 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
                   state: OptimizerState, log=None, *, max_steps=None,
                   ev=None):
     """Gauss-Newton at the problem's current degree, starting from ``d``,
-    whose ``problem.evaluate(d)`` may be passed as ``ev``.
+    whose ``problem.evaluate(d)``, or its values alone, may be passed as
+    ``ev``.
 
     Returns (last iterate, outcome, evaluation), the evaluation being
-    ``problem.evaluate`` of a certified iterate, which a probe grows (None
-    for every other outcome).  The outcome is "certified" once the
-    augmented residual is within epsilon and ``problem.check_feasible``
-    accepts the iterate (the search builds the certificate only for the
-    degree it returns); "infeasible" when it is within epsilon but
-    ``check_feasible`` refuses it (collided or out-of-domain nodes);
-    "diverged" when the moment residual is not finite; "stall" when the
+    ``problem.evaluate`` of a certified iterate, or the values-only ``ev``
+    it was given, which a probe grows (None for every other outcome).  The
+    outcome is "certified" once the augmented residual is within epsilon
+    and ``problem.check_feasible`` accepts the iterate (the search builds
+    the certificate only for the degree it returns); "infeasible" when it
+    is within epsilon but ``check_feasible`` refuses it (collided or
+    out-of-domain nodes); "diverged" when the moment residual is not
+    finite; "stall" when the
     last step's Newton decrement fell below ``_STALL_RATIO`` times the
     augmented residual it was computed at, that residual being above
     100 epsilon (the Gauss-Newton model predicted less than 1% reduction);

@@ -13,9 +13,11 @@ one".  Differentiating the recurrence gives
 
     sqrt(b_{m+1}) p'_{m+1}(x) = (x - a_m) p'_m(x) - sqrt(b_m) p'_{m-1}(x) + p_m(x)
 
-which ``eval_derivatives`` evaluates from the values, on request.
+which one pass evaluates beside the values, on request: each row
+carries p_j and p'_j side by side and shares its products between them.
 Evaluations are plain arrays of shape (degree + 1, len(x)): row j holds
-p_j (or p'_j) at every node.
+p_j (or p'_j) at every node; a pass with derivatives returns
+(degree + 1, 2 len(x)), values in the first half of each row.
 
 Coefficients for the built-in families are classical closed forms; custom
 families pass user-supplied coefficient arrays through unchanged.
@@ -23,6 +25,7 @@ families pass user-supplied coefficient arrays through unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -231,6 +234,17 @@ class RecurrenceTable:
         """Largest index N with both a_N and b_N available."""
         return self.a.size - 1
 
+    @functools.cached_property
+    def _row_coefficients(self):
+        """a_0..a_N, for each a_m whether it differs in bits from a_{m-1}
+        (a_0 always does), and sqrt(b_0..b_N), as Python lists, which the
+        row loop of a recurrence pass indexes faster than arrays.  Built
+        once per table, at full capacity."""
+        bits = self.a.view(np.int64)
+        fresh = np.ones(self.a.size, dtype=bool)
+        np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+        return self.a.tolist(), fresh.tolist(), np.sqrt(self.b).tolist()
+
     def require(self, degree: int):
         if degree > self.capacity:
             raise CapacityError(
@@ -301,79 +315,69 @@ def recurrence_coefficients(family: WeightFamily, n_coeffs: int) -> RecurrenceTa
     return RecurrenceTable(family, a, b)
 
 
-def _coefficients(table: RecurrenceTable, degree: int):
-    """a_0..a_{degree-1} and sqrt(b_0..b_degree) as Python floats, and for
-    each a_m whether it differs in bits from a_{m-1}: x - a_m is the same
-    row until then (for the symmetric families, whose a_m all vanish, it is
-    computed once)."""
-    a = table.a[:degree]
-    bits = a.view(np.int64)
-    fresh = np.ones(degree, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
-    return a.tolist(), fresh.tolist(), np.sqrt(table.b[:degree + 1]).tolist()
-
-
 def _values(table: RecurrenceTable, degree: int, x: np.ndarray,
-            head=None) -> np.ndarray:
+            head=None, derivatives: bool = False) -> np.ndarray:
     """p_0..p_degree at x by the three-term recurrence, in place: each row
     is ((x - a_m) p_m - sqrt(b_m) p_{m-1}) / sqrt(b_{m+1}), rounded
-    operation by operation as written.  Ufuncs write into preallocated
-    rows through their positional out argument, which numpy parses faster
-    than the keyword.  Given ``head``, the rows p_0..p_j of an earlier
-    pass at the same x, the pass copies them and resumes after row j; a
-    row depends only on the two before it, so every later row has the
-    bits of a fresh pass."""
-    a, fresh, sqrt_b = _coefficients(table, degree)
-    mul, sub, div = np.multiply, np.subtract, np.divide
-    p = np.empty((degree + 1, x.size))
+    operation by operation as written.  With ``derivatives`` the rows are
+    2 len(x) wide and carry p'_j beside p_j, in columns [len(x):]: both
+    halves share each row's products, the derivative half adding p_m
+    before the division, so one pass costs five ufunc calls per row.
+    x - a_m is formed only where a_m changes bits (once for the
+    symmetric families, whose a_m all vanish).  Ufuncs write into
+    preallocated rows through their positional out argument, which numpy
+    parses faster than the keyword.  Given ``head``, the rows p_0..p_j of
+    an earlier pass at the same x and width, the pass copies them and
+    resumes after row j; a row depends only on the two before it, so
+    every later row has the bits of a fresh pass."""
+    a, fresh, sqrt_b = table._row_coefficients
+    mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
+    n = x.size
+    p = np.empty((degree + 1, 2 * n if derivatives else n))
     if head is None:
         start = 0
-        p[0] = 1.0 / sqrt_b[0]
+        p[0, :n] = 1.0 / sqrt_b[0]
+        p[0, n:] = 0.0
     else:
         start = head.shape[0] - 1
         p[:start + 1] = head
-        if start < degree:
-            # x - a_m was never formed in this pass
-            fresh[start] = True
+    # a copy: x - a_m was never formed in this pass before row start
+    fresh = fresh[:degree]
+    if start < degree:
+        fresh[start] = True
     rows = list(p)
-    xa, tmp = np.empty(x.size), np.empty(x.size)
+    if derivatives:
+        values, slopes = list(p[:, :n]), list(p[:, n:])
+    xa, tmp = np.empty(p.shape[1]), np.empty(p.shape[1])
+    xa_values, xa_slopes = xa[:n], xa[n:]
     for m in range(start, degree):
         if fresh[m]:
-            sub(x, a[m], xa)
+            sub(x, a[m], xa_values)
+            if derivatives:
+                xa_slopes[...] = xa_values
         row = rows[m + 1]
         mul(xa, rows[m], row)
         if m:
             mul(rows[m - 1], sqrt_b[m], tmp)
             sub(row, tmp, row)
+            if derivatives:
+                add(slopes[m + 1], values[m], slopes[m + 1])
+        elif derivatives:
+            # p'_0 = 0, so sqrt(b_1) p'_1 = p_0, whatever x
+            slopes[1][...] = values[0]
         div(row, sqrt_b[m + 1], row)
     return p
 
 
 def eval_derivatives(table: RecurrenceTable, x, values) -> np.ndarray:
-    """p'_0..p'_degree at x, as an array of the shape of ``values``, from
-    the values ``eval_orthonormal`` returned there, by the differentiated
-    recurrence.  A search that needs derivatives only when it steps
-    evaluates them here, after the values."""
+    """p'_0..p'_degree at x, as an array of the shape of ``values``, the
+    rows p_0..p_degree that ``eval_orthonormal`` returned there.  The
+    derivatives come from the derivative half of one fused pass, whose
+    value half has the bits of ``values``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     degree = values.shape[0] - 1
     table.require(degree)
-    a, fresh, sqrt_b = _coefficients(table, degree)
-    mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
-    q = np.zeros_like(values)
-    p, rows = list(values), list(q)
-    if degree >= 1:
-        div(p[0], sqrt_b[1], rows[1])
-    xa, tmp = np.empty(x.size), np.empty(x.size)
-    for m in range(1, degree):
-        if fresh[m] or m == 1:
-            sub(x, a[m], xa)
-        row = rows[m + 1]
-        mul(xa, rows[m], row)
-        mul(rows[m - 1], sqrt_b[m], tmp)
-        sub(row, tmp, row)
-        add(row, p[m], row)
-        div(row, sqrt_b[m + 1], row)
-    return q
+    return _values(table, degree, x, derivatives=True)[:, x.size:].copy()
 
 
 def eval_orthonormal(table: RecurrenceTable, degree: int, x) -> np.ndarray:

@@ -13,31 +13,25 @@ the same at the CLI exactly when their outputs are equal:
 
     PYTHONPATH=src python tests/cli_digest.py > after.txt
 
-The script puts its own tree's ``src`` first on the path, so to digest an
-older tree, copy this file into that tree's ``tests`` and run it there.
+The script runs the tree it sits in; to digest an older tree, copy it and
+``script_support.py`` into that tree's ``tests`` and run it there.
 
-BLAS is pinned to one thread, because threaded reductions may round
-differently from run to run.  The full run takes a few seconds.
-pytest does not collect this file.
+BLAS is pinned to one thread (``script_support``).  The full run takes a
+few seconds.  pytest does not collect this file.
 """
 
+# first: pins BLAS before numpy loads and puts this tree's src on the path
+from script_support import sha as _sha
+
+import contextlib
+import io
+import json
 import os
+import re
+import shutil
+import tempfile
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import re  # noqa: E402
-import shutil  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-
-from nestquad import cli  # noqa: E402
+from nestquad import cli
 
 GRID_FUNCTIONS = [
     ("constant", None),
@@ -123,10 +117,6 @@ CORRUPT_CALLS = [
      "verify --in g3-no-alpha2.json"),
     (None, "export --in g3-no-alpha2.json --out no-alpha2.csv"),
 ]
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _snapshot() -> dict:

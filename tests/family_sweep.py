@@ -12,27 +12,21 @@ when their outputs agree up to the seconds column:
 
     PYTHONPATH=src python tests/family_sweep.py > after.txt
 
-The script puts its own tree's ``src`` first on the path, so to sweep an
-older tree, copy this file into that tree's ``tests`` and run it there.
+The script runs the tree it sits in; to sweep an older tree, copy it and
+``script_support.py`` into that tree's ``tests`` and run it there.
 
-BLAS is pinned to one thread, because threaded reductions may round
-differently from run to run.  The full run takes about two seconds
-on a 2-CPU x86 host.  pytest does not collect this file.
+BLAS is pinned to one thread (``script_support``).  The full run takes
+about two seconds on a 2-CPU x86 host.  pytest does not collect this
+file.
 """
 
-import os
+# first: pins BLAS before numpy loads and puts this tree's src on the path
+from script_support import sha
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import time
 
-import hashlib  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-
-import nestquad as nq  # noqa: E402
-from nestquad.errors import NestQuadError  # noqa: E402
+import nestquad as nq
+from nestquad.errors import NestQuadError
 
 # (family, Patterson steps from Gauss-1)
 FAMILIES = [
@@ -64,7 +58,7 @@ def _timed(name, run):
         iterations = state.iteration
         arrays = b"".join(r.nodes.tobytes() + r.weights.tobytes()
                           for r in rules)
-        outcome = (f"nodes {hashlib.sha256(arrays).hexdigest()[:16]} "
+        outcome = (f"nodes {sha(arrays)} "
                    f"degrees {tuple(r.exactness_degree for r in rules)} "
                    f"iterations {state.iteration}")
     print(f"{name}: {outcome} seconds {time.perf_counter() - start:.2f}",

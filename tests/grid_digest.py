@@ -18,33 +18,24 @@ columns are equal:
 
     PYTHONPATH=src python tests/grid_digest.py > after.txt
 
-The script puts its own tree's ``src`` and ``tests`` first on the path,
-so to digest an older tree, copy this file into that tree's ``tests`` and
-run it there.
+The script runs the tree it sits in; to digest an older tree, copy it and
+``script_support.py`` into that tree's ``tests`` and run it there.
 
-BLAS is pinned to one thread, because threaded reductions may round
-differently from run to run.  The full run takes a few seconds on a
-2-CPU x86 host, most of them in the dict merge.  pytest does not collect
-this file.
+BLAS is pinned to one thread (``script_support``).  The full run takes a
+few seconds on a 2-CPU x86 host, most of them in the dict merge.  pytest
+does not collect this file.
 """
 
-import os
+# first: pins BLAS before numpy loads and puts this tree's src on the path
+from script_support import sha
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import warnings
 
-import hashlib  # noqa: E402
-import sys  # noqa: E402
-import warnings  # noqa: E402
+import numpy as np
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path[:0] = [os.path.join(_HERE, os.pardir, "src"), _HERE]
-
-import numpy as np  # noqa: E402
-
-import nestquad as nq  # noqa: E402
-from nestquad.sparse_grid import _canonical_levels  # noqa: E402
-from oracles import reference_smolyak  # noqa: E402
+import nestquad as nq
+from nestquad.sparse_grid import _canonical_levels
+from oracles import reference_smolyak
 
 
 def _chain(family, steps):
@@ -63,18 +54,15 @@ def _line(name, levels, d, k) -> str:
     gap = (np.max(np.abs(grid.weights - ref_weights))
            / np.max(np.abs(ref_weights)))
     integral = nq.integrate(grid, _smooth)
+    nodes, weights = sha(grid.nodes.tobytes()), sha(grid.weights.tobytes())
     return (f"{name} d={d} k={k}: nodes {grid.node_count}, sha256 nodes "
-            f"{_sha(grid.nodes)} weights {_sha(grid.weights)}, "
+            f"{nodes} weights {weights}, "
             f"max|dw|/max|w| vs dict merge {gap:.2e}, "
             f"integral {integral.hex()}")
 
 
 def _smooth(x):
     return np.cos(0.5 + 0.3 * x.sum(axis=-1))
-
-
-def _sha(array) -> str:
-    return hashlib.sha256(array.tobytes()).hexdigest()[:16]
 
 
 def main():

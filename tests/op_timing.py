@@ -3,8 +3,10 @@
 Sets up one workload of this tree's ``bench/workloads.py`` (``optimizer``
 by default, or ``grid``) and runs all its ops, in the workload's order, in
 a closed loop of passes for about ``--seconds``.  It prints one line per
-op: the median seconds over the passes, then a ``set-up`` line with the
-seconds of the one ``workloads.setup`` call, then the pass median, the
+op: the median seconds over the passes and, for an optimizer op, its
+Gauss-Newton iterations in one pass, so that a change in time can be told
+from a change in the search.  Then come a ``set-up`` line with the
+seconds of the one ``workloads.setup`` call and the pass median, the
 iterations and restarts of one pass and its certified degree sum.  The
 benchmark reports the pass median, and a ``setup_s`` that adds the
 worker's start and imports to that set-up; this script shows which ops
@@ -14,29 +16,26 @@ to one CPU:
 
     PYTHONPATH=src taskset -c 1 python tests/op_timing.py --seconds 4
 
-The script puts its own tree's ``src`` and ``bench`` first on the path, so
-to time an older tree, copy this file into that tree's ``tests`` and run
-it there.  It only reads ``bench``; nothing there is changed.
+The script runs the tree it sits in, with that tree's ``bench``; to time
+an older tree, copy it and ``script_support.py`` into that tree's
+``tests`` and run it there.  It only reads ``bench``; nothing there is
+changed.
 
-BLAS is pinned to one thread, as in the benchmark.  pytest does not
-collect this file.
+BLAS is pinned to one thread, as in the benchmark (``script_support``).
+pytest does not collect this file.
 """
 
-import os
+# first: pins BLAS before numpy loads and puts this tree's src and bench on
+# the path
+import script_support  # noqa: F401
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import statistics
+import sys
+import tempfile
+import time
 
-import argparse  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-
-_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "bench")]
-
-import workloads  # noqa: E402
+import workloads
 
 
 def _pass(ops):
@@ -77,7 +76,10 @@ def main(argv=None) -> int:
 
     width = max(len(op.name) for op in ops)
     for op, column in zip(ops, per_op):
-        print(f"{op.name:<{width}}  {statistics.median(column) * 1e3:9.3f} ms")
+        iterations = (f"  {done[op.name][1].iteration:6d} iterations"
+                      if op.optimizer else "")
+        print(f"{op.name:<{width}}  {statistics.median(column) * 1e3:9.3f} ms"
+              f"{iterations}")
     print(f"{'set-up':<{width}}  {setup * 1e3:9.3f} ms")
     states = [done[op.name][1] for op in ops if op.optimizer]
     degrees = sum(op.degrees(done[op.name]) for op in ops

@@ -11,8 +11,10 @@ The moment-matching references are the former separate assemblies of the
 nested-pair and the frozen-node extension problems, kept as the bitwise
 reference for the package's shared kernel; they take the package's
 recurrence evaluation and its derivative as arguments, since only the
-assembly around them is under test.  No imports from the package under
-test, so agreement between the two is meaningful.
+assembly around them is under test.  The textbook recurrence loops are
+the bitwise reference for the package's in-place recurrence kernel.  No
+imports from the package under test, so agreement between the two is
+meaningful.
 """
 
 from __future__ import annotations
@@ -381,3 +383,23 @@ def reference_extension(evaluate, differentiate, d, table, alpha2, n_frozen,
     free = np.concatenate([np.arange(n2 - n_frozen), n2 + np.arange(n2)])
     return r, penalties, J[:, free]
 
+
+def textbook_recurrence(table, degree, x):
+    """The three-term recurrence and its derivative as two plain row loops,
+    values first, then derivatives from them: the reference the package's
+    in-place kernel must reproduce bit for bit."""
+    a, b = table.a, table.b
+    sqrt_b = np.sqrt(b)
+    p = np.empty((degree + 1, x.size))
+    p[0] = 1.0 / sqrt_b[0]
+    if degree >= 1:
+        p[1] = (x - a[0]) * p[0] / sqrt_b[1]
+    for m in range(1, degree):
+        p[m + 1] = ((x - a[m]) * p[m] - sqrt_b[m] * p[m - 1]) / sqrt_b[m + 1]
+    q = np.zeros_like(p)
+    if degree >= 1:
+        q[1] = p[0] / sqrt_b[1]
+    for m in range(1, degree):
+        q[m + 1] = ((x - a[m]) * q[m] - sqrt_b[m] * q[m - 1]
+                    + p[m]) / sqrt_b[m + 1]
+    return p, q

@@ -21,36 +21,27 @@ equal:
 
     PYTHONPATH=src python tests/search_digest.py > after.txt
 
-The script puts its own tree's ``src`` first on the path, so to digest an
-older tree, copy this file into that tree's ``tests`` and run it there.
+The script runs the tree it sits in; to digest an older tree, copy it
+and ``script_support.py`` into that tree's ``tests`` and run it there.
 
-BLAS is pinned to one thread, because threaded reductions may round
-differently from run to run.  The full run takes about half a second
-on a 2-CPU x86 host.  pytest does not collect this file.
+BLAS is pinned to one thread (``script_support``).  The full run takes
+about half a second on a 2-CPU x86 host.  pytest does not collect this
+file.
 """
 
+# first: pins BLAS before numpy loads and puts this tree's src on the path
+from script_support import sha as _sha
+
+import itertools
 import os
+import tempfile
+from unittest import mock
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import numpy as np
 
-import hashlib  # noqa: E402
-import itertools  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from unittest import mock  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-
-import nestquad as nq  # noqa: E402
-from nestquad import nested_optimizer  # noqa: E402
-from nestquad.errors import ConvergenceError  # noqa: E402
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
+import nestquad as nq
+from nestquad import nested_optimizer
+from nestquad.errors import ConvergenceError
 
 
 def _csv_digest(path) -> str:

@@ -218,6 +218,32 @@ class TestGauss:
         code, _, _ = run(capsys, "gauss", "--family", "legendre", "--n", "0")
         assert code == 1
 
+    def test_negative_first_param(self, tmp_path, capsys):
+        # argparse alone takes "-0.5,0.5" for an option; the space form
+        # must read like --params=-0.5,0.5.  Jacobi(-1/2, 1/2) is the
+        # Chebyshev weight of the third kind, whose n-point Gauss nodes
+        # are cos((k - 1/2) pi / (n + 1/2))
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        code, stdout, _ = run(capsys, "gauss", "--family", "jacobi",
+                              "--params", "-0.5,0.5", "--n", "3",
+                              "--out", str(spaced))
+        assert code == 0
+        assert run(capsys, "gauss", "--family", "jacobi",
+                   "--params=-0.5,0.5", "--n", "3",
+                   "--out", str(joined)) == (0, stdout, "")
+        rule = load(spaced).payload
+        assert rule.family.params == (-0.5, 0.5)
+        np.testing.assert_array_equal(rule.nodes, load(joined).payload.nodes)
+        chebyshev3 = np.cos((np.arange(3, 0, -1) - 0.5) * np.pi / 3.5)
+        np.testing.assert_allclose(rule.nodes, chebyshev3, rtol=0,
+                                   atol=1e-14)
+
+    def test_missing_params_value_is_still_refused(self, capsys):
+        code, _, err = run(capsys, "gauss", "--family", "jacobi",
+                           "--params", "--n", "3")
+        assert code == 1
+        assert err == "error: argument --params: expected one argument\n"
+
 
 class TestVerify:
     def test_certified_pair_passes(self, pair_record, capsys):
@@ -564,6 +590,18 @@ class TestIntegrate:
         truth = math.prod(math.sinh(c) / c for c in (0.3, 0.2, 0.1))
         assert self._value(stdout, "estimate") == pytest.approx(truth,
                                                                 rel=1e-5)
+
+    def test_negative_first_coefficient(self, grid_path, capsys):
+        code, stdout, _ = run(capsys, "integrate", "--grid", str(grid_path),
+                              "--function", "product-exponential",
+                              "--params", "-0.1,0.2,0.3")
+        assert code == 0
+        truth = math.prod(math.sinh(c) / c for c in (-0.1, 0.2, 0.3))
+        assert self._value(stdout, "estimate") == pytest.approx(truth,
+                                                                rel=1e-5)
+        assert run(capsys, "integrate", "--grid", str(grid_path),
+                   "--function", "product-exponential",
+                   "--params=-0.1,0.2,0.3") == (0, stdout, "")
 
     def test_genz_oscillatory(self, grid_path, capsys):
         code, stdout, _ = run(capsys, "integrate", "--grid", str(grid_path),

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -382,9 +383,10 @@ class TestDegreeSearch:
         assert calls[1][2].tobytes() == ev7.tobytes()
         assert calls[2][1] is calls[1][1]
         # the probe's evaluation is 7's grown by one row, with the bits of
-        # a fresh evaluation at 8
+        # the values of a fresh evaluation at 8
         at8 = nested_optimizer._pair_problem(2, table, 8, config)
-        assert calls[2][2].tobytes() == at8.evaluate(seed7).tobytes()
+        assert calls[2][2].tobytes() == \
+            at8.evaluate(seed7)[:, :at8.n].tobytes()
         assert state.restarts == 1
         # the search certifies the iterate of the degree that certified,
         # and leaves the problem at that degree
@@ -475,51 +477,59 @@ class TestDegreeSearch:
         assert pair.fine.exactness_degree == 27
 
     def test_each_recurrence_pass_runs_once(self, monkeypatch, attempts):
-        # a seeded start reuses the seed's evaluation, a probe grows the
-        # certified iterate's evaluation by one row, and derivative rows
-        # are evaluated only for a step: jacobi(0, 0.3) 7 -> 15 certifies
-        # its seed at 22 and concedes the probe at 23 without a step, so
-        # nothing evaluates afresh, the probe adds row 23 to the 23 rows
-        # of 22, and nothing differentiates
-        evaluated, grown, differentiated = [], [], []
-        evaluate = nested_optimizer._MomentProblem.evaluate
+        # a seeded start reuses the seed's values, a probe grows the
+        # certified iterate's values by one row, and every other pass
+        # carries values and derivatives together: jacobi(0, 0.3) 7 -> 15
+        # certifies its seed at 22 and concedes the probe at 23 without a
+        # step, so nothing evaluates afresh, the probe adds row 23 to the
+        # 23 rows of 22, and nothing differentiates
+        events, grown = [], []
+        values = nested_optimizer._values
         extend = nested_optimizer.extend_orthonormal
-        derivatives = nested_optimizer.eval_derivatives
+        step = nested_optimizer._damped_step
+        solve = nested_optimizer._solve_degree
 
-        def spy_evaluate(problem, d):
-            evaluated.append(problem.degrees[-1])
-            return evaluate(problem, d)
+        def spy_values(table, degree, x, head=None, derivatives=False):
+            events.append("E" if derivatives else "V")
+            return values(table, degree, x, head, derivatives)
 
-        def spy_extend(table, degree, x, values):
-            grown.append((values.shape[0], degree))
-            return extend(table, degree, x, values)
+        def spy_extend(table, degree, x, ev):
+            grown.append((ev.shape[0], degree))
+            return extend(table, degree, x, ev)
 
-        def spy_derivatives(table, x, values):
-            differentiated.append(values.shape[0] - 1)
-            return derivatives(table, x, values)
+        def spy_step(J, r, lam):
+            events.append("S")
+            return step(J, r, lam)
 
-        monkeypatch.setattr(nested_optimizer._MomentProblem, "evaluate",
-                            spy_evaluate)
+        def spy_solve(*args, **kwargs):
+            events.append("|")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(nested_optimizer, "_values", spy_values)
         monkeypatch.setattr(nested_optimizer, "extend_orthonormal",
                             spy_extend)
-        monkeypatch.setattr(nested_optimizer, "eval_derivatives",
-                            spy_derivatives)
+        monkeypatch.setattr(nested_optimizer, "_damped_step", spy_step)
+        monkeypatch.setattr(nested_optimizer, "_solve_degree", spy_solve)
         table = recurrence_coefficients(jacobi(0.0, 0.3), 68)
         rule = gauss_rule(table, 1)
         for _ in range(2):
             rule, _ = extend_patterson(rule, table)
         attempts.clear()
-        evaluated.clear()
+        events.clear()
         grown.clear()
-        differentiated.clear()
         _, state = extend_patterson(rule, table)
         assert attempts == [(22, "certified"), (23, "budget")]
-        assert (evaluated, grown, differentiated, state.iteration) == \
-            ([], [(23, 23)], [], 0)
-        # a search that steps differentiates once per step
+        assert (events, grown, state.iteration) == (["|", "|"], [(23, 23)], 0)
+        # a search that steps runs one pass, values and derivatives
+        # together, before each step: a degree that steps from its seed
+        # passes once more over the seed for its first step, and once over
+        # the iterate its last step reached
+        events.clear()
         _, state = extend_patterson(gauss_rule(table, 3), table,
                                     OptimizerConfig(alpha2_initial=11))
-        assert len(differentiated) == state.iteration > 0
+        runs = "".join(events).split("|")[1:]
+        assert all(re.fullmatch("((ES)+E)?", run) for run in runs), runs
+        assert "".join(runs).count("S") == state.iteration > 0
 
     def test_zero_step_probe_evaluates_nothing_afresh(self, monkeypatch):
         # a probe that may take no step checks its warm start on the

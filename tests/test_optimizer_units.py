@@ -39,7 +39,8 @@ from nestquad.orthopoly import (
 )
 
 from oracles import eval_orthonormal_oracle, stieltjes_recurrence, family_moments
-from oracles import reference_extension, reference_pair
+from oracles import reference_extension, reference_pair, \
+    textbook_recurrence
 from refdata import gauss_kronrod_15
 
 
@@ -403,6 +404,36 @@ class TestMomentKernel:
             self._same(v * v, p)
             rows = np.concatenate([np.ones(r.size, dtype=bool), p != 0.0])
             self._same(problem.jacobian(d, ev, c_k, v), J[rows])
+
+    @pytest.mark.parametrize("layout", ["pair", "extension"])
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=lambda f: f.kind)
+    def test_fused_evaluation_matches_separate_passes(self, family, layout):
+        # the Jacobian from one pass with derivatives equals, byte for
+        # byte, the Jacobian from a values pass and a derivative pass over
+        # its values, and the one a values-only start gets
+        rng = np.random.default_rng(7)
+        table = table_for(family, 30)
+        if layout == "pair":
+            problem = _pair_problem(3, table, 11, OptimizerConfig())
+            n_movable = 7
+        else:
+            problem = _MomentProblem(7, [(range(7), 11)], OptimizerConfig(),
+                                     table, frozen=gauss_rule(table, 3).nodes)
+            n_movable = 4
+        d0 = interlaced_start(problem)
+        points = _kernel_points(d0, n_movable, n_movable, family.domain, rng)
+        for d in (d0, *points):
+            c_k = 10.0 ** rng.uniform(0, 8)
+            v = problem.violations(d)
+            p, q = textbook_recurrence(table, 11, problem.nodes(d))
+            fused = problem.evaluate(d)
+            J = problem.jacobian(d, fused, c_k, v)
+            for ev in (np.hstack([p, q]), eval_orthonormal(table, 11,
+                                                           problem.nodes(d))):
+                assert (problem.residual(d, ev).tobytes()
+                        == problem.residual(d, fused).tobytes())
+                assert problem.jacobian(d, ev, c_k, v).tobytes() == \
+                    J.tobytes()
 
     def test_certify_snaps_only_movable_nodes(self):
         table = table_for(legendre(), 30)

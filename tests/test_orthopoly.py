@@ -14,6 +14,7 @@ from oracles import (
     family_moments,
     oracle_recurrence,
     stieltjes_recurrence,
+    textbook_recurrence,
 )
 
 FAMILIES = [
@@ -207,26 +208,6 @@ class TestEvalOrthonormal:
             op.extend_orthonormal(table, 7, x, V)
 
 
-def textbook_recurrence(table, degree, x):
-    """The three-term recurrence and its derivative as plain row loops, the
-    reference the in-place kernel must reproduce bit for bit."""
-    a, b = table.a, table.b
-    sqrt_b = np.sqrt(b)
-    p = np.empty((degree + 1, x.size))
-    p[0] = 1.0 / sqrt_b[0]
-    if degree >= 1:
-        p[1] = (x - a[0]) * p[0] / sqrt_b[1]
-    for m in range(1, degree):
-        p[m + 1] = ((x - a[m]) * p[m] - sqrt_b[m] * p[m - 1]) / sqrt_b[m + 1]
-    q = np.zeros_like(p)
-    if degree >= 1:
-        q[1] = p[0] / sqrt_b[1]
-    for m in range(1, degree):
-        q[m + 1] = ((x - a[m]) * q[m] - sqrt_b[m] * q[m - 1]
-                    + p[m]) / sqrt_b[m + 1]
-    return p, q
-
-
 def _custom(a_values):
     """A custom family whose a_m repeat in runs and include -0.0, so the
     kernel both reuses and refreshes its x - a_m row."""
@@ -240,9 +221,9 @@ KERNEL_FAMILIES = [family for _, _, family in FAMILIES] + [
 
 
 class TestKernelMatchesTextbook:
-    """The in-place kernel and its lazily evaluated derivative rows equal
-    the textbook loop bit for bit, values and derivatives, also where rows
-    overflow to inf or nan."""
+    """The in-place kernel equals the textbook loop bit for bit: a values
+    pass, both halves of a pass with derivatives and ``eval_derivatives``,
+    also where rows overflow to inf or nan."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(family=st.sampled_from(KERNEL_FAMILIES),
@@ -296,14 +277,33 @@ class TestKernelMatchesTextbook:
         assert one_row.tobytes() == fresh.tobytes()
         assert from_j.tobytes() == fresh.tobytes()
 
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES,
+                             ids=lambda f: f.label())
+    def test_overflow(self, family):
+        # far outside the support the rows overflow to inf, and inf - inf
+        # turns later rows to nan, in both halves alike
+        table = op.recurrence_coefficients(family, 300)
+        x = np.array([1e150, -1e300, 3e5, -7.0, 0.5])
+        for degree in (0, 1, 2, 3, 40, 300):
+            p, q = self._check(table, degree, x)
+        assert np.isinf(p).any() and np.isnan(p).any()
+        assert np.isinf(q).any() and np.isnan(q).any()
+
     @staticmethod
     def _check(table, degree, x):
+        """The values pass, the pass with derivatives and
+        ``eval_derivatives`` against the textbook loop; returns its rows."""
         with np.errstate(all="ignore"):
             p, q = textbook_recurrence(table, degree, x)
             values = op.eval_orthonormal(table, degree, x)
-            lazy = op.eval_derivatives(table, x, values)
+            fused = op._values(table, degree, x, derivatives=True)
+            derivatives = op.eval_derivatives(table, x, values)
         assert values.tobytes() == p.tobytes()
-        assert lazy.tobytes() == q.tobytes()
+        assert fused.shape == (degree + 1, 2 * x.size)
+        assert fused[:, :x.size].tobytes() == p.tobytes()
+        assert fused[:, x.size:].tobytes() == q.tobytes()
+        assert derivatives.tobytes() == q.tobytes()
+        return p, q
 
 
 class TestWeightDensity:
