@@ -357,6 +357,15 @@ def cmd_sparse_grid(args) -> int:
     family = _parse_family(args.family, args.params)
     if args.d < 1 or args.k < 1:
         raise UsageError("--d and --k must be at least 1")
+    base = args.out
+    if base is not None:
+        for suffix in (".json", ".csv"):
+            if base.endswith(suffix):
+                base = base[:-len(suffix)]
+        if not os.path.basename(base):
+            raise UsageError(
+                f"--out {args.out!r} names no file: give a basename such "
+                "as DIR/grid")
     if args.schedule == "gauss":
         levels = gauss_levels(_table(family, args.k), args.k)
     else:
@@ -378,11 +387,7 @@ def cmd_sparse_grid(args) -> int:
                     f"level {args.k} needs {needed}; rerun with --autogen")
         levels = nested_levels(chain, args.k)
     grid = smolyak_grid(levels, args.d, args.k)
-    if args.out is not None:
-        base = args.out
-        for suffix in (".json", ".csv"):
-            if base.endswith(suffix):
-                base = base[:-len(suffix)]
+    if base is not None:
         write_grid_json(grid, base + ".json", family.label())
         write_grid_csv(grid, base + ".csv")
     print(grid.node_count)

@@ -25,15 +25,18 @@ u), the weight summed into slot (u_1, ..., u_d) factors as
     W(u) = sum_r c_r [z^r] prod_j z^(b_j) Q_(u_j)(z),
     c_r = (-1)^(k-1-r) C(d-1, k-1-r),
 
-so one walk of the slot tree, coordinate by coordinate and in
-lexicographic order, computes every weight (``_slot_walk``).  A tree node
-carries the coefficients of z^0..z^(k-1) of its partial product, shifted
-by its births, and the last coordinate folds the c_r in through one
-table per union index.  The work grows with the slots, not with the
-tensor points, and the weights differ from a block-by-block sum only by
-rounding.  Only non-nested levels with k > d leave slots that no
-block reaches; the same walk over 0/1 level indicators counts the blocks
-reaching each slot, and the unreached ones are dropped.
+and depends only on the multiset of the slot's indices, since a product
+does not depend on the order of its factors.  So each multiset's weight
+is computed once (``_multisets``, ``_multiset_weights``): the d = 10,
+k = 7 grid has 60,225 slots but 86 multisets.  Permuted slots therefore
+carry bitwise the same weight.  One walk of the slot tree, coordinate by
+coordinate and in lexicographic order, enumerates the slots
+(``_slot_walk``); a tree node carries only the id of its multiset, and a
+child's id is one table lookup.  The weights differ from a
+block-by-block sum only by rounding.  Only non-nested levels with k > d
+leave slots that no block reaches; the same sum over 0/1 level
+indicators counts the blocks reaching each multiset, and the slots of
+the unreached ones are dropped.
 
 A grid file is written by ``write_grid_csv`` or ``write_grid_json``, and
 ``read_grid_json`` is the one reader of the JSON file.
@@ -86,6 +89,8 @@ _PIECE_SCALES = np.array([[2.0 ** 17], [2.0 ** 35], [2.0 ** 53]])
 # Products go through the kernel in blocks of this many, which keeps its
 # temporaries small.
 _SUM_BLOCK = 1 << 14
+# Slot coordinates are read back in blocks of this many rows.
+_READBACK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -231,15 +236,20 @@ def _slot_count(birth, d: int, budget: int) -> int:
     """The number of d-tuples of union indices whose births sum to at most
     ``budget``; CapacityError if it exceeds ``_TENSOR_CAP``.
 
-    With cnt[m, s] the number of m-tuples whose births sum to at most s,
-    cnt[m] is cnt[m - 1] convolved with the count of indices per birth.
+    With born(z) = sum_u z^(birth[u]), the m-tuples whose births sum to s
+    number [z^s] born(z)^m; the power is taken by repeated squaring,
+    truncated past z^budget.
     """
     # counted in Python integers, which cannot overflow
-    born = np.bincount(birth, minlength=budget + 1)[:budget + 1].astype(object)
-    cnt = np.ones(budget + 1, dtype=object)
-    for _ in range(d):
-        cnt = np.convolve(born, cnt)[:budget + 1]
-    slots = int(cnt[budget])
+    base = np.bincount(birth, minlength=budget + 1)[:budget + 1]
+    base = base.astype(object)
+    power = np.ones(1, dtype=object)
+    while d:
+        if d & 1:
+            power = np.convolve(power, base)[:budget + 1]
+        base = np.convolve(base, base)[:budget + 1]
+        d >>= 1
+    slots = int(power.sum())
     if slots > _TENSOR_CAP:
         raise CapacityError(f"sparse grid would span {slots:.3g} slots")
     return slots
@@ -255,84 +265,189 @@ def _level_tables(indices, level_weights, birth, budget: int):
     return q
 
 
-def _slot_walk(birth, q, c, d: int, budget: int):
-    """Enumerate the slots and sum the weight of each.
+def _runs(stop, count):
+    """Runs of count[i] consecutive integers ending before stop[i], laid
+    end to end: (the run of each entry, the entries)."""
+    run = np.arange(count.size).repeat(count)
+    value = (stop - count.cumsum()).take(run)
+    value += np.arange(value.size)
+    return run, value
 
-    Walks the d-tuples of union indices whose births sum to at most
-    ``budget`` lexicographically, one coordinate per step, and returns
-    (parents, digits, weights): per step, each tree node's parent in the
-    step before and its index, and per slot (a node of the last step) its
-    weight sum_r c[r] [z^r] prod_j z^(birth[u_j]) Q_(u_j)(z), where Q_u has
-    the coefficients q[:, u].
 
-    Row s of ``coef`` holds coefficient s of a node's product divided by
-    z^(budget - left), where ``left`` is the budget its births leave; a
-    child's row s is the sum over a = 0..s of its parent's row a times
-    q[s - a] at its index.  Only rows s <= left reach a weight, but every
-    node carries all budget + 1 rows: they are as bounded as the others,
-    and selecting the rows that matter saves no time.  The last
-    step folds c in instead, through the table
-    fold[t, u] = sum_l c[t + birth[u] + l] q[l, u], which is 0 past
-    t = budget.  Every sum is an elementwise numpy operation in a fixed
-    order, so reruns are bitwise identical.
+def _multisets(birth, d: int, budget: int):
+    """The multisets of union indices that slots hold, numbered, and the
+    children of a slot tree node by its multiset.
+
+    The first index z of birth 0 is left out: a slot's multiset is T plus
+    d - |T| copies of z, where T holds its other coordinates.  Ranks order
+    the union by birth, then by index, so z has rank 0 and the indices
+    born by budget s are the ranks below born[s].  The T with |T| <= d and
+    births summing to at most ``budget`` are numbered by size, and within
+    a size in lexicographic order of their ascending rank tuples; T is its
+    parent, T without its highest rank, plus that rank.
+
+    Returns (tree, edges).  ``tree`` is (z, starts, parent, member,
+    spent): the T of size m are the ids starts[m] to starts[m + 1] - 1,
+    and parent[t], member[t] and spent[t] are T's parent, the index of its
+    highest rank and its birth sum (-1, z and 0 for the empty T, id 0).
+    ``edges`` is (count, values, child): a slot tree node whose
+    coordinates other than z form T, |T| < d, has count[t] children, the
+    indices born by budget - spent[t] in ascending order.  They are the
+    edges from sum(count[:t]) on, with index values[e] and multiset
+    child[e].
+
+    Row t of ``grow`` holds the id of T plus each rank below
+    born[budget - spent[t]].  A rank from T's highest up makes a child of
+    T.  A lower rank r reuses the parent's row: T plus r is the child, at
+    T's highest rank, of parent(T) plus r.
     """
-    size = budget + 1
-    union = birth.size
-    # the indices born by budget s, for each s
-    members = [np.flatnonzero(birth <= s) for s in range(size)]
-    count_by_left = np.array([m.size for m in members])
-    start = np.cumsum(count_by_left) - count_by_left
-    flat = np.concatenate(members)
-    padded = np.concatenate((c, np.zeros(2 * budget)))
-    fold = np.zeros_like(q)
-    for t in range(size):
-        for lag in range(size):
-            fold[t] += padded[t + birth + lag] * q[lag]
-    fold = fold.ravel()
-
-    left = np.array([budget])
-    coef = [np.ones(1)] + [np.zeros(1)] * budget
-    parents, digits = [], []
-    for step in range(d):
-        count = count_by_left[left]
-        first = np.cumsum(count) - count
-        parent = np.repeat(np.arange(left.size), count)
-        u = flat[np.arange(parent.size) + (start[left] - first)[parent]]
-        child_left = left[parent] - birth[u]
-        parents.append(parent)
-        digits.append(u)
-        if step == d - 1:
+    order = np.argsort(birth, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    born = np.searchsorted(birth[order], np.arange(budget + 1), "right")
+    parents = [np.array([-1])]
+    tops = [np.zeros(1, dtype=np.intp)]
+    spents = [np.zeros(1, dtype=np.intp)]
+    starts = [0, 1]
+    for _ in range(d):
+        low = np.maximum(tops[-1], 1)
+        fresh = np.maximum(born[budget - spents[-1]] - low, 0)
+        run, top = _runs(low + fresh, fresh)
+        if not top.size:
             break
+        parents.append(run + starts[-2])
+        tops.append(top)
+        spents.append(spents[-1].take(run) + birth[order[top]])
+        starts.append(starts[-1] + top.size)
+    parent, top, spent = map(np.concatenate, (parents, tops, spents))
+    low = np.maximum(top, 1)
+    width = born[budget - spent]
+    children = np.maximum(width - low, 0)
+    first = np.cumsum(children) - children + 1  # T's children are in a row
+    levels = min(d, len(starts) - 1)  # the sizes below d
+    inner = starts[levels]
+    offset = np.zeros(inner + 1, dtype=np.intp)
+    np.cumsum(width[:inner], out=offset[1:])
+    grow = np.empty(offset[-1], dtype=np.intp)
+    grow[:width[0]] = np.arange(width[0])
+    for m in range(1, levels):
+        row = width[starts[m]:starts[m + 1]]
+        t, r = _runs(row, row)
+        t += starts[m]
+        prior = grow.take(offset.take(parent.take(t)) + r)
+        grow[offset[starts[m]]:offset[starts[m + 1]]] = np.where(
+            r >= low.take(t), first.take(t) + r - low.take(t),
+            first.take(prior) + top.take(t) - low.take(prior))
+    # the indices born by each budget, ascending, one list after another
+    _, members = np.nonzero(birth <= np.arange(budget + 1)[:, None])
+    count = width[:inner]
+    run, at = _runs(born.cumsum()[budget - spent[:inner]], count)
+    values = members.take(at)
+    child = grow.take(offset.take(run) + rank.take(values))
+    tree = (order[0], starts, parent, order.take(top), spent)
+    return tree, (count, values, child)
+
+
+def _multiset_weights(tree, q, c, d: int):
+    """Per multiset of ``_multisets``, sum_r c[r] [z^r] of the product of
+    z^(birth[u]) Q_u(z) over its d indices u, where Q_u has the
+    coefficients q[:, u].
+
+    The product over the ranks of T below its highest, R_T, is built one
+    size at a time: coefficient s of R_T sums the parent's coefficients
+    a = 0..s times q[s - a] in that order.  Q_z(z)^m is built the same way
+    and folded with c in fold[m, t] = sum_l c[t + l] [z^l] Q_z(z)^m, and
+    T's highest index u and the births join through
+    table[m, t, u] = sum_j q[j, u] fold[m, t + j], which is 0 past
+    t = budget: T's weight sums R_T[a] table[d - |T|, spent + a, u].
+    """
+    z, starts, parent, member, spent = tree
+    size = q.shape[0]
+    budget = size - 1
+    levels = len(starts) - 1
+    product = np.zeros((size, starts[max(1, levels - 1)]))
+    product[0, 0] = 1.0
+    for m in range(1, levels - 1):
+        rows = slice(starts[m], starts[m + 1])
+        prefix = product[:, parent[rows]]
+        factor = q[:, member[rows]]
+        grown = prefix[0] * factor
+        for a in range(1, size):
+            grown[a:] += prefix[a] * factor[:size - a]
+        product[:, rows] = grown
+    # the powers d - |T|, from |T| = levels - 1 up to the empty T
+    low = max(0, d + 1 - levels)
+    q_z = q[:, z].tolist()
+    powers = [[1.0] + [0.0] * budget]
+    for m in range(d):
+        power = powers[-1]
         grown = []
-        prefix = [row[parent] for row in coef]
-        factor = [row[u] for row in q]
         for s in range(size):
-            acc = prefix[0] * factor[s]
+            acc = power[0] * q_z[s]
             for a in range(1, s + 1):
-                acc += prefix[a] * factor[s - a]
+                acc += power[a] * q_z[s - a]
             grown.append(acc)
-        del prefix, factor  # freed before the next, larger step
-        coef = grown
-        left = child_left
-
-    # a slot's parent row a meets the fold table at t = budget - left + a,
-    # with the parent's left; the rows past t = budget are zero
-    fold = np.concatenate((fold, np.zeros(budget * union)))
-    at = (budget - left[parent]) * union + u
-    weights = coef[0][parent] * fold[at]
+        powers.append(grown)
+    powers = np.array(powers[low:])
+    fold = np.zeros((len(powers), 3 * budget + 1))
+    for t in range(size):
+        for l in range(size - t):
+            fold[:, t] += c[t + l] * powers[:, l]
+    span = 2 * budget + 1
+    table = fold[:, :span, None] * q[0]
+    for j in range(1, size):
+        table += fold[:, j:j + span, None] * q[j]
+    at = ((d - low - np.repeat(np.arange(levels), np.diff(starts))) * span
+          + spent) * q.shape[1] + member
+    weights = np.empty(parent.size)
+    weights[0] = fold[d - low, 0]
+    table = table.ravel()
+    below = parent[1:]
+    weights[1:] = product[0].take(below) * table.take(at[1:])
     for a in range(1, size):
-        weights += coef[a][parent] * fold[at + a * union]
-    return parents, digits, weights
+        weights[1:] += (product[a].take(below)
+                        * table.take(at[1:] + a * q.shape[1]))
+    return weights
 
 
-def _slot_nodes(union, parents, digits, keep):
+def _slot_walk(count, child, d: int):
+    """Enumerate the slots, one coordinate per step, in lexicographic
+    order.
+
+    Returns (parents, steps, ids): per step, each tree node's parent in
+    the step before and the edge of ``_multisets`` that reached it, and
+    per slot (a node of the last step) its multiset.  A node's children
+    depend only on the multiset of its coordinates: the count[t] edges of
+    multiset t, which lead to the multisets child[e].  So the walk carries
+    the multiset of each node, one lookup per step.
+    """
+    stop = count.cumsum()
+    frontier = np.zeros(1, dtype=np.intp)
+    parents, steps = [], []
+    for _ in range(d):
+        parent, edge = _runs(stop.take(frontier), count.take(frontier))
+        parents.append(parent)
+        steps.append(edge)
+        frontier = child.take(edge)
+    return parents, steps, frontier
+
+
+def _slot_nodes(values, parents, steps, keep):
     """(len(keep), d) coordinates of the slots ``keep``, read back from the
-    tree of ``_slot_walk``."""
-    nodes = np.empty((len(keep), len(digits)))
-    row = keep
-    for j in reversed(range(len(digits))):
-        nodes[:, j] = union[digits[j][row]]
-        row = parents[j][row]
+    tree of ``_slot_walk``, where edge e holds the coordinate values[e].
+    Each block of ``_READBACK_ROWS`` slots gathers its (d, rows) edges,
+    one contiguous row per coordinate, then fills its rows of the node
+    array in one gather, so that array is written row after row."""
+    d = len(steps)
+    nodes = np.empty((keep.size, d))
+    index = np.empty((d, min(keep.size, _READBACK_ROWS)), dtype=np.intp)
+    for start in range(0, keep.size, _READBACK_ROWS):
+        row = keep[start:start + _READBACK_ROWS]
+        block = index[:, :row.size]
+        for j in reversed(range(d)):
+            steps[j].take(row, out=block[j])
+            row = parents[j].take(row)
+        nodes[start:start + row.size] = values[block].T
     return nodes
 
 
@@ -402,14 +517,15 @@ class SparseGrid:
 def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
     """Build the level-k sparse grid over d dimensions.
 
-    Coincident nodes of the tensor blocks merge by summation.  Each node's
-    weight is computed in one walk over the grid's slots (see the module
-    docstring), without expanding the blocks; it equals the block-by-block
-    sum up to rounding, and is bitwise the same on every run.  Nodes come in
-    lexicographic order.  Merged nodes with |weight| < 1e-15 are dropped
-    only when the removal provably cannot disturb degree-(2k-1) exactness.
-    More than ``_TENSOR_CAP`` slots raise CapacityError before any slot is
-    enumerated.
+    Coincident nodes of the tensor blocks merge by summation.  A node's
+    weight is computed once per multiset of its coordinates (see the
+    module docstring), without expanding the blocks: nodes that permute
+    each other's coordinates carry bitwise the same weight.  It equals the
+    block-by-block sum up to rounding, and is bitwise the same on every
+    run.  Nodes come in lexicographic order.  Merged nodes with
+    |weight| < 1e-15 are dropped only when the removal provably cannot
+    disturb degree-(2k-1) exactness.  More than ``_TENSOR_CAP`` slots raise
+    CapacityError before any slot is enumerated.
     """
     if d < 1 or k < 1:
         raise ParameterError("need d >= 1 and k >= 1")
@@ -426,20 +542,22 @@ def smolyak_grid(family: UnivariateLevelFamily, d: int, k: int) -> SparseGrid:
         budget)
     c = np.array([(-1.0) ** (budget - r) * math.comb(d - 1, budget - r)
                   for r in range(k)])
-    parents, digits, weights = _slot_walk(birth, q, c, d, budget)
+    tree, (count, values, child) = _multisets(birth, d, budget)
+    parents, steps, ids = _slot_walk(count, child, d)
+    weights = _multiset_weights(tree, q, c, d)[ids]
     if family.nested or k <= d:
         # every slot is reached: with k <= d the block of its birth levels
         # is in the sum, and nested levels hold an index above its birth
         keep = np.arange(weights.size)
     else:
-        # count the blocks reaching each slot, over 0/1 level indicators
+        # count the blocks reaching each multiset, over 0/1 level indicators
         held = _level_tables(indices, [np.ones(i.size) for i in indices],
                              birth, budget)
-        blocks = _slot_walk(birth, held, (np.arange(k) >= k - d) * 1.0, d,
-                            budget)[2]
-        keep = np.flatnonzero(blocks)
+        blocks = _multiset_weights(tree, held, (np.arange(k) >= k - d) * 1.0,
+                                   d)
+        keep = np.flatnonzero(blocks[ids])
         weights = weights[keep]
-    nodes = _slot_nodes(union, parents, digits, keep)
+    nodes = _slot_nodes(union[values], parents, steps, keep)
 
     small = np.abs(weights) < _DROP_TOL
     if np.any(small):

@@ -6,10 +6,12 @@ d = 20, k = 4, and Gauss levels at d = 8, k = 5), the same chain at
 d = 23, k = 4, the asymmetric jacobi(0, 0.3) chain 1 -> 3 -> 7 at
 d = 5, k = 4 and d = 3, k = 6, and Gauss levels with k > d (Legendre at
 d = 2, k = 6 and jacobi(0, 0.3) at d = 3, k = 5).  It prints one line
-per grid: its node count, a sha256 of its node bytes, a sha256 of its
-weight bytes, the largest |w - w_ref| / max |w_ref| against the plain
-dict merge ``oracles.reference_smolyak``, which sums each node's block
-terms in block order, and ``float.hex`` of ``integrate`` of the smooth
+per grid: its node count, the number of distinct multisets of
+coordinates among its nodes (``smolyak_grid`` computes one weight per
+multiset), a sha256 of its node bytes, a sha256 of its weight bytes,
+the largest |w - w_ref| / max |w_ref| against the plain dict merge
+``oracles.reference_smolyak``, which sums each node's block terms in
+block order, and ``float.hex`` of ``integrate`` of the smooth
 integrand cos(0.5 + 0.3 (x_1 + ... + x_d)).  Two trees build the same
 grids exactly when the hashes are equal; a change that only re-rounds the
 weights keeps the node hashes and moves the weight hashes by a gap of a
@@ -55,7 +57,9 @@ def _line(name, levels, d, k) -> str:
            / np.max(np.abs(ref_weights)))
     integral = nq.integrate(grid, _smooth)
     nodes, weights = sha(grid.nodes.tobytes()), sha(grid.weights.tobytes())
-    return (f"{name} d={d} k={k}: nodes {grid.node_count}, sha256 nodes "
+    multisets = len(np.unique(np.sort(grid.nodes, axis=1), axis=0))
+    return (f"{name} d={d} k={k}: nodes {grid.node_count}, multisets "
+            f"{multisets}, sha256 nodes "
             f"{nodes} weights {weights}, "
             f"max|dw|/max|w| vs dict merge {gap:.2e}, "
             f"integral {integral.hex()}")

@@ -534,6 +534,21 @@ class TestSparseGrid:
         assert (code, stdout) == (0, "9\n")
         assert cli.build_parser() is cli.build_parser()
 
+    @pytest.mark.parametrize("out", ["grids/", "grids/.json", "grids/.csv",
+                                     ".json"])
+    def test_out_without_a_basename_is_refused(self, tmp_path, capsys,
+                                               monkeypatch, out):
+        # "grids/" would write the hidden files grids/.json and grids/.csv
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grids").mkdir()
+        code, stdout, stderr = run(capsys, "sparse-grid", "--family",
+                                   "legendre", "--d", "2", "--k", "3",
+                                   "--schedule", "gauss", "--out", out)
+        assert (code, stdout) == (1, "")
+        assert "names no file" in stderr
+        assert sorted(os.listdir(tmp_path)) == ["grids"]
+        assert os.listdir(tmp_path / "grids") == []
+
     def test_d1_equals_univariate_level(self, tmp_path, capsys):
         cat = tmp_path / "cat"
         code, stdout, _ = run(capsys, "sparse-grid", "--family", "legendre",

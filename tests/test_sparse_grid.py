@@ -636,7 +636,7 @@ def _near_double_family(leg_table, depth):
 
 
 def _rounding_bound(d, k):
-    # the slot walk rounds each weight's terms at most k + 1 times per
+    # the multiset weights round each term at most k + 1 times per
     # coordinate, each time by eps relative to the magnitudes involved
     return d * (k + 1) * np.finfo(float).eps
 
@@ -677,7 +677,7 @@ def _assert_close_to_reference(family, d, k):
 
 
 class TestBitwiseMerge:
-    """The slot walk reproduces the dict merge's nodes bit for bit, and its
+    """The slot walk reproduces the dict merge's nodes bit for bit, and the
     weights are as close to the exact sums as the dict merge's."""
 
     def test_nested_d8_k7(self, leg_chain):
@@ -762,6 +762,38 @@ class TestBitwiseMerge:
         assert np.array_equal(weights, want.ravel())
 
 
+def _assert_permutation_invariant(grid):
+    """Every node's weight is bitwise the weight of the node with its
+    coordinates sorted; returns how many nodes are not sorted."""
+    row = {point: i for i, point in enumerate(map(tuple, grid.nodes.tolist()))}
+    ordered = np.array([row[point] for point in
+                        map(tuple, np.sort(grid.nodes, axis=1).tolist())])
+    bits = grid.weights.view(np.int64)
+    assert np.array_equal(bits, bits[ordered])
+    return int(np.count_nonzero(ordered != np.arange(grid.node_count)))
+
+
+class TestPermutationInvariance:
+    """A weight depends only on the multiset of a node's coordinates, and
+    it is computed once per multiset, so permuted nodes share its bits."""
+
+    @pytest.mark.parametrize("d, k, permuted", [(4, 5, 166),
+                                                (10, 7, 60139)])
+    def test_nested(self, leg_chain, d, k, permuted):
+        grid = smolyak_grid(nested_levels(leg_chain, 7), d, k)
+        assert _assert_permutation_invariant(grid) == permuted
+
+    def test_gauss_levels_beyond_d(self):
+        family = gauss_levels(recurrence_coefficients(legendre(), 14), 6)
+        assert _assert_permutation_invariant(smolyak_grid(family, 3, 6)) > 0
+
+    def test_asymmetric_nested_chain(self, jacobi_chain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            family = nested_levels(jacobi_chain, 5)
+        assert _assert_permutation_invariant(smolyak_grid(family, 3, 5)) > 0
+
+
 def test_first_grid_imports_no_metadata_or_masked_arrays():
     # importlib.metadata (a run-time version lookup would import it) and
     # numpy.ma (imported by the first np.unique call) each add 10 to 25 ms
@@ -787,10 +819,10 @@ def test_first_grid_imports_no_metadata_or_masked_arrays():
 
 
 def test_build_peak_is_a_small_multiple_of_the_grid(leg_chain):
-    # the slot walk's coefficient rows die with the walk, before the node
-    # columns are read back: at d = 10, k = 7 (60,225 nodes, 5.3 MB of
-    # nodes and weights) the build's traced peak is 1.75 times the grid's
-    # own bytes: the nodes, the weights and the walk's tree
+    # the walk carries one multiset id per node, and the nodes are read
+    # back in row blocks: at d = 10, k = 7 (60,225 nodes, 5.3 MB of nodes
+    # and weights) the build's traced peak is 1.70 times the grid's own
+    # bytes: the nodes, the weights and the walk's tree
     family = nested_levels(leg_chain, 7)
     tracemalloc.start()
     try:
