@@ -164,10 +164,24 @@ def _parse_n1_list(text: str) -> list:
 
 
 def _table(family: WeightFamily, n: int):
-    """Recurrence table for an n-node rule, through degree 2n: a Gauss rule
-    needs 2n - 1, and a search's upward probe ends by failing at 2n, where
-    no n-node rule is exact (Gauss optimality), not by running out of it."""
-    return recurrence_coefficients(family, 2 * n)
+    """Recurrence table for an n-node rule, through degree 2n - 1: the
+    degree of a Gauss rule's certificate, and the highest a search's
+    upward probe tries, since no n-node rule is exact beyond it."""
+    return recurrence_coefficients(family, 2 * n - 1)
+
+
+def _save_in(directory, record):
+    """Save ``record`` in ``directory``, made if missing, under a name from
+    its catalog key: pair-, ext- or gauss- by mode, the family kind with
+    its parameters or a custom family's digest, and the coarse size of a
+    pair or the size of a rule, as in ext-jacobi_0.0_0.3-n3.json.  Records
+    of two families of one kind never share a name."""
+    kind, params, n1, n2, mode = record.key
+    prefix = {"kronrod": "pair", "patterson": "ext", "gauss": "gauss"}[mode]
+    name = "_".join([kind, *map(str, params)])
+    os.makedirs(directory, exist_ok=True)
+    save(record,
+         os.path.join(directory, f"{prefix}-{name}-n{n1 or n2}.json"))
 
 
 # ---------------------------------------------------------------- generate
@@ -179,15 +193,6 @@ def _derive_log_path(log, n1, many):
         return log
     root, ext = os.path.splitext(log)
     return f"{root}-n{n1}{ext or '.csv'}"
-
-
-def _out_path_for_pair(out, family, n1, many):
-    if out is None:
-        return None
-    if not many and out.endswith(".json"):
-        return out
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, f"pair-{family.kind}-n{n1}.json")
 
 
 def cmd_generate(args) -> int:
@@ -219,9 +224,12 @@ def cmd_generate(args) -> int:
             failed = True
             continue
         seconds = time.perf_counter() - start
-        path = _out_path_for_pair(args.out, family, n1, many)
-        if path is not None:
-            save(make_pair_record(pair, config, state.iteration), path)
+        if args.out is not None:
+            record = make_pair_record(pair, config, state.iteration)
+            if many or not args.out.endswith(".json"):
+                _save_in(args.out, record)
+            else:
+                save(record, args.out)
         print(f"n1={n1} n2={pair.fine.n} "
               f"alpha1={pair.coarse.exactness_degree} "
               f"alpha2={pair.fine.exactness_degree} "
@@ -232,7 +240,7 @@ def cmd_generate(args) -> int:
 
 # ------------------------------------------------------------------ extend
 
-def _patterson_steps(rule, steps: int, config, prune: bool = False):
+def _patterson_steps(rule, steps: int, prune: bool = False):
     """Extend ``rule`` ``steps`` times, each extension seeding the next.
 
     Yields (extension, iterations, pruned_from) as each step finishes;
@@ -240,19 +248,13 @@ def _patterson_steps(rule, steps: int, config, prune: bool = False):
     """
     for _ in range(steps):
         table = _table(rule.family, rule.n + _new_nodes(rule.n))
-        rule, state = extend_patterson(rule, table, config)
+        rule, state = extend_patterson(rule, table)
         pruned_from = None
         if prune:
-            kept = prune_negligible(rule, table, config)
+            kept = prune_negligible(rule, table)
             if kept.n != rule.n:
                 pruned_from, rule = rule.n, kept
         yield rule, state.iteration, pruned_from
-
-
-def _save_extension(rule, config, iterations, directory):
-    save(make_rule_record(rule, mode="patterson", config=config,
-                          iterations=iterations),
-         os.path.join(directory, f"ext-{rule.family.kind}-n{rule.n}.json"))
 
 
 def cmd_extend(args) -> int:
@@ -260,17 +262,17 @@ def cmd_extend(args) -> int:
         raise UsageError("--steps must be at least 1")
     record = load(args.input)
     rule = record.payload.fine if record.kind == "pair" else record.payload
-    config = OptimizerConfig()
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     for rule, iterations, pruned_from in _patterson_steps(
-            rule, args.steps, config, args.prune):
+            rule, args.steps, args.prune):
         line = f"n2={rule.n} alpha2={rule.exactness_degree}"
         if pruned_from is not None:
             line += f" pruned_from={pruned_from}"
         print(line)
         if args.out is not None:
-            _save_extension(rule, config, iterations, args.out)
+            _save_in(args.out, make_rule_record(rule, mode="patterson",
+                                                iterations=iterations))
     return EXIT_OK
 
 
@@ -341,15 +343,13 @@ def _nested_chain_from_catalog(catalog, family):
 def _autogen_chain(family, entries, catalog_dir):
     """A Gauss seed and its extensions, ``entries`` rules in all; they are
     saved to ``catalog_dir`` only once every step has succeeded."""
-    config = OptimizerConfig()
     seed = gauss_rule(_table(family, 1), 1)
-    steps = list(_patterson_steps(seed, entries - 1, config))
+    steps = list(_patterson_steps(seed, entries - 1))
     if catalog_dir:
-        os.makedirs(catalog_dir, exist_ok=True)
-        save(make_rule_record(seed),
-             os.path.join(catalog_dir, f"gauss-{family.kind}-n1.json"))
+        _save_in(catalog_dir, make_rule_record(seed))
         for rule, iterations, _ in steps:
-            _save_extension(rule, config, iterations, catalog_dir)
+            _save_in(catalog_dir, make_rule_record(
+                rule, mode="patterson", iterations=iterations))
     return [seed] + [rule for rule, _, _ in steps]
 
 

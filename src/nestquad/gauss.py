@@ -46,6 +46,9 @@ __all__ = [
 # Slack for optimizer-produced nodes that land on a domain endpoint; the
 # eigensolver itself keeps Gauss nodes strictly interior.
 _BOUNDARY_TOL = 1e-9
+# The circle theorem's deviation is taken over |x| <= this: convergence is
+# not uniform in the boundary layer at +-1.
+_CIRCLE_BAND = 0.9
 
 
 @dataclass(frozen=True)
@@ -203,25 +206,22 @@ def recheck(table: RecurrenceTable, nodes, weights, degree: int,
             10.0 * (stored + 1e-16))
 
 
-def circle_theorem_deviation(rule: QuadratureRule, weight_fn=None,
-                             interior: float = 0.9) -> float:
+def circle_theorem_deviation(rule: QuadratureRule) -> float:
     """Deviation of scaled weights from the circle-theorem semicircle.
 
-    For Jacobi-type weights on [-1, 1] the products n * w_q / (pi * w(x_q))
-    approach sqrt(1 - x_q^2) as n grows.  Returns the maximum deviation over
-    nodes with |x| <= ``interior``; the boundary layer is excluded because
-    convergence is not uniform there.
+    For Jacobi-type weights on [-1, 1] the products n * w_q / (pi * w(x_q)),
+    w the family's ``weight_density``, approach sqrt(1 - x_q^2) as n grows.
+    Returns the maximum deviation over nodes with |x| <= ``_CIRCLE_BAND``.
     """
     dom = rule.family.domain
     if not (dom.lo == -1.0 and dom.hi == 1.0):
         raise UnsupportedFamilyError(
             "circle theorem applies to weights on [-1, 1] only")
-    if weight_fn is None:
-        weight_fn = weight_density(rule.family)
-    mask = np.abs(rule.nodes) <= interior
+    density = weight_density(rule.family)
+    mask = np.abs(rule.nodes) <= _CIRCLE_BAND
     if not np.any(mask):
-        raise ParameterError("no nodes inside the requested interior band")
+        raise ParameterError("no nodes inside the interior band")
     x = rule.nodes[mask]
     w = rule.weights[mask]
-    scaled = rule.n * w / (np.pi * np.asarray(weight_fn(x), dtype=float))
+    scaled = rule.n * w / (np.pi * density(x))
     return float(np.max(np.abs(scaled - np.sqrt(1.0 - x * x))))

@@ -79,7 +79,6 @@ from .orthopoly import (
     WeightFamily,
     _values,
     eval_orthonormal,
-    extend_orthonormal,
     generalized_laguerre,
     recurrence_coefficients,
 )
@@ -136,6 +135,9 @@ _C_CAP = 1e16
 _BUDGET_DEGREES = 40
 # prune_negligible drops nodes whose |weight| is below this.
 _PRUNE_THRESHOLD = 1e-13
+# hermite_to_laguerre folds a rule only when mirrored nodes cancel, and
+# mirrored weights agree, within this (nodes relative to max(1, max |x|)).
+_FOLD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,10 @@ class _MomentProblem:
     node's row always zero, then the weights from the last block to the
     first.  ``slots`` = (base, new) slice the node vector, by default the
     frozen and the movable nodes; ``new`` counts the m new nodes and
-    ``square`` is their ``_square_degree``.
+    ``square`` is their ``_square_degree``.  ``top`` is the highest degree
+    the search may probe: 2 n - 1, beyond which no n-node rule is exact,
+    or a custom family's last stored coefficient if that comes first; a
+    table short of ``top`` is rebuilt from its family through it.
     """
 
     def __init__(self, n: int, blocks, config: OptimizerConfig,
@@ -248,6 +253,11 @@ class _MomentProblem:
         self.domain = table.family.domain
         self.weight_floor = _weight_floor(table.family)
         self.config = config
+        self.top = 2 * n - 1
+        if table.family.kind == "custom":
+            self.top = min(self.top, len(table.family.custom_a) - 1)
+        if table.capacity < self.top:
+            table = recurrence_coefficients(table.family, self.top)
         self.table = table
         self.frozen = np.asarray(frozen, dtype=float)
         self.n_free = n - self.frozen.size
@@ -288,8 +298,8 @@ class _MomentProblem:
         """The values of ``evaluate(d)`` from ``ev``, an evaluation of the
         same ``d`` at lower degrees: the recurrence resumes after ev's
         value rows, with the same bits as a fresh pass."""
-        return extend_orthonormal(self.table, max(self.degrees),
-                                  self.nodes(d), ev[:, :self.n])
+        return _values(self.table, max(self.degrees), self.nodes(d),
+                       ev[:, :self.n])
 
     @functools.cached_property
     def base_rule(self):
@@ -456,7 +466,6 @@ def _pair_problem(n1: int, table: RecurrenceTable, alpha2: int,
     if n1 < 1:
         raise ParameterError("n1 must be at least 1")
     n2 = n1 + _new_nodes(n1)
-    table.require(alpha2)
     coarse = slice(1, n2, 2)
     blocks = [(range(n2)[coarse], 2 * n1 - 1), (range(n2), alpha2)]
     return _MomentProblem(n2, blocks, config, table,
@@ -724,7 +733,8 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
     ends in anything but "certified"; the next degree starts from its own
     seed, never from the failed iterate.  After the first certified degree
     the search probes upward, warm from the last certified iterate, whose
-    evaluation the probe grows by one recurrence row, until a probe fails.
+    evaluation the probe grows by one recurrence row, until a probe fails
+    or reaches ``problem.top``.
 
     The problem has as many unknowns as moment rows at ``square``, and
     each probe above it adds a row and no unknown.  Such a probe takes no
@@ -759,7 +769,7 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
                 f"search fell below the minimal degree {min_alpha2 + 1} "
                 f"without converging", best_residual=state.best_residual)
 
-    while problem.table.capacity >= alpha2 + 1:
+    while alpha2 < problem.top:
         problem.set_degree(alpha2 + 1)
         overdetermined = (alpha2 + 1 > problem.square
                           and not (symmetric and (alpha2 + 1) % 2))
@@ -795,8 +805,9 @@ def generate_nested(n1: int, table: RecurrenceTable,
     Gauss rule); the fine degree is searched downward from
     ``config.alpha2_initial`` (default n_1 + 2 m - 1, at most 2 n_2 - 1)
     to 2 n_1 at the lowest, each degree from the node-polynomial seed on
-    the Gauss nodes, and then probed upward.  Returns the pair and the
-    iteration diagnostics.
+    the Gauss nodes, and then probed upward through 2 n_2 - 1 at most, a
+    short table being extended.  Returns the pair and the iteration
+    diagnostics.
     Raises ConvergenceError when no degree certifies, FeasibilityError
     when a converged iterate is infeasible.
     """
@@ -818,18 +829,23 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
 
     Sequential (Patterson-style) construction: only the m new node
     positions and all n + m weights are optimized against the fine moment
-    conditions, from ``config.alpha2_initial`` (default n + 2 m - 1) down.
-    Returns the extended rule (whose exactness degree is the certified
-    alpha_2) and the iteration diagnostics.  Raises ParameterError for a
-    start at or below the base's degree or above 2 (n + m) - 1, and
-    CapacityError when the table stops short of degree m, the degree of
-    the new nodes' polynomial, both before the search.
+    conditions, from ``config.alpha2_initial`` (default n + 2 m - 1) down,
+    and then probed upward as a pair is.  Returns the extended rule (whose
+    exactness degree is the certified alpha_2) and the iteration
+    diagnostics.  Raises ParameterError for a start at or below the base's
+    degree or above 2 (n + m) - 1, and CapacityError when a custom
+    family's coefficients stop short of degree m, the degree of the new
+    nodes' polynomial, both before the search.
     """
     config = config or OptimizerConfig()
     m = _new_nodes(base.n)
     alpha2 = _start_degree(config, base.n, m, base.exactness_degree)
     if base.family != table.family:
         raise ParameterError("base rule and table disagree on the family")
+    n2 = base.n + m
+    problem = _MomentProblem(n2, [(range(n2), alpha2)], config, table,
+                             frozen=base.nodes)
+    table = problem.table
     if table.capacity < m:
         raise CapacityError(
             f"table capacity {table.capacity} cannot reach degree {m}, "
@@ -840,10 +856,6 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
         raise ParameterError(
             f"base rule fails its own certificate ({fresh:.3e}, allowed "
             f"{allowed:.3e})")
-
-    n2 = base.n + m
-    problem = _MomentProblem(n2, [(range(n2), alpha2)], config, table,
-                             frozen=base.nodes)
     ((rule, _),), state = _search(problem, config, alpha2,
                                   base.exactness_degree, log_path)
     return rule, state
@@ -871,26 +883,26 @@ def prune_negligible(rule: QuadratureRule, table: RecurrenceTable,
     return rule if pruned.residual_norm > 10.0 * config.epsilon else pruned
 
 
-def _fold_half(rule: QuadratureRule, tol: float):
+def _fold_half(rule: QuadratureRule):
     """Split a symmetric rule into (center weight or None, positive half)."""
     x, w = rule.nodes, rule.weights
     n = x.size
     scale = max(1.0, float(np.max(np.abs(x))))
     for i in range(n // 2):
         j = n - 1 - i
-        if abs(x[i] + x[j]) > tol * scale or abs(w[i] - w[j]) > tol:
+        if (abs(x[i] + x[j]) > _FOLD_TOL * scale
+                or abs(w[i] - w[j]) > _FOLD_TOL):
             raise ParameterError(
                 "rule is not symmetric about zero; cannot fold")
     if n % 2 == 1:
         mid = n // 2
-        if abs(x[mid]) > tol * scale:
+        if abs(x[mid]) > _FOLD_TOL * scale:
             raise ParameterError("odd-sized rule lacks a center node at zero")
         return float(w[mid]), x[mid + 1:], w[mid + 1:]
     return None, x[n // 2:], w[n // 2:]
 
 
-def hermite_to_laguerre(pair: NestedRulePair, *,
-                        tol: float = 1e-10) -> NestedRulePair:
+def hermite_to_laguerre(pair: NestedRulePair) -> NestedRulePair:
     """Map a symmetric generalized-Hermite pair to a generalized-Laguerre one.
 
     The substitution t = x^2 sends a rule for |x|^rho_G exp(-x^2) on the
@@ -911,7 +923,7 @@ def hermite_to_laguerre(pair: NestedRulePair, *,
     table = recurrence_coefficients(lag, max(alpha2, 1))
 
     def fold(rule: QuadratureRule, alpha: int) -> QuadratureRule:
-        wc, xh, wh = _fold_half(rule, tol)
+        wc, xh, wh = _fold_half(rule)
         nodes = xh * xh
         weights = 2.0 * wh
         if wc is not None:

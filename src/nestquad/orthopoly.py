@@ -45,8 +45,6 @@ __all__ = [
     "custom_family",
     "recurrence_coefficients",
     "eval_orthonormal",
-    "extend_orthonormal",
-    "eval_derivatives",
     "weight_density",
 ]
 
@@ -369,17 +367,6 @@ def _values(table: RecurrenceTable, degree: int, x: np.ndarray,
     return p
 
 
-def eval_derivatives(table: RecurrenceTable, x, values) -> np.ndarray:
-    """p'_0..p'_degree at x, as an array of the shape of ``values``, the
-    rows p_0..p_degree that ``eval_orthonormal`` returned there.  The
-    derivatives come from the derivative half of one fused pass, whose
-    value half has the bits of ``values``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    degree = values.shape[0] - 1
-    table.require(degree)
-    return _values(table, degree, x, derivatives=True)[:, x.size:].copy()
-
-
 def eval_orthonormal(table: RecurrenceTable, degree: int, x) -> np.ndarray:
     """Evaluate p_0..p_degree at nodes x, as the array of shape
     (degree + 1, len(x)) whose row j holds p_j.
@@ -394,26 +381,6 @@ def eval_orthonormal(table: RecurrenceTable, degree: int, x) -> np.ndarray:
     if x.ndim != 1:
         raise ParameterError("nodes must be one-dimensional")
     return _values(table, degree, x)
-
-
-def extend_orthonormal(table: RecurrenceTable, degree: int, x,
-                       values) -> np.ndarray:
-    """Continue ``values``, the rows p_0..p_j at nodes x that
-    ``eval_orthonormal`` returned, through ``degree`` >= j.
-
-    The recurrence resumes after row j, so the (degree + 1, len(x)) array
-    returned equals ``eval_orthonormal(table, degree, x)`` bit for bit
-    while computing only the rows past j.
-    """
-    table.require(degree)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    values = np.asarray(values, dtype=float)
-    if (x.ndim != 1 or values.ndim != 2 or values.shape[1] != x.size
-            or not 1 <= values.shape[0] <= degree + 1):
-        raise ParameterError(
-            f"values of shape {values.shape} do not start degree {degree} "
-            f"at {x.size} nodes")
-    return _values(table, degree, x, values)
 
 
 def weight_density(family: WeightFamily):

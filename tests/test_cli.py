@@ -85,6 +85,17 @@ class TestGenerate:
         assert (out / "pair-legendre-n1.json").exists()
         assert (out / "pair-legendre-n2.json").exists()
 
+    def test_batch_names_each_family_of_one_kind(self, tmp_path, capsys):
+        out = tmp_path / "batch"
+        for params in ("0,0.3", "1,1"):
+            code, _, _ = run(capsys, "generate", "--family", "jacobi",
+                             "--params", params, "--n1", "1,2",
+                             "--out", str(out))
+            assert code == 0
+        assert sorted(os.listdir(out)) == [
+            f"pair-jacobi_{params}-n{n1}.json"
+            for params in ("0.0_0.3", "1.0_1.0") for n1 in (1, 2)]
+
     def test_alpha2_init_sizes_the_table(self, capsys):
         # a 5-node rule reaches degree 9 at most, which the table covers
         code, stdout, stderr = run(capsys, "generate", "--family", "legendre",
@@ -180,6 +191,20 @@ class TestExtend:
         record = load(out / "ext-legendre-n7.json")
         assert record.mode == "patterson"
         assert record.payload.exactness_degree == 11
+
+    def test_custom_family_records_are_named_by_digest(self, tmp_path,
+                                                       capsys):
+        table = recurrence_coefficients(legendre(), 20)
+        family = custom_family(table.a, table.b, (-1.0, 1.0))
+        seed = make_rule_record(
+            gauss_rule(recurrence_coefficients(family, 1), 1))
+        save(seed, tmp_path / "seed.json")
+        code, _, _ = run(capsys, "extend", "--in", str(tmp_path / "seed.json"),
+                         "--out", str(tmp_path / "levels"))
+        assert code == 0
+        (digest,) = seed.key[1]
+        assert os.listdir(tmp_path / "levels") == [
+            f"ext-custom_{digest}-n3.json"]
 
     def test_prune_flag_accepted(self, seed_record, capsys):
         code, stdout, _ = run(capsys, "extend", "--in", str(seed_record),
@@ -425,6 +450,22 @@ class TestSparseGrid:
         assert code == 0
         assert first == second
 
+    def test_catalog_keeps_each_family_of_one_kind(self, tmp_path, capsys):
+        # records named by kind alone would let the jacobi(1, 1) chain
+        # overwrite the jacobi(0, 0.3) one, and the last call find no chain
+        cat = tmp_path / "cat"
+        grid = ("sparse-grid", "--family", "jacobi", "--d", "2", "--k", "3",
+                "--catalog", str(cat))
+        first = run(capsys, *grid, "--params", "0,0.3", "--autogen")
+        assert first[0] == 0
+        code, _, _ = run(capsys, *grid, "--params", "1,1", "--autogen")
+        assert code == 0
+        assert run(capsys, *grid, "--params", "0,0.3") == first
+        assert load(cat / "ext-jacobi_0.0_0.3-n3.json").family.params \
+            == (0.0, 0.3)
+        assert load(cat / "gauss-jacobi_1.0_1.0-n1.json").family.params \
+            == (1.0, 1.0)
+
     def test_catalog_skips_rules_outside_the_chain(self, tmp_path, capsys):
         cat = tmp_path / "cat"
         grid = ("sparse-grid", "--family", "legendre", "--d", "3", "--k", "4",
@@ -466,8 +507,8 @@ class TestSparseGrid:
         real = cli.extend_patterson
         counts = {}
 
-        def counted(rule, table, config):
-            extension, state = real(rule, table, config)
+        def counted(rule, table):
+            extension, state = real(rule, table)
             counts[extension.n] = state.iteration
             return extension, state
 
@@ -477,13 +518,13 @@ class TestSparseGrid:
                          "--d", "2", "--k", "4", "--autogen",
                          "--catalog", str(cat))
         assert code == 0
-        kind = "generalized_hermite"
-        assert load(cat / f"gauss-{kind}-n1.json").provenance.iterations == 0
+        name = "generalized_hermite_1.0"
+        assert load(cat / f"gauss-{name}-n1.json").provenance.iterations == 0
         # the 3 -> 7 step steps at the degree it concedes, so a count the
         # CLI dropped would read 0 here
         assert counts[7] > 0
         for n in (3, 7):
-            record = load(cat / f"ext-{kind}-n{n}.json")
+            record = load(cat / f"ext-{name}-n{n}.json")
             assert record.mode == "patterson"
             assert record.provenance.iterations == counts[n]
 
@@ -492,11 +533,11 @@ class TestSparseGrid:
         real = cli.extend_patterson
         calls = []
 
-        def second_step_fails(rule, table, config):
+        def second_step_fails(rule, table):
             calls.append(rule.n)
             if len(calls) == 2:
                 raise ConvergenceError("no degree certified")
-            return real(rule, table, config)
+            return real(rule, table)
 
         monkeypatch.setattr(cli, "extend_patterson", second_step_fails)
         cat = tmp_path / "cat"

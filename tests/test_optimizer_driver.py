@@ -79,12 +79,24 @@ class TestGenerateNested:
                                    atol=1e-8)
 
     def test_table_needs_only_the_start_degree(self):
-        # the search starts at 3 n1 + 1 = 10 and probes up to the table's
-        # capacity; degree 4 n1 + 1 = 13 is never needed
+        # the search starts at 3 n1 + 1 = 10; the table, which stops short
+        # of 4 n1 + 1 = 13, is extended there, and the probe fails at 12
         table = recurrence_coefficients(legendre(), 12)
         pair, _ = generate_nested(3, table)
         assert (pair.coarse.exactness_degree,
                 pair.fine.exactness_degree) == (5, 11)
+
+    def test_short_table_is_extended_to_the_node_bound(self):
+        # a table through 22 stops one short of 2 n2 - 1 = 23, the degree
+        # the 15-node rule reaches; the search extends it and returns the
+        # rule a longer table gives, bit for bit
+        short, _ = generate_nested(7, recurrence_coefficients(legendre(), 22))
+        full, _ = generate_nested(7, recurrence_coefficients(legendre(), 40))
+        assert short.fine.exactness_degree == full.fine.exactness_degree == 23
+        for a, b in ((short.coarse, full.coarse), (short.fine, full.fine)):
+            assert a.nodes.tobytes() == b.nodes.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.residual_norm == b.residual_norm
 
     def test_large_pair_takes_the_normal_equations_step(self, monkeypatch):
         # 53 nodes and 79 weights: 132 unknowns, past the size gate, and
@@ -193,13 +205,13 @@ class TestGenerateNested:
         assert math.isfinite(info.value.best_residual)
 
     @pytest.mark.parametrize("family, n1, degrees", [
-        (legendre(), 1, (1, 2)),
-        (generalized_hermite(0.0), 2, (3, 4)),
+        (legendre(), 1, (1, 5)),
+        (generalized_hermite(0.0), 2, (3, 5)),
     ], ids=["legendre", "hermite"])
     def test_table_through_the_start_degree_suffices(self, family, n1,
                                                      degrees):
-        # the table stops at the start 2 n1, short of the seed's default
-        # Gauss rule of (n + 2 m)//2 + 2 points, which the table then caps
+        # the table stops at the start 2 n1; the search extends it to
+        # 2 n2 - 1 and probes up to the pair's full degree
         table = recurrence_coefficients(family, 2 * n1)
         pair, _ = generate_nested(n1, table,
                                   OptimizerConfig(alpha2_initial=2 * n1))
@@ -485,17 +497,15 @@ class TestDegreeSearch:
         # 23 rows of 22, and nothing differentiates
         events, grown = [], []
         values = nested_optimizer._values
-        extend = nested_optimizer.extend_orthonormal
         step = nested_optimizer._damped_step
         solve = nested_optimizer._solve_degree
 
         def spy_values(table, degree, x, head=None, derivatives=False):
-            events.append("E" if derivatives else "V")
+            if head is None:
+                events.append("E" if derivatives else "V")
+            else:
+                grown.append((head.shape[0], degree))
             return values(table, degree, x, head, derivatives)
-
-        def spy_extend(table, degree, x, ev):
-            grown.append((ev.shape[0], degree))
-            return extend(table, degree, x, ev)
 
         def spy_step(J, r, lam):
             events.append("S")
@@ -506,8 +516,6 @@ class TestDegreeSearch:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(nested_optimizer, "_values", spy_values)
-        monkeypatch.setattr(nested_optimizer, "extend_orthonormal",
-                            spy_extend)
         monkeypatch.setattr(nested_optimizer, "_damped_step", spy_step)
         monkeypatch.setattr(nested_optimizer, "_solve_degree", spy_solve)
         table = recurrence_coefficients(jacobi(0.0, 0.3), 68)
@@ -736,14 +744,31 @@ class TestExtendPatterson:
             degrees.append(rule.exactness_degree)
         assert degrees == [5, 11, 23, 47, 95]
 
+    def test_short_table_reaches_pattersons_degree(self):
+        # Patterson's 7-point rule has degree 11, one past a table through
+        # 10; the search extends it and returns the rule a longer table
+        # gives, bit for bit
+        base = gauss_rule(recurrence_coefficients(legendre(), 5), 3)
+        short, _ = extend_patterson(base, recurrence_coefficients(legendre(),
+                                                                  10))
+        full, _ = extend_patterson(base, recurrence_coefficients(legendre(),
+                                                                 40))
+        assert short.exactness_degree == full.exactness_degree == 11
+        assert short.nodes.tobytes() == full.nodes.tobytes()
+        assert short.weights.tobytes() == full.weights.tobytes()
+        assert short.residual_norm == full.residual_norm
+
     def test_table_short_of_the_new_nodes_polynomial(self, monkeypatch):
-        # the table reaches the start 2 and the base's degree 1, but not
-        # degree 4 of the polynomial of the 4 new nodes
+        # the custom family's coefficients reach the start 2 and the base's
+        # degree 1, but not degree 4 of the polynomial of the 4 new nodes,
+        # so no extension of its table can
         def fail(*args, **kwargs):
             raise AssertionError("search started")
         monkeypatch.setattr(nested_optimizer, "_node_polynomial_seed", fail)
-        table = recurrence_coefficients(legendre(), 2)
-        base = QuadratureRule(legendre(), np.array([-0.5, 0.0, 0.5]),
+        coeffs = recurrence_coefficients(legendre(), 2)
+        family = custom_family(coeffs.a, coeffs.b, (-1.0, 1.0))
+        table = recurrence_coefficients(family, 2)
+        base = QuadratureRule(family, np.array([-0.5, 0.0, 0.5]),
                               np.array([0.25, 0.5, 0.25]), 1, 0.0)
         with pytest.raises(CapacityError,
                            match="degree 4, which the polynomial of the 4 new"):

@@ -28,8 +28,8 @@ from nestquad.nested_optimizer import _DAMPING, _NORMAL_MIN_COLS, \
     _damped_step, _node_polynomial_seed, _normal_solve, _pair_problem, \
     _solve_degree, _step_from_svd
 from nestquad.orthopoly import (
+    _values,
     chebyshev1,
-    eval_derivatives,
     eval_orthonormal,
     generalized_hermite,
     generalized_laguerre,
@@ -42,6 +42,13 @@ from oracles import eval_orthonormal_oracle, stieltjes_recurrence, family_moment
 from oracles import reference_extension, reference_pair, \
     textbook_recurrence
 from refdata import gauss_kronrod_15
+
+
+def derivatives(table, x, values):
+    """p'_0..p'_degree at x for the rows p_0..p_degree ``values``: the
+    derivative half of a recurrence pass with derivatives."""
+    return _values(table, values.shape[0] - 1, x,
+                   derivatives=True)[:, x.size:]
 
 
 def table_for(family, capacity):
@@ -366,7 +373,7 @@ class TestMomentKernel:
         feasible, active = _kernel_points(d0, 7, 7, family.domain, rng)
         for d in (d0, feasible, active):
             c_k = 10.0 ** rng.uniform(0, 8)
-            r, p, J = reference_pair(eval_orthonormal, eval_derivatives, d,
+            r, p, J = reference_pair(eval_orthonormal, derivatives, d,
                                      table, dims, c_k, config)
             assert np.any(p != 0.0) == (d is active)
             # one evaluation with derivatives feeds residual and Jacobian
@@ -394,7 +401,7 @@ class TestMomentKernel:
             c_k = 10.0 ** rng.uniform(0, 8)
             # the reference reads the frozen nodes from its own d
             full = np.concatenate([problem.nodes(d), d[4:]])
-            r, p, J = reference_extension(eval_orthonormal, eval_derivatives,
+            r, p, J = reference_extension(eval_orthonormal, derivatives,
                                           full, table, 11, base.n, c_k,
                                           config)
             assert np.any(p != 0.0) == (d is active)
@@ -534,7 +541,7 @@ class TestActiveRows:
             for d in _kernel_points(interlaced_start(problem), 5, 5,
                                     family.domain, rng):
                 # the full system of [R; c_k P], every penalty row included
-                r, p, J = reference_pair(eval_orthonormal, eval_derivatives,
+                r, p, J = reference_pair(eval_orthonormal, derivatives,
                                          d, table, dims, 1e3, config)
                 rt = np.concatenate([r, 1e3 * p])
                 dropped = ~active(problem, d)
@@ -561,7 +568,7 @@ class TestActiveRows:
             for d, penalized in zip(points, (False, True)):
                 c_k = 10.0 ** rng.uniform(0, 4)
                 # the full system from the reference assembly
-                r, p, J = reference_pair(eval_orthonormal, eval_derivatives,
+                r, p, J = reference_pair(eval_orthonormal, derivatives,
                                          d, table, dims, c_k, config)
                 rt = np.concatenate([r, c_k * p])
                 rows = active(problem, d)

@@ -157,8 +157,7 @@ class TestEvalOrthonormal:
             table = op.recurrence_coefficients(family, 16)
             lo, hi = family.domain.lo, family.domain.hi
             pts = np.linspace(max(lo, -1.0) + 0.05, min(hi, 4.0) - 0.05, 10)
-            dp = op.eval_derivatives(
-                table, pts, op.eval_orthonormal(table, 15, pts))
+            dp = op._values(table, 15, pts, derivatives=True)[:, pts.size:]
             fd = (op.eval_orthonormal(table, 15, pts + h)
                   - op.eval_orthonormal(table, 15, pts - h)) / (2 * h)
             scale = np.maximum(np.abs(dp), 1.0)
@@ -167,8 +166,8 @@ class TestEvalOrthonormal:
     def test_derivative_recurrence_low_degrees(self):
         # p_0' = 0 everywhere; Legendre p_1 = sqrt(3) x so p_1' = sqrt(3).
         table = op.recurrence_coefficients(op.legendre(), 3)
-        x = [-0.3, 0.2, 0.9]
-        dp = op.eval_derivatives(table, x, op.eval_orthonormal(table, 1, x))
+        x = np.array([-0.3, 0.2, 0.9])
+        dp = op._values(table, 1, x, derivatives=True)[:, x.size:]
         assert np.all(dp[0] == 0.0)
         assert np.allclose(dp[1], np.sqrt(3.0), rtol=1e-15)
 
@@ -196,17 +195,6 @@ class TestEvalOrthonormal:
         assert V.shape == (9, 3)
         assert np.all(np.isfinite(V))
 
-    def test_continuation_rejects_rows_that_do_not_fit(self):
-        table = op.recurrence_coefficients(op.legendre(), 6)
-        x = np.array([-0.5, 0.25])
-        V = op.eval_orthonormal(table, 4, x)
-        for degree, values in ((3, V), (6, V[:0]), (6, V[:, :1]),
-                               (6, V[0])):
-            with pytest.raises(ParameterError, match="do not start"):
-                op.extend_orthonormal(table, degree, x, values)
-        with pytest.raises(CapacityError):
-            op.extend_orthonormal(table, 7, x, V)
-
 
 def _custom(a_values):
     """A custom family whose a_m repeat in runs and include -0.0, so the
@@ -222,8 +210,8 @@ KERNEL_FAMILIES = [family for _, _, family in FAMILIES] + [
 
 class TestKernelMatchesTextbook:
     """The in-place kernel equals the textbook loop bit for bit: a values
-    pass, both halves of a pass with derivatives and ``eval_derivatives``,
-    also where rows overflow to inf or nan."""
+    pass and both halves of a pass with derivatives, also where rows
+    overflow to inf or nan."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(family=st.sampled_from(KERNEL_FAMILIES),
@@ -271,9 +259,9 @@ class TestKernelMatchesTextbook:
         j = data.draw(st.integers(1, degree + 1))
         with np.errstate(all="ignore"):
             fresh = op.eval_orthonormal(table, degree, x)
-            one_row = op.extend_orthonormal(table, degree, x,
-                                            fresh[:max(degree, 1)])
-            from_j = op.extend_orthonormal(table, degree, x, fresh[:j])
+            one_row = op._values(table, degree, x,
+                                 head=fresh[:max(degree, 1)])
+            from_j = op._values(table, degree, x, head=fresh[:j])
         assert one_row.tobytes() == fresh.tobytes()
         assert from_j.tobytes() == fresh.tobytes()
 
@@ -291,18 +279,16 @@ class TestKernelMatchesTextbook:
 
     @staticmethod
     def _check(table, degree, x):
-        """The values pass, the pass with derivatives and
-        ``eval_derivatives`` against the textbook loop; returns its rows."""
+        """The values pass and the pass with derivatives against the
+        textbook loop; returns its rows."""
         with np.errstate(all="ignore"):
             p, q = textbook_recurrence(table, degree, x)
             values = op.eval_orthonormal(table, degree, x)
             fused = op._values(table, degree, x, derivatives=True)
-            derivatives = op.eval_derivatives(table, x, values)
         assert values.tobytes() == p.tobytes()
         assert fused.shape == (degree + 1, 2 * x.size)
         assert fused[:, :x.size].tobytes() == p.tobytes()
         assert fused[:, x.size:].tobytes() == q.tobytes()
-        assert derivatives.tobytes() == q.tobytes()
         return p, q
 
 
