@@ -244,15 +244,18 @@ def _patterson_steps(rule, steps: int, prune: bool = False):
     """Extend ``rule`` ``steps`` times, each extension seeding the next.
 
     Yields (extension, iterations, pruned_from) as each step finishes;
-    ``pruned_from`` is the size before pruning, or None.
+    ``pruned_from`` is the size before pruning, or None.  A prune that
+    would drop a node of the step's base is refused, so that each rule
+    still nests in the next.
     """
     for _ in range(steps):
         table = _table(rule.family, rule.n + _new_nodes(rule.n))
-        rule, state = extend_patterson(rule, table)
+        base = rule
+        rule, state = extend_patterson(base, table)
         pruned_from = None
         if prune:
             kept = prune_negligible(rule, table)
-            if kept.n != rule.n:
+            if kept.n != rule.n and np.isin(base.nodes, kept.nodes).all():
                 pruned_from, rule = rule.n, kept
         yield rule, state.iteration, pruned_from
 

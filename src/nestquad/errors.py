@@ -45,12 +45,14 @@ class ConvergenceError(NestQuadError, RuntimeError):
     """The optimizer exhausted its search without certifying a rule.
 
     Carries the best residual norm seen so the caller can report how close
-    the search came.
+    the search came, and the search's ``OptimizerState.attempts``.
     """
 
-    def __init__(self, message: str, best_residual: float = float("nan")):
+    def __init__(self, message: str, best_residual: float = float("nan"),
+                 attempts=()):
         super().__init__(message)
         self.best_residual = best_residual
+        self.attempts = attempts
 
 
 class FeasibilityError(NestQuadError, RuntimeError):

@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,17 +172,20 @@ def _weight_floor(family: WeightFamily) -> float:
 
 @dataclass
 class OptimizerState:
-    """Counters of one search, returned as diagnostics.
+    """The record of one search, returned as diagnostics.
 
-    ``iteration`` counts Gauss-Newton steps over all attempted degrees,
-    ``restarts`` the degrees conceded before the first certified one and
-    ``best_residual`` the smallest augmented residual norm seen; the
-    certificate is the returned rule's or pair's ``residual_norm``.
+    ``attempts`` holds one (alpha2, outcome, steps) per degree tried, in
+    order: ``_solve_degree``'s outcome, "no seed", "overdetermined" (an
+    upward probe refused at its warm start) or "search budget" (the run
+    the whole search's budget cut).  ``iteration`` sums their steps,
+    ``restarts`` counts the degrees conceded before the first certified
+    one, ``best_residual`` is the least augmented residual norm seen.
     """
 
     iteration: int = 0
     restarts: int = 0
     best_residual: float = math.inf
+    attempts: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -621,29 +624,12 @@ def _node_polynomial_seed(problem: _MomentProblem, alpha: int):
     return np.concatenate([x[:problem.n_free], *base_weights, fine]), V
 
 
-class _DiagnosticsLog:
-    """Optional per-iteration CSV stream."""
-
-    def __init__(self, path):
-        self.path = path
-        self.lines = ["iteration,residual_norm,newton_decrement,c_k,lambda,alpha2"]
-
-    def record(self, iteration, rnorm, eta, c_k, lam, alpha2):
-        self.lines.append(
-            f"{iteration},{rnorm:.17e},{eta:.17e},{c_k:.17e},{lam:.17e},{alpha2}")
-
-    def flush(self):
-        if self.path is not None:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(self.lines) + "\n")
-
-
 def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
                   state: OptimizerState, log=None, *, max_steps=None,
                   ev=None):
     """Gauss-Newton at the problem's current degree, starting from ``d``,
     whose ``problem.evaluate(d)``, or its values alone, may be passed as
-    ``ev``.
+    ``ev``.  A ``log`` list receives one ``--log`` CSV row per step.
 
     Returns (last iterate, outcome, evaluation), the evaluation being
     ``problem.evaluate`` of a certified iterate, or the values-only ``ev``
@@ -653,17 +639,16 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
     the certificate only for the degree it returns); "infeasible" when it
     is within epsilon but ``check_feasible`` refuses it (collided or
     out-of-domain nodes); "diverged" when the moment residual is not
-    finite; "stall" when the
-    last step's Newton decrement fell below ``_STALL_RATIO`` times the
-    augmented residual it was computed at, that residual being above
-    100 epsilon (the Gauss-Newton model predicted less than 1% reduction);
-    "plateau" when the residual has not improved for ``_PLATEAU_RUN``
-    steps; and "budget" when the degree has used ``max_steps`` steps (by
-    default ``max_iterations``; with 0 the call only checks ``d``).  A
-    step is tested at the top of the next iteration, after the new
-    iterate had its chance to certify.  Every step is damped with
-    lambda = ``_DAMPING`` times the augmented residual norm.  Raises
-    ConvergenceError when the whole search's budget is spent.
+    finite; "stall" when the last step's Newton decrement fell below
+    ``_STALL_RATIO`` times the augmented residual it was computed at, that
+    residual being above 100 epsilon (the Gauss-Newton model predicted
+    less than 1% reduction); "plateau" when the residual has not improved
+    for ``_PLATEAU_RUN`` steps; and "budget" when the degree has used
+    ``max_steps`` steps (by default ``max_iterations``; with 0 the call
+    only checks ``d``).  A step is tested at the top of the next
+    iteration, after the new iterate had its chance to certify.  Every
+    step is damped with lambda = ``_DAMPING`` times the augmented residual
+    norm.  Raises ConvergenceError when the whole search's budget is spent.
     """
     alpha2 = problem.degrees[-1]
     if max_steps is None:
@@ -674,9 +659,10 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
     eta = prev_rnorm = math.inf
     for level_iter in itertools.count():
         if state.iteration >= config.max_iterations * _BUDGET_DEGREES:
+            # _drive appends this attempt to the state's list as it leaves
             raise ConvergenceError(
                 f"iteration budget exhausted at alpha2={alpha2}",
-                best_residual=state.best_residual)
+                best_residual=state.best_residual, attempts=state.attempts)
 
         if ev is None:
             ev = problem.evaluate(d)
@@ -717,12 +703,13 @@ def _solve_degree(problem: _MomentProblem, d, config: OptimizerConfig,
         prev_rnorm = rnorm
 
         state.iteration += 1
-        if log:
-            log.record(state.iteration, rnorm, eta, c, lam, alpha2)
+        if log is not None:
+            log.append(f"{state.iteration},{rnorm:.17e},{eta:.17e},{c:.17e},"
+                       f"{lam:.17e},{alpha2}")
 
 
 def _drive(problem: _MomentProblem, config: OptimizerConfig,
-           alpha2_start: int, min_alpha2: int, log=None):
+           alpha2_start: int, min_alpha2: int, log_path=None):
     """Degree search around ``_solve_degree``.
 
     Returns (certificate, state), ``problem.certify`` of the iterate of
@@ -734,17 +721,20 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
     seed, never from the failed iterate.  After the first certified degree
     the search probes upward, warm from the last certified iterate, whose
     evaluation the probe grows by one recurrence row, until a probe fails
-    or reaches ``problem.top``.
+    or reaches ``problem.top``.  Each degree tried is recorded in
+    ``state.attempts``, which a ConvergenceError carries; the steps' rows
+    go to ``log_path``, if given, as the ``--log`` CSV, even on error.
 
     The problem has as many unknowns as moment rows at ``square``, and
     each probe above it adds a row and no unknown.  Such a probe takes no
-    step: it certifies only when its warm start already does, and is conceded otherwise.  On a symmetric
-    weight with a symmetric frozen base (trivially so for a pair, which
-    freezes nothing), a probe to an odd degree keeps its steps, because
-    the odd moment that vanishes in exact arithmetic may be left above
-    epsilon by rounding (Legendre 31 -> 63 reaches Patterson's 95 that
-    way).  Under an asymmetric base that moment does not vanish, so such a
-    probe is as overdetermined as any other.
+    step: it certifies only when its warm start already does, and is
+    conceded otherwise.  On a symmetric weight with a symmetric frozen
+    base (trivially so for a pair, which freezes nothing), a probe to an
+    odd degree keeps its steps, because the odd moment that vanishes in
+    exact arithmetic may be left above epsilon by rounding (Legendre
+    31 -> 63 reaches Patterson's 95 that way).  Under an asymmetric base
+    that moment does not vanish, so such a probe is as overdetermined as
+    any other.
     """
     frozen = problem.frozen
     skew = np.max(np.abs(frozen + frozen[::-1]), initial=0.0)
@@ -753,47 +743,55 @@ def _drive(problem: _MomentProblem, config: OptimizerConfig,
                  and skew <= _SYMMETRY_TOL * scale)
     alpha2 = alpha2_start
     state = OptimizerState()
-    while True:
-        problem.set_degree(alpha2)
-        seed = _node_polynomial_seed(problem, alpha2)
-        if seed is not None:
-            d, ev = seed
+    log = None if log_path is None else []
+
+    def attempt(d, ev, max_steps=None):
+        start, outcome = state.iteration, "search budget"  # if it raises
+        try:
             d, outcome, ev = _solve_degree(problem, d, config, state, log,
-                                           ev=ev)
-            if outcome == "certified":
-                break
-        state.restarts += 1
-        alpha2 -= 1
-        if alpha2 <= min_alpha2:
-            raise ConvergenceError(
-                f"search fell below the minimal degree {min_alpha2 + 1} "
-                f"without converging", best_residual=state.best_residual)
+                                           max_steps=max_steps, ev=ev)
+        finally:
+            if max_steps == 0 and outcome == "budget":
+                outcome = "overdetermined"
+            state.attempts.append((problem.degrees[-1], outcome,
+                                   state.iteration - start))
+        return d, outcome, ev
 
-    while alpha2 < problem.top:
-        problem.set_degree(alpha2 + 1)
-        overdetermined = (alpha2 + 1 > problem.square
-                          and not (symmetric and (alpha2 + 1) % 2))
-        probe, outcome, probe_ev = _solve_degree(
-            problem, d, config, state, log,
-            max_steps=0 if overdetermined else None, ev=problem.grow(d, ev))
-        if outcome != "certified":
-            problem.set_degree(alpha2)
-            break
-        alpha2 += 1
-        d, ev = probe, probe_ev
-    return problem.certify(d), state
-
-
-def _search(problem: _MomentProblem, config: OptimizerConfig,
-            alpha2: int, min_alpha2: int, log_path):
-    """Run the degree search; returns its certificate, one (rule, subset
-    map) per block, and the state."""
-    log = _DiagnosticsLog(log_path) if log_path is not None else None
     try:
-        return _drive(problem, config, alpha2, min_alpha2, log)
+        while True:
+            problem.set_degree(alpha2)
+            seed = _node_polynomial_seed(problem, alpha2)
+            if seed is None:
+                state.attempts.append((alpha2, "no seed", 0))
+            else:
+                d, outcome, ev = attempt(*seed)
+                if outcome == "certified":
+                    break
+            state.restarts += 1
+            alpha2 -= 1
+            if alpha2 <= min_alpha2:
+                raise ConvergenceError(
+                    f"search fell below the minimal degree {min_alpha2 + 1} "
+                    f"without converging", best_residual=state.best_residual,
+                    attempts=state.attempts)
+
+        while alpha2 < problem.top:
+            problem.set_degree(alpha2 + 1)
+            overdetermined = (alpha2 + 1 > problem.square
+                              and not (symmetric and (alpha2 + 1) % 2))
+            probe, outcome, probe_ev = attempt(
+                d, problem.grow(d, ev), 0 if overdetermined else None)
+            if outcome != "certified":
+                problem.set_degree(alpha2)
+                break
+            alpha2 += 1
+            d, ev = probe, probe_ev
+        return problem.certify(d), state
     finally:
-        if log:
-            log.flush()
+        if log is not None:
+            with open(log_path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(["iteration,residual_norm,newton_decrement,"
+                                    "c_k,lambda,alpha2", *log]) + "\n")
 
 
 def generate_nested(n1: int, table: RecurrenceTable,
@@ -814,7 +812,7 @@ def generate_nested(n1: int, table: RecurrenceTable,
     config = config or OptimizerConfig()
     alpha2 = _start_degree(config, n1, _new_nodes(n1), 2 * n1 - 1)
     problem = _pair_problem(n1, table, alpha2, config)
-    ((coarse, subset), (fine, _)), state = _search(
+    ((coarse, subset), (fine, _)), state = _drive(
         problem, config, alpha2, 2 * n1 - 1, log_path)
     pair = NestedRulePair(coarse, fine, subset,
                           float(math.hypot(coarse.residual_norm,
@@ -856,8 +854,8 @@ def extend_patterson(base: QuadratureRule, table: RecurrenceTable,
         raise ParameterError(
             f"base rule fails its own certificate ({fresh:.3e}, allowed "
             f"{allowed:.3e})")
-    ((rule, _),), state = _search(problem, config, alpha2,
-                                  base.exactness_degree, log_path)
+    ((rule, _),), state = _drive(problem, config, alpha2,
+                                 base.exactness_degree, log_path)
     return rule, state
 
 

@@ -216,6 +216,7 @@ def _record_to_json(record: RuleRecord) -> dict:
             "residual_norm_coarse": pair.coarse.residual_norm,
             "residual_norm_fine": pair.fine.residual_norm,
         }
+        rules = [pair.coarse, pair.fine]
     else:
         rule = record.payload
         data = {
@@ -226,8 +227,9 @@ def _record_to_json(record: RuleRecord) -> dict:
             "alpha2": rule.exactness_degree,
             "residual_norm": rule.residual_norm,
         }
-        if rule.weight_floor_relaxed:
-            data["weight_floor_relaxed"] = True
+        rules = [rule]
+    if any(rule.weight_floor_relaxed for rule in rules):
+        data["weight_floor_relaxed"] = True
     cert = record.certification
     if not all(math.isfinite(v) for v in (data["residual_norm"], cert.epsilon,
                                           cert.A, cert.weight_floor)):

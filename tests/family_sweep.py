@@ -6,9 +6,12 @@ rule (table through degree 132): four extensions for legendre, chebyshev1
 and jacobi(0,0.3), three for the others.  A chain stops at its first
 error.  Prints one line per op: a sha256 of its node and weight bytes,
 its certified degrees, its iteration count and its wall time, or the
-error it raised; the last line is ``total iterations N`` over the ops
-that returned a rule.  Two trees find the same rules at the same cost
-when their outputs agree up to the seconds column:
+error it raised.  Then, from the ops' ``state.attempts`` (or a
+ConvergenceError's ``attempts``), one line per attempt outcome: how
+many degree attempts ended so and their steps.  The last line is
+``total iterations N`` over the ops that returned a rule.  Two trees
+find the same rules at the same cost when their outputs agree up to the
+seconds column:
 
     PYTHONPATH=src python tests/family_sweep.py > after.txt
 
@@ -23,6 +26,7 @@ file.
 # first: pins BLAS before numpy loads and puts this tree's src on the path
 from script_support import sha
 
+import collections
 import time
 
 import nestquad as nq
@@ -42,20 +46,23 @@ FAMILIES = [
 ]
 PAIR_N1 = range(1, 11)
 CHAIN_CAPACITY = 132
+# the outcomes of OptimizerState.attempts, in the order printed
+OUTCOMES = ("certified", "infeasible", "diverged", "stall", "plateau",
+            "budget", "no seed", "overdetermined", "search budget")
 
 
 def _timed(name, run):
     """Print ``name``, then the op's result or error, with its seconds;
-    returns the result and its iteration count, or (None, 0) after an
-    error."""
+    returns the result, its iteration count and its attempts, or None, 0
+    and the error's attempts after an error."""
     start = time.perf_counter()
     try:
         result, rules, state = run()
     except NestQuadError as exc:
         outcome, result = f"{type(exc).__name__}: {exc}", None
-        iterations = 0
+        iterations, attempts = 0, getattr(exc, "attempts", [])
     else:
-        iterations = state.iteration
+        iterations, attempts = state.iteration, state.attempts
         arrays = b"".join(r.nodes.tobytes() + r.weights.tobytes()
                           for r in rules)
         outcome = (f"nodes {sha(arrays)} "
@@ -63,7 +70,7 @@ def _timed(name, run):
                    f"iterations {state.iteration}")
     print(f"{name}: {outcome} seconds {time.perf_counter() - start:.2f}",
           flush=True)
-    return result, iterations
+    return result, iterations, attempts
 
 
 def _pair(family, n1):
@@ -78,20 +85,31 @@ def _extend(rule, table):
 
 
 def main() -> None:
-    total = 0
+    total, attempts = 0, []
     for family, steps in FAMILIES:
         label = family.label()
         for n1 in PAIR_N1:
-            total += _timed(f"pair {label} n1={n1}",
-                            lambda: _pair(family, n1))[1]
+            _, iterations, tried = _timed(f"pair {label} n1={n1}",
+                                          lambda: _pair(family, n1))
+            total += iterations
+            attempts += tried
         table = nq.recurrence_coefficients(family, CHAIN_CAPACITY)
         rule = nq.gauss_rule(table, 1)
         for _ in range(steps):
             name = f"extend {label} {rule.n}->{2 * rule.n + 1}"
-            rule, iterations = _timed(name, lambda: _extend(rule, table))
+            rule, iterations, tried = _timed(name,
+                                             lambda: _extend(rule, table))
             total += iterations
+            attempts += tried
             if rule is None:
                 break
+    counts, spent = collections.Counter(), collections.Counter()
+    for _, outcome, steps in attempts:
+        counts[outcome] += 1
+        spent[outcome] += steps
+    for outcome in OUTCOMES:
+        print(f"{outcome}: {counts[outcome]} attempts, "
+              f"{spent[outcome]} steps")
     print(f"total iterations {total}")
 
 

@@ -12,12 +12,12 @@ node sits 1e-13 and 5e-12 past the domain, within the slack that
 weight bytes, the subset map, the certified degrees, the iteration and
 restart counts and a sha256 of the ``--log`` CSV (for an error, its
 message and best residual instead of the rule).
-Each line ends with the op's per-degree runs, read from the CSV: one
-(alpha2, iterations) pair per stretch of consecutive iterations at one
-degree, so a diff shows at which degrees the iterations moved.  The last
-line is ``total iterations N``, the CSV rows of all ops, errors
-included.  Two trees run the same search exactly when their outputs are
-equal:
+Each line ends with the op's degree attempts, from ``state.attempts`` or
+the error's ``attempts``: one (alpha2, outcome, steps) per degree tried,
+degrees without a seed included, so a diff shows at which degrees the
+search moved.  The last line is ``total iterations N``, the steps of all
+ops, errors included.  Two trees run the same search exactly when their
+outputs are equal:
 
     PYTHONPATH=src python tests/search_digest.py > after.txt
 
@@ -49,22 +49,14 @@ def _csv_digest(path) -> str:
         return _sha(fh.read())
 
 
-def _degree_runs(path) -> list:
-    """(alpha2, iterations) per stretch of consecutive CSV rows at one
-    degree; alpha2 is the last column."""
-    with open(path, encoding="utf-8") as fh:
-        degrees = [int(row.rsplit(",", 1)[1]) for row in fh.read().split()[1:]]
-    return [(alpha2, len(list(group)))
-            for alpha2, group in itertools.groupby(degrees)]
-
-
-def _line(name, rules, subset, state, log_path) -> str:
+def _line(name, rules, subset, state, log_path):
+    """(the op's line, its attempts)."""
     arrays = b"".join(r.nodes.tobytes() + r.weights.tobytes() for r in rules)
     degrees = tuple(r.exactness_degree for r in rules)
     return (f"{name}: nodes {_sha(arrays)} subset {subset} degrees {degrees} "
             f"iterations {state.iteration} restarts {state.restarts} "
-            f"csv {_csv_digest(log_path)} "
-            f"runs {_degree_runs(log_path)}")
+            f"csv {_csv_digest(log_path)} attempts {state.attempts}",
+            state.attempts)
 
 
 def _chain(family, steps, log):
@@ -83,10 +75,11 @@ def _pair(family, n1, log):
                 pair.subset_map, state, log)
 
 
-def _error_line(name, exc, log) -> str:
+def _error_line(name, exc, log):
+    """(the failed op's line, its attempts)."""
     return (f"{name}: ConvergenceError {exc} "
             f"best_residual {exc.best_residual!r} csv {_csv_digest(log)} "
-            f"runs {_degree_runs(log)}")
+            f"attempts {exc.attempts}", exc.attempts)
 
 
 def _failure(name, n, config, log):
@@ -99,7 +92,7 @@ def _failure(name, n, config, log):
     except ConvergenceError as exc:
         yield _error_line(name, exc, log)
     else:
-        yield f"{name}: no error"
+        yield f"{name}: no error", []
 
 
 def _simpson(excess, log):
@@ -148,9 +141,9 @@ def main() -> None:
             _simpson(5e-12, log),
         )
         total = 0
-        for line in lines:
+        for line, attempts in lines:
             print(line, flush=True)
-            total += sum(count for _, count in _degree_runs(log))
+            total += sum(steps for *_, steps in attempts)
         print(f"total iterations {total}")
 
 

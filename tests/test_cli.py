@@ -15,7 +15,9 @@ from nestquad import cli, rulestore
 from nestquad.cli import main
 from nestquad.errors import ConvergenceError, IntegrityError, SchemaError
 from nestquad.gauss import gauss_rule
-from nestquad.orthopoly import custom_family, legendre, recurrence_coefficients
+from nestquad.orthopoly import chebyshev1, custom_family, \
+    generalized_hermite, generalized_laguerre, legendre, \
+    recurrence_coefficients
 from nestquad.rulestore import catalog_scan, load, make_rule_record, save
 
 
@@ -55,6 +57,26 @@ class TestGenerate:
         record = load(out)
         assert record.kind == "pair"
         assert record.payload.fine.n == 7
+
+    @pytest.mark.parametrize("family, n1", [("laguerre", "3"),
+                                            ("hermite", "4")])
+    def test_relaxed_pair_reads_back(self, tmp_path, capsys, family, n1):
+        # these pairs certify only with a negative weight; their record
+        # says so, and every command that reads it accepts it
+        path = tmp_path / "pair.json"
+        code, _, _ = run(capsys, "generate", "--family", family, "--n1", n1,
+                         "--allow-negative-weights", "--out", str(path))
+        assert code == 0
+        assert json.loads(path.read_text())["data"]["weight_floor_relaxed"]
+        pair = load(path).payload
+        assert pair.fine.weight_floor_relaxed
+        assert np.min(pair.fine.weights) < 0.0
+        assert run(capsys, "export", "--in", str(path),
+                   "--out", str(tmp_path / "fine.csv"))[0] == 0
+        assert run(capsys, "integrate", "--rule", str(path),
+                   "--function", "constant")[0] == 0
+        assert run(capsys, "extend", "--in", str(path))[0] == 0
+        assert len(catalog_scan(tmp_path)) == 1
 
     def test_jacobi_example(self, capsys):
         code, stdout, _ = run(capsys, "generate", "--family", "jacobi",
@@ -212,6 +234,23 @@ class TestExtend:
         assert code == 0
         assert stdout.strip() == "n2=3 alpha2=5"
 
+    def test_prune_keeps_the_base_nodes(self, tmp_path, capsys):
+        # the Laguerre 3-node extension of Gauss-1 gives the base node 1.0
+        # a weight of 9e-14; pruning it would leave Gauss-2, which does not
+        # nest the base, so the chain keeps the unpruned 3 and 7 nodes
+        seed = tmp_path / "g1.json"
+        run(capsys, "gauss", "--family", "laguerre", "--n", "1",
+            "--out", str(seed))
+        code, stdout, _ = run(capsys, "extend", "--in", str(seed),
+                              "--steps", "2", "--prune",
+                              "--out", str(tmp_path))
+        assert code == 0
+        assert stdout.strip().split("\n") == ["n2=3 alpha2=3",
+                                              "n2=7 alpha2=8"]
+        code, _, _ = run(capsys, "sparse-grid", "--family", "laguerre",
+                         "--d", "2", "--k", "3", "--catalog", str(tmp_path))
+        assert code == 0
+
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_steps_below_one_is_usage_error(self, seed_record, tmp_path,
                                             capsys, steps):
@@ -228,6 +267,51 @@ class TestExtend:
         code, _, stderr = run(capsys, "extend", "--in", str(bad))
         assert code == 3
         assert "bad.json" in stderr
+
+
+class TestFamilyFlag:
+    @pytest.mark.parametrize("flags, want", [
+        (["--family", "chebyshev"], chebyshev1()),
+        (["--family", "chebyshev1"], chebyshev1()),
+        (["--family", "laguerre"], generalized_laguerre(0.0)),
+        (["--family", "generalized_laguerre"], generalized_laguerre(0.0)),
+        (["--family", "laguerre", "--params", "0.5"],
+         generalized_laguerre(0.5)),
+        (["--family", "hermite-rho1"], generalized_hermite(1.0)),
+        (["--family", "legendre", "--params", "1"],
+         "legendre takes no parameters"),
+        (["--family", "chebyshev", "--params", "1"],
+         "chebyshev takes no parameters"),
+        (["--family", "jacobi", "--params", "0.5"],
+         "jacobi needs --params alpha,beta"),
+        (["--family", "hermite", "--params", "1,2"],
+         "hermite takes at most one rho parameter"),
+        (["--family", "laguerre", "--params", "1,2"],
+         "laguerre takes at most one rho parameter"),
+        (["--family", "hermite-rho1", "--params", "1"],
+         "give either a -rho suffix or --params, not both"),
+        (["--family", "laguerre-rhox"], "bad family suffix -rho'x'"),
+        (["--family", "jacobi", "--params", "0,a"], "bad --params '0,a'"),
+        (["--family", "legendre", "--n1", "2,x"], "bad --n1 '2,x'"),
+    ], ids=["chebyshev", "chebyshev1", "laguerre", "generalized_laguerre",
+            "laguerre-params", "hermite-rho1", "legendre-params",
+            "chebyshev-params", "jacobi-one-param", "hermite-two-params",
+            "laguerre-two-params", "rho-and-params", "bad-rho",
+            "bad-params", "bad-n1"])
+    def test_spellings_and_refusals(self, tmp_path, capsys, flags, want):
+        # a spelling builds its factory's family, which the Gauss-1 record
+        # stores; a refusal is a usage error naming what is wrong
+        out = tmp_path / "rule.json"
+        argv = (["generate", *flags] if "--n1" in flags
+                else ["gauss", *flags, "--n", "1"])
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        if isinstance(want, str):
+            assert (code, stdout) == (1, "")
+            assert stderr.startswith(f"error: {want}")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert load(out).family == want
 
 
 class TestGauss:

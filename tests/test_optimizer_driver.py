@@ -3,7 +3,6 @@
 import collections
 import dataclasses
 import hashlib
-import itertools
 import math
 import re
 
@@ -43,13 +42,6 @@ from refdata import gauss_kronrod_15
 
 def table_for(family, capacity):
     return recurrence_coefficients(family, capacity + 1)
-
-
-def alpha2_runs(log_path):
-    """The degrees a search tried, in order, from its --log CSV."""
-    rows = log_path.read_text().splitlines()[1:]
-    return [int(alpha2) for alpha2, _ in
-            itertools.groupby(row.rsplit(",", 1)[1] for row in rows)]
 
 
 class TestGenerateNested:
@@ -218,14 +210,12 @@ class TestGenerateNested:
         assert (pair.coarse.exactness_degree,
                 pair.fine.exactness_degree) == degrees
 
-    def test_search_reaches_alpha1_plus_one(self, tmp_path):
+    def test_search_reaches_alpha1_plus_one(self):
         # one step per start certifies no degree of this pair
         table = recurrence_coefficients(jacobi(1.24, -0.79), 22)
-        path = tmp_path / "search.csv"
-        with pytest.raises(ConvergenceError, match="minimal degree 6"):
-            generate_nested(3, table, OptimizerConfig(max_iterations=1),
-                            log_path=path)
-        assert alpha2_runs(path)[-1] == 6
+        with pytest.raises(ConvergenceError, match="minimal degree 6") as info:
+            generate_nested(3, table, OptimizerConfig(max_iterations=1))
+        assert info.value.attempts[-1][0] == 6
 
     @pytest.mark.parametrize("n1, degrees", [(4, (7, 13)), (5, (9, 15))])
     def test_jacobi_1_minus_half_pairs_certify(self, n1, degrees):
@@ -424,8 +414,11 @@ class TestDegreeSearch:
         path = tmp_path / "search.csv"
         rule, state = extend_patterson(rule, table, log_path=path)
         assert attempts == [(22, "certified"), (23, "budget")]
+        assert state.attempts == [(22, "certified", 0),
+                                  (23, "overdetermined", 0)]
         assert (rule.exactness_degree, state.iteration) == (22, 0)
-        assert alpha2_runs(path) == []
+        # the log holds its header and no step
+        assert len(path.read_text().splitlines()) == 1
 
     def test_symmetric_odd_probe_keeps_its_steps(self, attempts, tmp_path):
         # on Legendre, rounding leaves the odd moment of the 31 -> 63 probe
@@ -437,10 +430,13 @@ class TestDegreeSearch:
             rule, _ = extend_patterson(rule, table)
         attempts.clear()
         path = tmp_path / "search.csv"
-        rule, _ = extend_patterson(rule, table, log_path=path)
+        rule, state = extend_patterson(rule, table, log_path=path)
         assert attempts == [(94, "certified"), (95, "certified"),
                             (96, "budget")]
-        assert alpha2_runs(path) == [94, 95]
+        assert [alpha2 for alpha2, _, steps in state.attempts if steps] == \
+            [94, 95]
+        assert state.attempts[-1] == (96, "overdetermined", 0)
+        assert len(path.read_text().splitlines()) == state.iteration + 1
         assert rule.exactness_degree == 95
 
     def test_odd_probe_over_an_asymmetric_base_takes_no_step(self,
@@ -628,6 +624,33 @@ class TestDegreeSearch:
         assert state.restarts == 1
         assert pair.fine.exactness_degree == 7
 
+    def test_record_lists_the_degrees_without_a_seed(self):
+        # the generalized-Hermite (rho = 1) pair n1 = 8: 25 down to 22,
+        # whose seeds have complex roots, are conceded without a run; 21
+        # certifies its seed without a step and the probe at 22 stalls
+        table = recurrence_coefficients(generalized_hermite(1.0), 42)
+        _, state = generate_nested(8, table)
+        assert [(alpha2, outcome) for alpha2, outcome, _ in
+                state.attempts] == [(25, "no seed"), (24, "no seed"),
+                                    (23, "no seed"), (22, "no seed"),
+                                    (21, "certified"), (22, "stall")]
+        assert [steps for *_, steps in state.attempts[:-1]] == [0] * 5
+        assert sum(steps for *_, steps in state.attempts) == \
+            state.iteration > 0
+
+    def test_budget_cut_search_error_carries_the_record(self, monkeypatch):
+        # a whole-search budget of one step: the Laguerre (rho = 0) Gauss-15
+        # extension from 61 has no seed down to 34 and spends the step at
+        # 33, whose run the budget cuts
+        monkeypatch.setattr(nested_optimizer, "_BUDGET_DEGREES", 1)
+        table = recurrence_coefficients(generalized_laguerre(0.0), 70)
+        config = OptimizerConfig(max_iterations=1, alpha2_initial=61)
+        with pytest.raises(ConvergenceError, match="budget exhausted") as info:
+            extend_patterson(gauss_rule(table, 15), table, config)
+        attempts = info.value.attempts
+        assert attempts == [(alpha2, "no seed", 0) for alpha2 in
+                            range(61, 33, -1)] + [(33, "search budget", 1)]
+
 
 class TestExtendPatterson:
     def test_first_legendre_extension_is_gauss3(self):
@@ -642,7 +665,7 @@ class TestExtendPatterson:
         # the base node is frozen bit-exactly
         assert rule.nodes[1] == base.nodes[0]
 
-    def test_tightest_certifying_run_keeps_its_degree(self, tmp_path):
+    def test_tightest_certifying_run_keeps_its_degree(self, monkeypatch):
         # laguerre(0) 7 -> 15 (table through 132) certifies 18 in the run
         # whose weakest step comes closest to the stall test of any
         # certifying run in tests/family_sweep.py: its smallest
@@ -652,14 +675,21 @@ class TestExtendPatterson:
         rule = gauss_rule(table, 1)
         for _ in range(2):
             rule, _ = extend_patterson(rule, table)
-        path = tmp_path / "search.csv"
-        rule, _ = extend_patterson(rule, table, log_path=path)
+        # each degree's log rows, one per step
+        rows = collections.defaultdict(list)
+        solve = nested_optimizer._solve_degree
+
+        def spy(problem, d, config, state, log=None, **kwargs):
+            return solve(problem, d, config, state,
+                         rows[problem.degrees[-1]], **kwargs)
+
+        monkeypatch.setattr(nested_optimizer, "_solve_degree", spy)
+        rule, _ = extend_patterson(rule, table)
         assert rule.exactness_degree == 18
         digest = hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes())
         assert digest.hexdigest()[:16] == "098f73b4bafdb2fd"
-        rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
-        ratio = min(float(eta) / float(rnorm)
-                    for _, rnorm, eta, _, _, alpha2 in rows if alpha2 == "18")
+        ratio = min(float(eta) / float(rnorm) for _, rnorm, eta, *_ in
+                    (row.split(",") for row in rows[18]))
         assert 2 * nested_optimizer._STALL_RATIO < ratio < 0.3
 
     def test_chebyshev_chain_hits_closed_forms(self):

@@ -23,7 +23,7 @@ from nestquad.nested_optimizer import (
     prune_negligible,
 )
 from nestquad.nested_optimizer import _DAMPING, _NORMAL_MIN_COLS, \
-    _PLATEAU_RUN, _STALL_RATIO, _DiagnosticsLog, \
+    _PLATEAU_RUN, _STALL_RATIO, \
     _MomentProblem, \
     _damped_step, _node_polynomial_seed, _normal_solve, _pair_problem, \
     _solve_degree, _step_from_svd
@@ -641,14 +641,14 @@ class TestSolveDegree:
         config = OptimizerConfig(max_iterations=1000)
         problem, d0 = self._problem(1, 6, config)
         state = OptimizerState()
-        log = _DiagnosticsLog(None)
+        log = []
         _, outcome, _ = _solve_degree(problem, d0, config, state, log)
         assert outcome == "stall"
         assert 0 < state.iteration < _PLATEAU_RUN
         # each logged row is one step: the |R| it was computed at and its
         # decrement
         rnorm, eta = np.array([[float(v) for v in row.split(",")[1:3]]
-                               for row in log.lines[1:]]).T
+                               for row in log]).T
         weak = eta < _STALL_RATIO * rnorm
         assert weak[-1] and not np.any(weak[:-1])
         assert np.all(eta > config.epsilon)
@@ -662,10 +662,10 @@ class TestSolveDegree:
         config = OptimizerConfig(max_iterations=1000)
         problem, d0 = self._problem(1, 6, config)
         state = OptimizerState()
-        log = _DiagnosticsLog(None)
+        log = []
         _, outcome, _ = _solve_degree(problem, d0, config, state, log)
         assert outcome == "plateau"
-        rnorm = [float(row.split(",")[1]) for row in log.lines[1:]]
+        rnorm = [float(row.split(",")[1]) for row in log]
         last_best = int(np.argmin(rnorm))
         assert state.iteration - last_best == _PLATEAU_RUN
         assert state.best_residual > 100.0 * config.epsilon
