@@ -107,7 +107,8 @@ def main() -> None:
     for _, outcome, steps in attempts:
         counts[outcome] += 1
         spent[outcome] += steps
-    for outcome in OUTCOMES:
+    # an outcome missing from OUTCOMES is printed after them, sorted
+    for outcome in (*OUTCOMES, *sorted(set(counts) - set(OUTCOMES))):
         print(f"{outcome}: {counts[outcome]} attempts, "
               f"{spent[outcome]} steps")
     print(f"total iterations {total}")

@@ -215,7 +215,9 @@ class TestGenerateNested:
         table = recurrence_coefficients(jacobi(1.24, -0.79), 22)
         with pytest.raises(ConvergenceError, match="minimal degree 6") as info:
             generate_nested(3, table, OptimizerConfig(max_iterations=1))
-        assert info.value.attempts[-1][0] == 6
+        # the last attempt is a run of one step at alpha1 + 1, not a
+        # degree conceded without a seed
+        assert info.value.attempts[-1] == (6, "budget", 1)
 
     @pytest.mark.parametrize("n1, degrees", [(4, (7, 13)), (5, (9, 15))])
     def test_jacobi_1_minus_half_pairs_certify(self, n1, degrees):
@@ -312,45 +314,33 @@ class TestGenerateNested:
         assert outcomes["certified"] >= 1, outcomes
 
 
-@pytest.fixture
-def attempts(monkeypatch):
-    """(alpha2, outcome) of every ``_solve_degree`` call, in order,
-    recorded around the real one; unlike the --log CSV it also lists the
-    attempts that certify without a step."""
-    calls = []
-    solve = nested_optimizer._solve_degree
-
-    def spy(problem, d, config, state, log=None, **kwargs):
-        result = solve(problem, d, config, state, log, **kwargs)
-        calls.append((problem.degrees[-1], result[1]))
-        return result
-
-    monkeypatch.setattr(nested_optimizer, "_solve_degree", spy)
-    return calls
+def tried(state):
+    """(alpha2, outcome) of each attempt the search recorded, in order."""
+    return [(alpha2, outcome) for alpha2, outcome, _ in state.attempts]
 
 
 class TestDegreeSearch:
     """The order in which degrees and starts are tried; iteration counts
     are left out, because they depend on the BLAS."""
 
-    def test_concede_restart_and_failed_probe(self, attempts):
+    def test_concede_restart_and_failed_probe(self):
         table = table_for(generalized_hermite(1.0), 40)
         base, _ = extend_patterson(gauss_rule(table, 1), table)
-        attempts.clear()
         rule, state = extend_patterson(base, table)
         # the start 10 stalls from its node-polynomial seed and is
         # conceded; 9 certifies from its seed; the probe at 10 fails
-        assert attempts == [(10, "stall"), (9, "certified"), (10, "stall")]
+        assert tried(state) == [(10, "stall"), (9, "certified"),
+                                (10, "stall")]
         assert state.restarts == 1
         assert rule.exactness_degree == 9
 
-    def test_probe_climbs_past_the_start(self, attempts):
+    def test_probe_climbs_past_the_start(self):
         table = recurrence_coefficients(chebyshev1(), 4 * 7 + 10)
         pair, state = generate_nested(7, table)
         # the seed certifies the start 22 = 3 n1 + 1; the probes at 23 to
-        # 27 certify and the probe at 28 fails
-        assert attempts == [(alpha2, "certified") for alpha2 in
-                            range(22, 28)] + [(28, "budget")]
+        # 27 certify and the over-determined probe at 28 is refused
+        assert tried(state) == [(alpha2, "certified") for alpha2 in
+                                range(22, 28)] + [(28, "overdetermined")]
         assert state.restarts == 0
         assert pair.fine.exactness_degree == 27
 
@@ -402,7 +392,7 @@ class TestDegreeSearch:
             assert got.weights.tobytes() == rule.weights.tobytes()
             assert got.residual_norm == rule.residual_norm
 
-    def test_overdetermined_probe_takes_no_step(self, attempts, tmp_path):
+    def test_overdetermined_probe_takes_no_step(self, tmp_path):
         # the seed of jacobi(0, 0.3) 7 -> 15 certifies the square degree
         # 22 = 3 n + 1 without a step; the probe at 23 adds a moment row
         # and no unknown, so it is conceded without a step either
@@ -410,17 +400,15 @@ class TestDegreeSearch:
         rule = gauss_rule(table, 1)
         for _ in range(2):
             rule, _ = extend_patterson(rule, table)
-        attempts.clear()
         path = tmp_path / "search.csv"
         rule, state = extend_patterson(rule, table, log_path=path)
-        assert attempts == [(22, "certified"), (23, "budget")]
         assert state.attempts == [(22, "certified", 0),
                                   (23, "overdetermined", 0)]
         assert (rule.exactness_degree, state.iteration) == (22, 0)
         # the log holds its header and no step
         assert len(path.read_text().splitlines()) == 1
 
-    def test_symmetric_odd_probe_keeps_its_steps(self, attempts, tmp_path):
+    def test_symmetric_odd_probe_keeps_its_steps(self, tmp_path):
         # on Legendre, rounding leaves the odd moment of the 31 -> 63 probe
         # at 95 above epsilon; its steps reach Patterson's degree 95, and
         # the even probe at 96 takes none (the start 94 steps as any start)
@@ -428,19 +416,16 @@ class TestDegreeSearch:
         rule = gauss_rule(table, 1)
         for _ in range(4):
             rule, _ = extend_patterson(rule, table)
-        attempts.clear()
         path = tmp_path / "search.csv"
         rule, state = extend_patterson(rule, table, log_path=path)
-        assert attempts == [(94, "certified"), (95, "certified"),
-                            (96, "budget")]
+        assert tried(state) == [(94, "certified"), (95, "certified"),
+                                (96, "overdetermined")]
         assert [alpha2 for alpha2, _, steps in state.attempts if steps] == \
             [94, 95]
-        assert state.attempts[-1] == (96, "overdetermined", 0)
         assert len(path.read_text().splitlines()) == state.iteration + 1
         assert rule.exactness_degree == 95
 
-    def test_odd_probe_over_an_asymmetric_base_takes_no_step(self,
-                                                             attempts):
+    def test_odd_probe_over_an_asymmetric_base_takes_no_step(self):
         # Simpson's rule with its right node 5e-12 past 1 is not symmetric,
         # so the odd moments of its extension cannot vanish by symmetry:
         # the seed certifies 10 = 3 n + 1 and the odd probe at 11 is as
@@ -452,10 +437,10 @@ class TestDegreeSearch:
         base = QuadratureRule(legendre(), nodes, weights, 3,
                               float(np.linalg.norm(r)))
         rule, state = extend_patterson(base, table)
-        assert attempts == [(10, "certified"), (11, "budget")]
+        assert tried(state) == [(10, "certified"), (11, "overdetermined")]
         assert (rule.exactness_degree, state.iteration) == (10, 0)
 
-    def test_one_certificate_per_search(self, monkeypatch, attempts):
+    def test_one_certificate_per_search(self, monkeypatch):
         # each certified degree passes the feasibility tests once; the
         # certificate (moment residuals, rules, pair) is built once, for
         # the degree the search returns
@@ -476,15 +461,15 @@ class TestDegreeSearch:
         monkeypatch.setattr(nested_optimizer._MomentProblem, "certify",
                             spy_certify)
         table = recurrence_coefficients(chebyshev1(), 4 * 7 + 10)
-        pair, _ = generate_nested(7, table)
+        pair, state = generate_nested(7, table)
         # certify checks feasibility once more for the returned degree
-        assert checked == [alpha2 for alpha2, outcome in attempts
+        assert checked == [alpha2 for alpha2, outcome in tried(state)
                            if outcome == "certified"] + [27]
         assert checked[:-1] == list(range(22, 28))
         assert certified == [27]
         assert pair.fine.exactness_degree == 27
 
-    def test_each_recurrence_pass_runs_once(self, monkeypatch, attempts):
+    def test_each_recurrence_pass_runs_once(self, monkeypatch):
         # a seeded start reuses the seed's values, a probe grows the
         # certified iterate's values by one row, and every other pass
         # carries values and derivatives together: jacobi(0, 0.3) 7 -> 15
@@ -518,11 +503,10 @@ class TestDegreeSearch:
         rule = gauss_rule(table, 1)
         for _ in range(2):
             rule, _ = extend_patterson(rule, table)
-        attempts.clear()
         events.clear()
         grown.clear()
         _, state = extend_patterson(rule, table)
-        assert attempts == [(22, "certified"), (23, "budget")]
+        assert tried(state) == [(22, "certified"), (23, "overdetermined")]
         assert (events, grown, state.iteration) == (["|", "|"], [(23, 23)], 0)
         # a search that steps runs one pass, values and derivatives
         # together, before each step: a degree that steps from its seed
@@ -576,8 +560,7 @@ class TestDegreeSearch:
         assert probes[:3] == [24, 26, 28] and probes[-1] == 23
         assert fresh == [[]] * len(probes)
 
-    def test_seed_basis_is_built_once_per_search(self, monkeypatch,
-                                                 attempts):
+    def test_seed_basis_is_built_once_per_search(self, monkeypatch):
         # the generalized-Hermite (rho = 1) pair n1 = 8 seeds the five
         # degrees 25 down to 21, the first four of which have complex
         # roots; its base Gauss rule and its Gauss-g Gram rule are built
@@ -599,15 +582,14 @@ class TestDegreeSearch:
         monkeypatch.setattr(nested_optimizer, "_node_polynomial_seed",
                             spy_seed)
         table = recurrence_coefficients(generalized_hermite(1.0), 42)
-        pair, state = generate_nested(8, table)
+        pair, _ = generate_nested(8, table)
         assert pair.fine.exactness_degree == 21
         assert seeded == [(25, False), (24, False), (23, False),
                           (22, False), (21, True)]
-        assert attempts == [(21, "certified"), (22, "stall")]
         assert built == [8, 15]
 
     def test_degree_without_a_seed_is_conceded_without_a_run(
-            self, monkeypatch, attempts):
+            self, monkeypatch):
         seed = nested_optimizer._node_polynomial_seed
 
         def no_seed_at_8(problem, alpha):
@@ -619,8 +601,9 @@ class TestDegreeSearch:
         pair, state = generate_nested(2, table,
                                       OptimizerConfig(alpha2_initial=8))
         # 8 is conceded before any step; 7 certifies from its seed; the
-        # probe at 8, warm from 7's rule, needs no seed and fails
-        assert attempts == [(7, "certified"), (8, "budget")]
+        # probe at 8, warm from 7's rule, needs no seed and is refused
+        assert tried(state) == [(8, "no seed"), (7, "certified"),
+                                (8, "overdetermined")]
         assert state.restarts == 1
         assert pair.fine.exactness_degree == 7
 
