@@ -68,7 +68,8 @@ class SchemaError(NestQuadError, ValueError):
 
 
 class EvaluationError(NestQuadError, RuntimeError):
-    """An integrand returned a non-finite value.  Carries the node."""
+    """An integrand returned a value that is not one finite real number.
+    Carries the node."""
 
     def __init__(self, message: str, node=None):
         super().__init__(message)

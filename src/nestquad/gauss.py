@@ -38,6 +38,7 @@ __all__ = [
     "MomentReport",
     "certified_rule",
     "gauss_rule",
+    "moment_residuals",
     "recheck",
     "verify_rule",
     "circle_theorem_deviation",

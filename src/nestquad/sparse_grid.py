@@ -585,9 +585,10 @@ def integrate(grid: SparseGrid, f) -> float:
     would also return N values, and ``f`` gets only the per-node calls.
 
     The sum is the correctly rounded sum of the products w_q f(x_q), the
-    double ``math.fsum`` returns (see ``_weighted_sum``).  A non-finite
-    value aborts with an evaluation error carrying the first offending
-    node in node order.
+    double ``math.fsum`` returns (see ``_weighted_sum``).  A value that is
+    not one finite real number (complex, a string, an array, inf, nan)
+    aborts with an evaluation error carrying the first offending node in
+    node order.
     """
     return _weighted_sum(grid.weights, _node_values(grid.nodes, f))
 
@@ -687,8 +688,14 @@ def _batch_values(nodes, f):
 
 
 def _finite(value, point) -> float:
-    """``float(value)``; EvaluationError naming ``point`` if not finite."""
-    value = float(value)
+    """``float(value)``; EvaluationError naming ``point`` unless ``value``
+    is one finite real number (of the kinds the batch call admits)."""
+    array = np.asarray(value)
+    if array.shape != () or array.dtype.kind not in "biuf":
+        raise EvaluationError(
+            f"integrand returned {value!r}, not one real number, "
+            f"at {point.tolist()}", node=point.copy())
+    value = float(array)
     if not math.isfinite(value):
         raise EvaluationError(
             f"integrand returned {value} at {point.tolist()}",

@@ -9,7 +9,7 @@ its certified degrees, its iteration count and its wall time, or the
 error it raised.  Then, from the ops' ``state.attempts`` (or a
 ConvergenceError's ``attempts``), one line per attempt outcome: how
 many degree attempts ended so and their steps.  The last line is
-``total iterations N`` over the ops that returned a rule.  Two trees
+``total iterations N``, the steps of all ops, errors included.  Two trees
 find the same rules at the same cost when their outputs agree up to the
 seconds column:
 
@@ -53,14 +53,16 @@ OUTCOMES = ("certified", "infeasible", "diverged", "stall", "plateau",
 
 def _timed(name, run):
     """Print ``name``, then the op's result or error, with its seconds;
-    returns the result, its iteration count and its attempts, or None, 0
-    and the error's attempts after an error."""
+    returns the result, its iteration count and its attempts, or None,
+    the steps of the error's attempts and those attempts after an
+    error."""
     start = time.perf_counter()
     try:
         result, rules, state = run()
     except NestQuadError as exc:
         outcome, result = f"{type(exc).__name__}: {exc}", None
-        iterations, attempts = 0, getattr(exc, "attempts", [])
+        attempts = getattr(exc, "attempts", [])
+        iterations = sum(steps for *_, steps in attempts)
     else:
         iterations, attempts = state.iteration, state.attempts
         arrays = b"".join(r.nodes.tobytes() + r.weights.tobytes()

@@ -12,7 +12,9 @@ nested-pair and the frozen-node extension problems, kept as the bitwise
 reference for the package's shared kernel; they take the package's
 recurrence evaluation and its derivative as arguments, since only the
 assembly around them is under test.  The textbook recurrence loops are
-the bitwise reference for the package's in-place recurrence kernel.  No
+the bitwise reference for the package's in-place recurrence kernel.
+Laurie's Jacobi-Kronrod matrix gives an independent Gauss-Kronrod rule
+to check nested pairs against.  No
 imports from the package under test, so agreement between the two is
 meaningful.
 """
@@ -403,3 +405,53 @@ def textbook_recurrence(table, degree, x):
         q[m + 1] = ((x - a[m]) * q[m] - sqrt_b[m] * q[m - 1]
                     + p[m]) / sqrt_b[m + 1]
     return p, q
+
+
+def kronrod_rule(table, n1: int, tol: float = 1e-12):
+    """The (2 n1 + 1)-point Gauss-Kronrod rule of the table's weight from
+    Laurie's Jacobi-Kronrod matrix (D.P. Laurie, Math. Comp. 66, 1997),
+    built as in the loop of Gautschi's ``r_kronrod``, as (nodes, weights)
+    with ascending nodes; None where no such rule is real and positive
+    (some b_k <= 0) or a node lies more than ``tol`` outside the family's
+    domain.  ``table`` holds the monic a_k and b_k (b_0 the mass) through
+    index ceil(3 n1 / 2)."""
+    n = n1
+    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    a[:3 * n // 2 + 1] = table.a[:3 * n // 2 + 1]
+    b[:(3 * n + 1) // 2 + 1] = table.b[:(3 * n + 1) // 2 + 1]
+    s, t = np.zeros(n // 2 + 3), np.zeros(n // 2 + 3)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            l = m - k
+            u += ((a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k]
+                  - b[l] * s[k + 1])
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            l = m - k
+            j = n - 1 - l
+            u += (-(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1]
+                  + b[l] * s[j + 2])
+            s[j + 1] = u
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + ((s[j + 1] - b[k + n + 1] * s[j + 2])
+                                   / t[j + 2])
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    if not np.all(b[1:] > 0):
+        return None
+    off = np.sqrt(b[1:])
+    nodes, vectors = np.linalg.eigh(np.diag(a) + np.diag(off, 1)
+                                    + np.diag(off, -1))
+    domain = table.family.domain
+    if nodes[0] < domain.lo - tol or nodes[-1] > domain.hi + tol:
+        return None
+    return nodes, b[0] * vectors[0] ** 2

@@ -251,6 +251,24 @@ class TestExtend:
                          "--d", "2", "--k", "3", "--catalog", str(tmp_path))
         assert code == 0
 
+    def test_prune_drops_a_new_node(self, tmp_path, capsys):
+        # the 15-node extension of the x^1.5 e^-x Gauss-7 extension has a
+        # new node of negligible weight; the pruned 14 still nest the 7
+        seed = tmp_path / "g3.json"
+        run(capsys, "gauss", "--family", "laguerre", "--params", "1.5",
+            "--n", "3", "--out", str(seed))
+        out = tmp_path / "levels"
+        code, stdout, stderr = run(capsys, "extend", "--in", str(seed),
+                                   "--steps", "2", "--prune",
+                                   "--out", str(out))
+        assert (code, stdout, stderr) == (
+            0, "n2=7 alpha2=8\nn2=14 alpha2=18 pruned_from=15\n", "")
+        rules = sorted((load(path).payload for path in out.iterdir()),
+                       key=lambda rule: rule.n)
+        assert [rule.n for rule in rules] == [7, 14]
+        assert rules[1].exactness_degree == 18
+        assert np.isin(rules[0].nodes, rules[1].nodes).all()
+
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_steps_below_one_is_usage_error(self, seed_record, tmp_path,
                                             capsys, steps):
@@ -514,6 +532,12 @@ class TestSparseGrid:
                               "--d", "10", "--k", "4", "--schedule", "gauss")
         assert code == 0
         assert stdout.strip() == "1581"
+
+    @pytest.mark.parametrize("d, k", [("0", "3"), ("3", "0")])
+    def test_d_or_k_below_one_is_usage_error(self, capsys, d, k):
+        assert run(capsys, "sparse-grid", "--family", "legendre", "--d", d,
+                   "--k", k, "--schedule", "gauss") == (
+            1, "", "error: --d and --k must be at least 1\n")
 
     def test_missing_catalog_exit4(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "sparse-grid", "--family", "legendre",
@@ -831,6 +855,37 @@ class TestIntegrate:
         assert stdout == ""
         assert stderr == f"error: --params value {bad} is not finite\n"
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("product-exponential", "0.3,0.2",
+         "product-exponential needs 3 coefficients"),
+        ("genz-oscillatory", "0.1,0.5,0.5",
+         "genz-oscillatory needs u plus 3 coefficients"),
+    ])
+    def test_coefficient_count_mismatch(self, grid_path, capsys, name,
+                                        params, message):
+        assert run(capsys, "integrate", "--grid", str(grid_path),
+                   "--function", name, "--params", params) == (
+            1, "", f"error: {message}\n")
+
+    def test_non_uniform_grid_prints_no_e_mu(self, tmp_path, capsys):
+        # the reference values are the uniform weight's; only constant's
+        # holds for every weight
+        path = tmp_path / "hermite"
+        run(capsys, "sparse-grid", "--family", "hermite", "--d", "2",
+            "--k", "3", "--schedule", "gauss", "--out", str(path))
+        grid = str(tmp_path / "hermite.json")
+        assert run(capsys, "integrate", "--grid", grid, "--function",
+                   "product-exponential", "--params", "0.3,0.2") == (
+            0, "estimate=1.033030588596e+00\n", "")
+        code, stdout, _ = run(capsys, "integrate", "--grid", grid,
+                              "--function", "constant")
+        assert code == 0 and " e_mu=" in stdout
+
+    def test_rule_record_is_not_a_pair(self, seed_record, capsys):
+        assert run(capsys, "integrate", "--rule", str(seed_record),
+                   "--function", "constant") == (
+            1, "", "error: --rule expects a nested pair record\n")
+
     def test_param_count_mismatch(self, grid_path, capsys):
         code, _, stderr = run(capsys, "integrate", "--grid", str(grid_path),
                               "--function", "monomial", "--params", "2,2")
@@ -1132,6 +1187,12 @@ class TestExport:
         assert fine_csv.read_text().startswith("node,weight\n")
         assert len(fine_csv.read_text().strip().split("\n")) == 6
         assert len(coarse_csv.read_text().strip().split("\n")) == 3
+
+    def test_rule_record(self, seed_record, tmp_path, capsys):
+        csv = tmp_path / "g1.csv"
+        assert run(capsys, "export", "--in", str(seed_record),
+                   "--out", str(csv)) == (0, f"wrote 1 rows to {csv}\n", "")
+        assert csv.read_text() == "node,weight\n0.0,1.0\n"
 
     def test_rule_has_no_coarse_part(self, tmp_path, capsys):
         path = tmp_path / "g2.json"

@@ -37,6 +37,7 @@ from nestquad.orthopoly import (
     recurrence_coefficients,
 )
 
+from oracles import kronrod_rule
 from refdata import gauss_kronrod_15
 
 
@@ -312,6 +313,44 @@ class TestGenerateNested:
 
         check()
         assert outcomes["certified"] >= 1, outcomes
+
+
+class TestLaurieOracle:
+    """Pairs against Laurie's Jacobi-Kronrod matrix (``oracles``), an
+    independent construction of the Gauss-Kronrod rule: a fine rule of
+    degree 3 n1 + 1 or more on the Gauss nodes is that rule."""
+
+    @pytest.mark.parametrize("family, n1", [
+        (legendre(), 3), (legendre(), 10), (legendre(), 30),
+        (jacobi(0, 0.3), 5), (jacobi(0, 0.3), 20),
+        (chebyshev1(), 3), (chebyshev1(), 7),
+        (generalized_hermite(0), 1), (generalized_hermite(0), 2),
+    ], ids=lambda v: getattr(v, "kind", v))
+    def test_search_finds_the_kronrod_rule(self, family, n1):
+        table = recurrence_coefficients(family, 4 * n1 + 10)
+        nodes, _ = kronrod_rule(table, n1)
+        pair, _ = generate_nested(n1, table)
+        assert pair.fine.exactness_degree >= 3 * n1 + 1
+        assert np.max(np.abs(np.sort(pair.fine.nodes) - nodes)) <= 1e-13
+
+    @pytest.mark.parametrize("family, n1", [
+        (generalized_hermite(0), 3), (generalized_hermite(0), 4),
+        (generalized_laguerre(0), 2), (generalized_laguerre(0), 3),
+        (jacobi(0, 5), 4),
+        (generalized_laguerre(0), 1),  # real, positive, a node at -0.449
+    ], ids=lambda v: getattr(v, "kind", v))
+    def test_no_kronrod_rule_no_square_degree(self, family, n1):
+        table = recurrence_coefficients(family, 4 * n1 + 10)
+        assert kronrod_rule(table, n1) is None
+        pair, _ = generate_nested(n1, table)
+        assert pair.fine.exactness_degree < 3 * n1 + 1
+
+    def test_kronrod_rule_matches_the_published_7_15_rule(self):
+        nodes, weights = kronrod_rule(
+            recurrence_coefficients(legendre(), 12), 7)
+        ref_nodes, ref_weights, _, _ = gauss_kronrod_15()
+        np.testing.assert_allclose(nodes, ref_nodes, atol=1e-14)
+        np.testing.assert_allclose(weights, ref_weights, atol=1e-14)
 
 
 def tried(state):

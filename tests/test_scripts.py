@@ -37,3 +37,22 @@ def test_script_runs(script, args, last):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert re.fullmatch(last, "\n".join(lines[-1 - last.count("\n"):]))
+
+
+def test_family_sweep_counts_a_failed_ops_steps():
+    # total iterations must add up the per-outcome step lines, which count
+    # the attempts of an op that raised too
+    code = (
+        "import family_sweep\n"
+        "from nestquad.errors import ConvergenceError\n"
+        "attempts = [(9, 'stall', 7), (8, 'plateau', 3)]\n"
+        "def fail():\n"
+        "    raise ConvergenceError('no degree certified', 0.5, attempts)\n"
+        "print(family_sweep._timed('op', fail)[1:])\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=_TESTS,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    op, counted = done.stdout.splitlines()
+    assert re.fullmatch(r"op: ConvergenceError: no degree certified "
+                        r"seconds \d+\.\d\d", op)
+    assert counted == "(10, [(9, 'stall', 7), (8, 'plateau', 3)])"

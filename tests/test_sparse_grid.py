@@ -489,6 +489,31 @@ class TestIntegrate:
             integrate(grid, f)
         assert np.array_equal(err.value.node, bad)
 
+    @pytest.mark.parametrize("f", [
+        lambda x: np.exp(1j * x.sum(-1)),  # complex array, then scalars
+        lambda x: complex(1.0, 0.0),
+        lambda x: "1.0",
+        lambda x: None,
+        lambda x: np.ones(1),
+    ], ids=["complex-array", "complex", "str", "none", "length-1-array"])
+    def test_value_that_is_not_one_real_number_is_refused(self, f):
+        # the real part of a complex value was once summed silently
+        grid = smolyak_grid(gauss_levels(
+            recurrence_coefficients(legendre(), 20), 3), 2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as err:
+                integrate(grid, f)
+        assert np.array_equal(err.value.node, grid.nodes[0])
+        assert "not one real number" in str(err.value)
+
+    @pytest.mark.parametrize("value", [
+        True, np.True_, 2, np.int64(2), np.float32(0.5), np.array(0.5)])
+    def test_real_scalars_are_accepted(self, value):
+        grid = smolyak_grid(gauss_levels(
+            recurrence_coefficients(legendre(), 20), 3), 2, 3)
+        assert integrate(grid, lambda x: value) == pytest.approx(float(value))
+
 
 @st.composite
 def _summands(draw):
