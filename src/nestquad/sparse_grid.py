@@ -44,8 +44,10 @@ A grid file is written by ``write_grid_csv`` or ``write_grid_json``, and
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -689,13 +691,19 @@ def _batch_values(nodes, f):
 
 def _finite(value, point) -> float:
     """``float(value)``; EvaluationError naming ``point`` unless ``value``
-    is one finite real number (of the kinds the batch call admits)."""
-    array = np.asarray(value)
-    if array.shape != () or array.dtype.kind not in "biuf":
-        raise EvaluationError(
-            f"integrand returned {value!r}, not one real number, "
-            f"at {point.tolist()}", node=point.copy())
-    value = float(array)
+    is one finite real number: a ``numbers.Real`` or ``Decimal`` (exact
+    and arbitrary-precision reals included; float and int are tested
+    first, as the cheap case), or a numpy bool or 0-d real array."""
+    if not isinstance(value, (float, int, numbers.Real, decimal.Decimal)):
+        array = np.asarray(value)
+        if array.shape != () or array.dtype.kind not in "biuf":
+            raise EvaluationError(
+                f"integrand returned {value!r}, not one real number, "
+                f"at {point.tolist()}", node=point.copy())
+    try:
+        value = float(value)
+    except OverflowError:  # an int or Fraction beyond the double range
+        value = math.inf
     if not math.isfinite(value):
         raise EvaluationError(
             f"integrand returned {value} at {point.tolist()}",

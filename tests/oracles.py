@@ -407,12 +407,12 @@ def textbook_recurrence(table, degree, x):
     return p, q
 
 
-def kronrod_rule(table, n1: int, tol: float = 1e-12):
+def kronrod_rule(table, n1: int):
     """The (2 n1 + 1)-point Gauss-Kronrod rule of the table's weight from
     Laurie's Jacobi-Kronrod matrix (D.P. Laurie, Math. Comp. 66, 1997),
     built as in the loop of Gautschi's ``r_kronrod``, as (nodes, weights)
     with ascending nodes; None where no such rule is real and positive
-    (some b_k <= 0) or a node lies more than ``tol`` outside the family's
+    (some b_k <= 0) or a node lies more than 1e-12 outside the family's
     domain.  ``table`` holds the monic a_k and b_k (b_0 the mass) through
     index ceil(3 n1 / 2)."""
     n = n1
@@ -452,6 +452,6 @@ def kronrod_rule(table, n1: int, tol: float = 1e-12):
     nodes, vectors = np.linalg.eigh(np.diag(a) + np.diag(off, 1)
                                     + np.diag(off, -1))
     domain = table.family.domain
-    if nodes[0] < domain.lo - tol or nodes[-1] > domain.hi + tol:
+    if nodes[0] < domain.lo - 1e-12 or nodes[-1] > domain.hi + 1e-12:
         return None
     return nodes, b[0] * vectors[0] ** 2

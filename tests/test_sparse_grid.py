@@ -9,9 +9,11 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -508,11 +510,21 @@ class TestIntegrate:
         assert "not one real number" in str(err.value)
 
     @pytest.mark.parametrize("value", [
-        True, np.True_, 2, np.int64(2), np.float32(0.5), np.array(0.5)])
+        True, np.True_, 2, 2**70, np.int64(2), np.float32(0.5),
+        np.array(0.5), Fraction(1, 3), Decimal("0.25"), mpmath.mpf(0.5)])
     def test_real_scalars_are_accepted(self, value):
         grid = smolyak_grid(gauss_levels(
             recurrence_coefficients(legendre(), 20), 3), 2, 3)
         assert integrate(grid, lambda x: value) == pytest.approx(float(value))
+
+    @pytest.mark.parametrize("value", [
+        10**400, Fraction(10**400, 3), Decimal("NaN"), mpmath.inf])
+    def test_real_beyond_the_double_range_is_refused(self, value):
+        grid = smolyak_grid(gauss_levels(
+            recurrence_coefficients(legendre(), 20), 3), 2, 3)
+        with pytest.raises(EvaluationError) as err:
+            integrate(grid, lambda x: value)
+        assert np.array_equal(err.value.node, grid.nodes[0])
 
 
 @st.composite
